@@ -47,7 +47,7 @@ from .potential import (IntersectionTable, PLPotential, Section,
                         check_continuity, check_face_convexity,
                         model_function, na_ma_model_metric, nef_check,
                         stratum_class, tropical_fs_potential)
-from .realma import (Box3, ConvexPL, Interval, MAMeasure, Polygon,
+from .realma import (ConvexPL, Interval, MAMeasure, Polygon,
                      SolveResult, TargetMeasure, box_polygon,
                      discrete_slope_jumps, gradient_cells, ma_measure,
                      ma_measure_oracle, solve, strict_convexity_report)
@@ -58,7 +58,7 @@ from .skeleton import (Divisor, Face, Skeleton, SkeletonMeasure, SncModel,
 __version__ = "0.1.0"
 
 __all__ = [
-    "AtomicMeasure", "BadMultiplicity", "Box3", "CalabiReport",
+    "AtomicMeasure", "BadMultiplicity", "CalabiReport",
     "CheckFailed", "ConfigError", "ConvexPL", "CycleComparison",
     "DimensionMismatch", "DistanceReport", "Divisor", "EmptySections",
     "EmptySupport", "Face", "FaceMassTerm", "FacePotential", "FiberFrame",

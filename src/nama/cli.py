@@ -329,6 +329,8 @@ def run_realma_solve(args, emitter):
     emitter.summary["converged"] = bool(result.converged)
     emitter.summary["nodes"] = len(nodes)
     emitter.summary["interior_nodes"] = len(interior)
+    emitter.summary["cell_fallbacks"] = (result.cell_fallbacks
+                                         + measure.cell_fallbacks)
     if not result.converged or float(result.residual) > tol:
         raise CheckFailed(
             f"mass residual {float(result.residual):.3e} exceeds {tol}")
@@ -362,6 +364,7 @@ def run_realma_measure(args, emitter):
     emitter.write_table("measure.csv", header, rows)
     emitter.summary["total_mass"] = measure.total()
     emitter.summary["degenerate"] = measure.degenerate
+    emitter.summary["cell_fallbacks"] = measure.cell_fallbacks
     if args.tol is not None:
         oracle_masses = ma_measure_oracle(pl, resolution=args.grid or 1000)
         worst = 0.0

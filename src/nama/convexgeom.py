@@ -136,19 +136,25 @@ def dual_cell_1d(index, points, values, box=None):
     return Cell(1, verts, length, edges, touches, empty)
 
 
-def dual_cell_2d(index, points, values, box=None, expect_bounded=False):
+def dual_cell_2d(index, points, values, box=None, expect_bounded=False,
+                 candidates=None):
     """The polygon ``{p : p . (x_i - x_j) >= v_i - v_j for all j}``.
 
     Constraints are applied nearest node first, with a cheap no-op skip, so
     grid-like inputs clip in effectively constant time per constraint.  When
     ``expect_bounded`` the bounding box is enlarged until the cell no longer
-    touches it (interior nodes of an envelope have bounded cells).
+    touches it (interior nodes of an envelope have bounded cells).  With
+    ``candidates``, listed nearest first, only those nodes clip; the caller
+    vouches that they cut out the same cell.
     """
     xi = points[index]
     vi = values[index]
-    others = [j for j in range(len(points)) if j != index]
-    others.sort(key=lambda j: ((float(points[j][0]) - float(xi[0])) ** 2
-                               + (float(points[j][1]) - float(xi[1])) ** 2, j))
+    pool = range(len(points)) if candidates is None else candidates
+    others = [j for j in pool if j != index]
+    if candidates is None:
+        others.sort(key=lambda j: ((float(points[j][0]) - float(xi[0])) ** 2
+                                   + (float(points[j][1]) - float(xi[1])) ** 2,
+                                   j))
     if box is None:
         m = 0.0
         for j in others:
@@ -179,43 +185,6 @@ def dual_cell_2d(index, points, values, box=None, expect_bounded=False):
         lo0, hi0, lo1, hi1 = lo0 * 4, hi0 * 4, lo1 * 4, hi1 * 4
     raise RuntimeError("cell did not close up under box enlargement; "
                        "is the node interior?")
-
-
-def dual_cell_3d(index, points, values, box):
-    """Clipped 3D dual cell volume via halfspace intersection (float only)."""
-    import numpy as np
-    from scipy.optimize import linprog
-    from scipy.spatial import ConvexHull, HalfspaceIntersection
-
-    xi = np.asarray(points[index], dtype=float)
-    vi = float(values[index])
-    rows = []
-    for j, (pt, vj) in enumerate(zip(points, values)):
-        if j == index:
-            continue
-        a = np.asarray(pt, dtype=float) - xi          # a . p <= -(v_i - v_j)
-        rows.append(np.concatenate([a, [float(vj) - vi]]))
-    lo, hi = box
-    for axis in range(3):
-        e = np.zeros(4)
-        e[axis], e[3] = 1.0, -hi
-        rows.append(e.copy())
-        e[axis], e[3] = -1.0, lo
-        rows.append(e)
-    halfspaces = np.array(rows)
-
-    norms = np.linalg.norm(halfspaces[:, :3], axis=1, keepdims=True)
-    res = linprog(c=[0, 0, 0, -1],
-                  A_ub=np.hstack([halfspaces[:, :3], norms]),
-                  b_ub=-halfspaces[:, 3], bounds=[(None, None)] * 3 + [(0, None)],
-                  method="highs")
-    if not res.success or res.x[3] <= 1e-12:
-        return Cell(3, [], 0.0, {}, False, True)
-    interior = res.x[:3]
-    hs = HalfspaceIntersection(halfspaces, interior)
-    hull = ConvexHull(hs.intersections)
-    return Cell(3, hs.intersections.tolist(), float(hull.volume), {},
-                False, False)
 
 
 def box_simplex_volume(widths, coeffs, cap):

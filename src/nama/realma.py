@@ -24,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from .convexgeom import (clip_halfplane, dual_cell_1d, dual_cell_2d,
-                         dual_cell_3d, polygon_area)
+                         polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure
 
@@ -136,31 +136,6 @@ def box_polygon(lo0, hi0, lo1, hi1):
     return Polygon(((lo0, lo1), (hi0, lo1), (hi0, hi1), (lo0, hi1)))
 
 
-@dataclass(frozen=True)
-class Box3:
-    lo: tuple
-    hi: tuple
-
-    dim = 3
-
-    @property
-    def vertices(self):
-        lo, hi = self.lo, self.hi
-        return tuple((x, y, z) for x in (lo[0], hi[0])
-                     for y in (lo[1], hi[1]) for z in (lo[2], hi[2]))
-
-    def volume(self):
-        return math.prod(h - l for l, h in zip(self.lo, self.hi))
-
-    def contains(self, pt):
-        return all(l <= c <= h for c, l, h in zip(pt, self.lo, self.hi))
-
-    def on_boundary(self, pt):
-        tol = 1e-12 * max(1.0, *(abs(float(c)) for c in self.hi + self.lo))
-        return any(abs(c - l) <= tol or abs(c - h) <= tol
-                   for c, l, h in zip(pt, self.lo, self.hi))
-
-
 # ---------------------------------------------------------------------------
 # convex PL functions
 
@@ -170,7 +145,7 @@ class ConvexPL:
 
     Parameters
     ----------
-    domain : Interval, Polygon or Box3
+    domain : Interval or Polygon
     nodes : iterable of coordinate tuples
         Must be distinct, lie in the domain and include all domain vertices.
     values : iterable of scalars
@@ -236,8 +211,6 @@ def lower_hull_planes(points, values):
     ``envelope(x) = max_f (g[f] . x + b[f])``.  Degenerate (affine) data is
     handled by least-squares.
     """
-    from scipy.spatial import ConvexHull, QhullError
-
     d = points.shape[1]
     if d == 1:
         order = np.argsort(points[:, 0], kind="stable")
@@ -262,10 +235,8 @@ def lower_hull_planes(points, values):
             g, b = [[0.0]], [float(vs[0])]
         return np.array(g), np.array(b)
 
-    lifted = np.column_stack([points, values])
-    try:
-        hull = ConvexHull(lifted)
-    except QhullError:
+    hull = _lifted_hull(points, values)
+    if hull is None:
         coeffs, *_ = np.linalg.lstsq(
             np.column_stack([points, np.ones(len(points))]), values,
             rcond=None)
@@ -278,6 +249,15 @@ def lower_hull_planes(points, values):
     # deduplicate coplanar triangulated facets
     uniq = np.unique(np.round(np.column_stack([g, b]), 12), axis=0)
     return uniq[:, :d], uniq[:, d]
+
+
+def _lifted_hull(points, values):
+    """Qhull of the lifted points, or None when they are affinely flat."""
+    from scipy.spatial import ConvexHull, QhullError
+    try:
+        return ConvexHull(np.column_stack([points, values]))
+    except QhullError:
+        return None
 
 
 def discrete_slope_jumps(xs, values):
@@ -299,6 +279,149 @@ def discrete_slope_jumps(xs, values):
     return jumps
 
 
+def _orient(p, q, r):
+    """Twice the signed area of the triangle pqr (exact for rationals)."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+class _HullStar:
+    """Which nodes clip each 2D dual cell, read off the lifted lower hull.
+
+    A node's cell is cut out by its neighbours in the regular triangulation
+    alone (Aurenhammer 1987): its star, plus the vertex across each edge of
+    its link for a flipped diagonal on a flat quad.  Exact input is
+    certified in rationals (triangles positively oriented and tiling the
+    domain, interior edges locally convex, other nodes on or above), which
+    makes the interpolant the envelope.  Float cells are checked against
+    every constraint, widened by the violated ones, then clipped in full;
+    ``fallbacks`` counts the full clips.
+    """
+
+    def __init__(self, nodes, values, domain=None):
+        self.nodes, self.values = nodes, values
+        self.pts = np.array([[float(c) for c in nd] for nd in nodes])
+        self.vals = np.array([float(v) for v in values])
+        self.cands = [None] * len(nodes)
+        self.certified, self.fallbacks = False, 0
+        hull = _lifted_hull(self.pts, self.vals)
+        if hull is None:
+            return
+        tris = [(a, b, c) if _orient(*self.pts[[a, b, c]]) >= 0 else (a, c, b)
+                for a, b, c in
+                hull.simplices[hull.equations[:, 2] < -1e-12].tolist()]
+        opp = {}
+        for a, b, c in tris:
+            opp[a, b], opp[b, c], opp[c, a] = c, a, b
+        near = [set() for _ in nodes]
+        for (a, b), c in opp.items():
+            near[c].update((a, b, opp.get((b, a), a)))
+        # nodes off the triangulation, with the triangles that hold them
+        within = {i: [] for i in range(len(nodes)) if not near[i]}
+        if within:
+            p, q, r = (self.pts[list(t)].T for t in zip(*tris))
+            tol = -1e-9 * np.abs(_orient(p, q, r))
+            for i, x in zip(within, self.pts[list(within)]):
+                hit = ((_orient(x, q, r) >= tol) & (_orient(p, x, r) >= tol)
+                       & (_orient(p, q, x) >= tol))
+                within[i] = [tris[k] for k in np.nonzero(hit)[0]]
+        if all(isinstance(c, Fraction) for nd in nodes for c in nd) and all(
+                isinstance(v, Fraction) for v in values):
+            self.certified = domain is not None and self._certify(
+                tris, opp, within, domain)
+            if not self.certified:
+                return
+            within = {}
+        for i in range(len(nodes)):
+            if near[i]:
+                self.cands[i] = self._nearest_first(i, near[i])
+            elif within.get(i):
+                d2 = ((self.pts - self.pts[i]) ** 2).sum(axis=1)
+                self.cands[i] = self._nearest_first(i, set(
+                    np.argsort(d2, kind="stable")[:9].tolist()).union(
+                        *within[i]))
+
+    def _nearest_first(self, i, js):
+        """``js`` without i, in :func:`dual_cell_2d`'s clip order."""
+        js = np.array(sorted(set(js) - {i}), dtype=int)
+        d2 = ((self.pts[js] - self.pts[i]) ** 2).sum(axis=1)
+        return js[np.lexsort((js, d2))].tolist()
+
+    def _certify(self, tris, opp, within, domain):
+        # every test is a sign, which scaling coordinates and values by
+        # positive integers keeps: clear the denominators once
+        corners = [tuple(Fraction(c) for c in v) for v in domain.vertices]
+        sx = math.lcm(*(c.denominator for pt in corners + self.nodes
+                        for c in pt))
+        sv = math.lcm(*(v.denominator for v in self.values))
+        C, P = ([tuple(c.numerator * (sx // c.denominator) for c in pt)
+                 for pt in pts] for pts in (corners, self.nodes))
+        V = [v.numerator * (sv // v.denominator) for v in self.values]
+
+        def above(a, b, c, x):      # lifted node x on or above plane abc
+            A, B = P[a], P[b]
+            return ((V[b] - V[a]) * _orient(A, P[c], P[x])
+                    - (V[c] - V[a]) * _orient(A, B, P[x])
+                    + (V[x] - V[a]) * _orient(A, B, P[c])) >= 0
+
+        def inside(a, b, c, x):
+            return min(_orient(P[x], P[b], P[c]), _orient(P[a], P[x], P[c]),
+                       _orient(P[a], P[b], P[x])) >= 0
+
+        sides = list(zip(C, C[1:] + C[:1]))
+        areas = [_orient(P[a], P[b], P[c]) for a, b, c in tris]
+        return (len(opp) == 3 * len(tris) and min(areas) > 0
+                and sum(areas) == sum(_orient(C[0], p, q) for p, q in sides)
+                and all(above(a, b, c, opp[b, a]) if (b, a) in opp else any(
+                        _orient(p, q, P[a]) == 0 == _orient(p, q, P[b])
+                        for p, q in sides) for (a, b), c in opp.items())
+                and all(any(inside(*t, i) and above(*t, i) for t in ts)
+                        for i, ts in within.items()))
+
+    def _box(self, i, values, vals):
+        """The default clip box of :func:`dual_cell_2d`, vectorised."""
+        d = np.abs(self.pts - self.pts[i]).max(axis=1)
+        m = np.divide(np.abs(vals - vals[i]), d, out=np.zeros_like(d),
+                      where=d > 0).max()
+        half = float(m) + 1.0
+        if isinstance(values[i], Fraction):
+            half = Fraction(math.ceil(half))
+        return (-half, half, -half, half)
+
+    def _violated(self, i, cell, vals):
+        """Nodes whose constraint some vertex of ``cell`` breaks."""
+        if not cell.vertices:
+            return []
+        verts = np.array(cell.vertices, dtype=float)
+        a = self.pts[i] - self.pts
+        c = vals[i] - vals
+        slack = verts @ a.T - c
+        tol = 1e-11 * (1.0 + np.abs(verts).max() * np.abs(a).max()
+                       + np.abs(c).max())
+        return np.nonzero(slack.min(axis=0) < -tol)[0].tolist()
+
+    def cell(self, i, values=None, vals=None, box=None, expect_bounded=False):
+        """Node i's dual cell, under trial ``values`` (as floats ``vals``)
+        when given; ``box`` defaults to the one :func:`dual_cell_2d` picks."""
+        trial = values is not None
+        values, vals = (values, vals) if trial else (self.values, self.vals)
+        box = self._box(i, values, vals) if box is None else box
+        cands = self.cands[i]
+        for _ in range(2 if cands else 0):
+            try:
+                cell = dual_cell_2d(i, self.nodes, values, box,
+                                    expect_bounded, cands)
+            except RuntimeError:        # the candidates leave it open
+                break
+            bad = [] if self.certified and not trial else self._violated(
+                i, cell, vals)
+            if not bad:
+                return cell
+            # later trials of node i start from the widened list
+            cands = self.cands[i] = self._nearest_first(i, cands + bad)
+        self.fallbacks += 1
+        return dual_cell_2d(i, self.nodes, values, box, expect_bounded)
+
+
 # ---------------------------------------------------------------------------
 # the measure
 
@@ -312,6 +435,7 @@ class MAMeasure:
     interior: tuple          # bool per node
     on_envelope: tuple       # bool per node
     degenerate: bool         # zero measure everywhere
+    cell_fallbacks: int = 0  # 2D cells that took the full clip
 
     def total(self):
         return sum(self.masses)
@@ -332,32 +456,15 @@ def gradient_cells(cpl, clip_box=None, expect_bounded=True):
     given, every cell is clipped to it instead, which is how the tiling
     identity is checked.
     """
-    cells = []
     interior = cpl.interior_mask()
-    for i in range(len(cpl.nodes)):
-        if cpl.dim == 1:
-            box = clip_box
-            cells.append(dual_cell_1d(i, cpl.nodes, cpl.values, box=box))
-        elif cpl.dim == 2:
-            bounded = expect_bounded and interior[i] and clip_box is None
-            cells.append(dual_cell_2d(i, cpl.nodes, cpl.values,
-                                      box=clip_box, expect_bounded=bounded))
-        else:
-            if clip_box is None:
-                m = 1.0
-                for j in range(len(cpl.nodes)):
-                    if j == i:
-                        continue
-                    dx = max(abs(float(a) - float(b))
-                             for a, b in zip(cpl.nodes[j], cpl.nodes[i]))
-                    if dx > 0:
-                        m = max(m, abs(float(cpl.values[j])
-                                       - float(cpl.values[i])) / dx)
-                box = (-4 * m, 4 * m)
-            else:
-                box = clip_box
-            cells.append(dual_cell_3d(i, cpl.nodes, cpl.values, box))
-    return cells
+    if cpl.dim == 1:
+        return [dual_cell_1d(i, cpl.nodes, cpl.values, box=clip_box)
+                for i in range(len(cpl.nodes))]
+    star = _HullStar(cpl.nodes, cpl.values, cpl.domain)
+    return [star.cell(i, box=clip_box,
+                      expect_bounded=(expect_bounded and interior[i]
+                                      and clip_box is None))
+            for i in range(len(cpl.nodes))]
 
 
 def ma_measure(cpl):
@@ -371,49 +478,24 @@ def ma_measure(cpl):
     interior = cpl.interior_mask()
     masses, on_env = [], []
     zero = Fraction(0) if cpl.is_rational else 0.0
+    star = None if cpl.dim == 1 else _HullStar(cpl.nodes, cpl.values,
+                                                cpl.domain)
     for i in range(len(cpl.nodes)):
-        if cpl.dim == 1:
-            if interior[i]:
-                cell = dual_cell_1d(i, cpl.nodes, cpl.values)
-                on_env.append(not cell.empty)
-                masses.append(zero if cell.empty else cell.volume)
-            else:
-                # domain endpoints always sit on the envelope
-                on_env.append(True)
-                masses.append(zero)
-        elif cpl.dim == 2:
-            if interior[i]:
-                cell = dual_cell_2d(i, cpl.nodes, cpl.values,
-                                    expect_bounded=True)
-                masses.append(zero if cell.empty else cell.volume)
-                on_env.append(not cell.empty)
-            else:
-                cell = dual_cell_2d(i, cpl.nodes, cpl.values)
-                masses.append(zero)
-                on_env.append(not cell.empty)
+        if star is not None:
+            cell = star.cell(i, expect_bounded=interior[i])
+        elif interior[i]:
+            cell = dual_cell_1d(i, cpl.nodes, cpl.values)
         else:
-            if interior[i]:
-                cell = gradient_cells_single_3d(cpl, i)
-                masses.append(zero if cell.empty else cell.volume)
-                on_env.append(not cell.empty)
-            else:
-                masses.append(zero)
-                on_env.append(True)
+            # domain endpoints always sit on the envelope
+            on_env.append(True)
+            masses.append(zero)
+            continue
+        masses.append(zero if cell.empty or not interior[i] else cell.volume)
+        on_env.append(not cell.empty)
     degenerate = all(m == 0 for m, it in zip(masses, interior) if it)
     return MAMeasure(tuple(cpl.nodes), tuple(masses), tuple(interior),
-                     tuple(on_env), degenerate)
-
-
-def gradient_cells_single_3d(cpl, i):
-    m = 1.0
-    for j in range(len(cpl.nodes)):
-        if j == i:
-            continue
-        dx = max(abs(float(a) - float(b))
-                 for a, b in zip(cpl.nodes[j], cpl.nodes[i]))
-        if dx > 0:
-            m = max(m, abs(float(cpl.values[j]) - float(cpl.values[i])) / dx)
-    return dual_cell_3d(i, cpl.nodes, cpl.values, (-4 * m, 4 * m))
+                     tuple(on_env), degenerate,
+                     star.fallbacks if star is not None else 0)
 
 
 def ma_measure_oracle(cpl, resolution=1000):
@@ -573,13 +655,11 @@ class TargetMeasure:
                 masses[nd] = density * cell.volume
         elif domain.dim == 2:
             hps = domain.halfplanes()
+            xs, ys = zip(*domain.vertices)
+            box = (min(xs), max(xs), min(ys), max(ys))
+            star = _HullStar(nodes, values, domain)
             for i, nd in enumerate(nodes):
-                lo0 = min(v[0] for v in domain.vertices)
-                hi0 = max(v[0] for v in domain.vertices)
-                lo1 = min(v[1] for v in domain.vertices)
-                hi1 = max(v[1] for v in domain.vertices)
-                cell = dual_cell_2d(i, nodes, values,
-                                    box=(lo0, hi0, lo1, hi1))
+                cell = star.cell(i, box=box)
                 verts, labels = cell.vertices, ["x"] * len(cell.vertices)
                 for a, c in hps:
                     verts, labels, _ = clip_halfplane(verts, labels, a, c, "d")
@@ -610,6 +690,7 @@ class SolveResult:
     iterations: int
     converged: bool
     method: str
+    cell_fallbacks: int = 0  # 2D cells that took the full clip
 
 
 def _resolve_boundary(boundary, node):
@@ -619,15 +700,14 @@ def _resolve_boundary(boundary, node):
 
 
 def solve(domain, target, boundary, nodes=None, tol=1e-8,
-          max_updates=100000, method="newton"):
+          max_updates=100000):
     """Solve the discrete Monge-Ampere Dirichlet problem on a node set.
 
     Finds the convex PL function with prescribed subgradient masses at the
     interior nodes and prescribed boundary values, by node lifting: interior
     values start on the envelope of the boundary data and deficient nodes
-    are lowered (each lowering grows the node's own cell monotonically).
-    ``method="newton"`` accelerates the lifting with damped Newton steps on
-    the cell-volume map; ``method="lift"`` is the plain damped scheme.
+    are lowered (each lowering grows the node's own cell monotonically),
+    then damped Newton steps on the cell-volume map finish the solve.
 
     Parameters
     ----------
@@ -667,8 +747,7 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8,
     if domain.dim == 1:
         return _solve_1d(domain, nodes, target, boundary, tol)
     if domain.dim == 2:
-        return _solve_2d(domain, nodes, target, boundary, tol, max_updates,
-                         method)
+        return _solve_2d(domain, nodes, target, boundary, tol, max_updates)
     raise NotImplementedError("solve supports dimensions 1 and 2")
 
 
@@ -765,23 +844,27 @@ def _boundary_envelope_values(b_nodes, b_values, queries):
 
 
 def _cells_2d(nodes, values, interior_idx):
-    """Cells, masses and edge sensitivities of all interior nodes."""
+    """Masses, edge sensitivities and full-clip count of the interior cells."""
+    star = _HullStar(nodes, values)
     masses = np.zeros(len(interior_idx))
     edges = []
     for k, i in enumerate(interior_idx):
-        cell = dual_cell_2d(i, nodes, values, expect_bounded=True)
+        cell = star.cell(i, expect_bounded=True)
         masses[k] = float(cell.volume)
         edges.append(cell.edges)
-    return masses, edges
+    return masses, edges, star.fallbacks
 
 
-def _lift_node(i, nodes, values, mu, rel_tol=0.02, max_evals=80):
-    """Lower node i until its cell volume matches mu (never raises it)."""
+def _lift_node(i, star, values, mu, rel_tol=0.02, max_evals=80):
+    """Lower node i until its cell volume matches mu (never raises it);
+    ``star`` may predate ``values``, its float checks catch the change."""
     evals = 0
+    vals = np.array(values, dtype=float)
 
     def mass(v):
-        trial = values[:i] + [v] + values[i + 1:]
-        cell = dual_cell_2d(i, nodes, trial, expect_bounded=True)
+        vals[i] = v
+        cell = star.cell(i, values[:i] + [v] + values[i + 1:], vals,
+                         expect_bounded=True)
         return float(cell.volume)
 
     v0 = float(values[i])
@@ -789,11 +872,8 @@ def _lift_node(i, nodes, values, mu, rel_tol=0.02, max_evals=80):
     evals += 1
     if m0 >= mu * (1 - rel_tol):
         return v0, evals
-    scale = 1.0
-    for j, nd in enumerate(nodes):
-        if j != i:
-            scale = max(scale, abs(float(values[j]) - v0))
-    step = 0.25 * scale / max(1, len(nodes)) + 1e-6
+    scale = max(1.0, float(np.abs(vals - v0).max()))
+    step = 0.25 * scale / max(1, len(values)) + 1e-6
     lo = v0
     while evals < max_evals:
         lo = lo - step
@@ -818,18 +898,18 @@ def _lift_node(i, nodes, values, mu, rel_tol=0.02, max_evals=80):
     return lo, evals
 
 
-def _solve_2d(domain, nodes, target, boundary, tol, max_updates, method):
-    nodes = [tuple(float(c) for c in nd) for nd in nodes]
-    interior_idx = [i for i, nd in enumerate(nodes)
-                    if not domain.on_boundary(nd)]
-    boundary_idx = [i for i, nd in enumerate(nodes)
-                    if domain.on_boundary(nd)]
+def _solve_2d(domain, nodes, target, boundary, tol, max_updates):
+    # rounding may move a non-dyadic node off the boundary: classify first
+    on_bdry = [domain.on_boundary(nd) for nd in nodes]
+    interior_idx = [i for i, b in enumerate(on_bdry) if not b]
+    boundary_idx = [i for i, b in enumerate(on_bdry) if b]
     if not interior_idx:
         raise ValueError("no interior nodes to solve for")
-
-    b_nodes = [nodes[i] for i in boundary_idx]
     b_values = [float(_resolve_boundary(boundary, nodes[i]))
                 for i in boundary_idx]
+    nodes = [tuple(float(c) for c in nd) for nd in nodes]
+
+    b_nodes = [nodes[i] for i in boundary_idx]
     env_b = _boundary_envelope_values(b_nodes, b_values, b_nodes)
     scale = max(1.0, np.abs(b_values).max() if b_values else 1.0)
     if np.any(env_b < np.array(b_values) - 1e-9 * scale):
@@ -851,81 +931,88 @@ def _solve_2d(domain, nodes, target, boundary, tol, max_updates, method):
     for k, i in enumerate(interior_idx):
         values[i] = float(init[k])
 
-    updates = 0
+    updates = fallbacks = 0
     best = (np.inf, list(values))
 
     def residual_of(masses):
         return np.abs(masses - mus).max() / mean_mu
 
-    # warm-up sweeps: genuine node lifting; guarantees nonempty cells
-    for sweep in range(200):
+    def lift_sweep(**kw):
+        nonlocal updates, fallbacks
+        star = _HullStar(nodes, values)
         for k, i in enumerate(interior_idx):
-            vi, evals = _lift_node(i, nodes, values, mus[k])
-            values[i] = vi
+            values[i], _ = _lift_node(i, star, values, mus[k], **kw)
             updates += 1
             if updates > max_updates:
                 break
-        masses, edges = _cells_2d(nodes, values, interior_idx)
+        fallbacks += star.fallbacks
+
+    def cells(vals):
+        nonlocal fallbacks
+        masses, edges, n_full = _cells_2d(nodes, vals, interior_idx)
+        fallbacks += n_full
+        return masses, edges
+
+    # warm-up sweeps: genuine node lifting; guarantees nonempty cells
+    for sweep in range(200):
+        lift_sweep()
+        masses, edges = cells(values)
         res = residual_of(masses)
         if res < best[0]:
             best = (res, list(values))
         if res <= tol or updates > max_updates:
             break
-        if method == "newton" and masses.min() > 0 and sweep >= 1:
+        if masses.min() > 0 and sweep >= 1:
             break
 
-    if method == "newton":
-        pos = {i: k for k, i in enumerate(interior_idx)}
-        while updates <= max_updates:
-            masses, edges = _cells_2d(nodes, values, interior_idx)
-            res = residual_of(masses)
-            if res < best[0]:
-                best = (res, list(values))
-            if res <= tol:
-                break
-            jac = np.zeros((len(interior_idx), len(interior_idx)))
+    pos = {i: k for k, i in enumerate(interior_idx)}
+    while updates <= max_updates:
+        masses, edges = cells(values)
+        res = residual_of(masses)
+        if res < best[0]:
+            best = (res, list(values))
+        if res <= tol:
+            break
+        jac = np.zeros((len(interior_idx), len(interior_idx)))
+        for k, i in enumerate(interior_idx):
+            for j, ell in edges[k].items():
+                dist = math.hypot(nodes[i][0] - nodes[j][0],
+                                  nodes[i][1] - nodes[j][1])
+                sens = ell / dist
+                jac[k, k] -= sens
+                if j in pos:
+                    jac[k, pos[j]] += sens
+        try:
+            delta = np.linalg.solve(jac, -(masses - mus))
+        except np.linalg.LinAlgError:
+            lift_sweep()
+            continue
+        floor = 0.0 if mus.min() <= 0 else 0.5 * min(masses.min(),
+                                                     mus.min())
+        tau = 1.0
+        accepted = False
+        while tau > 1e-6:
+            trial = list(values)
             for k, i in enumerate(interior_idx):
-                for j, ell in edges[k].items():
-                    dist = math.hypot(nodes[i][0] - nodes[j][0],
-                                      nodes[i][1] - nodes[j][1])
-                    sens = ell / dist
-                    jac[k, k] -= sens
-                    if j in pos:
-                        jac[k, pos[j]] += sens
-            try:
-                delta = np.linalg.solve(jac, -(masses - mus))
-            except np.linalg.LinAlgError:
-                for k, i in enumerate(interior_idx):
-                    values[i], _ = _lift_node(i, nodes, values, mus[k])
-                    updates += 1
-                continue
-            floor = 0.0 if mus.min() <= 0 else 0.5 * min(masses.min(),
-                                                         mus.min())
-            tau = 1.0
-            accepted = False
-            while tau > 1e-6:
-                trial = list(values)
-                for k, i in enumerate(interior_idx):
-                    trial[i] = values[i] + tau * delta[k]
-                t_masses, _ = _cells_2d(nodes, trial, interior_idx)
-                updates += 1
-                if residual_of(t_masses) < res and t_masses.min() >= floor:
-                    values = trial
-                    accepted = True
-                    break
-                tau *= 0.5
-            if not accepted:
-                for k, i in enumerate(interior_idx):
-                    values[i], _ = _lift_node(i, nodes, values, mus[k],
-                                              rel_tol=1e-4)
-                    updates += 1
-            if updates > max_updates:
+                trial[i] = values[i] + tau * delta[k]
+            t_masses, _ = cells(trial)
+            updates += 1
+            if residual_of(t_masses) < res and t_masses.min() >= floor:
+                values[:] = trial
+                accepted = True
                 break
+            tau *= 0.5
+        if not accepted:
+            lift_sweep(rel_tol=1e-4)
+        if updates > max_updates:
+            break
 
-    masses, _ = _cells_2d(nodes, values, interior_idx)
+    masses, _ = cells(values)
     res = residual_of(masses)
     if res > best[0]:
         res = best[0]
         values = best[1]
-    cpl = ConvexPL(domain, nodes, values)
-    return SolveResult(cpl, float(res), updates, res <= tol, method)
+    # a float copy of the domain classifies the rounded nodes
+    flat = Polygon([[float(c) for c in v] for v in domain.vertices])
+    return SolveResult(ConvexPL(flat, nodes, values), float(res), updates,
+                       res <= tol, "newton", fallbacks)

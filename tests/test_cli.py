@@ -96,6 +96,27 @@ def test_realma_solve_converges_on_the_unit_square(tmp_path):
     assert (out / "solution.csv").exists()
 
 
+def test_realma_solve_on_a_non_dyadic_grid(tmp_path):
+    # step 1/10: the boundary nodes are not floats, the solve must still
+    # find and keep them
+    doc = {"domain": {"box": [[0, 1], [0, 1]]},
+           "density": 1,
+           "boundary": {"quadratic": [[1, 0], [0, 1]]}}
+    cfg = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main(["realma", "solve", cfg, "--grid", "11",
+                 "--out", str(out)]) == 0
+    summary = read_manifest(out)["summary"]
+    assert summary["converged"] is True and summary["interior_nodes"] == 81
+    assert isinstance(summary["cell_fallbacks"], int)
+    with open(out / "solution.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 121
+    for row in rows:
+        x, y = float(row["node_x0"]), float(row["node_x1"])
+        assert abs(float(row["value"]) - (x * x + y * y) / 2) < 1e-9
+
+
 def test_realma_measure_locates_the_kink_mass(tmp_path):
     doc = {"domain": {"interval": [0, 1]},
            "nodes": [[0], ["1/2"], [1]],

@@ -190,6 +190,21 @@ def test_solve_2d_uniform_square():
     assert abs(sol[(0.5, 0.5)] - exact) < 0.02
 
 
+def test_solve_2d_on_an_exact_non_dyadic_box():
+    dom = box_polygon(0, F(4, 5), 0, F(4, 5))
+    nodes = [(F(i, 10), F(j, 10)) for i in range(9) for j in range(9)]
+    target = TargetMeasure.from_density(dom, nodes, 1)
+    bnd = {nd: (nd[0] ** 2 + nd[1] ** 2) / 2 for nd in nodes
+           if dom.on_boundary(nd)}
+    result = solve(dom, target, bnd, nodes=nodes, tol=1e-8)
+    assert result.converged
+    assert result.solution.domain.vertices[2] == (0.8, 0.8)
+    for (x, y), v in zip(result.solution.nodes, result.solution.values):
+        assert abs(v - (x * x + y * y) / 2) < 1e-9
+    measure = ma_measure(result.solution)
+    assert sum(measure.interior) == 49
+
+
 def test_solve_2d_rejects_concave_boundary_data():
     dom = box_polygon(0, 1, 0, 1)
     per = 3
