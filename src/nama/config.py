@@ -12,15 +12,18 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
-from .errors import ConfigError
+from .comparison import (FaceMassTerm, FacePotential, ResidueData,
+                         cycle_model, cycle_table, transition_between)
+from .errors import ConfigError, ToolkitError
 from .potential import IntersectionTable, Section
+from .realma import ConvexPL, Interval, TargetMeasure, box_polygon
 from .skeleton import Divisor, build_model
 
 MODEL_KEYS = {"n", "semistable", "divisors", "faces", "intersection_table",
               "sections", "coefficients"}
 COMMAND_KEYS = {"cycle", "residues", "potential", "matching", "mass_terms",
                 "atomic", "domain", "density", "masses", "boundary",
-                "grid", "expected", "resolution", "power", "nodes", "values"}
+                "expected", "resolution", "nodes", "values"}
 
 
 def _no_duplicates(pairs):
@@ -82,6 +85,13 @@ def integer(value, context, minimum=None):
     return value
 
 
+def divisor_id(key, context):
+    try:
+        return int(key)
+    except ValueError:
+        raise ConfigError(f"{context} key {key!r} is not a divisor id")
+
+
 def id_list(value, context):
     if not isinstance(value, list):
         raise ConfigError(f"{context} must be a list of divisor ids")
@@ -129,11 +139,7 @@ def build_table_from_config(entries, n):
             raise ConfigError(f"{ctx}.divisor_powers must be an object")
         powers = {}
         for key, val in powers_raw.items():
-            try:
-                ident = int(key)
-            except ValueError:
-                raise ConfigError(
-                    f"{ctx}.divisor_powers key {key!r} is not a divisor id")
+            ident = divisor_id(key, f"{ctx}.divisor_powers")
             powers[ident] = integer(val, f"{ctx}.divisor_powers[{key}]",
                                     minimum=1)
         stratum = id_list(entry.get("stratum", []), f"{ctx}.stratum")
@@ -182,10 +188,7 @@ def coefficients_from_config(mapping, model):
     known = {d.id for d in model.divisors}
     out = {}
     for key, val in mapping.items():
-        try:
-            ident = int(key)
-        except ValueError:
-            raise ConfigError(f"coefficients key {key!r} is not a divisor id")
+        ident = divisor_id(key, "coefficients")
         if ident not in known:
             raise ConfigError(f"coefficients key {ident} is not a divisor")
         out[ident] = rational(val, f"coefficients[{key}]")
@@ -209,3 +212,204 @@ def face_key_from_string(text, context):
 
 def validate_toplevel(doc):
     check_keys(doc, MODEL_KEYS | COMMAND_KEYS, "config document")
+
+
+# ---------------------------------------------------------------------------
+# command blocks
+
+
+def model_bundle(doc, need_table=False):
+    """Model, intersection table and coefficients (None when absent),
+    from a ``cycle`` block or the model keys; a model or table the
+    toolkit rejects is an input error, raised as :class:`ConfigError`."""
+    table = coeffs = None
+    try:
+        if "cycle" in doc:
+            block = doc["cycle"]
+            check_keys(block, {"degrees", "coefficients"}, "cycle")
+            degrees = [rational(d, "cycle.degrees")
+                       for d in require(block, "degrees", "cycle")]
+            model = cycle_model(degrees)
+            table = cycle_table(degrees)
+            raw = require(block, "coefficients", "cycle")
+            if isinstance(raw, list):
+                raw = {str(i): c for i, c in enumerate(raw)}
+            coeffs = coefficients_from_config(raw, model)
+        else:
+            model = build_model_from_config(doc)
+            if "intersection_table" in doc:
+                table = build_table_from_config(doc["intersection_table"],
+                                                model.dimension)
+            if "coefficients" in doc:
+                coeffs = coefficients_from_config(doc["coefficients"], model)
+        if "sections" in doc:
+            build_sections_from_config(doc["sections"], model)
+    except (ToolkitError, ValueError) as exc:
+        raise ConfigError(str(exc))
+    if need_table and table is None:
+        raise ConfigError("this command needs an intersection_table block")
+    return model, table, coeffs
+
+
+def parse_domain(doc):
+    block = require(doc, "domain", "config")
+    check_keys(block, {"interval", "box"}, "domain")
+    try:
+        if "interval" in block:
+            lo, hi = block["interval"]
+            return Interval(rational(lo, "interval"), rational(hi, "interval"))
+        if "box" in block:
+            (lo0, hi0), (lo1, hi1) = block["box"]
+            return box_polygon(rational(lo0, "box"), rational(hi0, "box"),
+                               rational(lo1, "box"), rational(hi1, "box"))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid domain: {exc}")
+    raise ConfigError("domain needs an interval or a box")
+
+
+def target_from_config(doc, domain, nodes):
+    """Target measure of a solve: a constant ``density`` or node ``masses``."""
+    if "density" in doc:
+        density = rational(doc["density"], "density")
+        return TargetMeasure.from_density(domain, nodes, density)
+    if "masses" not in doc:
+        raise ConfigError("config needs a density or masses block")
+    masses = {}
+    for k, entry in enumerate(doc["masses"]):
+        ctx = f"masses[{k}]"
+        check_keys(entry, {"node", "mass"}, ctx)
+        nd = tuple(rational(c, "node") for c in require(entry, "node", ctx))
+        masses[nd] = rational(require(entry, "mass", ctx), "mass")
+    try:
+        return TargetMeasure(masses)
+    except ValueError as exc:
+        raise ConfigError(f"invalid masses: {exc}")
+
+
+def _quadratic(block, context, dim):
+    """Symmetric A (zero when absent) and b of 1/2 x^T A x + b.x."""
+    rows = block.get("quadratic")
+    if rows is None:
+        rows = [[0] * dim for _ in range(dim)]
+    if len(rows) != dim or any(len(r) != dim for r in rows):
+        raise ConfigError(f"{context}.quadratic must be {dim}x{dim}")
+    A = [[rational(v, f"{context}.quadratic") for v in r] for r in rows]
+    if any(A[i][j] != A[j][i] for i in range(dim) for j in range(dim)):
+        raise ConfigError(f"{context}.quadratic must be symmetric")
+    lin = block.get("linear", [0] * dim)
+    if len(lin) != dim:
+        raise ConfigError(f"{context}.linear needs {dim} entries")
+    return A, [rational(v, f"{context}.linear") for v in lin]
+
+
+def quadratic_gradient(block, context, dim):
+    """Gradient function of 1/2 x^T A x + b.x from a config block."""
+    check_keys(block, {"quadratic", "linear"}, context)
+    A, b = _quadratic(block, context, dim)
+
+    def grad(x):
+        x = list(x)
+        return tuple(sum(A[i][j] * x[j] for j in range(dim)) + b[i]
+                     for i in range(dim))
+
+    return grad
+
+
+def boundary_values(doc, domain, nodes):
+    """Dirichlet data c + b.x + x.Ax/2 at the boundary nodes."""
+    block = require(doc, "boundary", "config")
+    check_keys(block, {"quadratic", "linear", "constant"}, "boundary")
+    dim = domain.dim
+    A, b = _quadratic(block, "boundary", dim)
+    const = rational(block.get("constant", 0), "boundary.constant")
+
+    def value(x):
+        quad = sum(A[i][j] * x[i] * x[j] for i in range(dim)
+                   for j in range(dim))
+        return const + sum(l * c for l, c in zip(b, x)) + quad / 2
+
+    return {nd: value(nd) for nd in nodes if domain.on_boundary(nd)}
+
+
+def convex_pl_from_config(doc, domain):
+    """The function given by ``nodes`` and ``values``; floats stay floats."""
+    raw_nodes = require(doc, "nodes", "config")
+    raw_values = require(doc, "values", "config")
+    if len(raw_nodes) != len(raw_values):
+        raise ConfigError("nodes and values must have equal length")
+
+    def coord(v, ctx):
+        if isinstance(v, float):
+            return v
+        return rational(v, ctx)
+
+    nodes = [tuple(coord(c, "nodes") for c in nd) for nd in raw_nodes]
+    values = [coord(v, "values") for v in raw_values]
+    try:
+        return ConvexPL(domain, nodes, values)
+    except ValueError as exc:
+        raise ConfigError(f"invalid nodes or values: {exc}")
+
+
+def face_potential_from_config(doc, model):
+    """Face key and constant-data potential of the ``potential`` block."""
+    block = require(doc, "potential", "config")
+    check_keys(block, {"face", "gradients", "hessian"}, "potential")
+    key = face_key_from_string(require(block, "face", "potential"),
+                               "potential.face")
+    grads = {divisor_id(k, "potential.gradients"):
+             rational(v, "potential.gradients")
+             for k, v in require(block, "gradients", "potential").items()}
+    p = model.face(key).dim
+    rows = block.get("hessian", [])
+    if len(rows) != p or any(len(r) != p for r in rows):
+        raise ConfigError(f"potential.hessian must be {p}x{p}")
+    hess = [[rational(v, "potential.hessian") for v in r] for r in rows]
+    return key, FacePotential(gradient=lambda x: grads,
+                              hessian=lambda x: hess)
+
+
+def residues_from_config(doc):
+    block = require(doc, "residues", "config")
+    return ResidueData({face_key_from_string(k, "residues"):
+                        rational(v, "residues") for k, v in block.items()})
+
+
+def matching_from_config(doc, model):
+    """Transition map, both gradients and the wall points of a matching."""
+    block = require(doc, "matching", "config")
+    check_keys(block, {"face_a", "face_b", "degrees", "a", "b",
+                       "wall_points"}, "matching")
+    fa = face_key_from_string(require(block, "face_a", "matching"),
+                              "matching.face_a")
+    fb = face_key_from_string(require(block, "face_b", "matching"),
+                              "matching.face_b")
+    degs = {divisor_id(k, "matching.degrees"):
+            integer(v, "matching.degrees")
+            for k, v in require(block, "degrees", "matching").items()}
+    transition = transition_between(model, fa, fb, degs)
+    n = transition.dim
+    ga = quadratic_gradient(require(block, "a", "matching"), "matching.a", n)
+    gb = quadratic_gradient(require(block, "b", "matching"), "matching.b", n)
+    pts = [tuple(rational(c, "wall_points") for c in w)
+           for w in require(block, "wall_points", "matching")]
+    return transition, ga, gb, pts
+
+
+def mass_audit_from_config(doc, model, table):
+    """Face terms, atomic masses and expected total of a mass audit."""
+    terms = []
+    for k, entry in enumerate(require(doc, "mass_terms", "config")):
+        ctx = f"mass_terms[{k}]"
+        check_keys(entry, {"face", "density"}, ctx)
+        key = face_key_from_string(require(entry, "face", ctx), ctx)
+        dens = rational(require(entry, "density", ctx), ctx)
+        terms.append(FaceMassTerm.from_constant(model, key, dens))
+    atomic = [rational(v, "atomic") for v in doc.get("atomic", [])]
+    if "expected" in doc:
+        expected = rational(doc["expected"], "expected")
+    elif table is not None:
+        expected = table.top_self_intersection()
+    else:
+        raise ConfigError("mass needs expected or an intersection_table")
+    return terms, atomic, expected

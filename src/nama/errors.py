@@ -1,7 +1,10 @@
 """Exception types shared across the toolkit.
 
-Validation failures of user-supplied data raise subclasses of
-:class:`ToolkitError`; the command line maps these to exit code 1.
+Failures raise subclasses of :class:`ToolkitError`.  The command line
+exits with status 1 on a :class:`ConfigError`, which is what its parse
+layer raises for every invalid input (including a model or intersection
+table the toolkit rejects), and with status 2 on any other
+``ToolkitError``, raised by a computation whose check did not pass.
 """
 
 

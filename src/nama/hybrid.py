@@ -341,6 +341,15 @@ def dyadic_cell_volumes(p, level):
     return vols
 
 
+def dyadic_cells(batch, level):
+    """Flat index of the dyadic cell of side 2^-level holding each sample's
+    free coordinates y_1..y_p, in ravel order of the (2^level)^p grid."""
+    k = 1 << level
+    idx = np.minimum(batch.numerators[:, 1:] >> (_DYADIC_BITS - level),
+                     k - 1)
+    return np.ravel_multi_index(tuple(idx.T), (k,) * batch.model.depth)
+
+
 def pushforward_distance(batch, level=2):
     """Sup-distance between the weighted empirical law of the simplex
     coordinates and the uniform one.
@@ -359,11 +368,8 @@ def pushforward_distance(batch, level=2):
         order = np.argsort(ys[:, 0], kind="stable")
         d = ks_statistic(ys[order, 0], batch.weights[order])
         return DistanceReport(d, 1.0 / math.sqrt(neff), "ks")
-    k = 1 << level
-    cell_idx = np.minimum(batch.numerators[:, 1:] >> (_DYADIC_BITS - level),
-                          k - 1)
-    flat = np.ravel_multi_index(tuple(cell_idx.T), (k,) * p)
-    emp = np.bincount(flat, weights=batch.weights, minlength=k ** p)
+    emp = np.bincount(dyadic_cells(batch, level), weights=batch.weights,
+                      minlength=(1 << level) ** p)
     emp = emp / batch.weights.sum()
     exact = dyadic_cell_volumes(p, level).astype(float)
     d = cell_statistic(emp, exact)

@@ -85,6 +85,12 @@ class Polygon:
         object.__setattr__(self, "verts", vs)
         if polygon_area(list(vs)) <= 0:
             raise ValueError("degenerate polygon")
+        # frozen, so the inward halfplanes are computed once
+        hps = []
+        for (P, Q) in self._edges():
+            a = (-(Q[1] - P[1]), Q[0] - P[0])     # inward for ccw order
+            hps.append((a, a[0] * P[0] + a[1] * P[1]))
+        object.__setattr__(self, "_halfplanes", tuple(hps))
 
     dim = 2
 
@@ -101,12 +107,7 @@ class Polygon:
 
     def halfplanes(self):
         """Inward halfplanes (a, c) with the domain = {x : a . x >= c}."""
-        out = []
-        for (P, Q) in self._edges():
-            a = (-(Q[1] - P[1]), Q[0] - P[0])     # inward for ccw order
-            c = a[0] * P[0] + a[1] * P[1]
-            out.append((a, c))
-        return out
+        return list(self._halfplanes)
 
     def _tol(self):
         if isinstance(self.verts[0][0], Fraction):
@@ -116,7 +117,7 @@ class Polygon:
 
     def contains(self, pt):
         tol = self._tol()
-        for a, c in self.halfplanes():
+        for a, c in self._halfplanes:
             if a[0] * pt[0] + a[1] * pt[1] < c - tol:
                 return False
         return True
@@ -125,7 +126,7 @@ class Polygon:
         tol = self._tol()
         if not self.contains(pt):
             return False
-        for a, c in self.halfplanes():
+        for a, c in self._halfplanes:
             if abs(a[0] * pt[0] + a[1] * pt[1] - c) <= tol:
                 return True
         return False

@@ -5,6 +5,7 @@ import json
 
 import pytest
 
+from nama import config
 from nama.cli import main
 
 SEGMENT_TABLE = [
@@ -296,3 +297,122 @@ def test_reruns_are_byte_identical(tmp_path):
     assert main(["namma", cfg, "--out", str(out)]) == 0
     second = {p.name: p.read_bytes() for p in out.iterdir()}
     assert first == second
+
+
+# ---------------------------------------------------------------------------
+# every subcommand, the parse layer and invalid input
+
+SQUARE = {"domain": {"box": [[0, 1], [0, 1]]}, "density": 1,
+          "boundary": {"quadratic": [[1, 0], [0, 1]]}}
+KINK = {"domain": {"interval": [0, 1]}, "nodes": [[0], ["1/2"], [1]],
+        "values": [0, "-1/8", 0]}
+CYCLE = {"cycle": {"degrees": [1, 2, 1], "coefficients": [0, "1/2", "1/3"]}}
+SQUARE_COMPLEX = {
+    "n": 2, "semistable": True,
+    "divisors": [{"id": k} for k in range(4)],
+    "faces": [[0], [1], [2], [3], [0, 1], [0, 2], [1, 2], [1, 3], [2, 3],
+              [0, 1, 2], [1, 2, 3]],
+}
+MATCHING = dict(SQUARE_COMPLEX, matching={
+    "face_a": "0,1,2", "face_b": "1,2,3", "degrees": {"1": 2},
+    "a": {"quadratic": [[1, 0], [0, 2]], "linear": [0, "1/3"]},
+    "b": {"quadratic": [[9, 4], [4, 2]], "linear": ["2/3", "1/3"]},
+    "wall_points": [[0], ["1/4"], ["1/2"]]})
+POTENTIAL = {"face": "0,1", "gradients": {"0": 0, "1": 0}, "hessian": [[2]]}
+
+# (argv before the config path, config document or None)
+SUBCOMMANDS = [
+    (["model", "validate"], SEGMENT_MODEL),
+    (["model", "skeleton"], SEGMENT_MODEL),
+    (["namma"], dict(SEGMENT_MODEL, coefficients={"0": "0", "1": "1/4"})),
+    (["realma", "solve", "--grid", "3"], SQUARE),
+    (["realma", "measure", "--tol", "0.01", "--grid", "400"], KINK),
+    (["compare", "vilsmeier"], CYCLE),
+    (["compare", "lowerface"],
+     dict(SEGMENT_MODEL, potential=dict(POTENTIAL, face="0", hessian=[]),
+          expected=1)),
+    (["compare", "pde"],
+     dict(SEGMENT_MODEL, potential=POTENTIAL, residues={"0,1": 1})),
+    (["compare", "matching"], MATCHING),
+    (["compare", "mass"],
+     dict(SEGMENT_MODEL, mass_terms=[{"face": "0,1", "density": 2}])),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "2000", "--level", "3"], None),
+    (["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
+      "--samples", "2000"], None),
+    (["geometry", "slag-check", "--n", "3", "--L", "2.5"], None),
+    (["geometry", "calabi", "--n", "2"], None),
+    (["geometry", "gcalabi", "--m", "1", "--n", "2", "--seed", "3"], None),
+]
+
+
+def argv_for(tmp_path, argv, doc):
+    return argv + ([write_config(tmp_path, doc)] if doc is not None else [])
+
+
+@pytest.mark.parametrize("argv,doc", SUBCOMMANDS,
+                         ids=[" ".join(a[:2]) for a, _ in SUBCOMMANDS])
+def test_every_subcommand_reruns_byte_identical(tmp_path, argv, doc):
+    argv = argv_for(tmp_path, argv, doc) + ["--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    first = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert main(argv) == 0
+    second = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
+    assert first == second
+    assert len(first) == 2 and "manifest.json" in first
+
+
+@pytest.mark.parametrize("argv,doc", [s for s in SUBCOMMANDS if s[1]],
+                         ids=[" ".join(a[:2]) for a, d in SUBCOMMANDS if d])
+def test_each_run_loads_its_config_once(tmp_path, monkeypatch, argv, doc):
+    calls = []
+    load = config.load_document
+
+    def counting(path):
+        calls.append(path)
+        return load(path)
+
+    monkeypatch.setattr(config, "load_document", counting)
+    argv = argv_for(tmp_path, argv, doc)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 0
+    assert len(calls) == 1
+
+
+INVALID = [
+    (["model", "validate"],
+     {"n": 1, "divisors": [{"id": 0}, {"id": 1}], "faces": [[1], [0, 1]]}),
+    (["model", "validate"], dict(SEGMENT_MODEL, grid=5)),
+    (["model", "validate"], dict(SEGMENT_MODEL, power=2)),
+    (["model", "skeleton"],
+     dict(SEGMENT_MODEL, sections=[{"support": [[1]], "norm_exp": 0}])),
+    (["compare", "vilsmeier"],
+     {"cycle": {"degrees": [1, 1], "coefficients": [0, 0]}}),
+    (["realma", "measure"], dict(KINK, nodes=[[0], [2], [1]])),
+    (["realma", "measure"], dict(KINK, domain={"interval": [1, 0]})),
+    (["realma", "solve", "--grid", "1"], SQUARE),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "0"], None),
+    (["hybrid", "growth", "--n", "2", "--t-exp", "30,40",
+      "--samples", "0"], None),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--level", "-1"], None),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--level", "9"], None),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--seed", "-1"], None),
+    (["geometry", "calabi", "--n", "0"], None),
+    (["geometry", "slag-check", "--L", "0"], None),
+    (["geometry", "slag-check", "--n", "0"], None),
+    (["geometry", "gcalabi", "--m", "0", "--n", "1", "--L", "0", "1"], None),
+]
+
+
+@pytest.mark.parametrize("argv,doc", INVALID,
+                         ids=[f"{k}-{' '.join(a[:2])}"
+                              for k, (a, _) in enumerate(INVALID)])
+def test_invalid_input_exits_one_with_one_line(tmp_path, capsys, argv, doc):
+    argv = argv_for(tmp_path, argv, doc)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")

@@ -191,6 +191,7 @@ def test_face_keys_parse_from_strings_and_lists():
 
 
 def test_toplevel_schema_mixes_model_and_command_keys():
-    validate_toplevel({"n": 1, "divisors": [], "residues": {}, "grid": 5})
+    validate_toplevel({"n": 1, "divisors": [], "residues": {},
+                       "resolution": 5})
     with pytest.raises(ConfigError, match="unknown keys"):
         validate_toplevel({"n": 1, "plot": True})
