@@ -30,7 +30,7 @@ from .errors import CheckFailed, ConfigError, ToolkitError
 from .forms import (calabi_ode_residual, fiber_lagrangian_residual,
                     fiber_phase_residual, power_law_potential, semiflat_form,
                     standard_torus_frame, volume_identity_check)
-from .hybrid import (LocalModel, dyadic_cells, parse_poly,
+from .hybrid import (LocalModel, check_streams, dyadic_cells, parse_poly,
                      pushforward_distance, sample_cy_measure,
                      volume_growth_exponent)
 from .potential import na_ma_model_metric
@@ -277,7 +277,7 @@ def compare_pde(doc, tol):
     model, table, _ = cfg.model_bundle(doc, need_table=True)
     key, potential = cfg.face_potential_from_config(doc, model)
     residual = na_pde_residual(model, table, key, potential,
-                               cfg.residues_from_config(doc),
+                               cfg.residues_from_config(doc, model, key),
                                table.top_self_intersection())
 
     def row(pt):
@@ -367,10 +367,12 @@ def build_local_model(args):
     if not t_exps or not all(0 < e < math.inf for e in t_exps):
         raise ConfigError("--t-exp needs positive exponents e (|t| = e^-e)")
     try:
-        return [LocalModel(tuple(bs), math.exp(-e), n, u, weights)
-                for e in t_exps]
+        models = [LocalModel(tuple(bs), math.exp(-e), n, u, weights)
+                  for e in t_exps]
+        check_streams(models[0], args.samples)
     except ValueError as exc:
         raise ConfigError(str(exc))
+    return models
 
 
 def run_hybrid_pushforward(args, doc, emitter):
@@ -422,15 +424,9 @@ def run_hybrid_growth(args, doc, emitter):
 # geometry subcommands
 
 
-def load_matrix(path):
-    try:
-        return np.loadtxt(path, delimiter=",", ndmin=2)
-    except (OSError, ValueError) as exc:
-        raise ConfigError(f"cannot read matrix from {path}: {exc}")
-
-
 def run_geometry_slag(args, doc, emitter):
-    H = load_matrix(args.hessian) if args.hessian else np.eye(args.n)
+    H = cfg.symmetric_matrix(args.hessian) if args.hessian \
+        else np.eye(args.n)
     n = H.shape[0]
     L = args.L[0] if args.L else 1.0
     form = semiflat_form(H, L)

@@ -14,6 +14,7 @@ matching across adjacent top faces, and a total-mass audit.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -49,7 +50,9 @@ def cycle_table(degrees):
     """Intersection numbers of the cycle: self-intersection -2, neighbors 1.
 
     Stores (L . E_i) = degrees[i], the fibre total (L) = sum of degrees, and
-    the full intersection matrix of the components.
+    the full intersection matrix of the components.  Its N^2 - 3N zeros are
+    structural, so they are stored without passing through the validating
+    :meth:`IntersectionTable.add`.
     """
     ds = [as_fraction(d) for d in degrees]
     N = len(ds)
@@ -57,16 +60,15 @@ def cycle_table(degrees):
         raise ValueError("a simplicial cycle needs at least 3 components")
     table = IntersectionTable(1)
     table.add(1, {}, (), sum(ds))
+    powers = [((j, 1),) for j in range(N)]
     for i in range(N):
         table.add(1, {}, (i,), ds[i])
-        for j in range(N):
-            if j == i:
-                pairing = Fraction(-2)
-            elif j in ((i + 1) % N, (i - 1) % N):
-                pairing = Fraction(1)
-            else:
-                pairing = Fraction(0)
+        near = {i: -2, (i + 1) % N: 1, (i - 1) % N: 1}
+        for j, pairing in near.items():
             table.add(0, {j: 1}, (i,), pairing)
+        stratum = (i,)
+        table.add_zeros((0, powers[j], stratum) for j in range(N)
+                        if j not in near)
     return table
 
 
@@ -141,7 +143,13 @@ def vilsmeier_check_1d(model, table, coefficients):
 
 
 def determinant(matrix):
-    """Determinant by cofactor expansion; exact on rational entries."""
+    """Determinant by Bareiss fraction-free elimination (Bareiss 1968).
+
+    Rational entries (ints, Fractions) are eliminated as Fractions, where
+    every Bareiss quotient is exact, so the result is the exact
+    determinant; float entries run the same elimination in floats.  Rows
+    are pivoted on the largest entry of the column.
+    """
     rows = [list(r) for r in matrix]
     k = len(rows)
     if any(len(r) != k for r in rows):
@@ -152,12 +160,23 @@ def determinant(matrix):
         return rows[0][0]
     if k == 2:
         return rows[0][0] * rows[1][1] - rows[0][1] * rows[1][0]
-    det = 0
-    for j in range(k):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * determinant(minor)
-        det = det + term if j % 2 == 0 else det - term
-    return det
+    if all(isinstance(v, numbers.Rational) for r in rows for v in r):
+        rows = [[Fraction(v) for v in r] for r in rows]
+    sign, prev = 1, 1
+    for c in range(k - 1):
+        p = max(range(c, k), key=lambda r: abs(rows[r][c]))
+        if not rows[p][c]:
+            return rows[p][c]
+        if p != c:
+            rows[c], rows[p] = rows[p], rows[c]
+            sign = -sign
+        piv, top = rows[c][c], rows[c]
+        for row in rows[c + 1:]:
+            lead = row[c]
+            for j in range(c + 1, k):
+                row[j] = (row[j] * piv - lead * top[j]) / prev
+        prev = piv
+    return sign * rows[k - 1][k - 1]
 
 
 @dataclass(frozen=True)

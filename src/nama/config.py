@@ -12,6 +12,8 @@ from __future__ import annotations
 import json
 from fractions import Fraction
 
+import numpy as np
+
 from .comparison import (FaceMassTerm, FacePotential, ResidueData,
                          cycle_model, cycle_table, transition_between)
 from .errors import ConfigError, ToolkitError
@@ -210,6 +212,14 @@ def face_key_from_string(text, context):
     raise ConfigError(f"{context} is not a face key: {text!r}")
 
 
+def model_face(model, key, context):
+    """``model.face(key)``; a key that is not a face is an input error."""
+    if not model.has_face(key):
+        raise ConfigError(f"{context} {','.join(map(str, key))} is not a "
+                          "face of the model")
+    return model.face(key)
+
+
 def validate_toplevel(doc):
     check_keys(doc, MODEL_KEYS | COMMAND_KEYS, "config document")
 
@@ -242,6 +252,8 @@ def model_bundle(doc, need_table=False):
                                                 model.dimension)
             if "coefficients" in doc:
                 coeffs = coefficients_from_config(doc["coefficients"], model)
+        if table is not None:
+            table.check_faces(model)
         if "sections" in doc:
             build_sections_from_config(doc["sections"], model)
     except (ToolkitError, ValueError) as exc:
@@ -360,7 +372,7 @@ def face_potential_from_config(doc, model):
     grads = {divisor_id(k, "potential.gradients"):
              rational(v, "potential.gradients")
              for k, v in require(block, "gradients", "potential").items()}
-    p = model.face(key).dim
+    p = model_face(model, key, "potential.face").dim
     rows = block.get("hessian", [])
     if len(rows) != p or any(len(r) != p for r in rows):
         raise ConfigError(f"potential.hessian must be {p}x{p}")
@@ -369,10 +381,25 @@ def face_potential_from_config(doc, model):
                               hessian=lambda x: hess)
 
 
-def residues_from_config(doc):
+def residues_from_config(doc, model, key):
+    """Residue weights on faces of ``model``, one of them on face ``key``."""
     block = require(doc, "residues", "config")
-    return ResidueData({face_key_from_string(k, "residues"):
-                        rational(v, "residues") for k, v in block.items()})
+    if not isinstance(block, dict):
+        raise ConfigError("residues must map face keys to weights")
+    weights = {}
+    for k, v in block.items():
+        face = face_key_from_string(k, "residues")
+        model_face(model, face, "residues face")
+        weights[face] = rational(v, f"residues[{k}]")
+    if key not in weights:
+        raise ConfigError(f"residues has no weight for the potential's face "
+                          f"{','.join(map(str, key))}")
+    try:
+        residues = ResidueData(weights)
+        residues.validate_uniform(model)
+    except ValueError as exc:
+        raise ConfigError(str(exc))
+    return residues
 
 
 def matching_from_config(doc, model):
@@ -403,6 +430,7 @@ def mass_audit_from_config(doc, model, table):
         ctx = f"mass_terms[{k}]"
         check_keys(entry, {"face", "density"}, ctx)
         key = face_key_from_string(require(entry, "face", ctx), ctx)
+        model_face(model, key, f"{ctx}.face")
         dens = rational(require(entry, "density", ctx), ctx)
         terms.append(FaceMassTerm.from_constant(model, key, dens))
     atomic = [rational(v, "atomic") for v in doc.get("atomic", [])]
@@ -413,3 +441,17 @@ def mass_audit_from_config(doc, model, table):
     else:
         raise ConfigError("mass needs expected or an intersection_table")
     return terms, atomic, expected
+
+
+def symmetric_matrix(path):
+    """A square symmetric matrix from a CSV file (``--hessian``)."""
+    try:
+        h = np.loadtxt(path, delimiter=",", ndmin=2)
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read matrix from {path}: {exc}")
+    if h.shape[0] != h.shape[1]:
+        raise ConfigError(f"matrix in {path} is {h.shape[0]}x{h.shape[1]}, "
+                          "not square")
+    if not np.array_equal(h, h.T):
+        raise ConfigError(f"matrix in {path} is not symmetric")
+    return h

@@ -369,20 +369,32 @@ def real_antisymmetric_representation(form):
 
 
 def pfaffian(matrix):
-    """Pfaffian of a real antisymmetric matrix by first-row expansion."""
+    """Pfaffian of a real antisymmetric matrix by Parlett-Reid elimination.
+
+    Each step swaps the largest entry below the diagonal of column ``k``
+    into row ``k + 1`` (rows and columns together, which flips the sign) and
+    eliminates with the Gauss transform that keeps the trailing block
+    antisymmetric; the Pfaffian is the product of the pivots ``A[k, k+1]``
+    (Wimmer, ACM TOMS 38, 2012, algorithm 1).  O(k^3).
+    """
     m = np.array(matrix, dtype=float)
     k = m.shape[0]
     if m.shape != (k, k) or not np.allclose(m, -m.T, atol=1e-12):
         raise ValueError("matrix must be square antisymmetric")
     if k % 2 == 1:
         return 0.0
-    if k == 0:
-        return 1.0
-    if k == 2:
-        return float(m[0, 1])
-    total = 0.0
-    for j in range(1, k):
-        keep = [i for i in range(k) if i not in (0, j)]
-        minor = m[np.ix_(keep, keep)]
-        total += (-1.0) ** (j - 1) * m[0, j] * pfaffian(minor)
-    return total
+    pf = 1.0
+    for c in range(0, k - 1, 2):
+        p = c + 1 + int(np.argmax(np.abs(m[c + 1:, c])))
+        if p != c + 1:
+            m[[c + 1, p], :] = m[[p, c + 1], :]
+            m[:, [c + 1, p]] = m[:, [p, c + 1]]
+            pf = -pf
+        if m[c + 1, c] == 0.0:
+            return 0.0
+        pf *= m[c, c + 1]
+        if c + 2 < k:
+            tau = m[c, c + 2:] / m[c, c + 1]
+            col = m[c + 2:, c + 1]
+            m[c + 2:, c + 2:] += np.outer(tau, col) - np.outer(col, tau)
+    return float(pf)

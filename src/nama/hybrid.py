@@ -28,6 +28,8 @@ _DYADIC_BITS = 40
 _DYADIC_ONE = 1 << _DYADIC_BITS
 _CHUNK = 1 << 16
 _COUNTERS_PER_CHUNK = 1 << 24
+# a Philox4x64 counter step yields four 64-bit words
+_WORDS_PER_CHUNK = 4 * _COUNTERS_PER_CHUNK
 
 
 @dataclass(frozen=True)
@@ -213,6 +215,36 @@ class SampleBatch:
         return bool((self.numerators.sum(axis=1) == _DYADIC_ONE).all())
 
 
+def _words_per_sample(model):
+    """64-bit words one sample of ``model`` draws from its stream.
+
+    One per simplex cut and per free phase, two per fiber coordinate, and
+    at most one for the sheet when b_0 > 1 (32-bit draws).  The bounded
+    integer draws redraw on rejection, with probability below 2^-24 for
+    the cuts; :func:`check_streams` leaves room for that.
+    """
+    return 2 * model.depth + 2 * model.fiber_count \
+        + (model.multiplicities[0] > 1)
+
+
+def check_streams(model, count):
+    """Raise ValueError when sampling ``count`` points of ``model`` would
+    let a chunk's draws run into the next chunk's Philox stream.
+
+    Chunk k starts ``_COUNTERS_PER_CHUNK`` counter steps after chunk k-1;
+    a full chunk's words plus one word per sample of headroom for
+    rejections must fit in them.  A single chunk cannot overlap.
+    """
+    words = _CHUNK * _words_per_sample(model)
+    if count > _CHUNK and words + _CHUNK > _WORDS_PER_CHUNK:
+        raise ValueError(
+            f"a chunk of {_CHUNK} samples at depth {model.depth} with "
+            f"{model.fiber_count} fiber coordinates draws {words} 64-bit "
+            f"words plus {_CHUNK} of headroom, more than the "
+            f"{_WORDS_PER_CHUNK} of its random stream; sample at most "
+            f"{_CHUNK} points or lower the dimension")
+
+
 def _chunk_generator(seed, chunk_index):
     bg = np.random.Philox(key=seed)
     if chunk_index:
@@ -233,6 +265,7 @@ def sample_cy_measure(model, count, seed):
     count = int(count)
     if count < 1:
         raise ValueError("count must be >= 1")
+    check_streams(model, count)
     bs = np.array(model.multiplicities, dtype=np.int64)
     p = model.depth
     nf = model.fiber_count

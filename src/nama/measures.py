@@ -8,6 +8,7 @@ coordinates).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .errors import MassMismatch
 
@@ -40,12 +41,17 @@ class AtomicMeasure:
     def is_nonnegative(self):
         return all(m >= 0 for m in self.masses)
 
-    def mass_of(self, label):
-        """Mass carried by ``label`` (0 if absent)."""
+    @cached_property
+    def _mass_by_label(self):
+        index = {}
         for lab, m in zip(self.support, self.masses):
-            if lab == label:
-                return m
-        return 0
+            index.setdefault(lab, m)
+        return index
+
+    def mass_of(self, label):
+        """Mass carried by ``label`` (0 if absent; the first atom if the
+        label repeats)."""
+        return self._mass_by_label.get(label, 0)
 
     def validate_total(self):
         """Raise :class:`MassMismatch` unless the total equals the target exactly."""

@@ -19,6 +19,8 @@ from .errors import (EmptySections, MassMismatch, MissingTableEntry)
 from .measures import AtomicMeasure
 from .skeleton import as_fraction, monomial_valuation
 
+_ZERO = Fraction(0)
+
 
 @dataclass(frozen=True)
 class AffinePiece:
@@ -79,6 +81,14 @@ class IntersectionTable:
     top self-intersection (L^n) is the entry with empty stratum and a = n).
 
     The table is symmetric by construction (multi-indices are canonical).
+    Entries off the face lattice of the model are structural zeros: when
+    the divisors of the powers together with the stratum do not span a face,
+    the intersection is empty and the number vanishes.  They are never
+    required and never read, may be supplied as zeros, and a supplied
+    *nonzero* off-face entry is an inconsistent table, rejected by
+    :meth:`check_faces`.  Only nonzero entries are indexed (per stratum),
+    so that check costs O(nonzero entries).
+
     Linearity relations ``sum_i b_i (.. O(E_i) ..) = 0`` coming from the
     triviality of the central-fibre bundle are validated opportunistically by
     :meth:`check_relations`: relations whose entries are incomplete are
@@ -88,6 +98,7 @@ class IntersectionTable:
     def __init__(self, dimension, entries=()):
         self.dimension = dimension
         self._entries = {}
+        self._nonzero = {}      # stratum -> keys of its nonzero entries
         for (a, powers, stratum, value) in entries:
             self.add(a, powers, stratum, value)
 
@@ -109,9 +120,49 @@ class IntersectionTable:
             raise ValueError(
                 f"entry {key}: total degree {total} != {expected} "
                 "(dimension rule)")
-        if key in self._entries and self._entries[key] != as_fraction(value):
-            raise ValueError(f"conflicting values for entry {key}")
-        self._entries[key] = as_fraction(value)
+        value = as_fraction(value)
+        if key in self._entries:
+            if self._entries[key] != value:
+                raise ValueError(f"conflicting values for entry {key}")
+            return
+        self._entries[key] = value
+        if value:
+            self._nonzero.setdefault(stratum, []).append(key)
+
+    def add_zeros(self, keys):
+        """Store zeros under canonical keys ``(a, powers, stratum)``.
+
+        For generated tables: the keys skip :meth:`add`'s validation, so
+        they must already be in the form :meth:`add` would build.
+        """
+        entries = self._entries
+        for key in keys:
+            if entries.setdefault(key, _ZERO):
+                raise ValueError(f"conflicting values for entry {key}")
+
+    def check_faces(self, model, strata=None):
+        """Reject nonzero entries off the face lattice of ``model``.
+
+        An entry lies off the lattice when its stratum together with the
+        divisors of its powers is not a face.  Only the nonzero entries of
+        the given strata (all strata when None) are visited.
+
+        Raises
+        ------
+        ValueError
+            Naming the first offending entry.
+        """
+        groups = self._nonzero.values() if strata is None else \
+            (self._nonzero.get(tuple(sorted(J)), ()) for J in strata)
+        for keys in groups:
+            for key in keys:
+                a, powers, stratum = key
+                support = set(stratum).union(i for i, _ in powers)
+                if support and not model.has_face(support):
+                    raise ValueError(
+                        f"entry {key} has value {self._entries[key]} but "
+                        f"{tuple(sorted(support))} is not a face of the "
+                        "model; off-face intersection numbers vanish")
 
     def has(self, a, powers, stratum):
         return self._key(a, powers, stratum) in self._entries
@@ -169,18 +220,22 @@ class IntersectionTable:
         return checked, violations, unchecked
 
 
-def _multi_indices(ids, max_total):
-    """All multi-indices over ``ids`` with total degree <= max_total."""
-    if not ids:
-        yield {}
-        return
-    head, rest = ids[0], ids[1:]
-    for k in range(max_total + 1):
-        for tail in _multi_indices(rest, max_total - k):
-            out = dict(tail)
-            if k:
-                out[head] = k
-            yield out
+def _face_monomials(model, ids, degree, stratum):
+    """Multi-indices over ``ids`` of total degree <= ``degree`` whose support
+    together with ``stratum`` is a face of ``model``.
+
+    Yields ``(total degree, {id: power})``; the others pair to structural
+    zeros and are skipped.
+    """
+    base = set(stratum)
+    for r in range(degree + 1):
+        for combo in itertools.combinations_with_replacement(ids, r):
+            support = base.union(combo)
+            if support == base or model.has_face(support):
+                k = {}
+                for j in combo:
+                    k[j] = k.get(j, 0) + 1
+                yield r, k
 
 
 def _multinomial(n, ks):
@@ -196,6 +251,10 @@ def na_ma_model_metric(model, table, coefficients):
 
     The mass at the vertex of ``E_i`` is ``b_i (L'^n . E_i)`` with
     ``L' = L + sum_j c_j E_j`` expanded multilinearly through the table.  The
+    expansion is face-local: a monomial ``prod_j E_j^{k_j}`` meets ``E_i``
+    only when ``{i} u supp k`` is a face, so only the neighbours of ``i``
+    enter and the other entries are structural zeros, never read.  The cost
+    is linear in the size of the model for bounded vertex degrees.  The
     total is checked against the stored (L^n): twisting by vertical divisors
     does not change the restriction to the generic fibre.
 
@@ -208,22 +267,31 @@ def na_ma_model_metric(model, table, coefficients):
     Raises
     ------
     MissingTableEntry
-        If a required expanded monomial is absent.
+        If a required on-face expanded monomial is absent.
+    ValueError
+        If the table holds a nonzero entry off the face lattice, or a
+        nonzero coefficient names a divisor outside the model.
     MassMismatch
         If the masses do not add up to (L^n): the table is inconsistent.
     """
     n = model.dimension
+    table.check_faces(model)
     c = {i: as_fraction(v) for i, v in dict(coefficients).items()
          if as_fraction(v) != 0}
-    ids = tuple(sorted(c))
+    neighbours = model.neighbours
+    unknown = sorted(set(c) - set(neighbours))
+    if unknown:
+        raise ValueError(f"coefficients for divisors {unknown} that are not "
+                         "in the model")
     support, masses = [], []
     for d in model.divisors:
+        ids = sorted(j for j in neighbours[d.id] + (d.id,) if j in c)
         acc = Fraction(0)
-        for k in _multi_indices(ids, n):
+        for r, k in _face_monomials(model, ids, n, (d.id,)):
             term = Fraction(_multinomial(n, k.values()))
             for j, kj in k.items():
                 term *= c[j] ** kj
-            acc += term * table.value(n - sum(k.values()), k, (d.id,))
+            acc += term * table.value(n - r, k, (d.id,))
         support.append(d.id)
         masses.append(d.multiplicity * acc)
     measure = AtomicMeasure(tuple(support), tuple(masses),
@@ -390,12 +458,9 @@ def stratum_class(model, table, gradients, index_set, base_twist=None):
     n = model.dimension
     twist = {i: as_fraction(v) for i, v in dict(base_twist or {}).items()}
 
-    relevant = set(J)
-    for d in model.divisors:
-        if d.id in relevant:
-            continue
-        if model.has_face(J + (d.id,)):
-            relevant.add(d.id)
+    table.check_faces(model, (J,))
+    relevant = set(J).union(j for j in model.neighbours[J[0]]
+                            if model.has_face(J + (j,)))
     missing = sorted(i for i in relevant if i not in gradients)
     if missing:
         raise ValueError(
@@ -407,15 +472,13 @@ def stratum_class(model, table, gradients, index_set, base_twist=None):
         coeffs[i] = twist.get(i, Fraction(0)) - gradients[i]
     cls = StratumClass(J, Fraction(1), coeffs)
 
-    ids = tuple(sorted(relevant))
     power = n - p
     pairing = 0
-    for k in _multi_indices(ids, power):
-        term = Fraction(_multinomial(power, k.values()))
-        prod = term
+    for r, k in _face_monomials(model, sorted(relevant), power, J):
+        prod = Fraction(_multinomial(power, k.values()))
         for j, kj in k.items():
             prod = prod * (coeffs[j] ** kj)
-        pairing = pairing + prod * table.value(power - sum(k.values()), k, J)
+        pairing = pairing + prod * table.value(power - r, k, J)
     return StratumClassPairing(cls, pairing)
 
 

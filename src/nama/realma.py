@@ -606,6 +606,21 @@ def strict_convexity_report(cpl, tol=1e-12):
 # targets and the solver
 
 
+def _voronoi_lengths_1d(nodes, values, lo, hi):
+    """Lengths of the 1D dual cells of the paraboloid lift ``values``,
+    clipped to ``[lo, hi]``, in node order; as :func:`dual_cell_1d`
+    gives them, with a zero division on repeated nodes."""
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i][0])
+    slopes = [(values[b] - values[a]) / (nodes[b][0] - nodes[a][0])
+              for a, b in zip(order, order[1:])]
+    lengths = [0] * len(nodes)
+    for pos, i in enumerate(order):
+        left = max(slopes[pos - 1], lo) if pos else lo
+        right = min(slopes[pos], hi) if pos < len(slopes) else hi
+        lengths[i] = right - left if right > left else 0
+    return lengths
+
+
 @dataclass(frozen=True)
 class TargetMeasure:
     """Node masses prescribing the discrete Monge-Ampere equation.
@@ -642,7 +657,9 @@ class TargetMeasure:
         The Voronoi cell of a node is its dual cell for the paraboloid lift
         ``|x|^2 / 2`` clipped to the domain, so the construction reuses the
         exact cell machinery and the masses add up to density * volume
-        exactly in rational mode.
+        exactly in rational mode.  In 1D the cells come from one sort: a
+        cell is bounded by the lift's slopes to the sorted neighbours, the
+        midpoints, computed as :func:`dual_cell_1d` computes them.
         """
         density = _coerce(density)
         nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
@@ -650,10 +667,9 @@ class TargetMeasure:
         values = [half * sum(c * c for c in nd) for nd in nodes]
         masses = {}
         if domain.dim == 1:
-            for i, nd in enumerate(nodes):
-                cell = dual_cell_1d(i, nodes, values,
-                                    box=(domain.lo, domain.hi))
-                masses[nd] = density * cell.volume
+            for nd, length in zip(nodes, _voronoi_lengths_1d(
+                    nodes, values, domain.lo, domain.hi)):
+                masses[nd] = density * length
         elif domain.dim == 2:
             hps = domain.halfplanes()
             xs, ys = zip(*domain.vertices)

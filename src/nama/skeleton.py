@@ -179,6 +179,17 @@ class SncModel:
     def divisor_by_id(self):
         return {d.id: d for d in self.divisors}
 
+    @cached_property
+    def neighbours(self):
+        """Divisor id -> sorted ids of the divisors sharing an edge with it."""
+        adjacent = {d.id: set() for d in self.divisors}
+        for f in self.faces:
+            if f.dim == 1:
+                i, j = f.index_set
+                adjacent[i].add(j)
+                adjacent[j].add(i)
+        return {i: tuple(sorted(js)) for i, js in adjacent.items()}
+
     def face(self, index_set):
         key = tuple(sorted(index_set))
         try:

@@ -404,6 +404,26 @@ INVALID = [
     (["geometry", "slag-check", "--L", "0"], None),
     (["geometry", "slag-check", "--n", "0"], None),
     (["geometry", "gcalabi", "--m", "0", "--n", "1", "--L", "0", "1"], None),
+    (["compare", "lowerface"],
+     dict(SEGMENT_MODEL, potential=dict(POTENTIAL, face="5", hessian=[]),
+          expected=1)),
+    (["compare", "pde"],
+     dict(SEGMENT_MODEL, potential=dict(POTENTIAL, face="5", hessian=[]),
+          residues={"0,1": 1})),
+    (["compare", "mass"],
+     dict(SEGMENT_MODEL, mass_terms=[{"face": "5", "density": 2}])),
+    (["compare", "pde"],
+     dict(SEGMENT_MODEL, potential=POTENTIAL, residues={"0": 1})),
+    (["compare", "pde"],
+     dict(SEGMENT_MODEL, potential=POTENTIAL, residues={"0,1": 1, "7": 1})),
+    (["namma"], dict(SEGMENT_MODEL, coefficients={"0": "0", "1": "1/4"},
+                     intersection_table=SEGMENT_TABLE + [
+                         {"L_power": 0, "divisor_powers": {"2": 1},
+                          "stratum": [0], "value": "1"}])),
+    (["hybrid", "pushforward", "--n", "600", "--t-exp", "30",
+      "--samples", "70000", "--level", "0"], None),
+    (["hybrid", "growth", "--n", "600", "--t-exp", "30,40",
+      "--samples", "70000"], None),
 ]
 
 
@@ -415,4 +435,15 @@ def test_invalid_input_exits_one_with_one_line(tmp_path, capsys, argv, doc):
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert "Traceback" not in err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("rows", ["1,2\n3,4\n", "1,2,3\n2,4,5\n"],
+                         ids=["non-symmetric", "non-square"])
+def test_slag_check_rejects_an_invalid_hessian(tmp_path, capsys, rows):
+    path = tmp_path / "hessian.csv"
+    path.write_text(rows)
+    assert main(["geometry", "slag-check", "--hessian", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")

@@ -1,0 +1,409 @@
+"""Linear-time exact combinatorics against independent oracles.
+
+The face-local expansion of ``na_ma_model_metric`` and ``stratum_class`` is
+checked against the full multilinear expansion over every twisted divisor
+(kept here as the oracle, reading a table with explicit off-face zeros),
+Bareiss elimination against cofactor expansion, Parlett-Reid against the
+first-row Pfaffian expansion, and the sorted 1D Voronoi cells of
+``TargetMeasure.from_density`` against ``dual_cell_1d``.
+"""
+
+import itertools
+import json
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from nama import (Divisor, IntersectionTable, Interval, TargetMeasure,
+                  build_model, cycle_model, cycle_table, determinant,
+                  na_ma_model_metric, pfaffian, stratum_class)
+from nama.cli import main
+from nama.convexgeom import dual_cell_1d
+
+F = Fraction
+EXACT = settings(max_examples=60, deadline=None, derandomize=True)
+
+
+# ---------------------------------------------------------------------------
+# oracles: the expansions before they became face-local
+
+
+def multi_indices(ids, max_total):
+    """All multi-indices over ``ids`` with total degree <= max_total."""
+    if not ids:
+        yield {}
+        return
+    head, rest = ids[0], ids[1:]
+    for k in range(max_total + 1):
+        for tail in multi_indices(rest, max_total - k):
+            out = dict(tail)
+            if k:
+                out[head] = k
+            yield out
+
+
+def multinomial(n, ks):
+    out = math.factorial(n) // math.factorial(n - sum(ks))
+    for k in ks:
+        out //= math.factorial(k)
+    return out
+
+
+def full_expansion_masses(model, table, coefficients):
+    """Masses b_i (L'^n . E_i), expanded over every twisted divisor."""
+    n = model.dimension
+    c = {i: F(v) for i, v in coefficients.items() if v != 0}
+    ids = tuple(sorted(c))
+    masses = {}
+    for d in model.divisors:
+        acc = F(0)
+        for k in multi_indices(ids, n):
+            term = F(multinomial(n, list(k.values())))
+            for j, kj in k.items():
+                term *= c[j] ** kj
+            acc += term * table.value(n - sum(k.values()), k, (d.id,))
+        masses[d.id] = d.multiplicity * acc
+    return masses
+
+
+def full_expansion_pairing(model, table, gradients, J):
+    """(class^{n-p} . E_J) over every divisor meeting E_J."""
+    relevant = set(J) | {d.id for d in model.divisors
+                         if model.has_face(J + (d.id,))}
+    power = model.dimension - (len(J) - 1)
+    coeffs = {i: -F(gradients[i]) for i in relevant}
+    total = F(0)
+    for k in multi_indices(tuple(sorted(relevant)), power):
+        term = F(multinomial(power, list(k.values())))
+        for j, kj in k.items():
+            term *= coeffs[j] ** kj
+        total += term * table.value(power - sum(k.values()), k, J)
+    return total
+
+
+# ---------------------------------------------------------------------------
+# random snc complexes with on-face tables
+
+
+@st.composite
+def snc_models(draw):
+    n = draw(st.sampled_from((1, 2)))
+    N = draw(st.integers(2, 7))
+    pairs = list(itertools.combinations(range(N), 2))
+    if n == 1:
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True))
+        tops = []
+    else:
+        triples = list(itertools.combinations(range(N), 3))
+        tops = draw(st.lists(st.sampled_from(triples), unique=True,
+                             max_size=4)) if triples else []
+        edges = draw(st.lists(st.sampled_from(pairs), unique=True,
+                              max_size=4))
+        edges = sorted(set(edges) | {e for t in tops
+                                     for e in itertools.combinations(t, 2)})
+    faces = [(i,) for i in range(N)] + list(edges) + list(tops)
+    mults = draw(st.lists(st.integers(1, 3), min_size=N, max_size=N))
+    model = build_model([Divisor(i, b) for i, b in enumerate(mults)],
+                        faces, dimension=n)
+    return model
+
+
+def rationals():
+    return st.fractions(min_value=-4, max_value=4, max_denominator=6)
+
+
+def on_face_keys(model):
+    """Every (a, powers, stratum) the table of ``model`` may hold nonzero:
+    strata are faces and powers stay on faces containing them."""
+    n = model.dimension
+    ids = [d.id for d in model.divisors]
+    for f in model.faces:
+        J = f.index_set
+        power = n - f.dim
+        for k in multi_indices(tuple(ids), power):
+            if model.has_face(set(J) | set(k)):
+                yield (power - sum(k.values()), k, J)
+
+
+def full_keys(model):
+    n = model.dimension
+    ids = tuple(d.id for d in model.divisors)
+    for f in model.faces:
+        power = n - f.dim
+        for k in multi_indices(ids, power):
+            yield (power - sum(k.values()), k, f.index_set)
+
+
+@given(data=st.data())
+@EXACT
+def test_face_local_masses_equal_the_full_expansion(data):
+    model = data.draw(snc_models())
+    ids = [d.id for d in model.divisors]
+    sparse = IntersectionTable(model.dimension)
+    full = IntersectionTable(model.dimension)
+    for a, k, J in on_face_keys(model):
+        value = data.draw(rationals())
+        sparse.add(a, k, J, value)
+        full.add(a, k, J, value)
+    for a, k, J in full_keys(model):
+        if not full.has(a, k, J):
+            full.add(a, k, J, 0)
+    coeffs = {i: data.draw(st.sampled_from((0, F(1, 2), F(-3), F(5, 3))))
+              for i in ids}
+    expected = full_expansion_masses(model, full, coeffs)
+    total = sum(expected.values())
+    sparse.add(model.dimension, {}, (), total)
+    measure = na_ma_model_metric(model, sparse, coeffs)
+    assert dict(zip(measure.support, measure.masses)) == expected
+    assert all(isinstance(m, Fraction) for m in measure.masses)
+
+    face = data.draw(st.sampled_from(model.faces))
+    J = face.index_set
+    grads = {i: data.draw(rationals()) for i in ids}
+    got = stratum_class(model, sparse, grads, J).pairing
+    assert got == full_expansion_pairing(model, full, grads, J)
+
+
+def chain(N):
+    """A chain of N rational curves: E_i^2 = -(number of neighbours)."""
+    model = build_model([Divisor(i) for i in range(N)],
+                        [(i,) for i in range(N)]
+                        + [(i, i + 1) for i in range(N - 1)],
+                        dimension=1, semistable=True)
+    degrees = [1 + i % 5 for i in range(N)]
+    entries = [(1, {}, (), sum(degrees))]
+    for i in range(N):
+        entries.append((1, {}, (i,), degrees[i]))
+        near = [j for j in (i - 1, i + 1) if 0 <= j < N]
+        entries.append((0, {i: 1}, (i,), -len(near)))
+        entries += [(0, {j: 1}, (i,), 1) for j in near]
+    coeffs = {i: F(1 + i % 7, 3) for i in range(N)}
+    masses = [degrees[i] - len([j for j in (i - 1, i + 1) if 0 <= j < N])
+              * coeffs[i] + sum(coeffs[j] for j in (i - 1, i + 1)
+                                if 0 <= j < N)
+              for i in range(N)]
+    return model, entries, coeffs, masses
+
+
+def test_chain_of_1100_components_on_face_entries_only(tmp_path):
+    model, entries, coeffs, masses = chain(1100)
+    table = IntersectionTable(1, entries)
+    measure = na_ma_model_metric(model, table, coeffs)
+    assert list(measure.masses) == masses
+    assert measure.total() == table.top_self_intersection()
+
+    doc = {"n": 1, "semistable": True,
+           "divisors": [{"id": d.id} for d in model.divisors],
+           "faces": [list(f.index_set) for f in model.faces],
+           "intersection_table": [
+               {"L_power": a, "divisor_powers": {str(j): k
+                                                 for j, k in p.items()},
+                "stratum": list(J), "value": str(v)}
+               for a, p, J, v in entries],
+           "coefficients": {str(i): str(c) for i, c in coeffs.items()}}
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(doc))
+    assert main(["namma", str(path), "--out", str(tmp_path / "out")]) == 0
+    rows = (tmp_path / "out" / "namma.csv").read_text().splitlines()[1:]
+    got = {int(r.split(",")[0]): F(r.split(",")[2]) for r in rows}
+    assert got == dict(enumerate(masses))
+
+
+def segment():
+    return build_model([Divisor(0), Divisor(1), Divisor(2)],
+                       [(0,), (1,), (2,), (0, 1), (1, 2)], dimension=1)
+
+
+def segment_entries():
+    return [(1, {}, (), 3), (1, {}, (0,), 1), (1, {}, (1,), 1),
+            (1, {}, (2,), 1), (0, {0: 1}, (0,), -1), (0, {1: 1}, (0,), 1),
+            (0, {0: 1}, (1,), 1), (0, {1: 1}, (1,), -2), (0, {2: 1}, (1,), 1),
+            (0, {1: 1}, (2,), 1), (0, {2: 1}, (2,), -1)]
+
+
+def test_off_face_entries_are_structural_zeros_and_nonzero_ones_rejected():
+    model = segment()
+    coeffs = {0: F(1, 2), 1: 0, 2: F(1, 3)}
+    base = na_ma_model_metric(model, IntersectionTable(
+        1, segment_entries()), coeffs)
+    zeros = IntersectionTable(1, segment_entries() + [
+        (0, {2: 1}, (0,), 0), (0, {0: 1}, (2,), 0)])
+    assert na_ma_model_metric(model, zeros, coeffs) == base
+    bad = IntersectionTable(1, segment_entries() + [(0, {2: 1}, (0,), 1)])
+    with pytest.raises(ValueError, match=r"\(0, 2\) is not a face"):
+        na_ma_model_metric(model, bad, coeffs)
+    with pytest.raises(ValueError, match="not a face"):
+        bad.check_faces(model)
+    bad.check_faces(model, [(1,), (2,)])     # only stratum (0,) is bad
+    with pytest.raises(ValueError, match="not a face"):
+        stratum_class(model, bad, {0: 0, 1: 0}, (0,))
+    with pytest.raises(ValueError, match=r"divisors \[7\]"):
+        na_ma_model_metric(model, zeros, {**coeffs, 7: 1})
+
+
+def test_table_value_calls_grow_linearly_with_the_cycle(monkeypatch):
+    calls = [0]
+    value = IntersectionTable.value
+
+    def counting(self, *args):
+        calls[0] += 1
+        return value(self, *args)
+
+    monkeypatch.setattr(IntersectionTable, "value", counting)
+    counts = []
+    for N in (40, 80):
+        degrees = [1 + i % 3 for i in range(N)]
+        coeffs = {i: F(i % 5 - 2, 3) for i in range(N)}
+        table = cycle_table(degrees)
+        calls[0] = 0
+        na_ma_model_metric(cycle_model(degrees), table, coeffs)
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0]
+
+
+def test_cycle_table_keeps_every_entry():
+    table = cycle_table([1, 2, 3, 4])
+    assert len(table) == 4 * 4 + 4 + 1
+    assert table.value(0, {2: 1}, (0,)) == 0
+    assert table.value(0, {1: 1}, (0,)) == 1
+    assert table.value(0, {0: 1}, (0,)) == -2
+    with pytest.raises(ValueError, match="conflicting"):
+        table.add_zeros([(0, ((1, 1),), (0,))])
+
+
+# ---------------------------------------------------------------------------
+# Bareiss against cofactor expansion
+
+
+def cofactor_det(rows):
+    k = len(rows)
+    if k == 0:
+        return F(1)
+    if k == 1:
+        return rows[0][0]
+    return sum((-1) ** j * rows[0][j]
+               * cofactor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+               for j in range(k))
+
+
+@st.composite
+def rational_matrices(draw):
+    k = draw(st.integers(0, 7))
+    entry = st.one_of(st.just(F(0)), st.integers(-3, 3).map(F),
+                      st.fractions(min_value=-5, max_value=5,
+                                   max_denominator=7))
+    rows = [[draw(entry) for _ in range(k)] for _ in range(k)]
+    shape = draw(st.sampled_from(("random", "singular", "zero-pivot")))
+    if shape == "singular" and k >= 2:
+        a, b = draw(st.permutations(range(k)))[:2]
+        scale = draw(st.integers(-2, 2))
+        rows[b] = [scale * v for v in rows[a]]
+    elif shape == "zero-pivot" and k >= 2:
+        rows[0][0] = F(0)
+        rows[1][0] = rows[1][1] = F(0)
+    return rows
+
+
+@given(rational_matrices())
+@settings(max_examples=80, deadline=None, derandomize=True)
+def test_bareiss_equals_cofactor_expansion(rows):
+    got = determinant(rows)
+    assert got == cofactor_det(rows)
+    assert isinstance(got, (int, Fraction))
+
+
+def test_bareiss_on_integer_and_float_entries():
+    ints = [[0, 2, 1], [0, 5, 3], [4, 1, 7]]
+    assert determinant(ints) == cofactor_det(ints) == 4
+    rng = np.random.default_rng(3)
+    floats = rng.normal(size=(6, 6)).tolist()
+    assert determinant(floats) == pytest.approx(np.linalg.det(floats),
+                                                rel=1e-9)
+    floats[2] = floats[4]
+    assert determinant(floats) == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# Parlett-Reid against first-row expansion
+
+
+def recursive_pfaffian(m):
+    k = m.shape[0]
+    if k % 2:
+        return 0.0
+    if k == 0:
+        return 1.0
+    total = 0.0
+    for j in range(1, k):
+        keep = [i for i in range(k) if i not in (0, j)]
+        total += (-1.0) ** (j - 1) * m[0, j] \
+            * recursive_pfaffian(m[np.ix_(keep, keep)])
+    return total
+
+
+@pytest.mark.parametrize("k", range(0, 9))
+def test_parlett_reid_equals_the_recursive_pfaffian(k):
+    rng = np.random.default_rng(k)
+    for trial in range(5):
+        a = rng.integers(-4, 5, size=(k, k)).astype(float)
+        if trial == 2:
+            a = rng.normal(size=(k, k))
+        m = np.triu(a, 1) - np.triu(a, 1).T
+        if trial == 1 and k >= 3:
+            m[0, 1] = m[1, 0] = 0.0         # zero pivot: a swap is needed
+        want = recursive_pfaffian(m)
+        assert pfaffian(m) == pytest.approx(want, rel=1e-9, abs=1e-9)
+        if k % 2:
+            assert pfaffian(m) == 0.0
+
+
+def test_parlett_reid_of_a_singular_matrix_is_zero():
+    m = np.zeros((4, 4))
+    m[0, 1], m[1, 0] = 2.0, -2.0            # rank 2: Pf = 0
+    assert pfaffian(m) == 0.0
+    assert pfaffian(np.zeros((0, 0))) == 1.0
+
+
+# ---------------------------------------------------------------------------
+# sorted 1D Voronoi cells against dual_cell_1d
+
+
+@given(st.lists(st.fractions(min_value=-3, max_value=3, max_denominator=12),
+                min_size=1, max_size=25, unique=True),
+       st.sampled_from((F(1), F(5, 3), 0.75, 2.0)))
+@EXACT
+def test_1d_from_density_equals_the_dual_cell_oracle(xs, density):
+    dom = Interval(F(-3), F(3))
+    nodes = [(x,) for x in xs]                 # unsorted
+    target = TargetMeasure.from_density(dom, nodes, density)
+    half = F(1, 2) if isinstance(density, Fraction) else 0.5
+    values = [half * (x * x) for x in xs]
+    want = {(x,): density * dual_cell_1d(i, nodes, values,
+                                         box=(dom.lo, dom.hi)).volume
+            for i, x in enumerate(xs)}
+    assert target.masses == want
+    assert list(target.masses) == nodes
+    assert [type(m) for m in target.masses.values()] \
+        == [type(m) for m in want.values()]
+    if isinstance(density, Fraction):
+        assert target.total() == density * dom.volume()
+
+
+def test_1d_from_density_with_float_nodes_and_repeated_nodes():
+    dom = Interval(0.0, 1.0)
+    xs = [0.7, 0.1, 0.35, 1.0, 0.0]
+    nodes = [(x,) for x in xs]
+    values = [0.5 * (x * x) for x in xs]
+    target = TargetMeasure.from_density(dom, nodes, 2.0)
+    assert target.masses == {
+        nd: 2.0 * dual_cell_1d(i, nodes, values, box=(0.0, 1.0)).volume
+        for i, nd in enumerate(nodes)}
+    with pytest.raises(ZeroDivisionError):
+        TargetMeasure.from_density(dom, [(0.5,), (0.2,), (0.5,)], 1.0)
+    with pytest.raises(ZeroDivisionError):
+        TargetMeasure.from_density(Interval(0, 1),
+                                   [(F(1, 2),), (F(1, 2),)], 1)

@@ -6,6 +6,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from nama import hybrid
 from nama import (LocalModel, MultiPoly, dyadic_cell_volumes,
                   estimate_volume, exact_flat_volume, ks_statistic,
                   parse_poly, pushforward_distance, sample_cy_measure,
@@ -176,3 +177,35 @@ def test_growth_exponent_sees_damping():
     # the estimator is noisy at this sample size; the point is that the
     # damping pulls the slope far below the undamped dimension value 2
     assert abs(rep.exponent) < 0.5
+
+
+def test_overlapping_chunk_streams_are_rejected_before_drawing(monkeypatch):
+    big = maximal_model(600)
+    draws = []
+    monkeypatch.setattr(hybrid, "_chunk_generator",
+                        lambda *a: draws.append(a))
+    with pytest.raises(ValueError, match="random stream"):
+        sample_cy_measure(big, 2 * hybrid._CHUNK, 0)
+    assert draws == []
+    hybrid.check_streams(big, hybrid._CHUNK)        # one chunk cannot overlap
+    hybrid.check_streams(maximal_model(500), 10 ** 6)
+
+
+def test_words_per_sample_bound_the_words_a_chunk_draws(monkeypatch):
+    generators = []
+    make = hybrid._chunk_generator
+
+    def keep(seed, index):
+        generators.append(make(seed, index))
+        return generators[-1]
+
+    monkeypatch.setattr(hybrid, "_chunk_generator", keep)
+    for model in (LocalModel((2, 1, 3), 0.01, 3),
+                  LocalModel((1, 1), 0.01, 1),
+                  LocalModel((3,), 0.01, 2)):
+        generators.clear()
+        sample_cy_measure(model, 1000, 5)
+        state = generators[0].bit_generator.state
+        used = 4 * int(state["state"]["counter"][0]) \
+            - (4 - state["buffer_pos"])
+        assert 0 < used <= 1000 * hybrid._words_per_sample(model)
