@@ -39,6 +39,9 @@ from .skeleton import essential_skeleton, lebesgue_measure
 
 # hybrid pushforward --level allows at most 2^16 dyadic cells, (2^level)^depth
 MAX_DYADIC_BITS = 16
+# realma measure --grid: at 2^16 slopes per axis a 36-node measure and its
+# oracle take about a second and 100 MB
+MAX_ORACLE_GRID = 1 << 16
 
 
 # ---------------------------------------------------------------------------
@@ -84,6 +87,7 @@ class Emitter:
 
     def finish(self, passed):
         os.makedirs(self.out_dir, exist_ok=True)
+        self._remove_stale_tables()
         manifest = {
             "command": self.command,
             "options": self.options,
@@ -97,6 +101,22 @@ class Emitter:
         for key in sorted(self.summary):
             print(f"{key}={fmt(self.summary[key])}")
         print("PASS" if passed else "FAIL")
+
+    def _remove_stale_tables(self):
+        """Delete the CSVs the previous manifest listed and this run did
+        not write; nothing else in the directory is touched."""
+        try:
+            with open(os.path.join(self.out_dir, "manifest.json")) as fh:
+                previous = json.load(fh)["outputs"]
+        except (OSError, ValueError, TypeError, KeyError):
+            return
+        for name in previous if isinstance(previous, list) else ():
+            if (isinstance(name, str) and name.endswith(".csv")
+                    and os.path.basename(name) == name
+                    and name not in self.outputs):
+                path = os.path.join(self.out_dir, name)
+                if os.path.isfile(path):
+                    os.remove(path)
 
 
 # ---------------------------------------------------------------------------
@@ -520,6 +540,9 @@ NATURAL = _checked(int, ">= 0", lambda v: v >= 0)
 POSITIVE = _checked(int, ">= 1", lambda v: v >= 1)
 GRID = _checked(int, ">= 2", lambda v: v >= 2)
 SCALE = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
+TOLERANCE = _checked(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
+ORACLE_GRID = _checked(int, f"in [1, {MAX_ORACLE_GRID}]",
+                       lambda v: 1 <= v <= MAX_ORACLE_GRID)
 SEED = _checked(int, "in [0, 2^64)", lambda v: 0 <= v < 1 << 64)
 CONFIG = (("config",), {"help": "config JSON"})
 
@@ -531,7 +554,7 @@ def _command(subs, name, handler, *positionals, help=None, **defaults):
         sp.add_argument(*args, **kwargs)
     sp.add_argument("--out", default="out", help="output directory")
     sp.add_argument("--seed", type=SEED, default=0, help="random seed")
-    sp.add_argument("--tol", type=float, default=None,
+    sp.add_argument("--tol", type=TOLERANCE, default=None,
                     help="tolerance override for the run's check")
     sp.set_defaults(handler=handler, **defaults)
     return sp
@@ -553,7 +576,7 @@ def build_parser():
     _command(rsub, "solve", run_realma_solve, CONFIG).add_argument(
         "--grid", type=GRID, default=9, help="nodes per side")
     _command(rsub, "measure", run_realma_measure, CONFIG).add_argument(
-        "--grid", type=POSITIVE, default=None,
+        "--grid", type=ORACLE_GRID, default=None,
         help="oracle resolution when --tol is set")
 
     mode = (("mode_positional",),

@@ -10,6 +10,7 @@ multiplicities, masses, or intersection numbers).
 from __future__ import annotations
 
 import json
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -352,6 +353,8 @@ def convex_pl_from_config(doc, domain):
 
     def coord(v, ctx):
         if isinstance(v, float):
+            if not math.isfinite(v):
+                raise ConfigError(f"{ctx} must be finite, got {v}")
             return v
         return rational(v, ctx)
 

@@ -189,6 +189,13 @@ class IntersectionTable:
     def check_relations(self, model):
         """Validate ``sum_i b_i (base . O(E_i)) = 0`` where entries allow.
 
+        The bases are the entries with one divisor power lowered.  A bumped
+        entry off the face lattice is a structural zero, so only the
+        divisors ``d`` with ``{d} u support`` a face are visited: the
+        support itself and the neighbours of one of its divisors.  A base
+        whose support is not a face has only zero terms and is skipped; one
+        with a missing on-face entry is counted as unchecked.
+
         Returns ``(checked, violations, unchecked)`` where ``violations`` is
         a list of offending base keys.
         """
@@ -201,18 +208,26 @@ class IntersectionTable:
                 key = tuple(sorted((j, kk) for j, kk in reduced.items()
                                    if kk > 0))
                 bases.add((a, key, stratum))
+        multiplicity = {d.id: d.multiplicity for d in model.divisors}
+        neighbours = model.neighbours
         for (a, powers, stratum) in bases:
+            support = set(stratum).union(i for i, _ in powers)
+            if not support:
+                near = multiplicity
+            elif model.has_face(support):
+                near = support.union(neighbours[min(support)])
+            else:
+                continue
             total = Fraction(0)
-            complete = True
-            for d in model.divisors:
+            for d in near:
+                if not model.has_face(support | {d}):
+                    continue
                 bumped = dict(powers)
-                bumped[d.id] = bumped.get(d.id, 0) + 1
+                bumped[d] = bumped.get(d, 0) + 1
                 if not self.has(a, bumped, stratum):
-                    complete = False
+                    unchecked += 1
                     break
-                total += d.multiplicity * self.value(a, bumped, stratum)
-            if not complete:
-                unchecked += 1
+                total += multiplicity[d] * self.value(a, bumped, stratum)
             else:
                 checked += 1
                 if total != 0:

@@ -502,46 +502,180 @@ def ma_measure(cpl):
 def ma_measure_oracle(cpl, resolution=1000):
     """Brute-force check measure: rasterize the gradient image.
 
-    A grid of slopes p covers the bounding box of the envelope's facet
-    gradients; each grid point is assigned to the node maximizing
-    ``p . x_j - v_j`` (ties to the lowest index) and interior nodes collect
-    the grid-cell volume.  Converges to :func:`ma_measure` as the resolution
-    grows; completely independent of the cell-clipping path.
+    A grid of ``resolution`` slopes per axis covers the bounding box of the
+    envelope's facet gradients; each grid point is assigned to the node
+    maximizing ``p . x_j - v_j`` (ties to the lowest index) and interior
+    nodes collect the grid-cell volume.  Converges to :func:`ma_measure` as
+    the resolution grows.
+
+    The counts are those of the dense argmax over all grid points, bit for
+    bit, found by a scanline (:func:`_scan_counts`): along a grid row the
+    scores are n lines in the last slope coordinate, the row's winners are
+    the segments of their upper envelope, and each segment takes its grid
+    points by index arithmetic.  A point counts for its segment's node only
+    when a forward error bound on the scores separates that node from every
+    other; the rest (points next to a breakpoint, rows where nodes with the
+    same last coordinate nearly tie) are re-scored with the dense
+    expression, whose argmax keeps the lowest-index tie rule.  With R the
+    resolution and h the most envelope segments in a row, the time is
+    O(R n h) in 2D and O(n h) in 1D, plus O(n) per re-scored point; memory
+    is O(n) per row, for a bounded block of rows at a time.  The lower
+    hull's facet planes set the box only; no hull star, cell or clipping
+    code is used, so the oracle stays independent of :func:`ma_measure`.
     """
     if cpl.dim > 2:
         raise NotImplementedError("oracle supports dimensions 1 and 2")
+    axes, cellvol = _slope_grid(cpl, resolution)
+    pts = np.array([[float(c) for c in nd] for nd in cpl.nodes])
+    vals = np.array([float(v) for v in cpl.values])
+    interior = np.array(cpl.interior_mask())
+    counts, _ = _scan_counts(axes, pts, vals)
+    return np.where(interior, counts * cellvol, 0.0)
+
+
+def _slope_grid(cpl, resolution):
+    """The oracle's cell-centred slope axes and its grid-cell volume."""
     g, _ = cpl._envelope_planes()
     lo = g.min(axis=0)
     hi = g.max(axis=0)
     pad = np.maximum(2 * (hi - lo) / resolution, 1e-6)
     lo, hi = lo - pad, hi + pad
     step = (hi - lo) / resolution
+    axes = [lo[k] + (np.arange(resolution) + 0.5) * step[k]
+            for k in range(cpl.dim)]
+    return axes, step[0] if cpl.dim == 1 else step[0] * step[1]
 
-    pts = np.array([[float(c) for c in nd] for nd in cpl.nodes])
-    vals = np.array([float(v) for v in cpl.values])
-    interior = np.array(cpl.interior_mask())
-    counts = np.zeros(len(pts), dtype=np.int64)
 
-    if cpl.dim == 1:
-        p = lo[0] + (np.arange(resolution) + 0.5) * step[0]
-        scores = np.outer(p, pts[:, 0]) - vals
-        counts = np.bincount(scores.argmax(axis=1), minlength=len(pts))
-        cellvol = step[0]
-    else:
-        axis0 = lo[0] + (np.arange(resolution) + 0.5) * step[0]
-        axis1 = lo[1] + (np.arange(resolution) + 0.5) * step[1]
-        budget = max(1, 4_000_000 // max(len(pts), 1))
-        rows_per = max(1, budget // resolution)
-        for start in range(0, resolution, rows_per):
-            rows = axis0[start:start + rows_per]
-            P = np.stack(np.meshgrid(rows, axis1, indexing="ij"),
-                         axis=-1).reshape(-1, 2)
-            scores = P @ pts.T - vals
-            counts += np.bincount(scores.argmax(axis=1), minlength=len(pts))
-        cellvol = step[0] * step[1]
+# A point is certified when the bound on its margin exceeds this many ulps of
+# the largest score magnitude; the dense scores and the bound each err by
+# fewer than 20 such ulps.
+_CERTIFY_ULPS = 128
+_BLOCK = 1 << 18            # (grid row or point) x node entries per block
 
-    masses = np.where(interior, counts * cellvol, 0.0)
-    return masses
+
+def _scan_counts(axes, pts, vals):
+    """Dense-argmax counts on the slope grid ``axes``, by upper envelopes.
+
+    Along the last axis t, node j scores ``a_j t + b_j``, with ``a_j`` its
+    last coordinate and ``b_j`` the rest of ``p . x_j - v_j``, so each grid
+    row is a set of n lines.  Returns the counts per node and the number of
+    line evaluations (scores and crossings), a machine-independent measure
+    of the work.
+    """
+    t = axes[-1]
+    scale = sum(np.abs(ax).max() * np.abs(pts[:, k]).max()
+                for k, ax in enumerate(axes)) + np.abs(vals).max()
+    if not np.isfinite(scale):
+        raise ValueError("the oracle needs finite nodes, values and slopes")
+    slack = _CERTIFY_ULPS * np.finfo(float).eps * scale
+    n = len(vals)
+    # lines by decreasing slope, so that argmax and argmin ties go to the
+    # steepest line, the one that stays on the envelope to the right
+    order = np.argsort(-pts[:, -1], kind="stable")
+    a = pts[order, -1]
+    levels = np.unique(a)
+    rank = np.searchsorted(levels, a)
+    gap_left = a - levels[np.maximum(rank - 1, 0)]      # 0: no smaller slope
+    gap_right = levels[np.minimum(rank + 1, len(levels) - 1)] - a
+
+    counts = np.zeros(n, dtype=np.int64)
+    scored = 0
+    p0 = axes[0] if len(axes) == 2 else np.zeros(1)     # 1D: a single row
+    block = max(1, _BLOCK // n)
+    for r0 in range(0, len(p0), block):
+        if len(axes) == 2:
+            b = np.outer(p0[r0:r0 + block], pts[order, 0]) - vals[order]
+        else:
+            b = -vals[None, order]
+        segments, work = _envelope_walk(t, a, b)
+        scored += work
+        row, line, left, right, d_left, d_right, par = segments
+        lo = np.searchsorted(t, left)
+        hi = np.searchsorted(t, right)
+        # certified: past (d + slack) / gap from both ends, no parallel tie
+        with np.errstate(divide="ignore", invalid="ignore"):
+            sure_lo = np.where(gap_left[line] > 0, np.searchsorted(
+                t, left + (d_left + slack) / gap_left[line], side="right"), 0)
+            sure_hi = np.where(gap_right[line] > 0, np.searchsorted(
+                t, np.minimum(right, t[-1])
+                - (d_right + slack) / gap_right[line]), len(t))
+        first = np.clip(sure_lo, lo, hi)
+        stop = np.clip(sure_hi, first, hi)
+        unsure = par >= -slack
+        first[unsure] = stop[unsure] = hi[unsure]
+        np.add.at(counts, order[line], stop - first)
+
+        # the rest, [lo, first) and [stop, hi), scored as the dense argmax
+        start = np.concatenate([lo, stop])
+        size = np.concatenate([first, hi]) - start
+        rows = r0 + np.repeat(np.concatenate([row, row]), size)
+        cols = (np.arange(size.sum())
+                + np.repeat(start - np.cumsum(size) + size, size))
+        scored += len(rows) * n
+        for s in range(0, len(rows), block):
+            r, k = rows[s:s + block], cols[s:s + block]
+            if len(axes) == 1:
+                win = (np.outer(t[k], pts[:, 0]) - vals).argmax(axis=1)
+            else:
+                P = np.column_stack([p0[r], t[k]])
+                if len(P) == 1 and len(p0) > 1:
+                    # BLAS rounds a one-row product (matrix times vector)
+                    # unlike the rows of the grid's matrix product
+                    P = np.repeat(P, 2, axis=0)
+                win = (P @ pts.T - vals).argmax(axis=1)[:len(r)]
+            counts += np.bincount(win, minlength=n)
+    return counts, scored
+
+
+def _rival(scores, line, side):
+    """Per row, the max over the lines in ``side`` of score_j - score_line."""
+    own = scores[np.arange(len(line)), line][:, None]
+    return np.where(side, scores - own, -np.inf).max(axis=1, initial=-np.inf)
+
+
+def _envelope_walk(t, a, b):
+    """Upper-envelope segments of the lines ``a_j t + b[r, j]`` over t.
+
+    Gift wrapping, one numpy step per envelope edge for all rows at once:
+    from the winner at ``t[0]`` (ties to the steepest, ``a`` is sorted
+    descending) step to the line crossing first among the steeper ones.
+    Each segment [left, right) of a line also records, for certification,
+    the worst rival score minus its own at ``left`` among shallower lines
+    and at ``min(right, t[-1])`` among steeper lines, and the worst
+    intercept minus its own among the other lines of its slope.  The last
+    segment of a row has ``right`` = inf.  Returns the segments as arrays
+    (row, line, left, right, d_left, d_right, parallel) and the number of
+    line evaluations.
+    """
+    live = np.arange(len(b))
+    left = np.full(len(b), t[0])
+    scores = a * t[0] + b
+    line = scores.argmax(axis=1)
+    d_left = _rival(scores, line, a < a[line][:, None])
+    work = scores.size
+    segments = []
+    while live.size:
+        bb = b[live]
+        here = np.arange(live.size)
+        slope = a[line][:, None]
+        ahead = a > slope
+        with np.errstate(divide="ignore", invalid="ignore"):
+            cross = np.where(ahead, (bb[here, line][:, None] - bb)
+                             / (a - slope), np.inf)
+        nxt = cross.argmin(axis=1)
+        right = np.maximum(cross[here, nxt], left)
+        last = right > t[-1]
+        scores = a * np.minimum(right, t[-1])[:, None] + bb
+        parallel = a == slope
+        parallel[here, line] = False
+        segments.append((live, line, left, np.where(last, np.inf, right),
+                         d_left, _rival(scores, line, ahead),
+                         _rival(bb, line, parallel)))
+        work += cross.size + scores.size
+        go = ~last
+        live, left, line, scores = live[go], right[go], nxt[go], scores[go]
+        d_left = _rival(scores, line, a < a[line][:, None])
+    return [np.concatenate(part) for part in zip(*segments)], work
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from nama import config
-from nama.cli import main
+from nama.cli import MAX_ORACLE_GRID, build_parser, main
+from nama.errors import ConfigError
 
 SEGMENT_TABLE = [
     {"L_power": 1, "divisor_powers": {}, "stratum": [], "value": "2"},
@@ -424,6 +425,17 @@ INVALID = [
       "--samples", "70000", "--level", "0"], None),
     (["hybrid", "growth", "--n", "600", "--t-exp", "30,40",
       "--samples", "70000"], None),
+    (["realma", "measure", "--tol", "nan", "--grid", "7"], KINK),
+    (["realma", "measure", "--tol", "inf", "--grid", "7"], KINK),
+    (["realma", "measure", "--tol", "-0.01", "--grid", "7"], KINK),
+    (["realma", "solve", "--grid", "3", "--tol", "nan"], SQUARE),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "2000", "--tol", "nan"], None),
+    (["geometry", "calabi", "--n", "2", "--tol", "-0.5"], None),
+    (["realma", "measure", "--tol", "0.01", "--grid", "65537"], KINK),
+    (["realma", "measure", "--tol", "0.01"],
+     dict(KINK, values=[0, float("nan"), 0])),
+    (["realma", "measure"], dict(KINK, nodes=[[0], [float("inf")], [1]])),
 ]
 
 
@@ -447,3 +459,26 @@ def test_slag_check_rejects_an_invalid_hessian(tmp_path, capsys, rows):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+def test_oracle_grid_cap_is_accepted_without_running(tmp_path):
+    argv = ["realma", "measure", write_config(tmp_path, KINK), "--tol",
+            "0.01", "--grid", str(MAX_ORACLE_GRID)]
+    assert build_parser().parse_args(argv).grid == MAX_ORACLE_GRID
+    with pytest.raises(ConfigError, match="--grid"):
+        build_parser().parse_args(argv[:-1] + [str(MAX_ORACLE_GRID + 1)])
+
+
+def test_rerun_into_a_used_directory_removes_only_stale_tables(tmp_path):
+    out = tmp_path / "out"
+    measure = argv_for(tmp_path, ["realma", "measure"], KINK)
+    assert main(measure + ["--out", str(out)]) == 0
+    (out / "notes.csv").write_text("kept: no manifest lists it\n")
+    (out / "notes.txt").write_text("kept\n")
+    validate = [write_config(tmp_path, SEGMENT_MODEL, "model.json")]
+    assert main(["model", "validate"] + validate + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "model_validate.csv", "notes.csv", "notes.txt"]
+    assert main(measure + ["--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == [
+        "manifest.json", "measure.csv", "notes.csv", "notes.txt"]

@@ -265,6 +265,56 @@ def test_table_value_calls_grow_linearly_with_the_cycle(monkeypatch):
     assert counts[1] <= 2.2 * counts[0]
 
 
+def test_check_relations_reads_off_face_entries_as_zeros():
+    model, entries, _, _ = chain(6)
+    on_face = IntersectionTable(1, entries)
+    zeros = IntersectionTable(1, entries + [
+        (0, {j: 1}, (i,), 0) for i in range(6) for j in range(6)
+        if abs(i - j) > 1])
+    assert on_face.check_relations(model) == (6, [], 0)
+    assert zeros.check_relations(model) == (6, [], 0)
+
+
+@given(data=st.data())
+@EXACT
+def test_check_relations_agree_with_and_without_off_face_zeros(data):
+    model = data.draw(snc_models())
+    sparse = IntersectionTable(model.dimension)
+    full = IntersectionTable(model.dimension)
+    for a, k, J in on_face_keys(model):
+        value = data.draw(st.sampled_from((0, 1, -1, F(1, 2))))
+        sparse.add(a, k, J, value)
+        full.add(a, k, J, value)
+    for a, k, J in full_keys(model):
+        if not full.has(a, k, J):
+            full.add(a, k, J, 0)
+    checked, violations, unchecked = sparse.check_relations(model)
+    assert unchecked == 0
+    expected = full.check_relations(model)
+    assert (checked, sorted(violations)) == (expected[0],
+                                             sorted(expected[1]))
+
+
+def test_check_relations_visits_only_neighbours(monkeypatch):
+    calls = [0]
+    has = IntersectionTable.has
+
+    def counting(self, *args):
+        calls[0] += 1
+        return has(self, *args)
+
+    monkeypatch.setattr(IntersectionTable, "has", counting)
+    counts = []
+    for N in (40, 80):
+        degrees = [1 + i % 3 for i in range(N)]
+        calls[0] = 0
+        checked, _, _ = cycle_table(degrees).check_relations(
+            cycle_model(degrees))
+        assert checked == N
+        counts.append(calls[0])
+    assert counts[1] <= 2.2 * counts[0]
+
+
 def test_cycle_table_keeps_every_entry():
     table = cycle_table([1, 2, 3, 4])
     assert len(table) == 4 * 4 + 4 + 1
