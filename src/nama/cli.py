@@ -42,6 +42,9 @@ MAX_DYADIC_BITS = 16
 # realma measure --grid: at 2^16 slopes per axis a 36-node measure and its
 # oracle take about a second and 100 MB
 MAX_ORACLE_GRID = 1 << 16
+# realma solve --grid by dimension: 100,000 nodes take about 30 s and
+# 180 MB end to end in 1D, 65x65 about 60 s and 100 MB in 2D
+MAX_SOLVE_GRID = {1: 100_000, 2: 65}
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +212,10 @@ def write_node_table(emitter, name, pl, measure):
 
 def run_realma_solve(args, doc, emitter):
     domain = cfg.parse_domain(doc)
+    cap = MAX_SOLVE_GRID[domain.dim]
+    if args.grid > cap:
+        raise ConfigError(f"--grid must be at most {cap} on a {domain.dim}D "
+                          f"domain, got {args.grid}")
     nodes = grid_nodes(domain, args.grid)
     target = cfg.target_from_config(doc, domain, nodes)
     bnd = cfg.boundary_values(doc, domain, nodes)

@@ -281,22 +281,30 @@ def parse_domain(doc):
 
 
 def target_from_config(doc, domain, nodes):
-    """Target measure of a solve: a constant ``density`` or node ``masses``."""
+    """Target measure of a solve: a constant ``density`` or node ``masses``,
+    checked by :meth:`TargetMeasure.validate_masses` on ``nodes``."""
     if "density" in doc:
         density = rational(doc["density"], "density")
-        return TargetMeasure.from_density(domain, nodes, density)
-    if "masses" not in doc:
+        target = TargetMeasure.from_density(domain, nodes, density)
+    elif "masses" in doc:
+        masses = {}
+        for k, entry in enumerate(doc["masses"]):
+            ctx = f"masses[{k}]"
+            check_keys(entry, {"node", "mass"}, ctx)
+            nd = tuple(rational(c, "node")
+                       for c in require(entry, "node", ctx))
+            masses[nd] = rational(require(entry, "mass", ctx), "mass")
+        try:
+            target = TargetMeasure(masses)
+        except ValueError as exc:
+            raise ConfigError(f"invalid masses: {exc}")
+    else:
         raise ConfigError("config needs a density or masses block")
-    masses = {}
-    for k, entry in enumerate(doc["masses"]):
-        ctx = f"masses[{k}]"
-        check_keys(entry, {"node", "mass"}, ctx)
-        nd = tuple(rational(c, "node") for c in require(entry, "node", ctx))
-        masses[nd] = rational(require(entry, "mass", ctx), "mass")
     try:
-        return TargetMeasure(masses)
+        target.validate_masses(domain, nodes)
     except ValueError as exc:
-        raise ConfigError(f"invalid masses: {exc}")
+        raise ConfigError(f"invalid target: {exc}")
+    return target
 
 
 def _quadratic(block, context, dim):

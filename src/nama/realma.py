@@ -18,6 +18,7 @@ rationals; the solver works in floats.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -378,49 +379,44 @@ class _HullStar:
                 and all(any(inside(*t, i) and above(*t, i) for t in ts)
                         for i, ts in within.items()))
 
-    def _box(self, i, values, vals):
+    def _box(self, i):
         """The default clip box of :func:`dual_cell_2d`, vectorised."""
         d = np.abs(self.pts - self.pts[i]).max(axis=1)
-        m = np.divide(np.abs(vals - vals[i]), d, out=np.zeros_like(d),
-                      where=d > 0).max()
+        m = np.divide(np.abs(self.vals - self.vals[i]), d,
+                      out=np.zeros_like(d), where=d > 0).max()
         half = float(m) + 1.0
-        if isinstance(values[i], Fraction):
+        if isinstance(self.values[i], Fraction):
             half = Fraction(math.ceil(half))
         return (-half, half, -half, half)
 
-    def _violated(self, i, cell, vals):
+    def _violated(self, i, cell):
         """Nodes whose constraint some vertex of ``cell`` breaks."""
         if not cell.vertices:
             return []
         verts = np.array(cell.vertices, dtype=float)
         a = self.pts[i] - self.pts
-        c = vals[i] - vals
+        c = self.vals[i] - self.vals
         slack = verts @ a.T - c
         tol = 1e-11 * (1.0 + np.abs(verts).max() * np.abs(a).max()
                        + np.abs(c).max())
         return np.nonzero(slack.min(axis=0) < -tol)[0].tolist()
 
-    def cell(self, i, values=None, vals=None, box=None, expect_bounded=False):
-        """Node i's dual cell, under trial ``values`` (as floats ``vals``)
-        when given; ``box`` defaults to the one :func:`dual_cell_2d` picks."""
-        trial = values is not None
-        values, vals = (values, vals) if trial else (self.values, self.vals)
-        box = self._box(i, values, vals) if box is None else box
+    def cell(self, i, box=None, expect_bounded=False):
+        """Node i's dual cell; ``box`` defaults to dual_cell_2d's."""
+        box = self._box(i) if box is None else box
         cands = self.cands[i]
         for _ in range(2 if cands else 0):
             try:
-                cell = dual_cell_2d(i, self.nodes, values, box,
+                cell = dual_cell_2d(i, self.nodes, self.values, box,
                                     expect_bounded, cands)
             except RuntimeError:        # the candidates leave it open
                 break
-            bad = [] if self.certified and not trial else self._violated(
-                i, cell, vals)
+            bad = [] if self.certified else self._violated(i, cell)
             if not bad:
                 return cell
-            # later trials of node i start from the widened list
-            cands = self.cands[i] = self._nearest_first(i, cands + bad)
+            cands = self._nearest_first(i, cands + bad)
         self.fallbacks += 1
-        return dual_cell_2d(i, self.nodes, values, box, expect_bounded)
+        return dual_cell_2d(i, self.nodes, self.values, box, expect_bounded)
 
 
 # ---------------------------------------------------------------------------
@@ -479,20 +475,22 @@ def ma_measure(cpl):
     interior = cpl.interior_mask()
     masses, on_env = [], []
     zero = Fraction(0) if cpl.is_rational else 0.0
-    star = None if cpl.dim == 1 else _HullStar(cpl.nodes, cpl.values,
-                                                cpl.domain)
-    for i in range(len(cpl.nodes)):
-        if star is not None:
-            cell = star.cell(i, expect_bounded=interior[i])
-        elif interior[i]:
-            cell = dual_cell_1d(i, cpl.nodes, cpl.values)
-        else:
+    if cpl.dim == 1:
+        star = None
+        for lo, hi, inside in zip(*_cell_ends_1d(cpl.nodes, cpl.values),
+                                  interior):
             # domain endpoints always sit on the envelope
-            on_env.append(True)
-            masses.append(zero)
-            continue
-        masses.append(zero if cell.empty or not interior[i] else cell.volume)
-        on_env.append(not cell.empty)
+            on_env.append(not inside or hi >= lo)
+            if not inside or hi < lo:
+                masses.append(zero)
+            else:       # dual_cell_1d's volume: the int 0 when hi == lo
+                masses.append(hi - lo if hi > lo else 0)
+    else:
+        star = _HullStar(cpl.nodes, cpl.values, cpl.domain)
+        for i, inside in enumerate(interior):
+            cell = star.cell(i, expect_bounded=inside)
+            masses.append(cell.volume if inside and not cell.empty else zero)
+            on_env.append(not cell.empty)
     degenerate = all(m == 0 for m, it in zip(masses, interior) if it)
     return MAMeasure(tuple(cpl.nodes), tuple(masses), tuple(interior),
                      tuple(on_env), degenerate,
@@ -740,19 +738,37 @@ def strict_convexity_report(cpl, tol=1e-12):
 # targets and the solver
 
 
-def _voronoi_lengths_1d(nodes, values, lo, hi):
-    """Lengths of the 1D dual cells of the paraboloid lift ``values``,
-    clipped to ``[lo, hi]``, in node order; as :func:`dual_cell_1d`
-    gives them, with a zero division on repeated nodes."""
+def _cell_ends_1d(nodes, values):
+    """Both ends of every 1D dual cell, in node order, as
+    :func:`dual_cell_1d` computes them: the largest slope to a node on the
+    left and the smallest to a node on the right, None where there is none.
+
+    One sort, then one pass each way.  Over the nodes passed so far the
+    extreme slope is taken at the tangent point of their lower chain, which
+    the monotone-chain pops leave on top, so each pass is linear.  Repeated
+    nodes divide by zero.
+    """
     order = sorted(range(len(nodes)), key=lambda i: nodes[i][0])
-    slopes = [(values[b] - values[a]) / (nodes[b][0] - nodes[a][0])
-              for a, b in zip(order, order[1:])]
-    lengths = [0] * len(nodes)
-    for pos, i in enumerate(order):
-        left = max(slopes[pos - 1], lo) if pos else lo
-        right = min(slopes[pos], hi) if pos < len(slopes) else hi
-        lengths[i] = right - left if right > left else 0
-    return lengths
+
+    def slope(i, j):
+        return (values[i] - values[j]) / (nodes[i][0] - nodes[j][0])
+
+    # slopes to the node passed just before, shared by both passes
+    steps = [None] + [slope(b, a) for a, b in zip(order, order[1:])]
+
+    def sweep(seq, steps, worse):
+        ends, chain = [None] * len(nodes), []  # (node, slope to the one below)
+        for i, s in zip(seq, steps):
+            while len(chain) > 1 and worse(chain[-1][1], s):
+                chain.pop()
+                s = slope(i, chain[-1][0])
+            if chain:
+                ends[i] = s
+            chain.append((i, s))
+        return ends
+
+    return (sweep(order, steps, operator.ge),
+            sweep(order[::-1], [None] + steps[:0:-1], operator.le))
 
 
 @dataclass(frozen=True)
@@ -791,9 +807,9 @@ class TargetMeasure:
         The Voronoi cell of a node is its dual cell for the paraboloid lift
         ``|x|^2 / 2`` clipped to the domain, so the construction reuses the
         exact cell machinery and the masses add up to density * volume
-        exactly in rational mode.  In 1D the cells come from one sort: a
-        cell is bounded by the lift's slopes to the sorted neighbours, the
-        midpoints, computed as :func:`dual_cell_1d` computes them.
+        exactly in rational mode.  In 1D the cells come from one sort
+        (:func:`_cell_ends_1d`): a cell is bounded by the lift's slopes to
+        the sorted neighbours, the midpoints.
         """
         density = _coerce(density)
         nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
@@ -801,9 +817,10 @@ class TargetMeasure:
         values = [half * sum(c * c for c in nd) for nd in nodes]
         masses = {}
         if domain.dim == 1:
-            for nd, length in zip(nodes, _voronoi_lengths_1d(
-                    nodes, values, domain.lo, domain.hi)):
-                masses[nd] = density * length
+            for nd, left, right in zip(nodes, *_cell_ends_1d(nodes, values)):
+                left = domain.lo if left is None else max(left, domain.lo)
+                right = domain.hi if right is None else min(right, domain.hi)
+                masses[nd] = density * (right - left if right > left else 0)
         elif domain.dim == 2:
             hps = domain.halfplanes()
             xs, ys = zip(*domain.vertices)
@@ -833,12 +850,27 @@ class TargetMeasure:
             raise ValueError(
                 f"target total {got} != density * volume = {expected}")
 
+    def validate_masses(self, domain, nodes):
+        """Reject masses :func:`solve` cannot take: a negative one at any
+        node, and in 2D a zero one at an interior node of ``nodes`` (the
+        damped Newton keeps every interior cell of positive area)."""
+        for nd, mass in self.masses.items():
+            if mass < 0:
+                raise ValueError(f"negative target mass {mass} at node "
+                                 f"({', '.join(map(str, nd))})")
+        if domain.dim != 2:
+            return
+        for nd in nodes:
+            if self.mass_at(nd) == 0 and not domain.on_boundary(nd):
+                raise ValueError(f"zero target mass at interior node "
+                                 f"({', '.join(map(str, nd))})")
+
 
 @dataclass(frozen=True)
 class SolveResult:
     solution: ConvexPL
     residual: float          # max-norm mass residual relative to mean target
-    iterations: int
+    iterations: int          # 2D: cell-map evaluations; 1D: 1
     converged: bool
     method: str
     cell_fallbacks: int = 0  # 2D cells that took the full clip
@@ -850,20 +882,36 @@ def _resolve_boundary(boundary, node):
     return boundary[tuple(node)]
 
 
-def solve(domain, target, boundary, nodes=None, tol=1e-8,
-          max_updates=100000):
+def solve(domain, target, boundary, nodes=None, tol=1e-8):
     """Solve the discrete Monge-Ampere Dirichlet problem on a node set.
 
     Finds the convex PL function with prescribed subgradient masses at the
-    interior nodes and prescribed boundary values, by node lifting: interior
-    values start on the envelope of the boundary data and deficient nodes
-    are lowered (each lowering grows the node's own cell monotonically),
-    then damped Newton steps on the cell-volume map finish the solve.
+    interior nodes and prescribed boundary values.  In 1D this is one
+    tridiagonal solve, exact for rational data.  In 2D it is the damped
+    Newton method of Kitagawa, Merigot and Thibert (JEMS 2019,
+    arXiv:1603.05579) on the cell-area map, second order in practice on
+    this (Oliker-Prussner) scheme:
+
+    * the start is ``env_b - c psi``: env_b is the lower envelope of the
+      boundary data, psi the geometric mean of a node's distances to the
+      domain's edges (zero on the boundary, strictly concave inside), and
+      c = 1, doubled while some starting cell has zero area;
+    * a step solves the sparse Jacobian system (dual-edge length over
+      primal-edge length) and halves its length tau from 1 until every
+      mass is at least eps = 1/2 min(start masses, targets) and the
+      max-norm residual is at most (1 - tau/2) times the last one;
+    * tau below a fixed floor, or a fixed cap on steps, ends the solve.
+
+    Every accepted step lowers the residual, so the last iterate is the
+    best one.  A cell-map evaluation is one lower hull and every interior
+    cell.
 
     Parameters
     ----------
     domain : Interval or Polygon
     target : TargetMeasure, or mapping node -> mass
+        Masses must be nonnegative, and positive at 2D interior nodes (see
+        :meth:`TargetMeasure.validate_masses`).
     boundary : callable or mapping
         Dirichlet values; must admit a convex extension.
     nodes : iterable of tuples, optional
@@ -871,13 +919,12 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8,
         given as a mapping) or the domain vertices (boundary callable).
     tol : float
         Max-norm mass residual, relative to the mean target mass.
-    max_updates : int
-        Cap on node updates / Newton trials before giving up.
 
     Returns
     -------
     SolveResult
-        ``converged=False`` carries the best iterate with its residual; no
+        ``iterations`` counts cell-map evaluations in 2D (1 in 1D);
+        ``converged=False`` carries the last iterate with its residual; no
         exception is raised for slow convergence.
     """
     if isinstance(target, dict):
@@ -894,11 +941,12 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8,
         for pt in list(target.masses.keys()) + extra:
             seen[tuple(float(c) for c in pt)] = pt
         nodes = list(seen.values())
+    target.validate_masses(domain, nodes)
 
     if domain.dim == 1:
         return _solve_1d(domain, nodes, target, boundary, tol)
     if domain.dim == 2:
-        return _solve_2d(domain, nodes, target, boundary, tol, max_updates)
+        return _solve_2d(domain, nodes, target, boundary, tol)
     raise NotImplementedError("solve supports dimensions 1 and 2")
 
 
@@ -966,22 +1014,15 @@ def _thomas(lower, diag, upper, rhs):
 
 def _refine_1d(xs, values, mus):
     """Residual-correction passes for the float tridiagonal solve."""
-    n = len(xs)
-    a = np.zeros((n - 2, n - 2))
-    for i in range(n - 2):
-        hl = xs[i + 1] - xs[i]
-        hr = xs[i + 2] - xs[i + 1]
-        a[i, i] = -(1 / hl + 1 / hr)
-        if i > 0:
-            a[i, i - 1] = 1 / hl
-        if i < n - 3:
-            a[i, i + 1] = 1 / hr
-    vals = np.array([float(v) for v in values])
+    sub = [1 / (b - a) for a, b in zip(xs, xs[1:])]
+    diag = [-(left + right) for left, right in zip(sub, sub[1:])]
     for _ in range(2):
-        jumps = np.array(discrete_slope_jumps(xs, vals.tolist()))
-        res = np.array([float(m) for m in mus[1:-1]]) - jumps
-        vals[1:-1] += np.linalg.solve(a, res)
-    return vals.tolist()
+        jumps = discrete_slope_jumps(xs, values)
+        delta = _thomas(sub[1:-1], diag, sub[1:-1],
+                        [m - j for m, j in zip(mus[1:-1], jumps)])
+        values = values[:1] + [v + d for v, d in zip(values[1:-1], delta)] \
+            + values[-1:]
+    return values
 
 
 def _boundary_envelope_values(b_nodes, b_values, queries):
@@ -989,8 +1030,6 @@ def _boundary_envelope_values(b_nodes, b_values, queries):
     vals = np.array([float(v) for v in b_values])
     g, b = lower_hull_planes(pts, vals)
     q = np.array([[float(c) for c in nd] for nd in queries])
-    if len(q) == 0:
-        return np.zeros(0)
     return (q @ g.T + b).max(axis=1)
 
 
@@ -1006,50 +1045,43 @@ def _cells_2d(nodes, values, interior_idx):
     return masses, edges, star.fallbacks
 
 
-def _lift_node(i, star, values, mu, rel_tol=0.02, max_evals=80):
-    """Lower node i until its cell volume matches mu (never raises it);
-    ``star`` may predate ``values``, its float checks catch the change."""
-    evals = 0
-    vals = np.array(values, dtype=float)
-
-    def mass(v):
-        vals[i] = v
-        cell = star.cell(i, values[:i] + [v] + values[i + 1:], vals,
-                         expect_bounded=True)
-        return float(cell.volume)
-
-    v0 = float(values[i])
-    m0 = mass(v0)
-    evals += 1
-    if m0 >= mu * (1 - rel_tol):
-        return v0, evals
-    scale = max(1.0, float(np.abs(vals - v0).max()))
-    step = 0.25 * scale / max(1, len(values)) + 1e-6
-    lo = v0
-    while evals < max_evals:
-        lo = lo - step
-        step *= 2
-        m = mass(lo)
-        evals += 1
-        if m >= mu:
-            break
-    hi = v0
-    for _ in range(60):
-        if evals >= max_evals:
-            break
-        mid = 0.5 * (lo + hi)
-        m = mass(mid)
-        evals += 1
-        if m >= mu:
-            lo = mid
-        else:
-            hi = mid
-        if mu > 0 and abs(m - mu) <= rel_tol * mu:
-            return mid, evals
-    return lo, evals
+def _mass_jacobian(nodes, interior_idx, edges):
+    """Sparse derivative of the interior masses in the interior values:
+    lowering node i by dv moves each dual edge of length ell by
+    ``ell / |x_i - x_j|`` dv, out of neighbour j's cell into i's."""
+    from scipy.sparse import csr_matrix
+    pos = {i: k for k, i in enumerate(interior_idx)}
+    entries = []
+    for k, i in enumerate(interior_idx):
+        for j, ell in edges[k].items():
+            sens = ell / math.dist(nodes[i], nodes[j])
+            entries.append((k, k, -sens))
+            if j in pos:
+                entries.append((k, pos[j], sens))
+    rows, cols, data = zip(*entries)
+    n = len(interior_idx)
+    return csr_matrix((data, (rows, cols)), shape=(n, n))
 
 
-def _solve_2d(domain, nodes, target, boundary, tol, max_updates):
+def _edge_distance_mean(domain, points):
+    """Geometric mean of the distances from ``points`` to the lines of the
+    domain's edges: concave, zero on the boundary, strictly concave inside."""
+    pts = np.array(points, dtype=float)
+    dist = [(pts @ np.array(a, dtype=float) - float(c)) / math.hypot(*a)
+            for a, c in domain.halfplanes()]
+    return np.prod(np.maximum(dist, 0.0), axis=0) ** (1 / len(dist))
+
+
+# damped Newton: at most _START_DOUBLINGS doublings of c and _NEWTON_STEPS
+# steps, and a step whose length would fall below _TAU_FLOOR ends the solve
+_START_DOUBLINGS = 30
+_NEWTON_STEPS = 50
+_TAU_FLOOR = 2.0 ** -12
+
+
+def _solve_2d(domain, nodes, target, boundary, tol):
+    from scipy.sparse.linalg import spsolve
+
     # rounding may move a non-dyadic node off the boundary: classify first
     on_bdry = [domain.on_boundary(nd) for nd in nodes]
     interior_idx = [i for i, b in enumerate(on_bdry) if not b]
@@ -1058,112 +1090,58 @@ def _solve_2d(domain, nodes, target, boundary, tol, max_updates):
         raise ValueError("no interior nodes to solve for")
     b_values = [float(_resolve_boundary(boundary, nodes[i]))
                 for i in boundary_idx]
+    psi = _edge_distance_mean(domain, [nodes[i] for i in interior_idx])
     nodes = [tuple(float(c) for c in nd) for nd in nodes]
 
     b_nodes = [nodes[i] for i in boundary_idx]
-    env_b = _boundary_envelope_values(b_nodes, b_values, b_nodes)
+    env = _boundary_envelope_values(b_nodes, b_values, nodes)
     scale = max(1.0, np.abs(b_values).max() if b_values else 1.0)
-    if np.any(env_b < np.array(b_values) - 1e-9 * scale):
-        bad = int(np.argmin(env_b - np.array(b_values)))
+    if np.any(env[boundary_idx] < np.array(b_values) - 1e-9 * scale):
+        bad = int(np.argmin(env[boundary_idx] - np.array(b_values)))
         raise InfeasibleBoundary(
             f"boundary node {b_nodes[bad]} lies above the envelope of the "
             "other boundary data; no convex extension exists")
 
     mus = np.array([float(target.mass_at(nodes[i])) for i in interior_idx])
-    if np.any(mus < 0):
-        raise ValueError("target masses must be nonnegative")
-    mean_mu = mus.mean() if mus.size else 1.0
+    mean_mu = mus.mean()
+    values = np.zeros(len(nodes))
+    values[boundary_idx] = b_values
+    evaluations = fallbacks = 0
 
-    values = [0.0] * len(nodes)
-    for i, v in zip(boundary_idx, b_values):
-        values[i] = v
-    init = _boundary_envelope_values(b_nodes, b_values,
-                                     [nodes[i] for i in interior_idx])
-    for k, i in enumerate(interior_idx):
-        values[i] = float(init[k])
-
-    updates = fallbacks = 0
-    best = (np.inf, list(values))
-
-    def residual_of(masses):
-        return np.abs(masses - mus).max() / mean_mu
-
-    def lift_sweep(**kw):
-        nonlocal updates, fallbacks
-        star = _HullStar(nodes, values)
-        for k, i in enumerate(interior_idx):
-            values[i], _ = _lift_node(i, star, values, mus[k], **kw)
-            updates += 1
-            if updates > max_updates:
-                break
-        fallbacks += star.fallbacks
-
-    def cells(vals):
-        nonlocal fallbacks
-        masses, edges, n_full = _cells_2d(nodes, vals, interior_idx)
+    def cells(interior_values):
+        nonlocal evaluations, fallbacks
+        values[interior_idx] = interior_values
+        masses, edges, n_full = _cells_2d(nodes, values.tolist(),
+                                          interior_idx)
+        evaluations += 1
         fallbacks += n_full
-        return masses, edges
+        return masses, edges, np.abs(masses - mus).max() / mean_mu
 
-    # warm-up sweeps: genuine node lifting; guarantees nonempty cells
-    for sweep in range(200):
-        lift_sweep()
-        masses, edges = cells(values)
-        res = residual_of(masses)
-        if res < best[0]:
-            best = (res, list(values))
-        if res <= tol or updates > max_updates:
+    c = 1.0
+    for _ in range(_START_DOUBLINGS):
+        v = env[interior_idx] - c * psi
+        masses, edges, res = cells(v)
+        if masses.min() > 0:
             break
-        if masses.min() > 0 and sweep >= 1:
+        c *= 2
+    eps = 0.5 * min(masses.min(), mus.min())
+    for _ in range(_NEWTON_STEPS):
+        if res <= tol or eps <= 0:
             break
-
-    pos = {i: k for k, i in enumerate(interior_idx)}
-    while updates <= max_updates:
-        masses, edges = cells(values)
-        res = residual_of(masses)
-        if res < best[0]:
-            best = (res, list(values))
-        if res <= tol:
-            break
-        jac = np.zeros((len(interior_idx), len(interior_idx)))
-        for k, i in enumerate(interior_idx):
-            for j, ell in edges[k].items():
-                dist = math.hypot(nodes[i][0] - nodes[j][0],
-                                  nodes[i][1] - nodes[j][1])
-                sens = ell / dist
-                jac[k, k] -= sens
-                if j in pos:
-                    jac[k, pos[j]] += sens
-        try:
-            delta = np.linalg.solve(jac, -(masses - mus))
-        except np.linalg.LinAlgError:
-            lift_sweep()
-            continue
-        floor = 0.0 if mus.min() <= 0 else 0.5 * min(masses.min(),
-                                                     mus.min())
+        delta = spsolve(_mass_jacobian(nodes, interior_idx, edges),
+                        mus - masses)
         tau = 1.0
-        accepted = False
-        while tau > 1e-6:
-            trial = list(values)
-            for k, i in enumerate(interior_idx):
-                trial[i] = values[i] + tau * delta[k]
-            t_masses, _ = cells(trial)
-            updates += 1
-            if residual_of(t_masses) < res and t_masses.min() >= floor:
-                values[:] = trial
-                accepted = True
+        while tau >= _TAU_FLOOR:
+            t_masses, t_edges, t_res = cells(v + tau * delta)
+            if t_masses.min() >= eps and t_res <= (1 - tau / 2) * res:
                 break
-            tau *= 0.5
-        if not accepted:
-            lift_sweep(rel_tol=1e-4)
-        if updates > max_updates:
+            tau /= 2
+        else:
             break
+        v, masses, edges, res = v + tau * delta, t_masses, t_edges, t_res
 
-    masses, _ = cells(values)
-    res = residual_of(masses)
-    if res > best[0]:
-        res = best[0]
-        values = best[1]
+    values[interior_idx] = v
     # a float copy of the domain classifies the rounded nodes
-    flat = Polygon([[float(c) for c in v] for v in domain.vertices])
-    return SolveResult(ConvexPL(flat, nodes, values), float(res), updates,
-                       res <= tol, "newton", fallbacks)
+    flat = Polygon([[float(c) for c in vert] for vert in domain.vertices])
+    return SolveResult(ConvexPL(flat, nodes, values.tolist()), float(res),
+                       evaluations, bool(res <= tol), "newton", fallbacks)

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from nama import config
-from nama.cli import MAX_ORACLE_GRID, build_parser, main
+from nama import cli, config
+from nama.cli import MAX_ORACLE_GRID, MAX_SOLVE_GRID, build_parser, main
 from nama.errors import ConfigError
 
 SEGMENT_TABLE = [
@@ -303,8 +303,9 @@ def test_reruns_are_byte_identical(tmp_path):
 # ---------------------------------------------------------------------------
 # every subcommand, the parse layer and invalid input
 
-SQUARE = {"domain": {"box": [[0, 1], [0, 1]]}, "density": 1,
-          "boundary": {"quadratic": [[1, 0], [0, 1]]}}
+SQUARE_BOUNDARY = {"domain": {"box": [[0, 1], [0, 1]]},
+                   "boundary": {"quadratic": [[1, 0], [0, 1]]}}
+SQUARE = dict(SQUARE_BOUNDARY, density=1)
 KINK = {"domain": {"interval": [0, 1]}, "nodes": [[0], ["1/2"], [1]],
         "values": [0, "-1/8", 0]}
 CYCLE = {"cycle": {"degrees": [1, 2, 1], "coefficients": [0, "1/2", "1/3"]}}
@@ -436,6 +437,13 @@ INVALID = [
     (["realma", "measure", "--tol", "0.01"],
      dict(KINK, values=[0, float("nan"), 0])),
     (["realma", "measure"], dict(KINK, nodes=[[0], [float("inf")], [1]])),
+    (["realma", "solve", "--grid", "3"],
+     dict(SQUARE_BOUNDARY, masses=[{"node": ["1/2", "1/2"],
+                                    "mass": "-1/4"}])),
+    (["realma", "solve", "--grid", "5"],      # zero at the other 8 nodes
+     dict(SQUARE_BOUNDARY, masses=[{"node": ["1/2", "1/2"],
+                                    "mass": "1/4"}])),
+    (["realma", "solve", "--grid", "3"], dict(SQUARE, density=0)),
 ]
 
 
@@ -467,6 +475,26 @@ def test_oracle_grid_cap_is_accepted_without_running(tmp_path):
     assert build_parser().parse_args(argv).grid == MAX_ORACLE_GRID
     with pytest.raises(ConfigError, match="--grid"):
         build_parser().parse_args(argv[:-1] + [str(MAX_ORACLE_GRID + 1)])
+
+
+@pytest.mark.parametrize("dim", [1, 2])
+def test_solve_grid_cap_is_accepted_without_running(tmp_path, monkeypatch,
+                                                    capsys, dim):
+    class Reached(Exception):
+        pass
+
+    def stop(domain, per_side):
+        raise Reached(per_side)
+
+    monkeypatch.setattr(cli, "grid_nodes", stop)
+    doc = SQUARE if dim == 2 else dict(SQUARE, domain={"interval": [0, 1]},
+                                       boundary={"quadratic": [[1]]})
+    argv = ["realma", "solve", write_config(tmp_path, doc), "--out",
+            str(tmp_path / "out"), "--grid"]
+    with pytest.raises(Reached):
+        main(argv + [str(MAX_SOLVE_GRID[dim])])
+    assert main(argv + [str(MAX_SOLVE_GRID[dim] + 1)]) == 1
+    assert capsys.readouterr().err.startswith("config error: --grid")
 
 
 def test_rerun_into_a_used_directory_removes_only_stale_tables(tmp_path):

@@ -4,8 +4,8 @@ The face-local expansion of ``na_ma_model_metric`` and ``stratum_class`` is
 checked against the full multilinear expansion over every twisted divisor
 (kept here as the oracle, reading a table with explicit off-face zeros),
 Bareiss elimination against cofactor expansion, Parlett-Reid against the
-first-row Pfaffian expansion, and the sorted 1D Voronoi cells of
-``TargetMeasure.from_density`` against ``dual_cell_1d``.
+first-row Pfaffian expansion, and the sorted 1D cells of
+``TargetMeasure.from_density`` and ``ma_measure`` against ``dual_cell_1d``.
 """
 
 import itertools
@@ -18,9 +18,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nama import (Divisor, IntersectionTable, Interval, TargetMeasure,
-                  build_model, cycle_model, cycle_table, determinant,
-                  na_ma_model_metric, pfaffian, stratum_class)
+from nama import (ConvexPL, Divisor, IntersectionTable, Interval,
+                  TargetMeasure, build_model, cycle_model, cycle_table,
+                  determinant, ma_measure, na_ma_model_metric, pfaffian,
+                  stratum_class)
 from nama.cli import main
 from nama.convexgeom import dual_cell_1d
 
@@ -457,3 +458,53 @@ def test_1d_from_density_with_float_nodes_and_repeated_nodes():
     with pytest.raises(ZeroDivisionError):
         TargetMeasure.from_density(Interval(0, 1),
                                    [(F(1, 2),), (F(1, 2),)], 1)
+
+
+@st.composite
+def lifted_interval_nodes(draw):
+    """Nodes on [-3, 3] (unsorted, endpoints included) under a convex PL
+    function of up to three pieces, some lifted above it: the nodes left
+    on it lie exactly on the envelope, many on one piece."""
+    inner = draw(st.lists(st.fractions(min_value=-3, max_value=3,
+                                       max_denominator=12),
+                          max_size=25, unique=True))
+    xs = [x for x in inner if abs(x) != 3] + [F(-3), F(3)]
+    xs = draw(st.permutations(xs))
+    small = st.fractions(min_value=-2, max_value=2, max_denominator=4)
+    pieces = draw(st.lists(st.tuples(small, small), min_size=1,
+                           max_size=3))
+    lifts = draw(st.lists(st.sampled_from((0, 0, F(1, 8), F(3, 2))),
+                          min_size=len(xs), max_size=len(xs)))
+    values = [max(a * x + b for a, b in pieces) + lift
+              for x, lift in zip(xs, lifts)]
+    return [(x,) for x in xs], values
+
+
+def dual_cell_measure(cpl):
+    """Masses and on-envelope flags of ``ma_measure``, cell by cell from
+    :func:`dual_cell_1d`; domain endpoints sit on the envelope."""
+    zero = F(0) if cpl.is_rational else 0.0
+    masses, on_env = [], []
+    for i, inside in enumerate(cpl.interior_mask()):
+        cell = dual_cell_1d(i, cpl.nodes, cpl.values)
+        masses.append(cell.volume if inside and not cell.empty else zero)
+        on_env.append(not inside or not cell.empty)
+    return masses, on_env
+
+
+@given(lifted_interval_nodes())
+@EXACT
+def test_1d_ma_measure_equals_the_dual_cell_oracle(data):
+    nodes, values = data
+    cpl = ConvexPL(Interval(-3, 3), nodes, values)
+    measure = ma_measure(cpl)
+    masses, on_env = dual_cell_measure(cpl)
+    assert measure.masses == tuple(masses)
+    assert list(map(type, measure.masses)) == list(map(type, masses))
+    assert measure.on_envelope == tuple(on_env)
+
+    flat = ConvexPL(Interval(-3.0, 3.0), [(float(x),) for x, in nodes],
+                    [float(v) for v in values])
+    masses, _ = dual_cell_measure(flat)
+    for got, want in zip(ma_measure(flat).masses, masses):
+        assert abs(got - want) <= 1e-12 * max(1.0, abs(want))

@@ -1,5 +1,6 @@
 """Subgradient measures, oracles and the Dirichlet solver."""
 
+import math
 from fractions import Fraction
 
 import pytest
@@ -217,6 +218,79 @@ def test_solve_2d_rejects_concave_boundary_data():
 
     with pytest.raises(InfeasibleBoundary):
         solve(dom, target, boundary, nodes=nodes)
+
+
+def exp_solve(per, tol=1e-8):
+    """u = exp(|x|^2 / 2) on the unit square, det D^2 u = e^{|x|^2}
+    (1 + |x|^2): node masses f(x_i) h^2, Dirichlet data u.  Returns the
+    result, the target and the sup error at the nodes."""
+    dom = box_polygon(0, 1, 0, 1)
+    h = F(1, per - 1)
+    nodes = [(h * i, h * j) for i in range(per) for j in range(per)]
+
+    def r2(nd):
+        return float(nd[0]) ** 2 + float(nd[1]) ** 2
+
+    def u(nd):
+        return math.exp(r2(nd) / 2)
+
+    target = TargetMeasure({
+        nd: math.exp(r2(nd)) * (1 + r2(nd)) * float(h) ** 2
+        for nd in nodes if not dom.on_boundary(nd)})
+    result = solve(dom, target, u, nodes=nodes, tol=tol)
+    sup = max(abs(v - u(nd)) for nd, v in zip(result.solution.nodes,
+                                               result.solution.values))
+    return result, target, sup
+
+
+@pytest.fixture(scope="module")
+def exp_solves():
+    return {per: exp_solve(per) for per in (9, 17, 33)}
+
+
+def test_solver_is_second_order_on_a_non_polynomial_solution(exp_solves):
+    # measured: sup errors 1.37e-3, 3.51e-4, 8.81e-5
+    assert all(r.converged and r.residual <= 1e-8
+               for r, _, _ in exp_solves.values())
+    sups = [exp_solves[per][2] for per in (9, 17, 33)]
+    for coarse, fine in zip(sups, sups[1:]):
+        assert math.log2(coarse / fine) >= 1.8
+    assert sups[-1] < 1e-4
+
+
+def test_a_33_by_33_solve_takes_at_most_30_cell_evaluations(exp_solves):
+    assert exp_solves[33][0].iterations <= 30
+
+
+def test_solve_with_zero_tolerance_stops_with_its_last_iterate():
+    result, target, sup = exp_solve(5, tol=0.0)
+    assert result.iterations <= 40
+    assert result.converged == (result.residual <= 0.0)
+    assert result.residual < 1e-12 and sup < 1e-2
+    # the reported residual is the returned function's
+    measure = ma_measure(result.solution)
+    pairs = [(float(m), target.mass_at(nd)) for nd, m, inside
+             in zip(measure.nodes, measure.masses, measure.interior)
+             if inside]
+    mean = sum(mu for _, mu in pairs) / len(pairs)
+    assert result.residual == pytest.approx(
+        max(abs(m - mu) for m, mu in pairs) / mean, rel=1e-6)
+
+
+def test_solve_rejects_negative_and_zero_interior_masses():
+    square = box_polygon(0, 1, 0, 1)
+    nodes = [(F(i, 2), F(j, 2)) for i in range(3) for j in range(3)]
+    with pytest.raises(ValueError, match=r"zero target mass at interior "
+                                         r"node \(1/2, 1/2\)"):
+        solve(square, {(F(1, 2), F(1, 2)): 0}, lambda nd: 0, nodes=nodes)
+    with pytest.raises(ValueError, match="negative target mass -1"):
+        solve(square, {(F(1, 2), F(1, 2)): -1}, lambda nd: 0, nodes=nodes)
+    line = Interval(0, 1)
+    with pytest.raises(ValueError, match=r"negative .* at node \(1/2\)"):
+        solve(line, {(F(1, 2),): F(-1, 4)}, {(0,): 0, (1,): 0})
+    # a zero mass in 1D is a kink-free node
+    result = solve(line, {(F(1, 2),): 0, (F(1, 4),): 1}, {(0,): 0, (1,): 0})
+    assert result.converged
 
 
 def test_oracle_matches_exact_measure_on_random_data():
