@@ -100,9 +100,9 @@ print(f"sup distance to the quadratic: {sup:.2e}")
 """
 ## 4. A random function against the oracle
 
-The exact cell-clipping path and the rasterized oracle are written
-independently; agreement on a random convex lift is a strong consistency
-check of both.
+The cells read off the lifted hull's facet gradients and the rasterized
+oracle are written independently; agreement on a random convex lift is a
+strong consistency check of both.
 """
 
 # %%

@@ -43,7 +43,8 @@ MAX_DYADIC_BITS = 16
 # oracle take about a second and 100 MB
 MAX_ORACLE_GRID = 1 << 16
 # realma solve --grid by dimension: 100,000 nodes take about 30 s and
-# 180 MB end to end in 1D, 65x65 about 60 s and 100 MB in 2D
+# 180 MB end to end in 1D, 65x65 about 4 s and 92 MB in 2D (129x129 takes
+# 17 s but 182 MB, past that envelope)
 MAX_SOLVE_GRID = {1: 100_000, 2: 65}
 
 

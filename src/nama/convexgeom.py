@@ -3,6 +3,9 @@
 The polygon routines are generic over the scalar type: exact rationals
 (`fractions.Fraction`) and floats run through the same code paths, so
 subgradient cells can be computed exactly when the inputs are rational.
+2D dual cells come from :class:`FacetCells`, the gradients of the lifted
+lower-hull facets; :func:`dual_cell_2d`, the clip against every other
+node, is its fallback and the independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -10,6 +13,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
+
+_BLOCK = 1 << 18            # off-node x facet entries per block
 
 
 def clip_halfplane(vertices, labels, a, c, new_label):
@@ -95,9 +102,9 @@ class Cell:
     empty: bool
 
 
-def _box_polygon(lo0, hi0, lo1, hi1):
-    verts = [(lo0, lo1), (hi0, lo1), (hi0, hi1), (lo0, hi1)]
-    return verts, [None] * 4
+def box_vertices(lo0, hi0, lo1, hi1):
+    """The corners of an axis-aligned box, counterclockwise."""
+    return [(lo0, lo1), (hi0, lo1), (hi0, hi1), (lo0, hi1)]
 
 
 def dual_cell_1d(index, points, values, box=None):
@@ -136,25 +143,42 @@ def dual_cell_1d(index, points, values, box=None):
     return Cell(1, verts, length, edges, touches, empty)
 
 
-def dual_cell_2d(index, points, values, box=None, expect_bounded=False,
-                 candidates=None):
+def cut_cell(index, points, values, polygon, others):
+    """The part of ``polygon`` (ccw vertices) where node ``index`` satisfies
+    ``p . (x_i - x_j) >= v_i - v_j`` for every j in ``others``.
+
+    Each constraint clips once, in the order given; cell edges are labelled
+    by the node that cut them and ``None`` on the polygon's own boundary.
+    """
+    xi, vi = points[index], values[index]
+    verts, labels = list(polygon), [None] * len(polygon)
+    for j in others:
+        a = (xi[0] - points[j][0], xi[1] - points[j][1])
+        verts, labels, _ = clip_halfplane(verts, labels, a, vi - values[j], j)
+        if not verts:
+            return Cell(2, [], 0, {}, False, True)
+    edges = edge_lengths_by_label(verts, labels)
+    edges.pop(None, None)
+    return Cell(2, verts, polygon_area(verts), edges,
+                any(lab is None for lab in labels), len(verts) < 3)
+
+
+def dual_cell_2d(index, points, values, box=None, expect_bounded=False):
     """The polygon ``{p : p . (x_i - x_j) >= v_i - v_j for all j}``.
 
-    Constraints are applied nearest node first, with a cheap no-op skip, so
-    grid-like inputs clip in effectively constant time per constraint.  When
-    ``expect_bounded`` the bounding box is enlarged until the cell no longer
-    touches it (interior nodes of an envelope have bounded cells).  With
-    ``candidates``, listed nearest first, only those nodes clip; the caller
-    vouches that they cut out the same cell.
+    The full clip: every other node cuts the box, nearest first, with a
+    cheap no-op skip, so grid-like inputs clip in effectively constant time
+    per constraint.  When ``expect_bounded`` the box is enlarged until the
+    cell no longer touches it (interior nodes of an envelope have bounded
+    cells), and while the cell misses it: a bounded cell may lie wholly
+    outside the default box, and only a cell empty in every box is empty.
     """
     xi = points[index]
     vi = values[index]
-    pool = range(len(points)) if candidates is None else candidates
-    others = [j for j in pool if j != index]
-    if candidates is None:
-        others.sort(key=lambda j: ((float(points[j][0]) - float(xi[0])) ** 2
-                                   + (float(points[j][1]) - float(xi[1])) ** 2,
-                                   j))
+    others = [j for j in range(len(points)) if j != index]
+    others.sort(key=lambda j: ((float(points[j][0]) - float(xi[0])) ** 2
+                               + (float(points[j][1]) - float(xi[1])) ** 2,
+                               j))
     if box is None:
         m = 0.0
         for j in others:
@@ -169,20 +193,13 @@ def dual_cell_2d(index, points, values, box=None, expect_bounded=False,
     lo0, hi0, lo1, hi1 = box
 
     for _ in range(12):
-        verts, labels = _box_polygon(lo0, hi0, lo1, hi1)
-        for j in others:
-            a = (xi[0] - points[j][0], xi[1] - points[j][1])
-            c = vi - values[j]
-            verts, labels, _ = clip_halfplane(verts, labels, a, c, j)
-            if not verts:
-                return Cell(2, [], 0, {}, False, True)
-        touches = any(lab is None for lab in labels)
-        if not (touches and expect_bounded):
-            vol = polygon_area(verts)
-            edges = edge_lengths_by_label(verts, labels)
-            edges.pop(None, None)
-            return Cell(2, verts, vol, edges, touches, len(verts) < 3)
+        cell = cut_cell(index, points, values,
+                        box_vertices(lo0, hi0, lo1, hi1), others)
+        if not (expect_bounded and (cell.touches_box or not cell.vertices)):
+            return cell
         lo0, hi0, lo1, hi1 = lo0 * 4, hi0 * 4, lo1 * 4, hi1 * 4
+    if not cell.vertices:
+        return cell
     raise RuntimeError("cell did not close up under box enlargement; "
                        "is the node interior?")
 
@@ -212,3 +229,206 @@ def box_simplex_volume(widths, coeffs, cap):
     if isinstance(total, int) and isinstance(denom, int):
         return Fraction(total, denom)
     return total / denom
+
+
+def _orient(p, q, r):
+    """Twice the signed area of the triangle pqr (exact for rationals)."""
+    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
+
+
+def lifted_hull(points, values):
+    """Qhull of the lifted points, or None when they are affinely flat."""
+    from scipy.spatial import ConvexHull, QhullError
+    try:
+        return ConvexHull(np.column_stack([points, values]))
+    except QhullError:
+        return None
+
+
+class FacetCells:
+    """Every 2D dual cell of the nodes lifted to ``values``, read off the
+    gradients of the lower-hull facets around each node (Aurenhammer 1987).
+
+    Each half-edge of the lower triangulation with a twin gives one shoelace
+    term and one dual-edge length, the distance between the gradients of the
+    two facets on it, summed per node: no clipping and no ordering of the
+    fans.  Exact input (Fraction nodes and values) runs the same arithmetic
+    on object arrays.  The Qhull hull is checked, not trusted: every
+    interior edge must be locally convex and every node off the
+    triangulation on or above every facet plane, which makes the
+    interpolant the envelope.  Exact input must pass exactly, with every
+    triangle positively oriented and the triangles tiling the ccw polygon
+    ``corners``, or no node is good.  Float checks allow a relative 1e-11,
+    and a float node off the triangulation whose lift is not below the
+    envelope by more has an empty cell: above the envelope it has no
+    supporting plane, and on it a node that is no hull vertex has a cell
+    without interior.
+
+    ``good`` marks the nodes whose cells the hull gives, ``closed`` those of
+    them with bounded cells, of areas ``area``.  The other good nodes lie on
+    the hull boundary; ``solid`` says whether their cells have interior.
+    The other nodes take the full clip, :meth:`full`, which ``fallbacks``
+    counts: exact nodes off the triangulation, float ones below the
+    envelope (a sign of an inconsistent hull), nodes of a flat float
+    triangle or of one next to an edge that fails the check, and every node
+    when the exact check fails.
+    """
+
+    def __init__(self, nodes, values, corners=None):
+        self.nodes, self.values, self.fallbacks = nodes, values, 0
+        n = len(nodes)
+        self.good = self.closed = self.solid = np.zeros(n, dtype=bool)
+        self.area, self.grad = np.zeros(n), np.zeros((0, 2))
+        self.tri = np.zeros((0, 3), dtype=int)
+        self.src = self.dst = self.apex = self.twin = np.zeros(0, dtype=int)
+        pts = np.array([[float(c) for c in nd] for nd in nodes])
+        vals = np.array([float(v) for v in values])
+        hull = lifted_hull(pts, vals)
+        if hull is None:
+            return
+        tri = hull.simplices[hull.equations[:, 2] < -1e-12].astype(np.int64)
+        flip = _orient(*pts[tri].transpose(1, 2, 0)) < 0
+        tri[flip] = tri[flip][:, [0, 2, 1]]
+        # half-edge 3t + k runs from tri[t, k] to tri[t, k + 1] opposite the
+        # apex tri[t, k + 2]; its twin runs back in the facet across, or is -1
+        src, dst, apex = (np.roll(tri, -k, axis=1).ravel() for k in range(3))
+        key, back = src * n + dst, dst * n + src
+        order = np.argsort(key)
+        if np.any(np.diff(key[order]) == 0):
+            return
+        at = order[np.minimum(np.searchsorted(key[order], back), len(key) - 1)]
+        twin = np.where(key[at] == back, at, -1)
+        good = np.zeros(n, dtype=bool)
+        good[src] = True
+        exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
+            and all(isinstance(v, Fraction) for v in values)
+        P, V = ((np.array(nodes, dtype=object), np.array(values, dtype=object))
+                if exact else (pts, vals))
+
+        u, w = P[tri[:, 1]] - P[tri[:, 0]], P[tri[:, 2]] - P[tri[:, 0]]
+        du, dw = V[tri[:, 1]] - V[tri[:, 0]], V[tri[:, 2]] - V[tri[:, 0]]
+        det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        bad = ~(det > 0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            grad = np.column_stack([du * w[:, 1] - dw * u[:, 1], u[:, 0] * dw
+                                    - w[:, 0] * du]) / det[:, None]
+        tol = 0 if exact else 1e-11 * (1 + np.abs(V).max() + np.abs(P).max()
+                                       * np.abs(grad[~bad]).max(initial=0))
+        # convex across an edge: the gradient jumps towards the facet across
+        inner = np.nonzero(twin >= 0)[0]
+        e = inner[inner < twin[inner]]
+        jump, side = grad[twin[e] // 3] - grad[e // 3], P[dst[e]] - P[src[e]]
+        fold = e[~(jump[:, 0] * side[:, 1] - jump[:, 1] * side[:, 0] >= -tol)]
+        off = np.nonzero(~good)[0]
+        lift = np.zeros(len(off), dtype=V.dtype)
+        if len(off) and not bad.all():
+            g, b = grad[~bad], V[tri[~bad, 0]] - (P[tri[~bad, 0]]
+                                                  * grad[~bad]).sum(axis=1)
+            step = max(1, _BLOCK // len(b))
+            for k in range(0, len(off), step):
+                i = off[k:k + step]
+                lift[k:k + step] = V[i] - (P[i] @ g.T + b).max(axis=1)
+        if exact:
+            C = [tuple(map(Fraction, v)) for v in corners or ()]
+            rim = twin < 0
+            if not (C and not bad.any() and not len(fold)
+                    and (lift >= 0).all() and det.sum() == sum(
+                        _orient(C[0], p, q) for p, q in zip(C[1:], C[2:]))
+                    and np.logical_or.reduce([
+                        (_orient(p, q, P[src[rim]].T) == 0)
+                        & (_orient(p, q, P[dst[rim]].T) == 0)
+                        for p, q in zip(C, C[1:] + C[:1])]).all()):
+                return
+        else:
+            good[off[lift >= -tol]] = True
+            bad[fold // 3] = bad[twin[fold] // 3] = True
+            good[tri[bad].ravel()] = False
+        edge = np.zeros(n, dtype=bool)
+        edge[src[twin < 0]] = True
+        self.good, self.closed = good, good & ~edge
+        self.tri, self.grad, self.src, self.dst, self.apex, self.twin = (
+            tri, grad, src, dst, apex, twin)
+        self._order, self._keys, self._pts, self._vals = (
+            order, key[order], pts, vals)
+
+        # the fan's shoelace; float terms are taken relative to one facet of
+        # the node so that cells far from the origin keep their digits
+        i = src[inner]
+        ref = np.zeros(n, dtype=int)
+        ref[src] = np.arange(len(src)) // 3
+        p, q = grad[twin[inner] // 3], grad[inner // 3]
+        if not exact:
+            p, q = p - grad[ref[i]], q - grad[ref[i]]
+        zero = Fraction(0) if exact else 0.0
+        twice = np.full(n, zero, dtype=V.dtype)
+        np.add.at(twice, i, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+        self.area = np.where(self.closed, np.abs(twice) / 2, zero)
+
+        # an unbounded cell has interior unless its two boundary edges are
+        # parallel and the gradients of its end facets differ across them
+        e = np.nonzero(twin < 0)[0]
+        first, last, span = np.zeros((3, n, 2), dtype=V.dtype)
+        first[src[e]] = last[dst[e]] = P[dst[e]] - P[src[e]]
+        span[src[e]] -= grad[e // 3]
+        span[dst[e]] += grad[e // 3]
+        self.solid = good & edge & (
+            (first[:, 0] * last[:, 1] != first[:, 1] * last[:, 0])
+            | ((first * span).sum(axis=1) != 0))
+
+    def _fan(self, i):
+        """The half-edges leaving node i, one per facet around it."""
+        n = len(self.nodes)
+        return self._order[np.searchsorted(self._keys, i * n):
+                           np.searchsorted(self._keys, i * n + n)]
+
+    def cut(self, i, polygon):
+        """Good node i's cell within the convex ``polygon``: the polygon cut
+        by the halfplanes of i's neighbours alone, which suffice because the
+        interpolant is convex."""
+        fan = self._fan(i)
+        if not len(fan):            # off the triangulation: empty
+            return Cell(2, [], 0, {}, False, True)
+        star = sorted(set(self.dst[fan].tolist() + self.apex[fan].tolist()))
+        return cut_cell(i, self.nodes, self.values, polygon, star)
+
+    def meets_box(self, i):
+        """Whether good boundary node i's cell meets :func:`dual_cell_2d`'s
+        default box in positive area, as that clip decides whether such a
+        node is on the envelope: at once when a facet gradient around i lies
+        inside the box, else by a cut."""
+        if not self.solid[i]:
+            return False
+        d = np.abs(self._pts - self._pts[i]).max(axis=1)
+        half = np.divide(np.abs(self._vals - self._vals[i]), d,
+                         out=np.zeros_like(d), where=d > 0).max() + 1.0
+        if isinstance(self.values[i], Fraction):
+            half = Fraction(math.ceil(half))
+        if (np.abs(self.grad[self._fan(i) // 3]) < half).all(axis=1).any():
+            return True
+        return not self.cut(i, box_vertices(-half, half, -half, half)).empty
+
+    def inside(self, corners):
+        """Closed nodes whose cells lie in the ccw polygon ``corners``, by a
+        float test that says no near the boundary."""
+        g = np.asarray(self.grad, dtype=float)
+        out = np.zeros(len(self.nodes), dtype=bool)
+        C = np.array(corners, dtype=float)
+        for p, q in zip(C, np.roll(C, -1, axis=0)):
+            tol = 1e-9 * np.abs(q - p).sum() * (np.abs(g).sum(1)
+                                                 + np.abs(p).sum())
+            out[self.tri[~(_orient(p, q, g.T) > tol)].ravel()] = True
+        return self.closed & ~out
+
+    def dual_edges(self):
+        """Arrays (i, j, length) over the nonzero edges of the closed cells:
+        node i's cell shares that length of boundary with node j's."""
+        e = np.nonzero(self.closed[self.src])[0]
+        g = np.asarray(self.grad, dtype=float)
+        ell = np.hypot(*(g[e // 3] - g[self.twin[e] // 3]).T)
+        e, ell = e[ell > 0], ell[ell > 0]
+        return self.src[e], self.dst[e], ell
+
+    def full(self, i, box=None, expect_bounded=False):
+        """Node i's cell by the full clip of :func:`dual_cell_2d`."""
+        self.fallbacks += 1
+        return dual_cell_2d(i, self.nodes, self.values, box, expect_bounded)

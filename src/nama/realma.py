@@ -12,7 +12,13 @@ image of the open domain.  Boundary nodes have unbounded cells and are
 excluded from mass accounting.
 
 Everything runs exactly in rational arithmetic when nodes and values are
-rationals; the solver works in floats.
+rationals; the solver works in floats.  In 2D every cell comes from one
+Qhull lower hull of the lifted nodes (:class:`~nama.convexgeom.FacetCells`):
+its facet gradients give each cell's area and dual-edge lengths in a few
+array passes, on Fraction object arrays for rational input, once the hull
+has been checked.  A node the hull does not vouch for takes the full clip
+against every other node (:func:`~nama.convexgeom.dual_cell_2d`), counted
+as a cell fallback.
 """
 
 from __future__ import annotations
@@ -24,8 +30,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexgeom import (clip_halfplane, dual_cell_1d, dual_cell_2d,
-                         polygon_area)
+from .convexgeom import (FacetCells, box_vertices, cut_cell, dual_cell_1d,
+                         dual_cell_2d, lifted_hull, polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure
 
@@ -125,12 +131,8 @@ class Polygon:
 
     def on_boundary(self, pt):
         tol = self._tol()
-        if not self.contains(pt):
-            return False
-        for a, c in self._halfplanes:
-            if abs(a[0] * pt[0] + a[1] * pt[1] - c) <= tol:
-                return True
-        return False
+        slack = [a[0] * pt[0] + a[1] * pt[1] - c for a, c in self._halfplanes]
+        return min(slack) >= -tol and min(map(abs, slack)) <= tol
 
 
 def box_polygon(lo0, hi0, lo1, hi1):
@@ -237,7 +239,7 @@ def lower_hull_planes(points, values):
             g, b = [[0.0]], [float(vs[0])]
         return np.array(g), np.array(b)
 
-    hull = _lifted_hull(points, values)
+    hull = lifted_hull(points, values)
     if hull is None:
         coeffs, *_ = np.linalg.lstsq(
             np.column_stack([points, np.ones(len(points))]), values,
@@ -251,15 +253,6 @@ def lower_hull_planes(points, values):
     # deduplicate coplanar triangulated facets
     uniq = np.unique(np.round(np.column_stack([g, b]), 12), axis=0)
     return uniq[:, :d], uniq[:, d]
-
-
-def _lifted_hull(points, values):
-    """Qhull of the lifted points, or None when they are affinely flat."""
-    from scipy.spatial import ConvexHull, QhullError
-    try:
-        return ConvexHull(np.column_stack([points, values]))
-    except QhullError:
-        return None
 
 
 def discrete_slope_jumps(xs, values):
@@ -279,144 +272,6 @@ def discrete_slope_jumps(xs, values):
         left = (values[i] - values[i - 1]) / (xs[i] - xs[i - 1])
         jumps.append(right - left)
     return jumps
-
-
-def _orient(p, q, r):
-    """Twice the signed area of the triangle pqr (exact for rationals)."""
-    return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
-
-
-class _HullStar:
-    """Which nodes clip each 2D dual cell, read off the lifted lower hull.
-
-    A node's cell is cut out by its neighbours in the regular triangulation
-    alone (Aurenhammer 1987): its star, plus the vertex across each edge of
-    its link for a flipped diagonal on a flat quad.  Exact input is
-    certified in rationals (triangles positively oriented and tiling the
-    domain, interior edges locally convex, other nodes on or above), which
-    makes the interpolant the envelope.  Float cells are checked against
-    every constraint, widened by the violated ones, then clipped in full;
-    ``fallbacks`` counts the full clips.
-    """
-
-    def __init__(self, nodes, values, domain=None):
-        self.nodes, self.values = nodes, values
-        self.pts = np.array([[float(c) for c in nd] for nd in nodes])
-        self.vals = np.array([float(v) for v in values])
-        self.cands = [None] * len(nodes)
-        self.certified, self.fallbacks = False, 0
-        hull = _lifted_hull(self.pts, self.vals)
-        if hull is None:
-            return
-        tris = [(a, b, c) if _orient(*self.pts[[a, b, c]]) >= 0 else (a, c, b)
-                for a, b, c in
-                hull.simplices[hull.equations[:, 2] < -1e-12].tolist()]
-        opp = {}
-        for a, b, c in tris:
-            opp[a, b], opp[b, c], opp[c, a] = c, a, b
-        near = [set() for _ in nodes]
-        for (a, b), c in opp.items():
-            near[c].update((a, b, opp.get((b, a), a)))
-        # nodes off the triangulation, with the triangles that hold them
-        within = {i: [] for i in range(len(nodes)) if not near[i]}
-        if within:
-            p, q, r = (self.pts[list(t)].T for t in zip(*tris))
-            tol = -1e-9 * np.abs(_orient(p, q, r))
-            for i, x in zip(within, self.pts[list(within)]):
-                hit = ((_orient(x, q, r) >= tol) & (_orient(p, x, r) >= tol)
-                       & (_orient(p, q, x) >= tol))
-                within[i] = [tris[k] for k in np.nonzero(hit)[0]]
-        if all(isinstance(c, Fraction) for nd in nodes for c in nd) and all(
-                isinstance(v, Fraction) for v in values):
-            self.certified = domain is not None and self._certify(
-                tris, opp, within, domain)
-            if not self.certified:
-                return
-            within = {}
-        for i in range(len(nodes)):
-            if near[i]:
-                self.cands[i] = self._nearest_first(i, near[i])
-            elif within.get(i):
-                d2 = ((self.pts - self.pts[i]) ** 2).sum(axis=1)
-                self.cands[i] = self._nearest_first(i, set(
-                    np.argsort(d2, kind="stable")[:9].tolist()).union(
-                        *within[i]))
-
-    def _nearest_first(self, i, js):
-        """``js`` without i, in :func:`dual_cell_2d`'s clip order."""
-        js = np.array(sorted(set(js) - {i}), dtype=int)
-        d2 = ((self.pts[js] - self.pts[i]) ** 2).sum(axis=1)
-        return js[np.lexsort((js, d2))].tolist()
-
-    def _certify(self, tris, opp, within, domain):
-        # every test is a sign, which scaling coordinates and values by
-        # positive integers keeps: clear the denominators once
-        corners = [tuple(Fraction(c) for c in v) for v in domain.vertices]
-        sx = math.lcm(*(c.denominator for pt in corners + self.nodes
-                        for c in pt))
-        sv = math.lcm(*(v.denominator for v in self.values))
-        C, P = ([tuple(c.numerator * (sx // c.denominator) for c in pt)
-                 for pt in pts] for pts in (corners, self.nodes))
-        V = [v.numerator * (sv // v.denominator) for v in self.values]
-
-        def above(a, b, c, x):      # lifted node x on or above plane abc
-            A, B = P[a], P[b]
-            return ((V[b] - V[a]) * _orient(A, P[c], P[x])
-                    - (V[c] - V[a]) * _orient(A, B, P[x])
-                    + (V[x] - V[a]) * _orient(A, B, P[c])) >= 0
-
-        def inside(a, b, c, x):
-            return min(_orient(P[x], P[b], P[c]), _orient(P[a], P[x], P[c]),
-                       _orient(P[a], P[b], P[x])) >= 0
-
-        sides = list(zip(C, C[1:] + C[:1]))
-        areas = [_orient(P[a], P[b], P[c]) for a, b, c in tris]
-        return (len(opp) == 3 * len(tris) and min(areas) > 0
-                and sum(areas) == sum(_orient(C[0], p, q) for p, q in sides)
-                and all(above(a, b, c, opp[b, a]) if (b, a) in opp else any(
-                        _orient(p, q, P[a]) == 0 == _orient(p, q, P[b])
-                        for p, q in sides) for (a, b), c in opp.items())
-                and all(any(inside(*t, i) and above(*t, i) for t in ts)
-                        for i, ts in within.items()))
-
-    def _box(self, i):
-        """The default clip box of :func:`dual_cell_2d`, vectorised."""
-        d = np.abs(self.pts - self.pts[i]).max(axis=1)
-        m = np.divide(np.abs(self.vals - self.vals[i]), d,
-                      out=np.zeros_like(d), where=d > 0).max()
-        half = float(m) + 1.0
-        if isinstance(self.values[i], Fraction):
-            half = Fraction(math.ceil(half))
-        return (-half, half, -half, half)
-
-    def _violated(self, i, cell):
-        """Nodes whose constraint some vertex of ``cell`` breaks."""
-        if not cell.vertices:
-            return []
-        verts = np.array(cell.vertices, dtype=float)
-        a = self.pts[i] - self.pts
-        c = self.vals[i] - self.vals
-        slack = verts @ a.T - c
-        tol = 1e-11 * (1.0 + np.abs(verts).max() * np.abs(a).max()
-                       + np.abs(c).max())
-        return np.nonzero(slack.min(axis=0) < -tol)[0].tolist()
-
-    def cell(self, i, box=None, expect_bounded=False):
-        """Node i's dual cell; ``box`` defaults to dual_cell_2d's."""
-        box = self._box(i) if box is None else box
-        cands = self.cands[i]
-        for _ in range(2 if cands else 0):
-            try:
-                cell = dual_cell_2d(i, self.nodes, self.values, box,
-                                    expect_bounded, cands)
-            except RuntimeError:        # the candidates leave it open
-                break
-            bad = [] if self.certified else self._violated(i, cell)
-            if not bad:
-                return cell
-            cands = self._nearest_first(i, cands + bad)
-        self.fallbacks += 1
-        return dual_cell_2d(i, self.nodes, self.values, box, expect_bounded)
 
 
 # ---------------------------------------------------------------------------
@@ -446,21 +301,24 @@ class MAMeasure:
         return AtomicMeasure(tuple(sup), tuple(ms))
 
 
-def gradient_cells(cpl, clip_box=None, expect_bounded=True):
+def gradient_cells(cpl, clip_box=None):
     """Dual (subgradient) cells of every node.
 
-    Interior nodes get bounded cells (box auto-enlarged); with ``clip_box``
-    given, every cell is clipped to it instead, which is how the tiling
-    identity is checked.
+    Without ``clip_box`` these are the full clips of :func:`dual_cell_2d`:
+    interior cells whole, boundary cells cut to its default box.  With it,
+    every cell is clipped to ``clip_box``, which is how the tiling identity
+    is checked, and in 2D a cell is the box cut by the node's neighbours on
+    the lifted lower hull (:class:`FacetCells`).
     """
-    interior = cpl.interior_mask()
     if cpl.dim == 1:
         return [dual_cell_1d(i, cpl.nodes, cpl.values, box=clip_box)
                 for i in range(len(cpl.nodes))]
-    star = _HullStar(cpl.nodes, cpl.values, cpl.domain)
-    return [star.cell(i, box=clip_box,
-                      expect_bounded=(expect_bounded and interior[i]
-                                      and clip_box is None))
+    if clip_box is None:
+        return [dual_cell_2d(i, cpl.nodes, cpl.values, expect_bounded=inside)
+                for i, inside in enumerate(cpl.interior_mask())]
+    cells = FacetCells(cpl.nodes, cpl.values, cpl.domain.vertices)
+    box = box_vertices(*clip_box)
+    return [cells.cut(i, box) if cells.good[i] else cells.full(i, clip_box)
             for i in range(len(cpl.nodes))]
 
 
@@ -470,13 +328,16 @@ def ma_measure(cpl):
     Mass at an interior node is the volume of its dual cell, exact in
     rational mode; boundary nodes carry no mass (their cells are unbounded
     and the measure is restricted to the open domain).  Nodes strictly above
-    the envelope have empty cells and are flagged off-envelope.
+    the envelope have empty cells and are flagged off-envelope, as are
+    nodes whose cells have no interior.  In 2D every cell the lifted hull
+    vouches for is read off its facet gradients (:class:`FacetCells`); the
+    others take the full clip, counted in ``cell_fallbacks``.
     """
     interior = cpl.interior_mask()
     masses, on_env = [], []
     zero = Fraction(0) if cpl.is_rational else 0.0
     if cpl.dim == 1:
-        star = None
+        cells = None
         for lo, hi, inside in zip(*_cell_ends_1d(cpl.nodes, cpl.values),
                                   interior):
             # domain endpoints always sit on the envelope
@@ -486,15 +347,24 @@ def ma_measure(cpl):
             else:       # dual_cell_1d's volume: the int 0 when hi == lo
                 masses.append(hi - lo if hi > lo else 0)
     else:
-        star = _HullStar(cpl.nodes, cpl.values, cpl.domain)
+        cells = FacetCells(cpl.nodes, cpl.values, cpl.domain.vertices)
+        area = cells.area.tolist()
         for i, inside in enumerate(interior):
-            cell = star.cell(i, expect_bounded=inside)
-            masses.append(cell.volume if inside and not cell.empty else zero)
-            on_env.append(not cell.empty)
+            if cells.closed[i]:
+                masses.append(area[i] if inside else zero)
+                on_env.append(area[i] > 0)
+            elif cells.good[i] and not inside:
+                masses.append(zero)
+                on_env.append(cells.meets_box(i))
+            else:
+                cell = cells.full(i, expect_bounded=inside)
+                masses.append(cell.volume if inside and not cell.empty
+                              else zero)
+                on_env.append(not cell.empty)
     degenerate = all(m == 0 for m, it in zip(masses, interior) if it)
     return MAMeasure(tuple(cpl.nodes), tuple(masses), tuple(interior),
                      tuple(on_env), degenerate,
-                     star.fallbacks if star is not None else 0)
+                     cells.fallbacks if cells is not None else 0)
 
 
 def ma_measure_oracle(cpl, resolution=1000):
@@ -807,9 +677,12 @@ class TargetMeasure:
         The Voronoi cell of a node is its dual cell for the paraboloid lift
         ``|x|^2 / 2`` clipped to the domain, so the construction reuses the
         exact cell machinery and the masses add up to density * volume
-        exactly in rational mode.  In 1D the cells come from one sort
-        (:func:`_cell_ends_1d`): a cell is bounded by the lift's slopes to
-        the sorted neighbours, the midpoints.
+        exactly in rational mode.  In 2D a cell inside the domain is its
+        fan of facet gradients (:class:`FacetCells`); for the others the
+        domain polygon is cut by the node's hull neighbours, or by every
+        other node when the hull does not vouch for it.  In 1D the cells
+        come from one sort (:func:`_cell_ends_1d`): a cell is bounded by the
+        lift's slopes to the sorted neighbours, the midpoints.
         """
         density = _coerce(density)
         nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
@@ -822,16 +695,17 @@ class TargetMeasure:
                 right = domain.hi if right is None else min(right, domain.hi)
                 masses[nd] = density * (right - left if right > left else 0)
         elif domain.dim == 2:
-            hps = domain.halfplanes()
-            xs, ys = zip(*domain.vertices)
-            box = (min(xs), max(xs), min(ys), max(ys))
-            star = _HullStar(nodes, values, domain)
+            cells = FacetCells(nodes, values, domain.vertices)
+            whole = cells.inside(domain.vertices).tolist()
+            area = cells.area.tolist()
+            corners = list(domain.vertices)
             for i, nd in enumerate(nodes):
-                cell = star.cell(i, box=box)
-                verts, labels = cell.vertices, ["x"] * len(cell.vertices)
-                for a, c in hps:
-                    verts, labels, _ = clip_halfplane(verts, labels, a, c, "d")
-                masses[nd] = density * polygon_area(verts)
+                if cells.good[i] and not whole[i]:
+                    area[i] = cells.cut(i, corners).volume
+                elif not whole[i]:
+                    area[i] = cut_cell(i, nodes, values, corners, [
+                        j for j in range(len(nodes)) if j != i]).volume
+                masses[nd] = density * area[i]
         else:
             raise NotImplementedError("density targets support dims 1 and 2")
         return cls(masses, density)
@@ -852,12 +726,17 @@ class TargetMeasure:
 
     def validate_masses(self, domain, nodes):
         """Reject masses :func:`solve` cannot take: a negative one at any
-        node, and in 2D a zero one at an interior node of ``nodes`` (the
+        node, a nonzero one at a node not in ``nodes`` (the solve would drop
+        it), and in 2D a zero one at an interior node of ``nodes`` (the
         damped Newton keeps every interior cell of positive area)."""
-        for nd, mass in self.masses.items():
+        keys = {tuple(float(c) for c in nd) for nd in nodes}
+        for (nd, mass), key in zip(self.masses.items(), self._table):
+            where = f"node ({', '.join(map(str, nd))})"
             if mass < 0:
-                raise ValueError(f"negative target mass {mass} at node "
-                                 f"({', '.join(map(str, nd))})")
+                raise ValueError(f"negative target mass {mass} at {where}")
+            if mass != 0 and key not in keys:
+                raise ValueError(f"target mass {mass} at {where}, which is "
+                                 "not a solve node")
         if domain.dim != 2:
             return
         for nd in nodes:
@@ -1034,33 +913,39 @@ def _boundary_envelope_values(b_nodes, b_values, queries):
 
 
 def _cells_2d(nodes, values, interior_idx):
-    """Masses, edge sensitivities and full-clip count of the interior cells."""
-    star = _HullStar(nodes, values)
-    masses = np.zeros(len(interior_idx))
-    edges = []
-    for k, i in enumerate(interior_idx):
-        cell = star.cell(i, expect_bounded=True)
+    """Masses, dual edges and full-clip count of the interior cells; the
+    edges are arrays (i, j, length) as :meth:`FacetCells.dual_edges`."""
+    cells = FacetCells(nodes, values)
+    whole = cells.closed[interior_idx]
+    masses = np.where(whole, cells.area[interior_idx], 0.0)
+    i, j, ell = cells.dual_edges()
+    inside = np.zeros(len(nodes), dtype=bool)
+    inside[interior_idx] = True
+    edges = [(i[inside[i]], j[inside[i]], ell[inside[i]])]
+    for k in np.nonzero(~whole)[0]:
+        cell = cells.full(interior_idx[k], expect_bounded=True)
         masses[k] = float(cell.volume)
-        edges.append(cell.edges)
-    return masses, edges, star.fallbacks
+        edges.append((np.full(len(cell.edges), interior_idx[k]),
+                      np.array(list(cell.edges), dtype=int),
+                      np.array(list(cell.edges.values()), dtype=float)))
+    return masses, tuple(map(np.concatenate, zip(*edges))), cells.fallbacks
 
 
-def _mass_jacobian(nodes, interior_idx, edges):
+def _mass_jacobian(pts, interior_idx, edges):
     """Sparse derivative of the interior masses in the interior values:
-    lowering node i by dv moves each dual edge of length ell by
+    lowering node i by dv moves each dual edge (i, j, ell) by
     ``ell / |x_i - x_j|`` dv, out of neighbour j's cell into i's."""
     from scipy.sparse import csr_matrix
-    pos = {i: k for k, i in enumerate(interior_idx)}
-    entries = []
-    for k, i in enumerate(interior_idx):
-        for j, ell in edges[k].items():
-            sens = ell / math.dist(nodes[i], nodes[j])
-            entries.append((k, k, -sens))
-            if j in pos:
-                entries.append((k, pos[j], sens))
-    rows, cols, data = zip(*entries)
+    i, j, ell = edges
     n = len(interior_idx)
-    return csr_matrix((data, (rows, cols)), shape=(n, n))
+    pos = np.full(len(pts), -1)
+    pos[interior_idx] = np.arange(n)
+    sens = ell / np.hypot(*(pts[i] - pts[j]).T)
+    ki, kj = pos[i], pos[j]
+    off = kj >= 0
+    return csr_matrix((np.concatenate([-sens, sens[off]]),
+                       (np.concatenate([ki, ki[off]]),
+                        np.concatenate([ki, kj[off]]))), shape=(n, n))
 
 
 def _edge_distance_mean(domain, points):
@@ -1092,6 +977,7 @@ def _solve_2d(domain, nodes, target, boundary, tol):
                 for i in boundary_idx]
     psi = _edge_distance_mean(domain, [nodes[i] for i in interior_idx])
     nodes = [tuple(float(c) for c in nd) for nd in nodes]
+    pts = np.array(nodes)
 
     b_nodes = [nodes[i] for i in boundary_idx]
     env = _boundary_envelope_values(b_nodes, b_values, nodes)
@@ -1128,7 +1014,7 @@ def _solve_2d(domain, nodes, target, boundary, tol):
     for _ in range(_NEWTON_STEPS):
         if res <= tol or eps <= 0:
             break
-        delta = spsolve(_mass_jacobian(nodes, interior_idx, edges),
+        delta = spsolve(_mass_jacobian(pts, interior_idx, edges),
                         mus - masses)
         tau = 1.0
         while tau >= _TAU_FLOOR:

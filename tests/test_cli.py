@@ -444,6 +444,9 @@ INVALID = [
      dict(SQUARE_BOUNDARY, masses=[{"node": ["1/2", "1/2"],
                                     "mass": "1/4"}])),
     (["realma", "solve", "--grid", "3"], dict(SQUARE, density=0)),
+    (["realma", "solve", "--grid", "3"],      # 1/3 is not a grid node
+     {"domain": {"interval": [0, 1]}, "boundary": {"quadratic": [[0]]},
+      "masses": [{"node": ["1/3"], "mass": 1}]}),
 ]
 
 

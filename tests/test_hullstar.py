@@ -1,8 +1,8 @@
-"""The hull-star cell engine against the full clip of every node.
+"""The facet-gradient cell engine against the full clip of every node.
 
-``ma_measure``, ``gradient_cells`` and ``from_density`` clip each 2D cell
-only against its neighbours in the lifted lower hull.  The full clip
-against all other nodes (``dual_cell_2d`` without candidates) is the
+``ma_measure``, ``gradient_cells``, ``from_density`` and the solver read
+each 2D cell off the gradients of the lifted lower-hull facets around its
+node.  The full clip against all other nodes (``dual_cell_2d``) is the
 oracle: exact inputs must agree with it exactly, float inputs to rounding.
 """
 
@@ -12,11 +12,10 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nama import (ConvexPL, TargetMeasure, box_polygon, gradient_cells,
-                  ma_measure)
+from nama import (ConvexPL, Polygon, TargetMeasure, box_polygon,
+                  gradient_cells, ma_measure)
 from nama import convexgeom, realma
 from nama.convexgeom import dual_cell_2d
-from nama.realma import _HullStar
 
 F = Fraction
 EXACT = settings(max_examples=60, deadline=None, derandomize=True)
@@ -87,6 +86,19 @@ def test_exact_cells_equal_the_full_clip(data):
     assert_exact_agreement(ConvexPL(box_polygon(0, 2, 0, 2), nodes, values))
 
 
+def test_a_cell_outside_the_default_box_keeps_its_mass():
+    # node 7's facet gradients all have p_y <= -12, outside the full clip's
+    # default box [-11, 11]^2, which must grow instead of reporting no cell
+    nodes = [(0, 0), (2, 0), (3, 1), (1, 2), (-1, 1), (F(1, 2), F(3, 2)),
+             (1, F(3, 2)), (F(3, 2), F(1, 4)), (F(7, 4), F(1, 2)),
+             (2, F(1, 2)), (F(5, 2), F(1, 2))]
+    values = [0, 6, F(-2, 3), 1, F(-3, 2), 2, -4, 1, 0, F(-2, 3), 3]
+    cpl = ConvexPL(Polygon(nodes[:5]), nodes, values)
+    assert dual_cell_2d(7, cpl.nodes, cpl.values,
+                        expect_bounded=True).volume == F(4, 9)
+    assert assert_exact_agreement(cpl).masses[7] == F(4, 9)
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(3, 6), rationals, rationals)
 def test_flat_lattice_quads_are_certified(n, a, b):
@@ -109,9 +121,9 @@ def test_a_wrong_hull_fails_certification(monkeypatch):
               F(j, 4)) for i in range(5) for j in range(5)]
     cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes,
                    [x * x + 3 * y * y + x * y for x, y in nodes])
-    real = realma._lifted_hull
+    real = convexgeom.lifted_hull
     scrambled = np.arange(len(nodes)) * 7 % 11 / 11.0
-    monkeypatch.setattr(realma, "_lifted_hull",
+    monkeypatch.setattr(convexgeom, "lifted_hull",
                         lambda pts, vals: real(pts, vals + scrambled))
     measure = assert_exact_agreement(cpl)
     assert measure.cell_fallbacks == len(nodes)
@@ -172,37 +184,101 @@ def test_float_cells_agree_with_the_full_clip(data):
     assert abs(sum(c.volume for c in tiles) - 36.0) <= 1e-12 * 36.0
 
 
+def check_dual_edges(cpl):
+    """The solver's cell edges against the full clip's, key by key, and the
+    Jacobian built from them against the one the clip's edges give.  Edge
+    ends are gradients, so lengths agree to 1e-12 of the largest gradient
+    coordinate; a rounding-level clip edge is a zero-length one."""
+    inside = [i for i, it in enumerate(cpl.interior_mask()) if it]
+    _, edges, _ = realma._cells_2d(cpl.nodes, cpl.values, inside)
+    got = {i: {} for i in inside}
+    for i, j, ell in zip(*edges):
+        got[int(i)][int(j)] = ell
+    clips = {i: dual_cell_2d(i, cpl.nodes, cpl.values, expect_bounded=True)
+             for i in inside}
+    tol = 1e-12 * max([abs(c) for cell in clips.values()
+                       for v in cell.vertices for c in v] + [1.0])
+    pts = np.array(cpl.nodes, dtype=float)
+    pos = {i: k for k, i in enumerate(inside)}
+    want = np.zeros((len(inside), len(inside)))
+    near = np.inf
+    for k, i in enumerate(inside):
+        clip = clips[i].edges
+        assert ({j for j, ell in got[i].items() if ell > tol}
+                == {j for j, ell in clip.items() if ell > tol})
+        for j in set(got[i]) | set(clip):
+            assert abs(got[i].get(j, 0.0) - clip.get(j, 0.0)) <= tol
+        for j, ell in clip.items():
+            dist = np.hypot(*(pts[i] - pts[j]))
+            near = min(near, dist)
+            want[k, k] -= ell / dist
+            if j in pos:
+                want[k, pos[j]] += ell / dist
+    jac = realma._mass_jacobian(pts, inside, edges).toarray()
+    assert np.abs(jac - want).max() <= 8 * tol / near
+
+
 @FLOAT
 @given(float_functions())
-def test_float_check_widens_wrong_candidates(data):
+def test_dual_edges_and_jacobian_equal_the_full_clip(data):
     nodes, values = data
-    cpl = ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0), nodes, values)
-    star = _HullStar(cpl.nodes, cpl.values, cpl.domain)
-    inside = cpl.interior_mask()
-    for i, cell in enumerate(full_clip(cpl)):
-        if star.cands[i]:
-            star.cands[i] = star.cands[i][-1:]  # the farthest one only
-        got = star.cell(i, expect_bounded=inside[i])
-        assert got.empty == cell.empty
-        assert close(got.volume, cell.volume)
+    check_dual_edges(ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0), nodes,
+                              values))
 
 
-def test_clip_count_grows_linearly_on_exact_lattices(monkeypatch):
-    clips = [0]
-    real = convexgeom.clip_halfplane
+def test_flat_quad_diagonals_have_no_dual_edge():
+    # (x^2 + y^2) / 2 on a dyadic float lattice: every grid quad is flat
+    h = 0.25
+    nodes = [(h * i - 1, h * j - 1) for i in range(9) for j in range(9)]
+    cpl = ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0), nodes,
+                   [(x * x + y * y) / 2 for x, y in nodes])
+    check_dual_edges(cpl)
+    _, (i, j, _), _ = realma._cells_2d(cpl.nodes, cpl.values, [40])
+    assert sorted(j[i == 40]) == [31, 39, 41, 49]      # no diagonal
 
-    def counting(*args):
-        clips[0] += 1
-        return real(*args)
 
-    monkeypatch.setattr(convexgeom, "clip_halfplane", counting)
-    counts = []
+def test_lattice_measures_and_float_cells_make_no_clips(monkeypatch):
+    calls = []
+
+    def counting(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for module in (convexgeom, realma):
+        for name in ("clip_halfplane", "dual_cell_2d"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name,
+                                    counting(name, getattr(module, name)))
     for n in (17, 33):
-        clips[0] = 0
         measure = ma_measure(lattice(n))
         assert measure.cell_fallbacks == 0
         assert set(m for m, inside in zip(measure.masses, measure.interior)
                    if inside) == {F(1, 256)}
-        counts.append(clips[0])
-    # 3.8x the nodes; the full clip of every cell grew 14x
-    assert counts[1] <= 5 * counts[0]
+    rng = np.random.default_rng(3)
+    base = np.linspace(-1.0, 1.0, 33)
+    pts = np.array([(x, y) for x in base for y in base])
+    inside = [k for k, (x, y) in enumerate(pts) if abs(x) < 1 and abs(y) < 1]
+    pts[inside] += rng.uniform(-0.02, 0.02, (len(inside), 2))
+    values = (pts ** 2 * (1.3, 0.8)).sum(axis=1) + 0.2 * pts.prod(axis=1)
+    masses, _, fallbacks = realma._cells_2d(
+        [tuple(p) for p in pts], values.tolist(), inside)
+    assert fallbacks == 0 and masses.min() > 0
+    # float flat regions: nodes off the triangulation, on the envelope
+    grid = [(i / 8 - 1, j / 8 - 1) for i in range(17) for j in range(17)]
+    measure = ma_measure(ConvexPL(
+        box_polygon(-1.0, 1.0, -1.0, 1.0), grid,
+        [max(x + 2 * y, 3 * x - y + 0.5, -x + 0.25, 0.125) for x, y in grid]))
+    assert measure.cell_fallbacks == 0
+    assert abs(measure.total() - 7.0) <= 1e-12
+    assert calls == []
+
+
+def test_more_nodes_than_int32_half_edge_keys_hold():
+    # 216^2 nodes: a half-edge key src * n + dst passes 2^31
+    base = np.linspace(0.0, 1.0, 216)
+    nodes = [(x, y) for x in base for y in base]
+    target = TargetMeasure.from_density(box_polygon(0.0, 1.0, 0.0, 1.0),
+                                        nodes, 1.0)
+    assert abs(target.total() - 1.0) <= 1e-9

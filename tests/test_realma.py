@@ -245,17 +245,17 @@ def exp_solve(per, tol=1e-8):
 
 @pytest.fixture(scope="module")
 def exp_solves():
-    return {per: exp_solve(per) for per in (9, 17, 33)}
+    return {per: exp_solve(per) for per in (9, 17, 33, 65)}
 
 
 def test_solver_is_second_order_on_a_non_polynomial_solution(exp_solves):
-    # measured: sup errors 1.37e-3, 3.51e-4, 8.81e-5
+    # measured: sup errors 1.37e-3, 3.51e-4, 8.81e-5, 2.21e-5
     assert all(r.converged and r.residual <= 1e-8
                for r, _, _ in exp_solves.values())
-    sups = [exp_solves[per][2] for per in (9, 17, 33)]
+    sups = [exp_solves[per][2] for per in (9, 17, 33, 65)]
     for coarse, fine in zip(sups, sups[1:]):
         assert math.log2(coarse / fine) >= 1.8
-    assert sups[-1] < 1e-4
+    assert sups[2] < 1e-4 and sups[3] < 3e-5
 
 
 def test_a_33_by_33_solve_takes_at_most_30_cell_evaluations(exp_solves):
@@ -290,6 +290,22 @@ def test_solve_rejects_negative_and_zero_interior_masses():
         solve(line, {(F(1, 2),): F(-1, 4)}, {(0,): 0, (1,): 0})
     # a zero mass in 1D is a kink-free node
     result = solve(line, {(F(1, 2),): 0, (F(1, 4),): 1}, {(0,): 0, (1,): 0})
+    assert result.converged
+
+
+def test_solve_rejects_a_mass_off_its_nodes():
+    line, ends = Interval(0, 1), {(0,): 0, (1,): 0}
+    grid = [(F(k, 2),) for k in range(3)]
+    with pytest.raises(ValueError, match=r"target mass 1 at node \(1/3\), "
+                                         r"which is not a solve node"):
+        solve(line, {(F(1, 3),): 1}, ends, nodes=grid)
+    square = box_polygon(0, 1, 0, 1)
+    nodes = [(F(i, 2), F(j, 2)) for i in range(3) for j in range(3)]
+    masses = {(F(1, 2), F(1, 2)): 1, (F(1, 4), F(1, 2)): F(1, 8)}
+    with pytest.raises(ValueError, match=r"\(1/4, 1/2\), which is not"):
+        solve(square, masses, lambda nd: 0, nodes=nodes)
+    # a zero mass off the nodes asks for nothing
+    result = solve(line, {(F(1, 3),): 0, (F(1, 2),): 1}, ends, nodes=grid)
     assert result.converged
 
 
