@@ -9,6 +9,8 @@ files.  This script exercises the command line in process.
 """
 
 # %%
+import contextlib
+import io
 import json
 import pathlib
 import tempfile
@@ -75,7 +77,8 @@ print((workdir / "run1" / "namma.csv").read_text())
 
 Exit 0 is a passing check, exit 2 a failing one, exit 1 a configuration
 problem.  A lower-face density check against a wrong expected value
-demonstrates the failing path.
+demonstrates the failing path; its one-line message, which the command
+prints on stderr, is caught here to show it.
 """
 
 # %%
@@ -86,9 +89,12 @@ bad_doc["potential"] = {"face": "0", "gradients": {"0": 0, "1": 0},
 bad_doc["expected"] = 2
 bad_cfg = workdir / "bad.json"
 bad_cfg.write_text(json.dumps(bad_doc))
-code = main(["compare", "lowerface", str(bad_cfg),
-             "--out", str(workdir / "run2")])
+stderr = io.StringIO()
+with contextlib.redirect_stderr(stderr):
+    code = main(["compare", "lowerface", str(bad_cfg),
+                 "--out", str(workdir / "run2")])
 print("exit status:", code)
+print("stderr:", stderr.getvalue().strip())
 print("recorded failure:",
       json.loads((workdir / "run2" / "manifest.json")
                  .read_text())["summary"]["failure"])

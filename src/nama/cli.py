@@ -46,6 +46,16 @@ MAX_ORACLE_GRID = 1 << 16
 # 180 MB end to end in 1D, 65x65 about 4 s and 92 MB in 2D (129x129 takes
 # 17 s but 182 MB, past that envelope)
 MAX_SOLVE_GRID = {1: 100_000, 2: 65}
+# geometry slag-check --n and the --hessian dimension: the pair loop of
+# fiber_lagrangian_residual is quartic in it; 200 takes about 2 s and 35 MB
+# end to end (400 takes 8 s)
+MAX_FORM_DIM = 200
+# geometry gcalabi --n: dense n x n forms; 500 takes about 0.4 s and 80 MB
+# end to end (1,000 takes 1.5 s and 190 MB, 2,000 8 s and 560 MB)
+MAX_GCALABI_DIM = 500
+# geometry calabi --n: the exact constant is a big-integer power; 10^5
+# takes about 0.5 s end to end (3 x 10^5 takes 1.8 s)
+MAX_CALABI_N = 100_000
 
 
 # ---------------------------------------------------------------------------
@@ -202,11 +212,11 @@ def grid_nodes(domain, per_side):
     return list(itertools.product(*axes))
 
 
-def write_node_table(emitter, name, pl, measure):
+def write_node_table(emitter, name, pl, masses):
     """Sorted rows of node coordinates, value and mass (0 off the interior)."""
     rows = [tuple(nd) + (val, mass if is_int else 0)
             for nd, val, mass, is_int in sorted(zip(
-                measure.nodes, pl.values, measure.masses, measure.interior))]
+                pl.nodes, pl.values, masses, pl.interior_mask()))]
     header = tuple(f"node_x{i}" for i in range(pl.dim)) + ("value", "mass")
     emitter.write_table(name, header, rows)
 
@@ -222,15 +232,13 @@ def run_realma_solve(args, doc, emitter):
     bnd = cfg.boundary_values(doc, domain, nodes)
     tol = args.tol if args.tol is not None else 1e-8
     result = solve(domain, target, bnd, nodes=nodes, tol=tol)
-    measure = ma_measure(result.solution)
-    write_node_table(emitter, "solution.csv", result.solution, measure)
+    write_node_table(emitter, "solution.csv", result.solution, result.masses)
     emitter.summary["residual"] = float(result.residual)
     emitter.summary["iterations"] = result.iterations
     emitter.summary["converged"] = bool(result.converged)
     emitter.summary["nodes"] = len(nodes)
     emitter.summary["interior_nodes"] = len(nodes) - len(bnd)
-    emitter.summary["cell_fallbacks"] = (result.cell_fallbacks
-                                         + measure.cell_fallbacks)
+    emitter.summary["cell_fallbacks"] = result.cell_fallbacks
     if not result.converged or float(result.residual) > tol:
         raise CheckFailed(
             f"mass residual {float(result.residual):.3e} exceeds {tol}")
@@ -239,7 +247,7 @@ def run_realma_solve(args, doc, emitter):
 def run_realma_measure(args, doc, emitter):
     pl = cfg.convex_pl_from_config(doc, cfg.parse_domain(doc))
     measure = ma_measure(pl)
-    write_node_table(emitter, "measure.csv", pl, measure)
+    write_node_table(emitter, "measure.csv", pl, measure.masses)
     emitter.summary["total_mass"] = measure.total()
     emitter.summary["degenerate"] = measure.degenerate
     emitter.summary["cell_fallbacks"] = measure.cell_fallbacks
@@ -456,6 +464,9 @@ def run_geometry_slag(args, doc, emitter):
     H = cfg.symmetric_matrix(args.hessian) if args.hessian \
         else np.eye(args.n)
     n = H.shape[0]
+    if n > MAX_FORM_DIM:
+        raise ConfigError(f"--hessian must be at most {MAX_FORM_DIM}x"
+                          f"{MAX_FORM_DIM}, got {n}x{n}")
     L = args.L[0] if args.L else 1.0
     form = semiflat_form(H, L)
     frame = standard_torus_frame(n)
@@ -552,6 +563,12 @@ TOLERANCE = _checked(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
 ORACLE_GRID = _checked(int, f"in [1, {MAX_ORACLE_GRID}]",
                        lambda v: 1 <= v <= MAX_ORACLE_GRID)
 SEED = _checked(int, "in [0, 2^64)", lambda v: 0 <= v < 1 << 64)
+FORM_DIM = _checked(int, f"in [1, {MAX_FORM_DIM}]",
+                    lambda v: 1 <= v <= MAX_FORM_DIM)
+GCALABI_DIM = _checked(int, f"at most {MAX_GCALABI_DIM}",
+                       lambda v: v <= MAX_GCALABI_DIM)
+CALABI_N = _checked(int, f"in [1, {MAX_CALABI_N}]",
+                    lambda v: 1 <= v <= MAX_CALABI_N)
 CONFIG = (("config",), {"help": "config JSON"})
 
 
@@ -615,16 +632,16 @@ def build_parser():
     gsub = top.add_parser("geometry", help="Hermitian form identities") \
         .add_subparsers(dest="subcommand", required=True)
     slag = _command(gsub, "slag-check", run_geometry_slag)
-    slag.add_argument("--n", type=POSITIVE, default=2)
+    slag.add_argument("--n", type=FORM_DIM, default=2)
     slag.add_argument("--hessian", default=None,
                       help="CSV file with a symmetric matrix")
     slag.add_argument("--L", type=SCALE, nargs="*", default=None)
     _command(gsub, "calabi", run_geometry_calabi).add_argument(
-        "--n", type=POSITIVE, required=True)
+        "--n", type=CALABI_N, required=True)
     gcal = _command(gsub, "gcalabi", run_geometry_gcalabi)
     gcal.add_argument("--m", type=int, required=True,
                       help="base block size")
-    gcal.add_argument("--n", type=int, required=True,
+    gcal.add_argument("--n", type=GCALABI_DIM, required=True,
                       help="total dimension")
     gcal.add_argument("--L", type=SCALE, nargs="*", default=None)
     return parser

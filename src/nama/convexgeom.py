@@ -168,10 +168,12 @@ def dual_cell_2d(index, points, values, box=None, expect_bounded=False):
 
     The full clip: every other node cuts the box, nearest first, with a
     cheap no-op skip, so grid-like inputs clip in effectively constant time
-    per constraint.  When ``expect_bounded`` the box is enlarged until the
-    cell no longer touches it (interior nodes of an envelope have bounded
-    cells), and while the cell misses it: a bounded cell may lie wholly
-    outside the default box, and only a cell empty in every box is empty.
+    per constraint.  Without ``box`` the default box is enlarged while the
+    cell misses it, so the answer does not depend on a box: a cell with
+    interior, bounded or not, may lie wholly outside the default box, and
+    only a cell empty in every box is empty.  When ``expect_bounded`` the
+    box is enlarged until the cell is empty or no longer touches it
+    (interior nodes of an envelope have bounded cells).
     """
     xi = points[index]
     vi = values[index]
@@ -179,6 +181,7 @@ def dual_cell_2d(index, points, values, box=None, expect_bounded=False):
     others.sort(key=lambda j: ((float(points[j][0]) - float(xi[0])) ** 2
                                + (float(points[j][1]) - float(xi[1])) ** 2,
                                j))
+    grow = box is None or expect_bounded
     if box is None:
         m = 0.0
         for j in others:
@@ -195,10 +198,10 @@ def dual_cell_2d(index, points, values, box=None, expect_bounded=False):
     for _ in range(12):
         cell = cut_cell(index, points, values,
                         box_vertices(lo0, hi0, lo1, hi1), others)
-        if not (expect_bounded and (cell.touches_box or not cell.vertices)):
+        if not (grow and cell.empty or expect_bounded and cell.touches_box):
             return cell
         lo0, hi0, lo1, hi1 = lo0 * 4, hi0 * 4, lo1 * 4, hi1 * 4
-    if not cell.vertices:
+    if cell.empty:
         return cell
     raise RuntimeError("cell did not close up under box enlargement; "
                        "is the node interior?")
@@ -253,25 +256,22 @@ class FacetCells:
     term and one dual-edge length, the distance between the gradients of the
     two facets on it, summed per node: no clipping and no ordering of the
     fans.  Exact input (Fraction nodes and values) runs the same arithmetic
-    on object arrays.  The Qhull hull is checked, not trusted: every
-    interior edge must be locally convex and every node off the
-    triangulation on or above every facet plane, which makes the
-    interpolant the envelope.  Exact input must pass exactly, with every
-    triangle positively oriented and the triangles tiling the ccw polygon
-    ``corners``, or no node is good.  Float checks allow a relative 1e-11,
-    and a float node off the triangulation whose lift is not below the
-    envelope by more has an empty cell: above the envelope it has no
-    supporting plane, and on it a node that is no hull vertex has a cell
-    without interior.
+    on object arrays.  The Qhull hull is checked, not trusted: every edge
+    between two proper triangles must be locally convex and every node off
+    the triangulation on or above every facet plane, which makes the
+    interpolant the envelope; else no node is good.  Exact input must pass
+    exactly, with every triangle positively oriented and the triangles
+    tiling the ccw polygon ``corners``; float checks allow a relative
+    1e-11.  A node off the triangulation then has an empty cell: a cell is
+    the envelope's subdifferential at the node (Rockafellar 1970, sections
+    23-24), which has interior only at a vertex of the triangulation.
 
     ``good`` marks the nodes whose cells the hull gives, ``closed`` those of
-    them with bounded cells, of areas ``area``.  The other good nodes lie on
-    the hull boundary; ``solid`` says whether their cells have interior.
-    The other nodes take the full clip, :meth:`full`, which ``fallbacks``
-    counts: exact nodes off the triangulation, float ones below the
-    envelope (a sign of an inconsistent hull), nodes of a flat float
-    triangle or of one next to an edge that fails the check, and every node
-    when the exact check fails.
+    them with bounded (possibly empty) cells, of areas ``area``.  The other
+    good nodes lie on the hull boundary; ``solid`` says whether their cells
+    have interior.  The other nodes take the full clip, :meth:`full`, which
+    ``fallbacks`` counts: the nodes of a flat float triangle, and every node
+    when a check fails.
     """
 
     def __init__(self, nodes, values, corners=None):
@@ -316,9 +316,9 @@ class FacetCells:
                                        * np.abs(grad[~bad]).max(initial=0))
         # convex across an edge: the gradient jumps towards the facet across
         inner = np.nonzero(twin >= 0)[0]
-        e = inner[inner < twin[inner]]
+        e = inner[(inner < twin[inner]) & ~bad[inner // 3]
+                  & ~bad[twin[inner] // 3]]
         jump, side = grad[twin[e] // 3] - grad[e // 3], P[dst[e]] - P[src[e]]
-        fold = e[~(jump[:, 0] * side[:, 1] - jump[:, 1] * side[:, 0] >= -tol)]
         off = np.nonzero(~good)[0]
         lift = np.zeros(len(off), dtype=V.dtype)
         if len(off) and not bad.all():
@@ -328,28 +328,27 @@ class FacetCells:
             for k in range(0, len(off), step):
                 i = off[k:k + step]
                 lift[k:k + step] = V[i] - (P[i] @ g.T + b).max(axis=1)
+        if not ((jump[:, 0] * side[:, 1] - jump[:, 1] * side[:, 0]
+                 >= -tol).all() and (lift >= -tol).all()):
+            return
+        good[off] = True
         if exact:
             C = [tuple(map(Fraction, v)) for v in corners or ()]
             rim = twin < 0
-            if not (C and not bad.any() and not len(fold)
-                    and (lift >= 0).all() and det.sum() == sum(
+            if not (C and not bad.any() and det.sum() == sum(
                         _orient(C[0], p, q) for p, q in zip(C[1:], C[2:]))
                     and np.logical_or.reduce([
                         (_orient(p, q, P[src[rim]].T) == 0)
                         & (_orient(p, q, P[dst[rim]].T) == 0)
                         for p, q in zip(C, C[1:] + C[:1])]).all()):
                 return
-        else:
-            good[off[lift >= -tol]] = True
-            bad[fold // 3] = bad[twin[fold] // 3] = True
-            good[tri[bad].ravel()] = False
+        good[tri[bad].ravel()] = False
         edge = np.zeros(n, dtype=bool)
         edge[src[twin < 0]] = True
         self.good, self.closed = good, good & ~edge
         self.tri, self.grad, self.src, self.dst, self.apex, self.twin = (
             tri, grad, src, dst, apex, twin)
-        self._order, self._keys, self._pts, self._vals = (
-            order, key[order], pts, vals)
+        self._order, self._keys = order, key[order]
 
         # the fan's shoelace; float terms are taken relative to one facet of
         # the node so that cells far from the origin keep their digits
@@ -382,30 +381,21 @@ class FacetCells:
                            np.searchsorted(self._keys, i * n + n)]
 
     def cut(self, i, polygon):
-        """Good node i's cell within the convex ``polygon``: the polygon cut
-        by the halfplanes of i's neighbours alone, which suffice because the
-        interpolant is convex."""
-        fan = self._fan(i)
-        if not len(fan):            # off the triangulation: empty
-            return Cell(2, [], 0, {}, False, True)
-        star = sorted(set(self.dst[fan].tolist() + self.apex[fan].tolist()))
+        """Node i's cell within the convex ``polygon``.  A good node's is the
+        polygon cut by the halfplanes of its neighbours on the hull alone,
+        which suffice because the interpolant is convex, and is empty off
+        the triangulation; any other node's is cut by every other node,
+        counted in ``fallbacks``."""
+        if not self.good[i]:
+            self.fallbacks += 1
+            star = [j for j in range(len(self.nodes)) if j != i]
+        else:
+            fan = self._fan(i)
+            if not len(fan):
+                return Cell(2, [], 0, {}, False, True)
+            star = sorted(set(self.dst[fan].tolist()
+                              + self.apex[fan].tolist()))
         return cut_cell(i, self.nodes, self.values, polygon, star)
-
-    def meets_box(self, i):
-        """Whether good boundary node i's cell meets :func:`dual_cell_2d`'s
-        default box in positive area, as that clip decides whether such a
-        node is on the envelope: at once when a facet gradient around i lies
-        inside the box, else by a cut."""
-        if not self.solid[i]:
-            return False
-        d = np.abs(self._pts - self._pts[i]).max(axis=1)
-        half = np.divide(np.abs(self._vals - self._vals[i]), d,
-                         out=np.zeros_like(d), where=d > 0).max() + 1.0
-        if isinstance(self.values[i], Fraction):
-            half = Fraction(math.ceil(half))
-        if (np.abs(self.grad[self._fan(i) // 3]) < half).all(axis=1).any():
-            return True
-        return not self.cut(i, box_vertices(-half, half, -half, half)).empty
 
     def inside(self, corners):
         """Closed nodes whose cells lie in the ccw polygon ``corners``, by a
@@ -428,7 +418,8 @@ class FacetCells:
         e, ell = e[ell > 0], ell[ell > 0]
         return self.src[e], self.dst[e], ell
 
-    def full(self, i, box=None, expect_bounded=False):
-        """Node i's cell by the full clip of :func:`dual_cell_2d`."""
+    def full(self, i, expect_bounded=False):
+        """Node i's cell by the box-free full clip of :func:`dual_cell_2d`."""
         self.fallbacks += 1
-        return dual_cell_2d(i, self.nodes, self.values, box, expect_bounded)
+        return dual_cell_2d(i, self.nodes, self.values,
+                            expect_bounded=expect_bounded)

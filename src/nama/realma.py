@@ -16,13 +16,15 @@ rationals; the solver works in floats.  In 2D every cell comes from one
 Qhull lower hull of the lifted nodes (:class:`~nama.convexgeom.FacetCells`):
 its facet gradients give each cell's area and dual-edge lengths in a few
 array passes, on Fraction object arrays for rational input, once the hull
-has been checked.  A node the hull does not vouch for takes the full clip
+has been checked.  A node off the checked triangulation has a cell
+without interior.  A node the hull does not vouch for takes the full clip
 against every other node (:func:`~nama.convexgeom.dual_cell_2d`), counted
 as a cell fallback.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from dataclasses import dataclass
@@ -30,8 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexgeom import (FacetCells, box_vertices, cut_cell, dual_cell_1d,
-                         dual_cell_2d, lifted_hull, polygon_area)
+from .convexgeom import (FacetCells, box_vertices, dual_cell_1d, lifted_hull,
+                         polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure
 
@@ -280,12 +282,17 @@ def discrete_slope_jumps(xs, values):
 
 @dataclass(frozen=True)
 class MAMeasure:
-    """Per-node subgradient masses of a ConvexPL function."""
+    """Per-node subgradient masses of a ConvexPL function.
+
+    ``on_envelope`` says whether a node's cell has interior: false for a
+    node above the envelope or on it but no vertex of its graph, true for
+    every domain corner.
+    """
 
     nodes: tuple
     masses: tuple            # zero at boundary / non-contributing nodes
     interior: tuple          # bool per node
-    on_envelope: tuple       # bool per node
+    on_envelope: tuple       # bool per node: the cell has interior
     degenerate: bool         # zero measure everywhere
     cell_fallbacks: int = 0  # 2D cells that took the full clip
 
@@ -301,25 +308,18 @@ class MAMeasure:
         return AtomicMeasure(tuple(sup), tuple(ms))
 
 
-def gradient_cells(cpl, clip_box=None):
-    """Dual (subgradient) cells of every node.
-
-    Without ``clip_box`` these are the full clips of :func:`dual_cell_2d`:
-    interior cells whole, boundary cells cut to its default box.  With it,
-    every cell is clipped to ``clip_box``, which is how the tiling identity
-    is checked, and in 2D a cell is the box cut by the node's neighbours on
-    the lifted lower hull (:class:`FacetCells`).
+def gradient_cells(cpl, clip_box):
+    """Dual (subgradient) cells of every node, clipped to ``clip_box``
+    (``(lo, hi)`` in 1D, ``(lo0, hi0, lo1, hi1)`` in 2D), which is how the
+    tiling identity is checked.  In 2D a cell is the box cut by the node's
+    neighbours on the lifted lower hull (:meth:`FacetCells.cut`).
     """
     if cpl.dim == 1:
         return [dual_cell_1d(i, cpl.nodes, cpl.values, box=clip_box)
                 for i in range(len(cpl.nodes))]
-    if clip_box is None:
-        return [dual_cell_2d(i, cpl.nodes, cpl.values, expect_bounded=inside)
-                for i, inside in enumerate(cpl.interior_mask())]
     cells = FacetCells(cpl.nodes, cpl.values, cpl.domain.vertices)
     box = box_vertices(*clip_box)
-    return [cells.cut(i, box) if cells.good[i] else cells.full(i, clip_box)
-            for i in range(len(cpl.nodes))]
+    return [cells.cut(i, box) for i in range(len(cpl.nodes))]
 
 
 def ma_measure(cpl):
@@ -327,11 +327,12 @@ def ma_measure(cpl):
 
     Mass at an interior node is the volume of its dual cell, exact in
     rational mode; boundary nodes carry no mass (their cells are unbounded
-    and the measure is restricted to the open domain).  Nodes strictly above
-    the envelope have empty cells and are flagged off-envelope, as are
-    nodes whose cells have no interior.  In 2D every cell the lifted hull
-    vouches for is read off its facet gradients (:class:`FacetCells`); the
-    others take the full clip, counted in ``cell_fallbacks``.
+    and the measure is restricted to the open domain).  A node is flagged
+    off-envelope when its cell has no interior: it lies above the envelope,
+    or on it but at no vertex of the envelope's graph.  In 2D every cell
+    the lifted hull vouches for is read off its facet gradients
+    (:class:`FacetCells`), a boundary node's flag off its fan; the others
+    take the box-free full clip, counted in ``cell_fallbacks``.
     """
     interior = cpl.interior_mask()
     masses, on_env = [], []
@@ -355,7 +356,7 @@ def ma_measure(cpl):
                 on_env.append(area[i] > 0)
             elif cells.good[i] and not inside:
                 masses.append(zero)
-                on_env.append(cells.meets_box(i))
+                on_env.append(bool(cells.solid[i]))
             else:
                 cell = cells.full(i, expect_bounded=inside)
                 masses.append(cell.volume if inside and not cell.empty
@@ -678,9 +679,8 @@ class TargetMeasure:
         ``|x|^2 / 2`` clipped to the domain, so the construction reuses the
         exact cell machinery and the masses add up to density * volume
         exactly in rational mode.  In 2D a cell inside the domain is its
-        fan of facet gradients (:class:`FacetCells`); for the others the
-        domain polygon is cut by the node's hull neighbours, or by every
-        other node when the hull does not vouch for it.  In 1D the cells
+        fan of facet gradients (:class:`FacetCells`); the others are the
+        domain polygon cut as :meth:`FacetCells.cut` decides.  In 1D the cells
         come from one sort (:func:`_cell_ends_1d`): a cell is bounded by the
         lift's slopes to the sorted neighbours, the midpoints.
         """
@@ -700,11 +700,8 @@ class TargetMeasure:
             area = cells.area.tolist()
             corners = list(domain.vertices)
             for i, nd in enumerate(nodes):
-                if cells.good[i] and not whole[i]:
+                if not whole[i]:
                     area[i] = cells.cut(i, corners).volume
-                elif not whole[i]:
-                    area[i] = cut_cell(i, nodes, values, corners, [
-                        j for j in range(len(nodes)) if j != i]).volume
                 masses[nd] = density * area[i]
         else:
             raise NotImplementedError("density targets support dims 1 and 2")
@@ -753,6 +750,7 @@ class SolveResult:
     converged: bool
     method: str
     cell_fallbacks: int = 0  # 2D cells that took the full clip
+    masses: tuple = ()       # per solution node, 0 on the boundary
 
 
 def _resolve_boundary(boundary, node):
@@ -765,8 +763,10 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
     """Solve the discrete Monge-Ampere Dirichlet problem on a node set.
 
     Finds the convex PL function with prescribed subgradient masses at the
-    interior nodes and prescribed boundary values.  In 1D this is one
-    tridiagonal solve, exact for rational data.  In 2D it is the damped
+    interior nodes and prescribed boundary values.  In 1D the slope on
+    [x_k, x_k+1] is s_0 plus the masses of x_1..x_k, and s_0 follows from
+    the slopes times the steps adding up to v_hi - v_lo: two prefix sums,
+    exact for rational data.  In 2D it is the damped
     Newton method of Kitagawa, Merigot and Thibert (JEMS 2019,
     arXiv:1603.05579) on the cell-area map, second order in practice on
     this (Oliker-Prussner) scheme:
@@ -803,6 +803,8 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
     -------
     SolveResult
         ``iterations`` counts cell-map evaluations in 2D (1 in 1D);
+        ``masses`` holds the last iterate's mass at each node of
+        ``solution`` (its slope jump in 1D), 0 at boundary nodes;
         ``converged=False`` carries the last iterate with its residual; no
         exception is raised for slow convergence.
     """
@@ -832,76 +834,35 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
 def _solve_1d(domain, nodes, target, boundary, tol):
     nodes = sorted(tuple(_coerce(c) for c in nd) for nd in nodes)
     xs = [nd[0] for nd in nodes]
-    mus = [target.mass_at(nd) for nd in nodes]
-    rational = (all(isinstance(x, Fraction) for x in xs)
-                and all(isinstance(_coerce(m), Fraction) for m in mus[1:-1]))
-    v_lo = _coerce(_resolve_boundary(boundary, nodes[0]))
-    v_hi = _coerce(_resolve_boundary(boundary, nodes[-1]))
-    rational = (rational and isinstance(v_lo, Fraction)
-                and isinstance(v_hi, Fraction))
+    mus = [_coerce(target.mass_at(nd)) for nd in nodes[1:-1]]
+    ends = [_coerce(_resolve_boundary(boundary, nd))
+            for nd in (nodes[0], nodes[-1])]
+    if not all(isinstance(c, Fraction) for c in xs + mus + ends):
+        xs, mus, ends = ([float(c) for c in seq] for seq in (xs, mus, ends))
+    v_lo, v_hi = ends
 
-    n = len(xs)
-    if rational:
-        one = Fraction(1)
-    else:
-        one = 1.0
-        xs = [float(x) for x in xs]
-        mus = [float(m) for m in mus]
-        v_lo, v_hi = float(v_lo), float(v_hi)
-    h = [xs[i + 1] - xs[i] for i in range(n - 1)]
-
-    # tridiagonal system for the interior values:
-    # v[i-1]/h[i-1] - (1/h[i-1] + 1/h[i]) v[i] + v[i+1]/h[i] = mu_i - bdry
-    sub = [one / h[i] for i in range(n - 1)]
-    diag = [-(one / h[i - 1] + one / h[i]) for i in range(1, n - 1)]
-    rhs = [_coerce(mus[i]) if rational else float(mus[i])
-           for i in range(1, n - 1)]
-    if n == 2:
-        interior_vals = []
-    else:
-        rhs[0] -= v_lo * sub[0]
-        rhs[-1] -= v_hi * sub[-1]
-        interior_vals = _thomas(sub[1:-1], diag, sub[1:-1], rhs)
-
-    values = [v_lo] + interior_vals + [v_hi]
-    if not rational and n > 2:
-        values = _refine_1d(xs, values, mus)
+    # slope k is s_0 plus the masses of nodes 1..k, and the slopes times
+    # the steps add up to v_hi - v_lo
+    steps = [b - a for a, b in zip(xs, xs[1:])]
+    rise = list(itertools.accumulate(mus, initial=0 * v_lo))
+    width = xs[-1] - xs[0]
+    s0 = (v_hi - v_lo - sum(h * r for h, r in zip(steps, rise))) / width
+    values = list(itertools.accumulate(
+        (h * (s0 + r) for h, r in zip(steps, rise)), initial=v_lo))
+    miss = (v_hi - values[-1]) / width
+    if miss:
+        # float rounding leaves the far end off v_hi: an affine correction
+        # closes the gap without moving a slope jump or piling it on one
+        values = [v + miss * (x - xs[0]) for v, x in zip(values, xs)]
+    values[-1] = v_hi
     cpl = ConvexPL(domain, [(x,) for x in xs], values)
 
     jumps = discrete_slope_jumps(xs, values)
-    mean = sum(float(m) for m in mus[1:-1]) / max(1, n - 2) or 1.0
-    residual = max((abs(float(j) - float(m))
-                    for j, m in zip(jumps, mus[1:-1])), default=0.0) / mean
-    return SolveResult(cpl, residual, 1, residual <= tol, "direct")
-
-
-def _thomas(lower, diag, upper, rhs):
-    """Tridiagonal elimination; exact when fed Fractions."""
-    m = len(diag)
-    diag = list(diag)
-    rhs = list(rhs)
-    for i in range(1, m):
-        w = lower[i - 1] / diag[i - 1]
-        diag[i] = diag[i] - w * upper[i - 1]
-        rhs[i] = rhs[i] - w * rhs[i - 1]
-    out = [None] * m
-    out[-1] = rhs[-1] / diag[-1]
-    for i in range(m - 2, -1, -1):
-        out[i] = (rhs[i] - upper[i] * out[i + 1]) / diag[i]
-    return out
-
-
-def _refine_1d(xs, values, mus):
-    """Residual-correction passes for the float tridiagonal solve."""
-    sub = [1 / (b - a) for a, b in zip(xs, xs[1:])]
-    diag = [-(left + right) for left, right in zip(sub, sub[1:])]
-    for _ in range(2):
-        jumps = discrete_slope_jumps(xs, values)
-        delta = _thomas(sub[1:-1], diag, sub[1:-1],
-                        [m - j for m, j in zip(mus[1:-1], jumps)])
-        values = values[:1] + [v + d for v, d in zip(values[1:-1], delta)] \
-            + values[-1:]
-    return values
+    mean = sum(float(m) for m in mus) / max(1, len(mus)) or 1.0
+    residual = max((abs(float(j) - float(m)) for j, m in zip(jumps, mus)),
+                   default=0.0) / mean
+    return SolveResult(cpl, residual, 1, residual <= tol, "direct",
+                       masses=(0, *jumps, 0))
 
 
 def _boundary_envelope_values(b_nodes, b_values, queries):
@@ -1027,7 +988,10 @@ def _solve_2d(domain, nodes, target, boundary, tol):
         v, masses, edges, res = v + tau * delta, t_masses, t_edges, t_res
 
     values[interior_idx] = v
+    final = np.zeros(len(nodes))
+    final[interior_idx] = masses
     # a float copy of the domain classifies the rounded nodes
     flat = Polygon([[float(c) for c in vert] for vert in domain.vertices])
     return SolveResult(ConvexPL(flat, nodes, values.tolist()), float(res),
-                       evaluations, bool(res <= tol), "newton", fallbacks)
+                       evaluations, bool(res <= tol), "newton", fallbacks,
+                       tuple(final.tolist()))

@@ -6,7 +6,8 @@ import json
 import pytest
 
 from nama import cli, config
-from nama.cli import MAX_ORACLE_GRID, MAX_SOLVE_GRID, build_parser, main
+from nama.cli import (MAX_CALABI_N, MAX_FORM_DIM, MAX_GCALABI_DIM,
+                      MAX_ORACLE_GRID, MAX_SOLVE_GRID, build_parser, main)
 from nama.errors import ConfigError
 
 SEGMENT_TABLE = [
@@ -498,6 +499,49 @@ def test_solve_grid_cap_is_accepted_without_running(tmp_path, monkeypatch,
         main(argv + [str(MAX_SOLVE_GRID[dim])])
     assert main(argv + [str(MAX_SOLVE_GRID[dim] + 1)]) == 1
     assert capsys.readouterr().err.startswith("config error: --grid")
+
+
+class Reached(Exception):
+    pass
+
+
+def stop(*args):
+    raise Reached(args)
+
+
+@pytest.mark.parametrize("argv, cap, stage", [
+    (["slag-check", "--n"], MAX_FORM_DIM, "semiflat_form"),
+    (["calabi", "--n"], MAX_CALABI_N, "power_law_potential"),
+    (["gcalabi", "--m", "0", "--n"], MAX_GCALABI_DIM,
+     "random_block_instance"),
+])
+def test_geometry_size_caps_are_accepted_without_running(
+        tmp_path, monkeypatch, capsys, argv, cap, stage):
+    monkeypatch.setattr(cli, stage, stop)
+    argv = ["geometry"] + argv
+    out = ["--out", str(tmp_path / "out")]
+    with pytest.raises(Reached):
+        main(argv + [str(cap)] + out)
+    assert main(argv + [str(cap + 1)] + out) == 1
+    assert capsys.readouterr().err.startswith("config error: argument --n")
+
+
+def test_hessian_dimension_cap_is_accepted_without_running(
+        tmp_path, monkeypatch, capsys):
+    monkeypatch.setattr(cli, "semiflat_form", stop)
+    argv = ["geometry", "slag-check", "--out", str(tmp_path / "out"),
+            "--hessian", str(tmp_path / "h.csv")]
+    for n in (MAX_FORM_DIM, MAX_FORM_DIM + 1):
+        (tmp_path / "h.csv").write_text("\n".join(
+            ",".join("1" if i == j else "0" for j in range(n))
+            for i in range(n)))
+        if n == MAX_FORM_DIM:
+            with pytest.raises(Reached):
+                main(argv)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --hessian must be at most {MAX_FORM_DIM}x"
+        f"{MAX_FORM_DIM}, got {n}x{n}\n")
 
 
 def test_rerun_into_a_used_directory_removes_only_stale_tables(tmp_path):

@@ -2,14 +2,15 @@
 
 ``ma_measure``, ``gradient_cells``, ``from_density`` and the solver read
 each 2D cell off the gradients of the lifted lower-hull facets around its
-node.  The full clip against all other nodes (``dual_cell_2d``) is the
-oracle: exact inputs must agree with it exactly, float inputs to rounding.
+node.  The box-free full clip against all other nodes (``dual_cell_2d``) is
+the oracle: exact inputs must agree with it exactly, and float inputs with
+its exact answer for the same data, every float being a Fraction.
 """
 
 from fractions import Fraction
 
 import numpy as np
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nama import (ConvexPL, Polygon, TargetMeasure, box_polygon,
@@ -99,11 +100,87 @@ def test_a_cell_outside_the_default_box_keeps_its_mass():
     assert assert_exact_agreement(cpl).masses[7] == F(4, 9)
 
 
+def test_a_corner_whose_cell_misses_the_default_box_is_on_the_envelope():
+    # corner (2, 0)'s unbounded cell misses the full clip's default box
+    # [-8, 8]^2, which must grow instead of reporting no cell
+    corners = [(0, 0), (2, 0), (3, 1), (1, 2), (-1, 1)]
+    cpl = ConvexPL(Polygon(corners), corners, [-2, 1, -6, 0, F(-1, 3)])
+    assert not dual_cell_2d(1, cpl.nodes, cpl.values).empty
+    assert assert_exact_agreement(cpl).on_envelope == (True,) * 5
+
+
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(st.integers(3, 6), rationals, rationals)
 def test_flat_lattice_quads_are_certified(n, a, b):
     measure = assert_exact_agreement(lattice(n, F(1, 3), (a, b)))
     assert measure.cell_fallbacks == 0
+
+
+@st.composite
+def polygon_functions(draw):
+    """Random rational values k/d (|k| <= 6, d <= 3) on a random lattice
+    polygon, the hull of 3 to 7 points of [-3, 3]^2: the nodes are those
+    points and the ones of up to 12 half-lattice points inside it."""
+    pts = draw(st.sets(st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+                       min_size=3, max_size=7))
+    corners = lattice_hull(pts)
+    assume(len(corners) >= 3)
+    domain = Polygon(corners)
+    halves = draw(st.sets(st.tuples(st.integers(-6, 6), st.integers(-6, 6)),
+                          max_size=12))
+    nodes = sorted({(F(x), F(y)) for x, y in pts}
+                   | {(F(x, 2), F(y, 2)) for x, y in halves
+                      if domain.contains((F(x, 2), F(y, 2)))})
+    values = [F(draw(st.integers(-6, 6)), draw(st.integers(1, 3)))
+              for _ in nodes]
+    return ConvexPL(domain, nodes, values)
+
+
+def lattice_hull(pts):
+    """The corners of the convex hull of integer points, ccw."""
+    pts = sorted(pts)
+
+    def chain(seq):
+        out = []
+        for p in seq:
+            while len(out) > 1 and convexgeom._orient(out[-2], out[-1],
+                                                      p) <= 0:
+                out.pop()
+            out.append(p)
+        return out[:-1]
+
+    return chain(pts) + chain(pts[::-1])
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(polygon_functions())
+def test_on_envelope_is_the_box_free_full_clip(cpl):
+    # a cell has interior or not, whatever box the clip starts from; every
+    # domain corner is an extreme node, so its cell always has interior
+    measure = assert_exact_agreement(cpl)
+    for corner in cpl.domain.vertices:
+        assert measure.on_envelope[cpl.nodes.index(corner)]
+
+
+def test_lifted_pieces_take_no_full_clip(monkeypatch):
+    # nodes inside flat facets and nodes lifted above them lie off the
+    # certified triangulation: their cells are empty without a clip
+    calls = []
+    real = convexgeom.dual_cell_2d
+
+    def counting(index, *args, **kwargs):
+        calls.append(index)
+        return real(index, *args, **kwargs)
+
+    monkeypatch.setattr(convexgeom, "dual_cell_2d", counting)
+    nodes = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
+    values = [max(x + 2 * y, 3 * x - y + F(1, 2), -x + F(1, 4), F(1, 8))
+              + F(i % 3, 8) for i, (x, y) in enumerate(nodes)]
+    cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes, values)
+    measure = ma_measure(cpl)
+    assert calls == [] and measure.cell_fallbacks == 0
+    monkeypatch.undo()
+    assert measure == assert_exact_agreement(cpl)
 
 
 def test_affine_data_takes_the_full_clip():
@@ -115,18 +192,37 @@ def test_affine_data_takes_the_full_clip():
     assert measure.degenerate
 
 
+def scramble_hull(monkeypatch, n):
+    """Make ``lifted_hull`` return the hull of other values at n nodes."""
+    real = convexgeom.lifted_hull
+    scrambled = np.arange(n) * 7 % 11 / 11.0
+    monkeypatch.setattr(convexgeom, "lifted_hull",
+                        lambda pts, vals: real(pts, vals + scrambled))
+
+
 def test_a_wrong_hull_fails_certification(monkeypatch):
     # a hull of other values: the exact checks must reject its triangles
     nodes = [(F(i, 4) + F((i * j) % 3 - 1, 24) * (0 < i < 4 and 0 < j < 4),
               F(j, 4)) for i in range(5) for j in range(5)]
     cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes,
                    [x * x + 3 * y * y + x * y for x, y in nodes])
-    real = convexgeom.lifted_hull
-    scrambled = np.arange(len(nodes)) * 7 % 11 / 11.0
-    monkeypatch.setattr(convexgeom, "lifted_hull",
-                        lambda pts, vals: real(pts, vals + scrambled))
+    scramble_hull(monkeypatch, len(nodes))
     measure = assert_exact_agreement(cpl)
     assert measure.cell_fallbacks == len(nodes)
+
+
+def test_exact_density_targets_under_a_wrong_hull_are_unchanged(
+        monkeypatch):
+    # no node is vouched for, so every cell is the domain cut by all others
+    box = box_polygon(0, 1, 0, 1)
+    nodes = [(F(i, 5) + F((i * j) % 3 - 1, 30) * (0 < i < 5 and 0 < j < 5),
+              F(j, 5)) for i in range(6) for j in range(6)]
+    want = TargetMeasure.from_density(box, nodes, F(3))
+    scramble_hull(monkeypatch, len(nodes))
+    values = [(x * x + y * y) / 2 for x, y in nodes]
+    assert not convexgeom.FacetCells(nodes, values, box.vertices).good.any()
+    got = TargetMeasure.from_density(box, nodes, F(3))
+    assert got.masses == want.masses and got.total() == 3
 
 
 def test_exact_density_targets_match_the_full_clip():
@@ -140,12 +236,10 @@ def test_exact_density_targets_match_the_full_clip():
     assert target.masses[(F(1, 2), F(1, 2))] == F(3, 100)
 
 
-@st.composite
-def float_functions(draw):
-    """Jittered k x k grids on [-1, 1]^2 with a random convex quadratic
-    plus nonnegative noise, so some nodes sit above the envelope."""
-    k = draw(st.integers(3, 7))
-    seed = draw(st.integers(0, 2 ** 32 - 1))
+def jittered_quadratic(k, seed, noise):
+    """A jittered k x k grid on [-1, 1]^2 with a random convex quadratic
+    plus ``noise`` times uniform lifts, so some nodes sit above the
+    envelope."""
     rng = np.random.default_rng(seed)
     base = np.linspace(-1.0, 1.0, k)
     nodes = []
@@ -157,23 +251,42 @@ def float_functions(draw):
             nodes.append(tuple(float(c) for c in p))
     a, c = rng.uniform(0.2, 2.0, 2)
     b = rng.uniform(-0.9, 0.9) * min(a, c)
-    noise = draw(st.sampled_from((0.0, 0.01, 0.3)))
     values = [float(a * x * x + 2 * b * x * y + c * y * y
                     + noise * rng.uniform()) for x, y in nodes]
     return nodes, values
+
+
+@st.composite
+def float_functions(draw):
+    """Jittered 3 x 3 to 7 x 7 grids with noise 0, 0.01 or 0.3."""
+    k = draw(st.integers(3, 7))
+    seed = draw(st.integers(0, 2 ** 32 - 1))
+    return jittered_quadratic(k, seed, draw(st.sampled_from((0.0, 0.01,
+                                                              0.3))))
 
 
 def close(got, want):
     return abs(float(got) - float(want)) <= 1e-12 * abs(float(want))
 
 
+def in_fractions(cpl):
+    """The same function in exact arithmetic: every float is a Fraction."""
+    return ConvexPL(Polygon([tuple(map(F, v)) for v in cpl.domain.vertices]),
+                    [tuple(map(F, nd)) for nd in cpl.nodes],
+                    [F(v) for v in cpl.values])
+
+
 @FLOAT
+@example(jittered_quadratic(6, 31, 0.3))
 @given(float_functions())
 def test_float_cells_agree_with_the_full_clip(data):
+    # the float masses against the exact clip of the same data: in the
+    # example the float clip of node 14 (a cell of mass 2e-8) errs 1.5e-11
+    # relative, the facet-gradient mass 2.9e-13
     nodes, values = data
     cpl = ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0), nodes, values)
     measure = ma_measure(cpl)
-    cells = full_clip(cpl)
+    cells = full_clip(in_fractions(cpl))
     for m, cell, inside in zip(measure.masses, cells, measure.interior):
         assert close(m, cell.volume if inside and not cell.empty else 0)
     assert measure.on_envelope == tuple(not c.empty for c in cells)
@@ -216,6 +329,21 @@ def check_dual_edges(cpl):
                 want[k, pos[j]] += ell / dist
     jac = realma._mass_jacobian(pts, inside, edges).toarray()
     assert np.abs(jac - want).max() <= 8 * tol / near
+
+
+def test_float_cells_under_a_wrong_hull_take_the_full_clip(monkeypatch):
+    # the float checks reject a hull of other values, so every interior
+    # node takes the full clip in the solver's cells
+    cpl = ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0),
+                   *jittered_quadratic(6, 7, 0.0))
+    inside = [i for i, it in enumerate(cpl.interior_mask()) if it]
+    scramble_hull(monkeypatch, len(cpl.nodes))
+    masses, _, fallbacks = realma._cells_2d(cpl.nodes, cpl.values, inside)
+    assert fallbacks == len(inside)
+    assert masses.tolist() == [
+        dual_cell_2d(i, cpl.nodes, cpl.values, expect_bounded=True).volume
+        for i in inside]
+    check_dual_edges(cpl)
 
 
 @FLOAT

@@ -3,6 +3,7 @@
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from nama import (ConvexPL, InfeasibleBoundary, Interval, TargetMeasure,
@@ -163,6 +164,25 @@ def test_solve_1d_quadratic_is_exact():
         assert v == x * x - x
 
 
+def test_float_1d_solve_matches_the_exact_solve_of_its_nodes():
+    # the same jittered nodes, masses and boundary values as Fractions
+    rng = np.random.default_rng(0)
+    xs = (np.arange(41) + np.r_[0, rng.uniform(-0.3, 0.3, 39), 0]) / 40
+    nodes = [(float(x),) for x in xs]
+    target = TargetMeasure.from_density(Interval(0.0, 1.0), nodes, 2.0)
+    got = solve(Interval(0.0, 1.0), target, {(0.0,): 0.25, (1.0,): -0.5},
+                nodes=nodes)
+    want = solve(Interval(0, 1), TargetMeasure(
+        {(F(x),): F(m) for (x,), m in target.masses.items()}),
+        {(0,): F(1, 4), (1,): F(-1, 2)}, nodes=[(F(x),) for x in xs])
+    assert got.converged and got.residual <= 1e-12
+    assert all(isinstance(v, float) for v in got.solution.values)
+    for v, exact in zip(got.solution.values, want.solution.values):
+        assert abs(v - float(exact)) <= 1e-12 * abs(float(exact))
+    assert got.masses[1:-1] == tuple(discrete_slope_jumps(
+        xs, got.solution.values))
+
+
 def test_solve_default_nodes_come_from_target_and_boundary():
     dom = Interval(0, 1)
     nodes = [(F(k, 4),) for k in range(5)]
@@ -256,6 +276,13 @@ def test_solver_is_second_order_on_a_non_polynomial_solution(exp_solves):
     for coarse, fine in zip(sups, sups[1:]):
         assert math.log2(coarse / fine) >= 1.8
     assert sups[2] < 1e-4 and sups[3] < 3e-5
+
+
+def test_solve_returns_the_masses_of_its_last_iterate(exp_solves):
+    for result in (exp_solves[9][0], solve(
+            Interval(0, 1), {(F(1, 3),): 1, (F(1, 2),): F(1, 2)},
+            {(0,): 0, (1,): 1})):
+        assert result.masses == ma_measure(result.solution).masses
 
 
 def test_a_33_by_33_solve_takes_at_most_30_cell_evaluations(exp_solves):
