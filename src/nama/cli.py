@@ -30,7 +30,7 @@ from .errors import CheckFailed, ConfigError, ToolkitError
 from .forms import (calabi_ode_residual, fiber_lagrangian_residual,
                     fiber_phase_residual, power_law_potential, semiflat_form,
                     standard_torus_frame, volume_identity_check)
-from .hybrid import (LocalModel, check_streams, dyadic_cells, parse_poly,
+from .hybrid import (LocalModel, dyadic_cells, parse_poly,
                      pushforward_distance, sample_cy_measure,
                      volume_growth_exponent)
 from .potential import na_ma_model_metric
@@ -39,6 +39,13 @@ from .skeleton import essential_skeleton, lebesgue_measure
 
 # hybrid pushforward --level allows at most 2^16 dyadic cells, (2^level)^depth
 MAX_DYADIC_BITS = 16
+# hybrid --n: the dyadic cell grid takes one numpy axis per free coordinate,
+# and np.ravel_multi_index accepts at most 63
+MAX_HYBRID_N = 63
+# hybrid --samples times the n + 1 coordinates of a sample: a run holds
+# about 60 bytes per sample coordinate, so 2^22 takes about 260 MB peak
+# end to end (--n 1 with 2^21 samples; 2^23 would take 470 MB)
+MAX_SAMPLE_COORDS = 1 << 22
 # realma measure --grid: at 2^16 slopes per axis a 36-node measure and its
 # oracle take about a second and 100 MB
 MAX_ORACLE_GRID = 1 << 16
@@ -395,6 +402,11 @@ def parse_list(text, kind, context):
 
 def build_local_model(args):
     n = args.n
+    if args.samples * (n + 1) > MAX_SAMPLE_COORDS:
+        raise ConfigError(
+            f"--samples {args.samples} at --n {n} gives "
+            f"{args.samples * (n + 1)} sample coordinates, more than "
+            f"{MAX_SAMPLE_COORDS}")
     bs = parse_list(args.b, int, "--b") if args.b else [1] * (n + 1)
     weights = parse_list(args.weights, float, "--weights") \
         if args.weights else None
@@ -405,7 +417,6 @@ def build_local_model(args):
     try:
         models = [LocalModel(tuple(bs), math.exp(-e), n, u, weights)
                   for e in t_exps]
-        check_streams(models[0], args.samples)
     except ValueError as exc:
         raise ConfigError(str(exc))
     return models
@@ -563,6 +574,8 @@ TOLERANCE = _checked(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
 ORACLE_GRID = _checked(int, f"in [1, {MAX_ORACLE_GRID}]",
                        lambda v: 1 <= v <= MAX_ORACLE_GRID)
 SEED = _checked(int, "in [0, 2^64)", lambda v: 0 <= v < 1 << 64)
+HYBRID_DIM = _checked(int, f"in [0, {MAX_HYBRID_N}]",
+                      lambda v: 0 <= v <= MAX_HYBRID_N)
 FORM_DIM = _checked(int, f"in [1, {MAX_FORM_DIM}]",
                     lambda v: 1 <= v <= MAX_FORM_DIM)
 GCALABI_DIM = _checked(int, f"at most {MAX_GCALABI_DIM}",
@@ -615,7 +628,7 @@ def build_parser():
     push = _command(hsub, "pushforward", run_hybrid_pushforward)
     grow = _command(hsub, "growth", run_hybrid_growth)
     for sp in (push, grow):
-        sp.add_argument("--n", type=NATURAL, required=True,
+        sp.add_argument("--n", type=HYBRID_DIM, required=True,
                         help="complex dimension")
         sp.add_argument("--t-exp", dest="t_exp", required=True,
                         help="positive exponents e with |t| = exp(-e)")

@@ -323,15 +323,19 @@ def volume_identity_check(base_hessian, fiber_block, coupling, scales):
 
     The coupling enters at order 1/L, so the relative error decays with
     slope -1 in log-log; with zero coupling the identity is exact for
-    every scale.
+    every scale.  Both sides are compared in logs (``slogdet``), so the
+    check holds where the determinants leave the float range; the reported
+    ``limit`` is the float product and is then inf.
     """
     P = np.array(base_hessian, dtype=float)
     Q = np.array(fiber_block, dtype=complex)
     for name, blk in (("base", P), ("fiber", Q)):
         if blk.size and np.linalg.eigvalsh(blk)[0] <= 0:
             raise NotPositive(f"{name} block must be positive definite")
-    limit = float(np.linalg.det(P).real if P.size else 1.0) \
-        * float(np.linalg.det(Q).real if Q.size else 1.0)
+    with np.errstate(over="ignore"):
+        limit = float(np.linalg.det(P).real if P.size else 1.0) \
+            * float(np.linalg.det(Q).real if Q.size else 1.0)
+    log_limit = sum(np.linalg.slogdet(blk)[1] for blk in (P, Q) if blk.size)
     m = P.shape[0] if P.ndim == 2 else 0
     Ls = [float(L) for L in scales]
     if not Ls:
@@ -339,8 +343,16 @@ def volume_identity_check(base_hessian, fiber_block, coupling, scales):
     errors = []
     for L in Ls:
         form = generalized_calabi_form(P, Q, coupling, L)
-        scaled = form.determinant().real * (4.0 * math.pi * L) ** m
-        errors.append(abs(scaled / limit - 1.0))
+        # det H(L) (4 pi L)^m as the determinant of D H(L) D with D =
+        # diag(sqrt(4 pi L) on the base, 1 on the fiber), taken in logs:
+        # (4 pi L)^m and det H(L) leave the float range long before their
+        # product does
+        d = np.ones(form.dimension)
+        d[:m] = math.sqrt(4.0 * math.pi * L)
+        sign, log_det = np.linalg.slogdet(form.matrix * np.outer(d, d))
+        with np.errstate(over="ignore"):
+            ratio = sign.real * np.exp(log_det - log_limit)
+        errors.append(abs(float(ratio) - 1.0))
     exact = all(e <= 1e-13 for e in errors)
     slope = None
     if not exact and len(Ls) >= 2 and all(e > 0 for e in errors):

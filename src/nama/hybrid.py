@@ -10,7 +10,13 @@ there with importance weights ``|u|^2 / |u(0)|^2``.
 
 Sampling uses a counter-based generator addressed by seed and chunk index:
 identical (model, count, seed) inputs give bit-identical batches, and the
-chunks could be generated in parallel without changing the result.
+chunks could be generated in parallel without changing the result.  Each
+chunk writes its rows of the preallocated batch arrays in place, and the
+coordinates z_i are formed only for the variables that u reads.
+
+The exact dyadic cell volumes of :func:`pushforward_distance` come from a
+closed form in the cell's index sum, so there are p(2^level - 1) + 1
+distinct values, each an integer over 2^(level p).
 """
 
 from __future__ import annotations
@@ -21,8 +27,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
-
-from .convexgeom import box_simplex_volume
 
 _DYADIC_BITS = 40
 _DYADIC_ONE = 1 << _DYADIC_BITS
@@ -61,15 +65,26 @@ class MultiPoly:
     def constant_term(self):
         return self.terms.get((0,) * self.nvars, 0j)
 
+    def variables(self):
+        """Indices of the variables that occur in some term, ascending."""
+        return sorted({i for exps in self.terms
+                       for i, e in enumerate(exps) if e})
+
     def __call__(self, zs):
         """Evaluate on an array of shape (..., nvars)."""
         zs = np.asarray(zs, dtype=complex)
-        out = np.zeros(zs.shape[:-1], dtype=complex)
+        return self.on_columns({i: zs[..., i] for i in self.variables()},
+                               zs.shape[:-1])
+
+    def on_columns(self, columns, shape):
+        """Evaluate from ``columns``, a map from each of :meth:`variables`
+        to its values as a complex array of ``shape``."""
+        out = np.zeros(shape, dtype=complex)
         for exps, coeff in self.terms.items():
-            term = np.full(zs.shape[:-1], coeff, dtype=complex)
+            term = np.full(shape, coeff, dtype=complex)
             for i, e in enumerate(exps):
                 if e:
-                    term = term * zs[..., i] ** e
+                    term = term * columns[i] ** e
             out += term
         return out
 
@@ -272,18 +287,27 @@ def sample_cy_measure(model, count, seed):
     T = model.log_scale
     phase_t = cmath.phase(model.t)
     u0 = abs(model.u.constant_term()) ** 2
+    # z_i is formed only for the variables u reads: divisor coordinates
+    # exp(-T x_i + i theta_i) for i <= p, fiber coordinates after them
+    used = model.u.variables()
+    divisors = [i for i in used if i <= p]
+    fibers = [i for i in used if i > p]
 
-    nums, thetas_all, fibers, weights = [], [], [], []
+    numerators = np.empty((count, p + 1), dtype=np.int64)
+    thetas = np.empty((count, p + 1))
+    fiber = np.empty((count, nf), dtype=complex)
+    weights = np.empty(count)
     for start in range(0, count, _CHUNK):
-        m = min(_CHUNK, count - start)
+        stop = min(start + _CHUNK, count)
+        m = stop - start
         g = _chunk_generator(seed, start // _CHUNK)
 
         cuts = g.integers(0, _DYADIC_ONE + 1, size=(m, p), dtype=np.int64)
         cuts.sort(axis=1)
-        padded = np.concatenate(
-            [np.zeros((m, 1), dtype=np.int64), cuts,
-             np.full((m, 1), _DYADIC_ONE, dtype=np.int64)], axis=1)
-        num = np.diff(padded, axis=1)
+        num = numerators[start:stop]
+        num[:, :p] = cuts
+        num[:, p] = _DYADIC_ONE
+        np.subtract(num[:, 1:], cuts, out=num[:, 1:])
 
         free_thetas = g.uniform(0.0, 2.0 * math.pi, size=(m, p))
         if model.multiplicities[0] > 1:
@@ -292,32 +316,25 @@ def sample_cy_measure(model, count, seed):
             sheet = np.zeros(m, dtype=np.int64)
         theta0 = (phase_t - free_thetas @ bs[1:].astype(float)
                   + 2.0 * math.pi * sheet) / bs[0]
-        theta = np.concatenate([theta0[:, None] % (2.0 * math.pi),
-                                free_thetas], axis=1)
+        theta = thetas[start:stop]
+        theta[:, 0] = theta0 % (2.0 * math.pi)
+        theta[:, 1:] = free_thetas
 
+        fib = fiber[start:stop]
         if nf:
             radii = np.sqrt(g.uniform(0.0, 1.0, size=(m, nf)))
             fphase = g.uniform(0.0, 2.0 * math.pi, size=(m, nf))
-            fib = radii * np.exp(1j * fphase)
-        else:
-            fib = np.zeros((m, 0), dtype=complex)
+            np.multiply(radii, np.exp(1j * fphase), out=fib)
 
-        ys = num / float(_DYADIC_ONE)
-        x = ys / bs
-        zdiv = np.exp(-T * x) * np.exp(1j * theta)
-        zs = np.concatenate([zdiv, fib], axis=1)
-        w = np.abs(model.u(zs)) ** 2 / u0
+        zs = {i: np.exp(-T * (num[:, i] / float(_DYADIC_ONE) / bs[i]))
+              * np.exp(1j * theta[:, i]) for i in divisors}
+        zs.update((i, fib[:, i - p - 1]) for i in fibers)
+        weights[start:stop] = np.abs(model.u.on_columns(zs, (m,))) ** 2 / u0
 
-        nums.append(num)
-        thetas_all.append(theta)
-        fibers.append(fib)
-        weights.append(w)
-
-    numerators = np.concatenate(nums)
-    xs = (numerators / float(_DYADIC_ONE)) / bs
-    return SampleBatch(model, int(seed), count, numerators, xs,
-                       np.concatenate(thetas_all), np.concatenate(fibers),
-                       np.concatenate(weights))
+    xs = numerators / float(_DYADIC_ONE)
+    xs /= bs
+    return SampleBatch(model, int(seed), count, numerators, xs, thetas,
+                       fiber, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -360,27 +377,44 @@ def dyadic_cell_volumes(p, level):
     the simplex is ``sum y_i <= 1``; volumes are normalized by the simplex
     volume 1/p! and returned as a flat array indexed like ravel of the
     (2^level)^p grid.
+
+    A cell's volume depends only on its index sum s: scaled by k = 2^level
+    it is a unit cube cut by ``sum w_i <= k - s``, so its relative volume
+    is ``sum_j (-1)^j C(p, j) max(k - s - j, 0)^p / k^p`` in integers.
     """
-    side = Fraction(1, 1 << level)
     k = 1 << level
-    shape = (k,) * p
-    vols = np.zeros(k ** p, dtype=object)
-    for flat in range(k ** p):
-        idx = np.unravel_index(flat, shape)
-        lo = [side * i for i in idx]
-        cap = 1 - sum(lo)
-        v = box_simplex_volume([side] * p, [Fraction(1)] * p, cap)
-        vols[flat] = v * math.factorial(p)
-    return vols
+    by_sum = np.array([
+        Fraction(sum((-1) ** j * math.comb(p, j) * max(k - s - j, 0) ** p
+                     for j in range(p + 1)), k ** p)
+        for s in range(p * (k - 1) + 1)], dtype=object)
+    index_sums = sum(np.ix_(*[np.arange(k)] * p), np.zeros((), np.int64))
+    return by_sum[index_sums.ravel()]
 
 
 def dyadic_cells(batch, level):
     """Flat index of the dyadic cell of side 2^-level holding each sample's
     free coordinates y_1..y_p, in ravel order of the (2^level)^p grid."""
     k = 1 << level
-    idx = np.minimum(batch.numerators[:, 1:] >> (_DYADIC_BITS - level),
-                     k - 1)
+    idx = batch.numerators[:, 1:] >> (_DYADIC_BITS - level)
+    np.minimum(idx, k - 1, out=idx)
     return np.ravel_multi_index(tuple(idx.T), (k,) * batch.model.depth)
+
+
+def _stable_order(keys):
+    """``np.argsort(keys, kind="stable")`` for an integer array.
+
+    The default sort is several times faster on integers; runs of equal
+    keys then get their indices back in ascending order.
+    """
+    order = np.argsort(keys)
+    ranked = keys[order]
+    tied = np.zeros(len(keys), dtype=bool)
+    equal = ranked[1:] == ranked[:-1]
+    tied[1:] |= equal
+    tied[:-1] |= equal
+    at = np.flatnonzero(tied)
+    order[at] = order[at][np.lexsort((order[at], ranked[at]))]
+    return order
 
 
 def pushforward_distance(batch, level=2):
@@ -396,10 +430,10 @@ def pushforward_distance(batch, level=2):
     neff = batch.effective_sample_size()
     if p == 0:
         return DistanceReport(0.0, 0.0, "point")
-    ys = batch.numerators[:, 1:] / float(_DYADIC_ONE)
     if p == 1:
-        order = np.argsort(ys[:, 0], kind="stable")
-        d = ks_statistic(ys[order, 0], batch.weights[order])
+        order = _stable_order(batch.numerators[:, 1])
+        ys = batch.numerators[order, 1] / float(_DYADIC_ONE)
+        d = ks_statistic(ys, batch.weights[order])
         return DistanceReport(d, 1.0 / math.sqrt(neff), "ks")
     emp = np.bincount(dyadic_cells(batch, level), weights=batch.weights,
                       minlength=(1 << level) ** p)

@@ -7,7 +7,8 @@ import pytest
 
 from nama import cli, config
 from nama.cli import (MAX_CALABI_N, MAX_FORM_DIM, MAX_GCALABI_DIM,
-                      MAX_ORACLE_GRID, MAX_SOLVE_GRID, build_parser, main)
+                      MAX_HYBRID_N, MAX_ORACLE_GRID, MAX_SAMPLE_COORDS,
+                      MAX_SOLVE_GRID, build_parser, main)
 from nama.errors import ConfigError
 
 SEGMENT_TABLE = [
@@ -244,6 +245,17 @@ def test_hybrid_pushforward_runs_a_small_batch(tmp_path):
     assert manifest["summary"]["statistic"] == "dyadic-cells"
     assert manifest["summary"]["distance"] >= 0.0
     assert (out / "histogram.csv").exists()
+
+
+def test_hybrid_pushforward_reaches_the_cell_cap_at_depth_16(tmp_path):
+    # 2^16 cells, each volume read off its index sum: no 2^16-corner sum
+    out = tmp_path / "out"
+    assert main(["hybrid", "pushforward", "--n", "16", "--level", "1",
+                 "--t-exp", "20", "--samples", "1000",
+                 "--out", str(out)]) == 0
+    header, *rows = read_csv(out / "histogram.csv")
+    assert len(rows) == 1 << 16
+    assert sum(int(r[header.index("count")]) for r in rows) == 1000
 
 
 def test_hybrid_growth_recovers_the_expected_exponent(tmp_path):
@@ -542,6 +554,38 @@ def test_hessian_dimension_cap_is_accepted_without_running(
     assert capsys.readouterr().err == (
         f"config error: --hessian must be at most {MAX_FORM_DIM}x"
         f"{MAX_FORM_DIM}, got {n}x{n}\n")
+
+
+@pytest.mark.parametrize("argv, stage", [
+    (["pushforward", "--level", "0"], "sample_cy_measure"),
+    (["growth"], "volume_growth_exponent"),
+])
+def test_hybrid_size_caps_are_accepted_without_running(
+        tmp_path, monkeypatch, capsys, argv, stage):
+    monkeypatch.setattr(cli, stage, lambda *args, **kwargs: stop())
+    argv = ["hybrid"] + argv + ["--t-exp", "20,40",
+                                "--out", str(tmp_path / "out")]
+    widest = MAX_SAMPLE_COORDS // (MAX_HYBRID_N + 1)
+    for n, samples in ((MAX_HYBRID_N, widest), (1, MAX_SAMPLE_COORDS // 2)):
+        with pytest.raises(Reached):
+            main(argv + ["--n", str(n), "--samples", str(samples)])
+    assert main(argv + ["--n", "1", "--samples",
+                        str(MAX_SAMPLE_COORDS // 2 + 1)]) == 1
+    assert capsys.readouterr().err.startswith("config error: --samples")
+    assert main(argv + ["--n", str(MAX_HYBRID_N + 1),
+                        "--samples", "1"]) == 1
+    assert capsys.readouterr().err.startswith("config error: argument --n")
+
+
+@pytest.mark.filterwarnings("error")
+@pytest.mark.parametrize("m, n", [(44, 45), (1, 150)])
+def test_gcalabi_checks_blocks_past_the_float_range(tmp_path, capsys, m, n):
+    # (4 pi L)^44 at L = 10^6, and det Q at n = 150, overflow a float
+    assert main(["geometry", "gcalabi", "--m", str(m), "--n", str(n),
+                 "--out", str(tmp_path / "out")]) == 0
+    assert capsys.readouterr().err == ""
+    assert read_manifest(tmp_path / "out")["summary"]["slope"] \
+        == pytest.approx(-1.0, abs=1e-6)
 
 
 def test_rerun_into_a_used_directory_removes_only_stale_tables(tmp_path):

@@ -1,17 +1,20 @@
 """Local models, measure sampling and volume growth."""
 
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nama import hybrid
-from nama import (LocalModel, MultiPoly, dyadic_cell_volumes,
+from nama import (LocalModel, MultiPoly, box_simplex_volume,
+                  dyadic_cell_volumes,
                   estimate_volume, exact_flat_volume, ks_statistic,
                   parse_poly, pushforward_distance, sample_cy_measure,
                   volume_from_batch, volume_growth_exponent)
-
 
 
 def maximal_model(n, t_exp=20.0, u=None, weights=None):
@@ -209,3 +212,122 @@ def test_words_per_sample_bound_the_words_a_chunk_draws(monkeypatch):
         used = 4 * int(state["state"]["counter"][0]) \
             - (4 - state["buffer_pos"])
         assert 0 < used <= 1000 * hybrid._words_per_sample(model)
+
+
+def reference_sample(model, count, seed):
+    """The sampler as first written: every coordinate of every chunk, z for
+    all n + 1 variables, chunk lists joined at the end."""
+    bs = np.array(model.multiplicities, dtype=np.int64)
+    p, nf, T = model.depth, model.fiber_count, model.log_scale
+    one = hybrid._DYADIC_ONE
+    u0 = abs(model.u.constant_term()) ** 2
+    nums, thetas_all, fibers, weights = [], [], [], []
+    for start in range(0, count, hybrid._CHUNK):
+        m = min(hybrid._CHUNK, count - start)
+        g = hybrid._chunk_generator(seed, start // hybrid._CHUNK)
+        cuts = g.integers(0, one + 1, size=(m, p), dtype=np.int64)
+        cuts.sort(axis=1)
+        padded = np.concatenate(
+            [np.zeros((m, 1), dtype=np.int64), cuts,
+             np.full((m, 1), one, dtype=np.int64)], axis=1)
+        num = np.diff(padded, axis=1)
+        free_thetas = g.uniform(0.0, 2.0 * math.pi, size=(m, p))
+        if model.multiplicities[0] > 1:
+            sheet = g.integers(0, model.multiplicities[0], size=m)
+        else:
+            sheet = np.zeros(m, dtype=np.int64)
+        theta0 = (math.atan2(model.t.imag, model.t.real)
+                  - free_thetas @ bs[1:].astype(float)
+                  + 2.0 * math.pi * sheet) / bs[0]
+        theta = np.concatenate([theta0[:, None] % (2.0 * math.pi),
+                                free_thetas], axis=1)
+        if nf:
+            radii = np.sqrt(g.uniform(0.0, 1.0, size=(m, nf)))
+            fphase = g.uniform(0.0, 2.0 * math.pi, size=(m, nf))
+            fib = radii * np.exp(1j * fphase)
+        else:
+            fib = np.zeros((m, 0), dtype=complex)
+        x = (num / float(one)) / bs
+        zdiv = np.exp(-T * x) * np.exp(1j * theta)
+        w = np.abs(model.u(np.concatenate([zdiv, fib], axis=1))) ** 2 / u0
+        nums.append(num)
+        thetas_all.append(theta)
+        fibers.append(fib)
+        weights.append(w)
+    numerators = np.concatenate(nums)
+    return dict(numerators=numerators,
+                xs=(numerators / float(one)) / bs,
+                thetas=np.concatenate(thetas_all),
+                fiber=np.concatenate(fibers),
+                weights=np.concatenate(weights))
+
+
+@pytest.mark.parametrize("model, count", [
+    # b_0 > 1: sheet draws, and a divisor variable past z_0 in u
+    (LocalModel((3, 2, 1), 0.3 * np.exp(2.0j), 4,
+                parse_poly("1+0.3*z1*z4-0.1*z0^2", 5)), 3000),
+    (LocalModel((2,), np.exp(-5.0), 2, parse_poly("1+0.5*z1", 3)), 2000),
+    (LocalModel((1, 2, 1), np.exp(-7.0), 2, parse_poly("1+z1^2", 3)), 2000),
+    (LocalModel((1, 1), np.exp(-9.0), 3, MultiPoly.constant(4, 2.5)), 2000),
+    (LocalModel((1, 1), np.exp(-9.0), 3, parse_poly("1-0.7*z3^3", 4)),
+     2000),
+    (LocalModel((1, 1, 1), np.exp(-4.0), 2, parse_poly("1+z0+z2", 3),
+                (0.0, 1.5, 0.25)), 2000),
+    (LocalModel((1, 1, 1), np.exp(-30.0), 3, parse_poly("1+0.4*z0-z3^2", 4)),
+     hybrid._CHUNK + 300),
+], ids=["sheets", "depth-0", "no-fiber", "constant-u", "fiber-only-u",
+        "damping", "chunk-plus-300"])
+def test_sampler_matches_the_reference_bit_for_bit(model, count):
+    batch = sample_cy_measure(model, count, seed=21)
+    want = reference_sample(model, count, seed=21)
+    for name, value in want.items():
+        got = getattr(batch, name)
+        assert got.dtype == value.dtype and got.shape == value.shape, name
+        assert np.array_equal(got, value), name
+
+
+def oracle_cell_volumes(p, level):
+    """Per-cell inclusion-exclusion over the box corners."""
+    side = Fraction(1, 1 << level)
+    k = 1 << level
+    return [box_simplex_volume([side] * p, [Fraction(1)] * p,
+                               1 - side * sum(idx)) * math.factorial(p)
+            for idx in np.ndindex((k,) * p)]
+
+
+@settings(max_examples=25, deadline=None)
+@given(p=st.integers(0, 4), level=st.integers(0, 3), data=st.data())
+def test_dyadic_cell_volumes_match_the_corner_oracle(p, level, data):
+    vols = dyadic_cell_volumes(p, level)
+    assert list(vols) == oracle_cell_volumes(p, level)
+    assert all(isinstance(v, Fraction) for v in vols)
+    assert sum(vols) == 1
+    k = 1 << level
+    axes = data.draw(st.permutations(range(p)))
+    grid = vols.reshape((k,) * p)
+    assert np.array_equal(grid, grid.transpose(axes))
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(st.integers(0, 6), max_size=60))
+def test_stable_order_equals_the_stable_argsort(keys):
+    keys = np.array(keys, dtype=np.int64)
+    assert np.array_equal(hybrid._stable_order(keys),
+                          np.argsort(keys, kind="stable"))
+
+
+def test_ks_distance_with_tied_numerators_matches_the_stable_reference():
+    m = maximal_model(1, u=parse_poly("1+0.6*z0", 2))
+    batch = sample_cy_measure(m, 20000, seed=8)
+    rng = np.random.default_rng(0)
+    nums = batch.numerators.copy()
+    # each copied row repeats a draw with its own weight: many tied keys
+    nums[rng.integers(0, 20000, 5000)] = nums[rng.integers(0, 20000, 5000)]
+    tied = dataclasses.replace(batch, numerators=nums)
+    assert len(np.unique(nums[:, 1])) < 17000
+    ys = nums[:, 1:] / float(hybrid._DYADIC_ONE)
+    order = np.argsort(ys[:, 0], kind="stable")
+    want = hybrid.DistanceReport(
+        ks_statistic(ys[order, 0], batch.weights[order]),
+        1.0 / math.sqrt(batch.effective_sample_size()), "ks")
+    assert pushforward_distance(tied) == want
