@@ -38,13 +38,18 @@ def _no_duplicates(pairs):
     return seen
 
 
+def _no_constant(name):
+    raise ValueError(f"{name} is not a JSON value")
+
+
 def load_document(path):
     try:
         with open(path) as fh:
-            return json.load(fh, object_pairs_hook=_no_duplicates)
+            return json.load(fh, object_pairs_hook=_no_duplicates,
+                             parse_constant=_no_constant)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:       # json.JSONDecodeError, NaN, Infinity
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
 
 

@@ -4,8 +4,9 @@ The polygon routines are generic over the scalar type: exact rationals
 (`fractions.Fraction`) and floats run through the same code paths, so
 subgradient cells can be computed exactly when the inputs are rational.
 2D dual cells come from :class:`FacetCells`, the gradients of the lifted
-lower-hull facets; :func:`dual_cell_2d`, the clip against every other
-node, is its fallback and the independent oracle of the tests.
+lower-hull facets, which runs exact input on integers; :func:`dual_cell_2d`,
+the generic clip against every other node, is its fallback and the
+independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -36,7 +37,22 @@ def clip_halfplane(vertices, labels, a, c, new_label):
     -------
     (vertices, labels, changed)
     """
-    s = [a[0] * v[0] + a[1] * v[1] - c for v in vertices]
+    return _clip(vertices, labels,
+                 [a[0] * v[0] + a[1] * v[1] - c for v in vertices],
+                 _between, new_label)
+
+
+def _between(P, sp, Q, sq):
+    """The point of the edge P -> Q where a slack going from sp to sq of
+    the other sign is 0."""
+    t = sp / (sp - sq)
+    return (P[0] + t * (Q[0] - P[0]), P[1] + t * (Q[1] - P[1]))
+
+
+def _clip(vertices, labels, s, meet, new_label):
+    """:func:`clip_halfplane` by the slacks ``s`` of the vertices, where
+    ``meet(P, sp, Q, sq)`` is the vertex at which the edge P -> Q crosses
+    the line."""
     if all(si >= 0 for si in s):
         return vertices, labels, False
     if all(si <= 0 for si in s):
@@ -48,18 +64,12 @@ def clip_halfplane(vertices, labels, a, c, new_label):
         Q, sq = vertices[(k + 1) % m], s[(k + 1) % m]
         if sp >= 0:
             out_v.append(P)
-            if sq >= 0:
-                out_l.append(lab)
-            else:
-                out_l.append(lab)
-                t = sp / (sp - sq)
-                out_v.append((P[0] + t * (Q[0] - P[0]),
-                              P[1] + t * (Q[1] - P[1])))
+            out_l.append(lab)
+            if sq < 0:
+                out_v.append(meet(P, sp, Q, sq))
                 out_l.append(new_label)
         elif sq > 0:
-            t = sp / (sp - sq)
-            out_v.append((P[0] + t * (Q[0] - P[0]),
-                          P[1] + t * (Q[1] - P[1])))
+            out_v.append(meet(P, sp, Q, sq))
             out_l.append(lab)
     return out_v, out_l, True
 
@@ -248,6 +258,30 @@ def lifted_hull(points, values):
         return None
 
 
+def _cleared(nodes, values, corners):
+    """Exact input with its denominators cleared: (X, V, L, M, C), where the
+    node coordinates times L are the int rows of X, the values times M the
+    ints of V, and the ``corners`` times L the int pairs of C; L is the lcm
+    of the coordinates' denominators, M that of the values'."""
+    C = [tuple(map(Fraction, v)) for v in corners or ()]
+    xs = [(c.numerator, c.denominator) for nd in nodes for c in nd]
+    vs = [(v.numerator, v.denominator) for v in values]
+    L = math.lcm(*(d for _, d in xs), *(c.denominator for v in C for c in v))
+    M = math.lcm(*(d for _, d in vs))
+    X = np.array([a * (L // d) for a, d in xs], dtype=object).reshape(-1, 2)
+    V = np.array([a * (M // d) for a, d in vs], dtype=object)
+    C = [tuple(c.numerator * (L // c.denominator) for c in v) for v in C]
+    return X, V, L, M, C
+
+
+def _meet(P, sp, Q, sq):
+    """:func:`_between` of vertices ((x, y, w), _) in homogeneous integer
+    coordinates: ``sp Q - sq P``, with w > 0 and no common factor."""
+    R = [sp * q - sq * p for p, q in zip(P[0], Q[0])]
+    g = math.gcd(*R) if R[2] > 0 else -math.gcd(*R)
+    return (R[0] // g, R[1] // g, R[2] // g), None
+
+
 class FacetCells:
     """Every 2D dual cell of the nodes lifted to ``values``, read off the
     gradients of the lower-hull facets around each node (Aurenhammer 1987).
@@ -255,16 +289,25 @@ class FacetCells:
     Each half-edge of the lower triangulation with a twin gives one shoelace
     term and one dual-edge length, the distance between the gradients of the
     two facets on it, summed per node: no clipping and no ordering of the
-    fans.  Exact input (Fraction nodes and values) runs the same arithmetic
-    on object arrays.  The Qhull hull is checked, not trusted: every edge
-    between two proper triangles must be locally convex and every node off
-    the triangulation on or above every facet plane, which makes the
+    fans.  The Qhull hull is checked, not trusted: every edge between two
+    proper triangles must be locally convex and every node off the
+    triangulation on or above every facet plane, which makes the
     interpolant the envelope; else no node is good.  Exact input must pass
     exactly, with every triangle positively oriented and the triangles
     tiling the ccw polygon ``corners``; float checks allow a relative
     1e-11.  A node off the triangulation then has an empty cell: a cell is
     the envelope's subdifferential at the node (Rockafellar 1970, sections
     23-24), which has interior only at a vertex of the triangulation.
+
+    Exact input (Fraction nodes and values) runs on Python ints: the node
+    coordinates and ``corners`` are scaled by L, the lcm of their
+    denominators, and the values by M, that of theirs.  A facet's gradient
+    is then ``L num / (M det)``, integer numerators over the facet's integer
+    det, so every check is the sign of a cross-multiplied integer, and a
+    node's area is its shoelace sum over the lcm of its facets' dets, times
+    ``L^2 / (2 M^2)``.  The passes build no Fraction; that last step builds
+    one per closed node, and ``grad`` holds the correctly rounded floats.
+    :meth:`cut` clips in integers too.
 
     ``good`` marks the nodes whose cells the hull gives, ``closed`` those of
     them with bounded (possibly empty) cells, of areas ``area``.  The other
@@ -281,8 +324,16 @@ class FacetCells:
         self.area, self.grad = np.zeros(n), np.zeros((0, 2))
         self.tri = np.zeros((0, 3), dtype=int)
         self.src = self.dst = self.apex = self.twin = np.zeros(0, dtype=int)
-        pts = np.array([[float(c) for c in nd] for nd in nodes])
-        vals = np.array([float(v) for v in values])
+        exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
+            and all(isinstance(v, Fraction) for v in values)
+        if exact:       # int / int rounds as float(Fraction) does
+            P, V, L, M, C = self._cleared = _cleared(nodes, values, corners)
+            pts = np.array(P / L, dtype=float).reshape(-1, 2)
+            vals = np.array(V / M, dtype=float)
+        else:
+            self._cleared = None
+            P = pts = np.array(nodes, dtype=float).reshape(-1, 2)
+            V = vals = np.array(values, dtype=float)
         hull = lifted_hull(pts, vals)
         if hull is None:
             return
@@ -298,78 +349,105 @@ class FacetCells:
             return
         at = order[np.minimum(np.searchsorted(key[order], back), len(key) - 1)]
         twin = np.where(key[at] == back, at, -1)
+        rim = twin < 0
         good = np.zeros(n, dtype=bool)
         good[src] = True
-        exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
-            and all(isinstance(v, Fraction) for v in values)
-        P, V = ((np.array(nodes, dtype=object), np.array(values, dtype=object))
-                if exact else (pts, vals))
 
+        # a facet's gradient is num / den: in floats den is 1, in cleared
+        # integers it is L num / (M det) and den is det
         u, w = P[tri[:, 1]] - P[tri[:, 0]], P[tri[:, 2]] - P[tri[:, 0]]
         du, dw = V[tri[:, 1]] - V[tri[:, 0]], V[tri[:, 2]] - V[tri[:, 0]]
         det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
         bad = ~(det > 0)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            grad = np.column_stack([du * w[:, 1] - dw * u[:, 1], u[:, 0] * dw
-                                    - w[:, 0] * du]) / det[:, None]
-        tol = 0 if exact else 1e-11 * (1 + np.abs(V).max() + np.abs(P).max()
-                                       * np.abs(grad[~bad]).max(initial=0))
-        # convex across an edge: the gradient jumps towards the facet across
-        inner = np.nonzero(twin >= 0)[0]
-        e = inner[(inner < twin[inner]) & ~bad[inner // 3]
-                  & ~bad[twin[inner] // 3]]
-        jump, side = grad[twin[e] // 3] - grad[e // 3], P[dst[e]] - P[src[e]]
-        off = np.nonzero(~good)[0]
-        lift = np.zeros(len(off), dtype=V.dtype)
-        if len(off) and not bad.all():
-            g, b = grad[~bad], V[tri[~bad, 0]] - (P[tri[~bad, 0]]
-                                                  * grad[~bad]).sum(axis=1)
-            step = max(1, _BLOCK // len(b))
-            for k in range(0, len(off), step):
-                i = off[k:k + step]
-                lift[k:k + step] = V[i] - (P[i] @ g.T + b).max(axis=1)
-        if not ((jump[:, 0] * side[:, 1] - jump[:, 1] * side[:, 0]
-                 >= -tol).all() and (lift >= -tol).all()):
-            return
-        good[off] = True
+        num = np.column_stack([du * w[:, 1] - dw * u[:, 1],
+                               u[:, 0] * dw - w[:, 0] * du])
         if exact:
-            C = [tuple(map(Fraction, v)) for v in corners or ()]
-            rim = twin < 0
-            if not (C and not bad.any() and det.sum() == sum(
-                        _orient(C[0], p, q) for p, q in zip(C[1:], C[2:]))
+            # the triangles tile the polygon: they are positively oriented,
+            # their dets add up to its twice area, and every rim edge lies
+            # on a side of it
+            if not (C and len(det) and not bad.any()
+                    and det.sum() == sum(_orient(C[0], p, q)
+                                         for p, q in zip(C[1:], C[2:]))
                     and np.logical_or.reduce([
                         (_orient(p, q, P[src[rim]].T) == 0)
                         & (_orient(p, q, P[dst[rim]].T) == 0)
                         for p, q in zip(C, C[1:] + C[:1])]).all()):
                 return
+            den, tol = det, 0
+        else:
+            with np.errstate(divide="ignore", invalid="ignore"):
+                num = num / det[:, None]
+            den = np.ones(len(det))
+            tol = 1e-11 * (1 + np.abs(V).max() + np.abs(P).max()
+                           * np.abs(num[~bad]).max(initial=0))
+        # convex across an edge: the gradient jumps towards the facet across
+        inner = np.nonzero(~rim)[0]
+        e = inner[(inner < twin[inner]) & ~bad[inner // 3]
+                  & ~bad[twin[inner] // 3]]
+        s, t = e // 3, twin[e] // 3
+        jump = num[t] * den[s, None] - num[s] * den[t, None]
+        side = P[dst[e]] - P[src[e]]
+        # every node off the triangulation on or above every facet plane
+        off = np.nonzero(~good)[0]
+        lift = np.zeros(len(off), dtype=V.dtype)
+        if len(off) and not bad.all():
+            g, d, a = num[~bad], den[~bad], tri[~bad, 0]
+            b = V[a] * d - (P[a] * g).sum(axis=1)
+            step = max(1, _BLOCK // len(b))
+            for k in range(0, len(off), step):
+                i = off[k:k + step]
+                lift[k:k + step] = (V[i, None] * d
+                                    - (P[i] @ g.T + b)).min(axis=1)
+        if not ((jump[:, 0] * side[:, 1] - jump[:, 1] * side[:, 0]
+                 >= -tol).all() and (lift >= -tol).all()):
+            return
+        good[off] = True
         good[tri[bad].ravel()] = False
         edge = np.zeros(n, dtype=bool)
-        edge[src[twin < 0]] = True
+        edge[src[rim]] = True
         self.good, self.closed = good, good & ~edge
-        self.tri, self.grad, self.src, self.dst, self.apex, self.twin = (
-            tri, grad, src, dst, apex, twin)
+        self.grad = (np.array(num * L / (det * M)[:, None], dtype=float)
+                     if exact else num)
+        self.tri, self.src, self.dst, self.apex, self.twin = (
+            tri, src, dst, apex, twin)
         self._order, self._keys = order, key[order]
 
-        # the fan's shoelace; float terms are taken relative to one facet of
-        # the node so that cells far from the origin keep their digits
-        i = src[inner]
-        ref = np.zeros(n, dtype=int)
-        ref[src] = np.arange(len(src)) // 3
-        p, q = grad[twin[inner] // 3], grad[inner // 3]
-        if not exact:
-            p, q = p - grad[ref[i]], q - grad[ref[i]]
-        zero = Fraction(0) if exact else 0.0
-        twice = np.full(n, zero, dtype=V.dtype)
-        np.add.at(twice, i, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
-        self.area = np.where(self.closed, np.abs(twice) / 2, zero)
+        # the fan's shoelace
+        i, fs, ft = src[inner], inner // 3, twin[inner] // 3
+        if exact:
+            # over the lcm D of the node's dets, each facet's gradient
+            # numerators times D / det: one Fraction per closed node
+            D = np.ones(n, dtype=object)
+            np.lcm.at(D, src, det[np.arange(len(src)) // 3])
+            p = num[ft] * (D[i] // det[ft])[:, None]
+            q = num[fs] * (D[i] // det[fs])[:, None]
+            twice = np.zeros(n, dtype=object)
+            np.add.at(twice, i, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+            self.area = np.full(n, Fraction(0), dtype=object)
+            k = np.nonzero(self.closed)[0]
+            self.area[k] = [Fraction(abs(a) * L * L, 2 * M * M * d * d)
+                            for a, d in zip(twice[k].tolist(),
+                                            D[k].tolist())]
+        else:
+            # terms relative to one facet of the node, so that cells far
+            # from the origin keep their digits
+            ref = np.zeros(n, dtype=int)
+            ref[src] = np.arange(len(src)) // 3
+            p, q = num[ft] - num[ref[i]], num[fs] - num[ref[i]]
+            twice = np.zeros(n)
+            np.add.at(twice, i, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+            self.area = np.where(self.closed, np.abs(twice) / 2, 0.0)
 
         # an unbounded cell has interior unless its two boundary edges are
         # parallel and the gradients of its end facets differ across them
-        e = np.nonzero(twin < 0)[0]
-        first, last, span = np.zeros((3, n, 2), dtype=V.dtype)
+        e = np.nonzero(rim)[0]
+        f = e // 3
+        first, last, g_in, g_out = np.zeros((4, n, 2), dtype=P.dtype)
+        d_in, d_out = np.ones((2, n), dtype=P.dtype)
         first[src[e]] = last[dst[e]] = P[dst[e]] - P[src[e]]
-        span[src[e]] -= grad[e // 3]
-        span[dst[e]] += grad[e // 3]
+        g_out[src[e]], d_out[src[e]] = num[f], den[f]
+        g_in[dst[e]], d_in[dst[e]] = num[f], den[f]
+        span = g_in * d_out[:, None] - g_out * d_in[:, None]
         self.solid = good & edge & (
             (first[:, 0] * last[:, 1] != first[:, 1] * last[:, 0])
             | ((first * span).sum(axis=1) != 0))
@@ -385,7 +463,8 @@ class FacetCells:
         polygon cut by the halfplanes of its neighbours on the hull alone,
         which suffice because the interpolant is convex, and is empty off
         the triangulation; any other node's is cut by every other node,
-        counted in ``fallbacks``."""
+        counted in ``fallbacks``.  Exact input with a rational polygon is
+        clipped by :meth:`_cut_exact`, the same cuts in integers."""
         if not self.good[i]:
             self.fallbacks += 1
             star = [j for j in range(len(self.nodes)) if j != i]
@@ -395,12 +474,56 @@ class FacetCells:
                 return Cell(2, [], 0, {}, False, True)
             star = sorted(set(self.dst[fan].tolist()
                               + self.apex[fan].tolist()))
+        if self._cleared is not None and all(
+                isinstance(c, (int, Fraction)) for v in polygon for c in v):
+            return self._cut_exact(i, polygon, star)
         return cut_cell(i, self.nodes, self.values, polygon, star)
+
+    def _cut_exact(self, i, polygon, star):
+        """:func:`cut_cell` of exact input in homogeneous integer
+        coordinates (x, y, w), w > 0, of the scaled gradient space, where a
+        gradient p is ``L (x, y) / (M w)`` and node j's constraint reads
+        ``(x, y) . (X_i - X_j) >= (V_i - V_j) w``.  The same vertices in the
+        same order, labels and edges; the cut vertices and the area are
+        made Fractions once, at the end."""
+        X, V, L, M, _ = self._cleared
+        verts = []
+        for v in polygon:
+            (a, b), (c, d) = v[0].as_integer_ratio(), v[1].as_integer_ratio()
+            k = math.lcm(b, d)
+            verts.append(((a * (k // b) * M, c * (k // d) * M, k * L), v))
+        labels = [None] * len(verts)
+        xi, yi = X[i]
+        for j in star:
+            a0, a1, c = xi - X[j, 0], yi - X[j, 1], V[i] - V[j]
+            verts, labels, _ = _clip(
+                verts, labels, [a0 * x + a1 * y - c * w
+                                for (x, y, w), _ in verts], _meet, j)
+            if not verts:
+                return Cell(2, [], 0, {}, False, True)
+        hs, kept = zip(*verts)
+        scaled = [(x * L, y * L, w * M) for x, y, w in hs]
+        verts = [v if v is not None else (Fraction(x, w), Fraction(y, w))
+                 for (x, y, w), v in zip(scaled, kept)]
+        if len(hs) < 3 or None not in kept:
+            area = polygon_area(verts)
+        else:       # the shoelace over the lcm of the w
+            W = math.lcm(*(w for _, _, w in hs))
+            ps = [(x * (W // w), y * (W // w)) for x, y, w in hs]
+            twice = sum(p[0] * q[1] - p[1] * q[0]
+                        for p, q in zip(ps, ps[1:] + ps[:1]))
+            area = Fraction(abs(twice) * L * L, 2 * W * W * M * M)
+        # int / int rounds as float(Fraction) does
+        edges = edge_lengths_by_label([(x / w, y / w) for x, y, w in scaled],
+                                      labels)
+        edges.pop(None, None)
+        return Cell(2, verts, area, edges,
+                    any(lab is None for lab in labels), len(verts) < 3)
 
     def inside(self, corners):
         """Closed nodes whose cells lie in the ccw polygon ``corners``, by a
         float test that says no near the boundary."""
-        g = np.asarray(self.grad, dtype=float)
+        g = self.grad
         out = np.zeros(len(self.nodes), dtype=bool)
         C = np.array(corners, dtype=float)
         for p, q in zip(C, np.roll(C, -1, axis=0)):
@@ -413,7 +536,7 @@ class FacetCells:
         """Arrays (i, j, length) over the nonzero edges of the closed cells:
         node i's cell shares that length of boundary with node j's."""
         e = np.nonzero(self.closed[self.src])[0]
-        g = np.asarray(self.grad, dtype=float)
+        g = self.grad
         ell = np.hypot(*(g[e // 3] - g[self.twin[e] // 3]).T)
         e, ell = e[ell > 0], ell[ell > 0]
         return self.src[e], self.dst[e], ell

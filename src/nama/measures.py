@@ -38,9 +38,6 @@ class AtomicMeasure:
     def total(self):
         return sum(self.masses)
 
-    def is_nonnegative(self):
-        return all(m >= 0 for m in self.masses)
-
     @cached_property
     def _mass_by_label(self):
         index = {}

@@ -176,10 +176,6 @@ class SncModel:
         return {f.index_set: f for f in self.faces}
 
     @cached_property
-    def divisor_by_id(self):
-        return {d.id: d for d in self.divisors}
-
-    @cached_property
     def neighbours(self):
         """Divisor id -> sorted ids of the divisors sharing an edge with it."""
         adjacent = {d.id: set() for d in self.divisors}

@@ -1,8 +1,11 @@
 """End-to-end tests of the command line interface, run in process."""
 
 import csv
+import io
 import json
+from fractions import Fraction as F
 
+import numpy as np
 import pytest
 
 from nama import cli, config
@@ -586,6 +589,57 @@ def test_gcalabi_checks_blocks_past_the_float_range(tmp_path, capsys, m, n):
     assert capsys.readouterr().err == ""
     assert read_manifest(tmp_path / "out")["summary"]["slope"] \
         == pytest.approx(-1.0, abs=1e-6)
+
+
+def strict_manifest(out_dir):
+    """The manifest, read with NaN and Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"{name} in a manifest")
+
+    with open(out_dir / "manifest.json") as fh:
+        return json.load(fh, parse_constant=refuse)
+
+
+def test_manifests_are_strict_json(tmp_path, capsys):
+    # det P * det Q overflows a float at n = 150: its limit is null
+    out = tmp_path / "out"
+    assert main(["geometry", "gcalabi", "--m", "1", "--n", "150",
+                 "--out", str(out)]) == 0
+    summary = strict_manifest(out)["summary"]
+    assert summary["limit"] is None and summary["slope"] is not None
+    assert "limit=inf" in capsys.readouterr().out
+
+
+def test_a_config_with_nan_is_not_json(tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text('{"domain": {"interval": [0, 1]}, "nodes": [[0], [1]], '
+                    '"values": [0, NaN]}')
+    assert main(["realma", "measure", str(path)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: config file {path} is not valid JSON: NaN is not a "
+        "JSON value\n")
+
+
+def test_tables_are_written_as_fmt_writes_each_cell(tmp_path):
+    # a column's formatter is chosen from its first non-None cell; cells of
+    # other types, bool among ints and ints among floats, go through fmt
+    rows = [(F(1, 3), 0.1, True, 3, None, np.int64(7), np.float64(2.5), "a",
+             None, 1),
+            (None, 2.0, False, np.int32(-4), F(2), True, 1, None, None, 2),
+            (F(-5, 2), None, 1, False, 0.5, np.int64(0), None, F(1), None, 3),
+            (2, float("inf"), None, F(7, 9), "x", 3.25, np.float32(1.5), 0,
+             None, 10 ** 30),
+            (F(0), -0.0, np.bool_(True), 10 ** 30, None, None, 2.0, "b,c",
+             None, -4)]
+    assert [list(row) for row in cli.format_rows(rows)] == [
+        [cli.fmt(v) for v in row] for row in rows]
+    emitter = cli.Emitter(str(tmp_path), "test", {})
+    emitter.write_table("t.csv", tuple("abcdefghij"), iter(rows))
+    want = io.StringIO()
+    writer = csv.writer(want, lineterminator="\n")
+    writer.writerow("abcdefghij")
+    writer.writerows([cli.fmt(v) for v in row] for row in rows)
+    assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
 
 
 def test_rerun_into_a_used_directory_removes_only_stale_tables(tmp_path):

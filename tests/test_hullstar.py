@@ -8,15 +8,17 @@ its exact answer for the same data, every float being a Fraction.
 """
 
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from nama import (ConvexPL, Polygon, TargetMeasure, box_polygon,
                   gradient_cells, ma_measure)
 from nama import convexgeom, realma
-from nama.convexgeom import dual_cell_2d
+from nama.convexgeom import Cell, cut_cell, dual_cell_2d
 
 F = Fraction
 EXACT = settings(max_examples=60, deadline=None, derandomize=True)
@@ -234,6 +236,106 @@ def test_exact_density_targets_match_the_full_clip():
             if x == 0 and 0 < y < 1]
     assert set(edge) == {F(3, 200)}
     assert target.masses[(F(1, 2), F(1, 2))] == F(3, 100)
+
+
+SKEW = Polygon([(F(-1, 3), F(0)), (F(5, 2), F(-1, 7)), (F(3), F(2)),
+                (F(1, 5), F(9, 4))])
+
+
+@st.composite
+def skew_functions(draw):
+    """Rational nodes k/d (d <= 7) in a quadrilateral that is no box, so
+    the facet dets differ, lifted to a strictly convex quadratic, to it
+    plus lifts of 0 or 1/8, or to random values."""
+    point = st.builds(lambda a, b, d: (F(a, d), F(b, d)), st.integers(-3, 21),
+                      st.integers(-1, 16), st.integers(1, 7))
+    inner = draw(st.lists(point, min_size=1, max_size=14))
+    nodes = sorted(set(SKEW.vertices) | {p for p in inner
+                                         if SKEW.contains(p)})
+    kind = draw(st.sampled_from(("quadratic", "lifted", "random")))
+    if kind == "random":
+        values = [draw(rationals) for _ in nodes]
+    else:
+        values = [x * x + x * y / 3 + 2 * y * y for x, y in nodes]
+    if kind == "lifted":
+        values = [v + draw(st.sampled_from((0, 0, F(1, 8)))) for v in values]
+    return ConvexPL(SKEW, nodes, values)
+
+
+def hull_star(cells, i):
+    """The nodes :meth:`FacetCells.cut` clips node i's cell by."""
+    if not cells.good[i]:
+        return [j for j in range(len(cells.nodes)) if j != i]
+    fan = np.nonzero(cells.src == i)[0]
+    return sorted(set(cells.dst[fan].tolist() + cells.apex[fan].tolist()))
+
+
+def check_integer_cells(cpl):
+    """The integer passes of exact ``FacetCells`` against the Fraction full
+    clip: closed areas, the solid flags of boundary cells, and the integer
+    cut of a box, which must also be :func:`cut_cell` to the last label."""
+    nodes, values = cpl.nodes, cpl.values
+    cells = convexgeom.FacetCells(nodes, values, cpl.domain.vertices)
+    assert not cells.good.any() or all(type(a) is Fraction
+                                      for a in cells.area)
+    box = [(-4, -4), (4, -4), (4, 4), (-4, 4)]
+    for i in range(len(nodes)):
+        if cells.closed[i]:
+            clip = dual_cell_2d(i, nodes, values, expect_bounded=True)
+            assert cells.area[i] == (0 if clip.empty else clip.volume)
+        elif cells.good[i]:
+            assert cells.solid[i] == (not dual_cell_2d(i, nodes, values).empty)
+        got = cells.cut(i, box)
+        want = dual_cell_2d(i, nodes, values, box=(-4, 4, -4, 4))
+        assert (got.volume, got.empty) == (want.volume, want.empty)
+        star = hull_star(cells, i)
+        assert got == (cut_cell(i, nodes, values, box, star) if star
+                       else Cell(2, [], 0, {}, False, True))
+    return cells
+
+
+@EXACT
+@given(st.one_of(exact_functions().map(
+    lambda d: ConvexPL(box_polygon(0, 2, 0, 2), *d)), polygon_functions(),
+    skew_functions()))
+def test_integer_cells_equal_the_fraction_clip(cpl):
+    check_integer_cells(cpl)
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(skew_functions(), st.randoms(use_true_random=False))
+def test_scrambled_hulls_are_rejected_whole(cpl, rnd):
+    # the hull of shuffled values: no node is vouched for, or the hull is
+    # the true one and every cell is right
+    real = convexgeom.lifted_hull
+    shuffled = rnd.sample(range(len(cpl.nodes)), len(cpl.nodes))
+
+    def scrambled(pts, vals):
+        return real(pts, vals[shuffled])
+
+    with mock.patch.object(convexgeom, "lifted_hull", scrambled):
+        cells = check_integer_cells(cpl)
+    want = convexgeom.FacetCells(cpl.nodes, cpl.values, cpl.domain.vertices)
+    if cells.good.any():
+        assert (cells.good == want.good).all()
+        assert list(cells.area) == list(want.area)
+
+
+@pytest.mark.parametrize("bump", [F(1, 4), F(-1, 4)])
+def test_a_hull_that_is_not_convex_is_rejected_whole(monkeypatch, bump):
+    # Qhull sees the centre node raised (off the triangulation, though it
+    # lies below the envelope) or lowered (a reflex vertex of the true data)
+    nodes = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
+    values = [(x * x + 2 * y * y) / 2 for x, y in nodes]
+    cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes, values)
+    real = convexgeom.lifted_hull
+    bumped = np.where(np.arange(len(nodes)) == 12, float(bump), 0.0)
+    monkeypatch.setattr(convexgeom, "lifted_hull",
+                        lambda pts, vals: real(pts, vals + bumped))
+    assert not convexgeom.FacetCells(nodes, values,
+                                     cpl.domain.vertices).good.any()
+    measure = assert_exact_agreement(cpl)
+    assert measure.cell_fallbacks == len(nodes)
 
 
 def jittered_quadratic(k, seed, noise):

@@ -6,9 +6,9 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from nama import (ConvexPL, InfeasibleBoundary, Interval, TargetMeasure,
-                  box_polygon, discrete_slope_jumps, gradient_cells,
-                  ma_measure, ma_measure_oracle, solve,
+from nama import (ConvexPL, InfeasibleBoundary, Interval, Polygon,
+                  TargetMeasure, box_polygon, discrete_slope_jumps,
+                  gradient_cells, ma_measure, ma_measure_oracle, solve,
                   strict_convexity_report)
 
 F = Fraction
@@ -38,6 +38,35 @@ def test_domains_classify_points():
     assert box.on_boundary((0, F(1, 2)))
     assert box.on_boundary((2, 1))
     assert not box.contains((3, 0))
+
+
+def test_polygon_tests_agree_with_the_exact_slack():
+    # points on the edges with denominators near 2^60, and 1e-16 h, 1e-12 h
+    # and h/3 off them either way: the float pre-test must leave the points
+    # within rounding distance of an edge line to the exact slack
+    rng = np.random.default_rng(5)
+    corners = [(F(-1, 3), F(0)), (F(5, 2), F(-1, 7)), (F(3), F(2)),
+               (F(1, 5), F(9, 4))]
+    dom = Polygon(corners)
+    h, big = F(1, 16), 2 ** 60
+    points = list(corners)
+    for p, q in zip(corners, corners[1:] + corners[:1]):
+        inward = (p[1] - q[1], q[0] - p[0])
+        for _ in range(25):
+            t = F(int(rng.integers(big)), big - int(rng.integers(1, 9)))
+            on = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+            for off in (0, F(1, 10 ** 16), F(-1, 10 ** 16), F(1, 10 ** 12),
+                        F(-1, 10 ** 12), F(1, 3), F(-1, 3)):
+                points.append((on[0] + off * h * inward[0],
+                               on[1] + off * h * inward[1]))
+    flags = set()
+    for pt in points:
+        slack = [a[0] * pt[0] + a[1] * pt[1] - c for a, c in dom.halfplanes()]
+        inside = min(slack) >= 0
+        assert dom.contains(pt) == inside
+        assert dom.on_boundary(pt) == (inside and 0 in slack)
+        flags.add((inside, 0 in slack))
+    assert flags == {(True, True), (True, False), (False, False)}
 
 
 def test_convexpl_validates_its_input():
