@@ -50,8 +50,8 @@ MAX_SAMPLE_COORDS = 1 << 22
 # oracle take about a second and 100 MB
 MAX_ORACLE_GRID = 1 << 16
 # realma solve --grid by dimension: 100,000 nodes take about 30 s and
-# 180 MB end to end in 1D, 65x65 about 3 s and 87 MB in 2D (129x129 takes
-# 13 s but 172 MB, past that envelope, and 257x257 73 s and 730 MB)
+# 180 MB end to end in 1D, 65x65 about 3 s and 91 MB in 2D (129x129 takes
+# 11-15 s but 175 MB, past that envelope, and 257x257 86 s and 700 MB)
 MAX_SOLVE_GRID = {1: 100_000, 2: 65}
 # geometry slag-check --n and the --hessian dimension: the pair loop of
 # fiber_lagrangian_residual is quartic in it; 200 takes about 2 s and 35 MB
@@ -69,11 +69,24 @@ MAX_CALABI_N = 100_000
 # formatting and output plumbing
 
 
+def _true_false(value):
+    return "true" if value else "false"
+
+
+# fmt's branch for a value of exactly these types, looked up by type: a
+# large table's cells skip the abstract-base-class checks of the chain
+_FMT_BY_TYPE = {Fraction: str, bool: _true_false, float: float.__repr__,
+                int: str, type(None): lambda value: ""}
+
+
 def fmt(value):
+    f = _FMT_BY_TYPE.get(type(value))
+    if f is not None:
+        return f(value)
     if isinstance(value, Fraction):
         return str(value)
     if isinstance(value, bool):
-        return "true" if value else "false"
+        return _true_false(value)
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
@@ -81,41 +94,6 @@ def fmt(value):
     if value is None:
         return ""
     return str(value)
-
-
-def _formatter(value):
-    """The branch of :func:`fmt` that every value of ``type(value)``
-    takes."""
-    if value is None:
-        return fmt
-    if isinstance(value, Fraction):
-        return str
-    if isinstance(value, bool):
-        return lambda v: "true" if v else "false"
-    if isinstance(value, float):
-        return float.__repr__ if type(value) is float else (
-            lambda v: repr(float(v)))
-    if isinstance(value, (int, np.integer)):
-        return str if type(value) is int else lambda v: str(int(v))
-    return str
-
-
-def format_rows(rows):
-    """The cells of ``rows`` as :func:`fmt` writes them, each column's
-    formatter chosen once, by the type of its first non-None cell; a cell
-    of another type goes through :func:`fmt`."""
-    rows = list(rows)
-    if len(set(map(len, rows))) > 1:
-        return [[fmt(v) for v in row] for row in rows]
-    columns = []
-    for column in zip(*rows):
-        first = next((v for v in column if v is not None), None)
-        kind, f = type(first), _formatter(first)
-        columns.append(map(f, column) if all(type(v) is kind
-                                             for v in column)
-                       else [f(v) if type(v) is kind else fmt(v)
-                             for v in column])
-    return zip(*columns)
 
 
 def face_label(index_set):
@@ -137,7 +115,8 @@ class Emitter:
         with open(os.path.join(self.out_dir, name), "w", newline="") as fh:
             writer = csv.writer(fh, lineterminator="\n")
             writer.writerow(header)
-            writer.writerows(format_rows(rows))
+            for row in rows:
+                writer.writerow([fmt(v) for v in row])
         self.outputs.append(name)
 
     def finish(self, passed):

@@ -42,14 +42,22 @@ def _no_constant(name):
     raise ValueError(f"{name} is not a JSON value")
 
 
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
+
+
 def load_document(path):
     try:
         with open(path) as fh:
             return json.load(fh, object_pairs_hook=_no_duplicates,
-                             parse_constant=_no_constant)
+                             parse_constant=_no_constant,
+                             parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except ValueError as exc:       # json.JSONDecodeError, NaN, Infinity
+    except ValueError as exc:       # json.JSONDecodeError, NaN, 1e400
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
 
 

@@ -258,20 +258,46 @@ def lifted_hull(points, values):
         return None
 
 
-def _cleared(nodes, values, corners):
-    """Exact input with its denominators cleared: (X, V, L, M, C), where the
-    node coordinates times L are the int rows of X, the values times M the
-    ints of V, and the ``corners`` times L the int pairs of C; L is the lcm
-    of the coordinates' denominators, M that of the values'."""
-    C = [tuple(map(Fraction, v)) for v in corners or ()]
-    xs = [(c.numerator, c.denominator) for nd in nodes for c in nd]
-    vs = [(v.numerator, v.denominator) for v in values]
-    L = math.lcm(*(d for _, d in xs), *(c.denominator for v in C for c in v))
-    M = math.lcm(*(d for _, d in vs))
-    X = np.array([a * (L // d) for a, d in xs], dtype=object).reshape(-1, 2)
-    V = np.array([a * (M // d) for a, d in vs], dtype=object)
-    C = [tuple(c.numerator * (L // c.denominator) for c in v) for v in C]
-    return X, V, L, M, C
+def _cleared(nodes, values):
+    """Exact input with each node's denominators cleared: (X, l, V, m), where
+    node i is the int pair X[i] over l[i], the lcm of its coordinates'
+    denominators, and its value the int V[i] over m[i]."""
+    l = [math.lcm(*(c.denominator for c in nd)) for nd in nodes]
+    X = np.array([[c.numerator * (k // c.denominator) for c in nd]
+                  for nd, k in zip(nodes, l)], dtype=object).reshape(-1, 2)
+    return (X, np.array(l, dtype=object),
+            np.array([v.numerator for v in values], dtype=object),
+            np.array([v.denominator for v in values], dtype=object))
+
+
+def _homogeneous(point):
+    """A rational point as ints (x, y, w), w > 0, with ``point`` (x, y) / w."""
+    (a, b), (c, d) = (Fraction(point[0]).as_integer_ratio(),
+                      Fraction(point[1]).as_integer_ratio())
+    k = math.lcm(b, d)
+    return a * (k // b), c * (k // d), k
+
+
+def _cross(a, b):
+    """Row-wise cross products of the pair arrays a and b."""
+    return a[:, 0] * b[:, 1] - a[:, 1] * b[:, 0]
+
+
+def _plane(Q, W):
+    """The dets and gradient numerators of the triangles of vertex rows Q
+    (t, 3, 2) and values W (t, 3): a facet's gradient is num / det."""
+    u, w = Q[:, 1] - Q[:, 0], Q[:, 2] - Q[:, 0]
+    du, dw = W[:, 1] - W[:, 0], W[:, 2] - W[:, 0]
+    return _cross(u, w), np.column_stack([du * w[:, 1] - dw * u[:, 1],
+                                          u[:, 0] * dw - w[:, 0] * du])
+
+
+def _on_line(p, q, X, w):
+    """Whether the points X / w lie on the line through the homogeneous
+    integer points p and q: the 3x3 determinant of p, q, (X, w) is 0."""
+    return ((p[1] * q[2] - p[2] * q[1]) * X[:, 0]
+            + (p[2] * q[0] - p[0] * q[2]) * X[:, 1]
+            + (p[0] * q[1] - p[1] * q[0]) * w == 0)
 
 
 def _meet(P, sp, Q, sq):
@@ -299,15 +325,17 @@ class FacetCells:
     the envelope's subdifferential at the node (Rockafellar 1970, sections
     23-24), which has interior only at a vertex of the triangulation.
 
-    Exact input (Fraction nodes and values) runs on Python ints: the node
-    coordinates and ``corners`` are scaled by L, the lcm of their
-    denominators, and the values by M, that of theirs.  A facet's gradient
-    is then ``L num / (M det)``, integer numerators over the facet's integer
-    det, so every check is the sign of a cross-multiplied integer, and a
-    node's area is its shoelace sum over the lcm of its facets' dets, times
-    ``L^2 / (2 M^2)``.  The passes build no Fraction; that last step builds
-    one per closed node, and ``grad`` holds the correctly rounded floats.
-    :meth:`cut` clips in integers too.
+    Exact input (Fraction nodes and values) runs on Python ints: node i is
+    the int pair X_i over l_i, the lcm of its coordinates' denominators, and
+    its value V_i over m_i.  Each triangle is scaled by the lcms L and M of
+    its own three nodes' l and m, so its gradient is ``L num / (M det)``,
+    integer numerators over an integer denominator, every check is the sign
+    of a cross-multiplied integer, and a node's area is its shoelace sum
+    over the lcm of its facets' denominators.  The ints grow with the
+    denominators of a node's neighbours, not with those of the whole input.
+    The passes build no Fraction but the corners'; the last step builds one
+    per closed node, and ``grad`` holds the correctly rounded floats.  :meth:`cut` clips in
+    integers too.
 
     ``good`` marks the nodes whose cells the hull gives, ``closed`` those of
     them with bounded (possibly empty) cells, of areas ``area``.  The other
@@ -327,13 +355,14 @@ class FacetCells:
         exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
             and all(isinstance(v, Fraction) for v in values)
         if exact:       # int / int rounds as float(Fraction) does
-            P, V, L, M, C = self._cleared = _cleared(nodes, values, corners)
-            pts = np.array(P / L, dtype=float).reshape(-1, 2)
-            vals = np.array(V / M, dtype=float)
+            P, l, V, m = self._cleared = _cleared(nodes, values)
+            pts = np.array(P / l[:, None], dtype=float).reshape(-1, 2)
+            vals = np.array(V / m, dtype=float)
         else:
             self._cleared = None
             P = pts = np.array(nodes, dtype=float).reshape(-1, 2)
             V = vals = np.array(values, dtype=float)
+            l = m = np.ones(n)
         hull = lifted_hull(pts, vals)
         if hull is None:
             return
@@ -353,27 +382,40 @@ class FacetCells:
         good = np.zeros(n, dtype=bool)
         good[src] = True
 
-        # a facet's gradient is num / den: in floats den is 1, in cleared
-        # integers it is L num / (M det) and den is det
-        u, w = P[tri[:, 1]] - P[tri[:, 0]], P[tri[:, 2]] - P[tri[:, 0]]
-        du, dw = V[tri[:, 1]] - V[tri[:, 0]], V[tri[:, 2]] - V[tri[:, 0]]
-        det = u[:, 0] * w[:, 1] - u[:, 1] * w[:, 0]
+        def along(e):
+            """Half-edges e as vectors, each a positive multiple of its own."""
+            return (P[dst[e]] * l[src[e], None]
+                    - P[src[e]] * l[dst[e], None])
+
+        # a facet's gradient is num / den: in floats den is 1, in integers
+        # it is L num / (M det) over the triangle's own L and M
+        if exact:
+            Lt = np.lcm.reduce(l[tri], axis=1)
+            Mt = np.lcm.reduce(m[tri], axis=1)
+            det, num = _plane(P[tri] * (Lt[:, None] // l[tri])[:, :, None],
+                              V[tri] * (Mt[:, None] // m[tri]))
+        else:
+            det, num = _plane(P[tri], V[tri])
         bad = ~(det > 0)
-        num = np.column_stack([du * w[:, 1] - dw * u[:, 1],
-                               u[:, 0] * dw - w[:, 0] * du])
         if exact:
             # the triangles tile the polygon: they are positively oriented,
-            # their dets add up to its twice area, and every rim edge lies
-            # on a side of it
+            # every rim edge lies on a side of it, and their areas add up to
+            # its area; twin half-edges cancel in that sum, which leaves the
+            # shoelace of the rim
+            F = [tuple(map(Fraction, v)) for v in corners or ()]
+            C = [_homogeneous(v) for v in F]
+            rs, rd = src[rim], dst[rim]
+            w = l[rs] * l[rd]
+            W = math.lcm(*w)
             if not (C and len(det) and not bad.any()
-                    and det.sum() == sum(_orient(C[0], p, q)
-                                         for p, q in zip(C[1:], C[2:]))
+                    and (_cross(P[rs], P[rd]) * (W // w)).sum() == W * sum(
+                        _orient(F[0], p, q) for p, q in zip(F[1:], F[2:]))
                     and np.logical_or.reduce([
-                        (_orient(p, q, P[src[rim]].T) == 0)
-                        & (_orient(p, q, P[dst[rim]].T) == 0)
+                        _on_line(p, q, P[rs], l[rs])
+                        & _on_line(p, q, P[rd], l[rd])
                         for p, q in zip(C, C[1:] + C[:1])]).all()):
                 return
-            den, tol = det, 0
+            num, den, tol = num * Lt[:, None], det * Mt, 0
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 num = num / det[:, None]
@@ -385,28 +427,29 @@ class FacetCells:
         e = inner[(inner < twin[inner]) & ~bad[inner // 3]
                   & ~bad[twin[inner] // 3]]
         s, t = e // 3, twin[e] // 3
-        jump = num[t] * den[s, None] - num[s] * den[t, None]
-        side = P[dst[e]] - P[src[e]]
-        # every node off the triangulation on or above every facet plane
+        if not (_cross(num[t] * den[s, None] - num[s] * den[t, None],
+                       along(e)) >= -tol).all():
+            return
+        # every node off the triangulation on or above every facet plane:
+        # den (v_i - v_a) >= num . (x_i - x_a) at a facet's first node a,
+        # times m_i l_i m_a l_a
         off = np.nonzero(~good)[0]
-        lift = np.zeros(len(off), dtype=V.dtype)
         if len(off) and not bad.all():
-            g, d, a = num[~bad], den[~bad], tri[~bad, 0]
-            b = V[a] * d - (P[a] * g).sum(axis=1)
+            a = tri[~bad, 0]
+            g, d = num[~bad] * (m[a] * l[a])[:, None], den[~bad] * m[a] * l[a]
+            b = den[~bad] * V[a] * l[a] - m[a] * (P[a] * num[~bad]).sum(axis=1)
             step = max(1, _BLOCK // len(b))
             for k in range(0, len(off), step):
                 i = off[k:k + step]
-                lift[k:k + step] = (V[i, None] * d
-                                    - (P[i] @ g.T + b)).min(axis=1)
-        if not ((jump[:, 0] * side[:, 1] - jump[:, 1] * side[:, 0]
-                 >= -tol).all() and (lift >= -tol).all()):
-            return
+                if not ((V[i] * l[i])[:, None] * d - m[i, None]
+                        * (P[i] @ g.T + l[i, None] * b) >= -tol).all():
+                    return
         good[off] = True
         good[tri[bad].ravel()] = False
         edge = np.zeros(n, dtype=bool)
         edge[src[rim]] = True
         self.good, self.closed = good, good & ~edge
-        self.grad = (np.array(num * L / (det * M)[:, None], dtype=float)
+        self.grad = (np.array(num / den[:, None], dtype=float)
                      if exact else num)
         self.tri, self.src, self.dst, self.apex, self.twin = (
             tri, src, dst, apex, twin)
@@ -415,17 +458,16 @@ class FacetCells:
         # the fan's shoelace
         i, fs, ft = src[inner], inner // 3, twin[inner] // 3
         if exact:
-            # over the lcm D of the node's dets, each facet's gradient
-            # numerators times D / det: one Fraction per closed node
+            # over the lcm D of the node's facets' den, each facet's
+            # gradient numerators times D / den: one Fraction per closed node
             D = np.ones(n, dtype=object)
-            np.lcm.at(D, src, det[np.arange(len(src)) // 3])
-            p = num[ft] * (D[i] // det[ft])[:, None]
-            q = num[fs] * (D[i] // det[fs])[:, None]
+            np.lcm.at(D, src, den[np.arange(len(src)) // 3])
             twice = np.zeros(n, dtype=object)
-            np.add.at(twice, i, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+            np.add.at(twice, i, _cross(num[ft], num[fs])
+                      * (D[i] // den[ft]) * (D[i] // den[fs]))
             self.area = np.full(n, Fraction(0), dtype=object)
             k = np.nonzero(self.closed)[0]
-            self.area[k] = [Fraction(abs(a) * L * L, 2 * M * M * d * d)
+            self.area[k] = [Fraction(abs(a), 2 * d * d)
                             for a, d in zip(twice[k].tolist(),
                                             D[k].tolist())]
         else:
@@ -435,7 +477,7 @@ class FacetCells:
             ref[src] = np.arange(len(src)) // 3
             p, q = num[ft] - num[ref[i]], num[fs] - num[ref[i]]
             twice = np.zeros(n)
-            np.add.at(twice, i, p[:, 0] * q[:, 1] - p[:, 1] * q[:, 0])
+            np.add.at(twice, i, _cross(p, q))
             self.area = np.where(self.closed, np.abs(twice) / 2, 0.0)
 
         # an unbounded cell has interior unless its two boundary edges are
@@ -444,7 +486,7 @@ class FacetCells:
         f = e // 3
         first, last, g_in, g_out = np.zeros((4, n, 2), dtype=P.dtype)
         d_in, d_out = np.ones((2, n), dtype=P.dtype)
-        first[src[e]] = last[dst[e]] = P[dst[e]] - P[src[e]]
+        first[src[e]] = last[dst[e]] = along(e)
         g_out[src[e]], d_out[src[e]] = num[f], den[f]
         g_in[dst[e]], d_in[dst[e]] = num[f], den[f]
         span = g_in * d_out[:, None] - g_out * d_in[:, None]
@@ -482,20 +524,21 @@ class FacetCells:
     def _cut_exact(self, i, polygon, star):
         """:func:`cut_cell` of exact input in homogeneous integer
         coordinates (x, y, w), w > 0, of the scaled gradient space, where a
-        gradient p is ``L (x, y) / (M w)`` and node j's constraint reads
-        ``(x, y) . (X_i - X_j) >= (V_i - V_j) w``.  The same vertices in the
-        same order, labels and edges; the cut vertices and the area are
-        made Fractions once, at the end."""
-        X, V, L, M, _ = self._cleared
-        verts = []
-        for v in polygon:
-            (a, b), (c, d) = v[0].as_integer_ratio(), v[1].as_integer_ratio()
-            k = math.lcm(b, d)
-            verts.append(((a * (k // b) * M, c * (k // d) * M, k * L), v))
+        gradient p is ``L (x, y) / (M w)`` over the lcms L and M of the
+        denominators of node i and its ``star``, and node j's constraint
+        reads ``(x, y) . (X_i - X_j) >= (V_i - V_j) w``.  The same vertices
+        in the same order, labels and edges; the cut vertices and the area
+        are made Fractions once, at the end."""
+        X, l, V, m = self._cleared
+        L, M = math.lcm(*l[[i, *star]]), math.lcm(*m[[i, *star]])
+        verts = [((x * M, y * M, w * L), v)
+                 for v, (x, y, w) in zip(polygon, map(_homogeneous, polygon))]
         labels = [None] * len(verts)
-        xi, yi = X[i]
+        xi, yi = X[i] * (L // l[i])
+        vi = V[i] * (M // m[i])
         for j in star:
-            a0, a1, c = xi - X[j, 0], yi - X[j, 1], V[i] - V[j]
+            xj, yj = X[j] * (L // l[j])
+            a0, a1, c = xi - xj, yi - yj, vi - V[j] * (M // m[j])
             verts, labels, _ = _clip(
                 verts, labels, [a0 * x + a1 * y - c * w
                                 for (x, y, w), _ in verts], _meet, j)
@@ -505,19 +548,11 @@ class FacetCells:
         scaled = [(x * L, y * L, w * M) for x, y, w in hs]
         verts = [v if v is not None else (Fraction(x, w), Fraction(y, w))
                  for (x, y, w), v in zip(scaled, kept)]
-        if len(hs) < 3 or None not in kept:
-            area = polygon_area(verts)
-        else:       # the shoelace over the lcm of the w
-            W = math.lcm(*(w for _, _, w in hs))
-            ps = [(x * (W // w), y * (W // w)) for x, y, w in hs]
-            twice = sum(p[0] * q[1] - p[1] * q[0]
-                        for p, q in zip(ps, ps[1:] + ps[:1]))
-            area = Fraction(abs(twice) * L * L, 2 * W * W * M * M)
         # int / int rounds as float(Fraction) does
         edges = edge_lengths_by_label([(x / w, y / w) for x, y, w in scaled],
                                       labels)
         edges.pop(None, None)
-        return Cell(2, verts, area, edges,
+        return Cell(2, verts, polygon_area(verts), edges,
                     any(lab is None for lab in labels), len(verts) < 3)
 
     def inside(self, corners):

@@ -610,19 +610,40 @@ def test_manifests_are_strict_json(tmp_path, capsys):
     assert "limit=inf" in capsys.readouterr().out
 
 
-def test_a_config_with_nan_is_not_json(tmp_path, capsys):
+@pytest.mark.parametrize("extra, why", [
+    (', "values": [0, NaN]', "NaN is not a JSON value"),
+    # a key measure never reads, which would reach the manifest's options
+    (', "values": [0, 0], "expected": 1e400', "1e400 is not a finite number"),
+])
+def test_a_config_with_nan_is_not_json(tmp_path, capsys, extra, why):
     path = tmp_path / "cfg.json"
-    path.write_text('{"domain": {"interval": [0, 1]}, "nodes": [[0], [1]], '
-                    '"values": [0, NaN]}')
-    assert main(["realma", "measure", str(path)]) == 1
+    path.write_text('{"domain": {"interval": [0, 1]}, "nodes": [[0], [1]]'
+                    + extra + '}')
+    assert main(["realma", "measure", str(path),
+                 "--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == (
-        f"config error: config file {path} is not valid JSON: NaN is not a "
-        "JSON value\n")
+        f"config error: config file {path} is not valid JSON: {why}\n")
+    assert not (tmp_path / "out").exists()
+
+
+def chain_fmt(value):
+    """fmt without its lookup by exact type."""
+    if isinstance(value, F):
+        return str(value)
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return repr(float(value))
+    if isinstance(value, (int, np.integer)):
+        return str(int(value))
+    if value is None:
+        return ""
+    return str(value)
 
 
 def test_tables_are_written_as_fmt_writes_each_cell(tmp_path):
-    # a column's formatter is chosen from its first non-None cell; cells of
-    # other types, bool among ints and ints among floats, go through fmt
+    # exact types take fmt's lookup, subclasses (bool of int, np.float64 of
+    # float) and numpy scalars its chain of checks
     rows = [(F(1, 3), 0.1, True, 3, None, np.int64(7), np.float64(2.5), "a",
              None, 1),
             (None, 2.0, False, np.int32(-4), F(2), True, 1, None, None, 2),
@@ -631,14 +652,12 @@ def test_tables_are_written_as_fmt_writes_each_cell(tmp_path):
              None, 10 ** 30),
             (F(0), -0.0, np.bool_(True), 10 ** 30, None, None, 2.0, "b,c",
              None, -4)]
-    assert [list(row) for row in cli.format_rows(rows)] == [
-        [cli.fmt(v) for v in row] for row in rows]
     emitter = cli.Emitter(str(tmp_path), "test", {})
     emitter.write_table("t.csv", tuple("abcdefghij"), iter(rows))
     want = io.StringIO()
     writer = csv.writer(want, lineterminator="\n")
     writer.writerow("abcdefghij")
-    writer.writerows([cli.fmt(v) for v in row] for row in rows)
+    writer.writerows([chain_fmt(v) for v in row] for row in rows)
     assert (tmp_path / "t.csv").read_bytes() == want.getvalue().encode()
 
 

@@ -302,6 +302,25 @@ def test_integer_cells_equal_the_fraction_clip(cpl):
     check_integer_cells(cpl)
 
 
+PRIMES = [9967, 9973, 10007, 10009, 10037, 10039, 10061, 10067, 10069,
+          10079, 10091, 10093, 10099, 10103]
+
+
+@pytest.mark.parametrize("seed", range(4))
+def test_integer_cells_with_a_prime_denominator_per_node(seed):
+    # each node over its own large prime: the lcm of the whole input has
+    # 14 of them, a facet's only those of its own nodes
+    rnd = np.random.default_rng(seed)
+    inner = {(F(int(rnd.integers(0, 3 * p)), p),
+              F(int(rnd.integers(0, 2 * p)), p)) for p in PRIMES}
+    nodes = sorted(set(SKEW.vertices) | {q for q in inner if SKEW.contains(q)})
+    lift = [F(int(rnd.integers(0, 3)), int(rnd.choice(PRIMES))) for _ in nodes]
+    values = [x * x + x * y / 3 + 2 * y * y + d
+              for (x, y), d in zip(nodes, lift)]
+    cells = check_integer_cells(ConvexPL(SKEW, nodes, values))
+    assert cells.good.all() and cells.closed.sum() == len(nodes) - 4
+
+
 @settings(max_examples=40, deadline=None, derandomize=True)
 @given(skew_functions(), st.randoms(use_true_random=False))
 def test_scrambled_hulls_are_rejected_whole(cpl, rnd):
