@@ -62,11 +62,14 @@ print("exit status:", code)
 ## 2. What a run leaves behind
 
 A CSV table per result plus ``manifest.json`` echoing the resolved
-options, the output list, and a machine-readable summary.
+options, the output list, and a machine-readable summary.  The manifest
+is one line of strict JSON.
 """
 
 # %%
-manifest = json.loads((workdir / "run1" / "manifest.json").read_text())
+text = (workdir / "run1" / "manifest.json").read_text()
+manifest = json.loads(text)
+print("lines:     ", text.count("\n"))
 print("outputs:   ", manifest["outputs"])
 print("summary:   ", manifest["summary"])
 print((workdir / "run1" / "namma.csv").read_text())

@@ -132,10 +132,10 @@ class Emitter:
                         for k, v in self.summary.items()},
             "passed": bool(passed),
         }
+        # one line: without indent, json.dumps runs the C encoder
         with open(os.path.join(self.out_dir, "manifest.json"), "w") as fh:
-            json.dump(manifest, fh, indent=2, sort_keys=True, default=fmt,
-                      allow_nan=False)
-            fh.write("\n")
+            fh.write(json.dumps(manifest, sort_keys=True, default=fmt,
+                                allow_nan=False) + "\n")
         for key in sorted(self.summary):
             print(f"{key}={fmt(self.summary[key])}")
         print("PASS" if passed else "FAIL")

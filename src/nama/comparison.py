@@ -49,10 +49,10 @@ def cycle_model(degrees):
 def cycle_table(degrees):
     """Intersection numbers of the cycle: self-intersection -2, neighbors 1.
 
-    Stores (L . E_i) = degrees[i], the fibre total (L) = sum of degrees, and
-    the full intersection matrix of the components.  Its N^2 - 3N zeros are
-    structural, so they are stored without passing through the validating
-    :meth:`IntersectionTable.add`.
+    Stores the 4N + 1 on-face entries: the fibre total (L) = sum of
+    degrees, (L . E_i) = degrees[i], and the pairings (E_j . E_i) for j = i
+    and its two neighbors.  The other N^2 - 3N pairings are structural
+    zeros, neither stored nor read (see :class:`IntersectionTable`).
     """
     ds = [as_fraction(d) for d in degrees]
     N = len(ds)
@@ -60,15 +60,11 @@ def cycle_table(degrees):
         raise ValueError("a simplicial cycle needs at least 3 components")
     table = IntersectionTable(1)
     table.add(1, {}, (), sum(ds))
-    powers = [((j, 1),) for j in range(N)]
     for i in range(N):
         table.add(1, {}, (i,), ds[i])
-        near = {i: -2, (i + 1) % N: 1, (i - 1) % N: 1}
-        for j, pairing in near.items():
-            table.add(0, {j: 1}, (i,), pairing)
-        stratum = (i,)
-        table.add_zeros((0, powers[j], stratum) for j in range(N)
-                        if j not in near)
+        table.add(0, {i: 1}, (i,), -2)
+        table.add(0, {(i + 1) % N: 1}, (i,), 1)
+        table.add(0, {(i - 1) % N: 1}, (i,), 1)
     return table
 
 

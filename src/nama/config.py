@@ -27,6 +27,15 @@ MODEL_KEYS = {"n", "semistable", "divisors", "faces", "intersection_table",
 COMMAND_KEYS = {"cycle", "residues", "potential", "matching", "mass_terms",
                 "atomic", "domain", "density", "masses", "boundary",
                 "expected", "resolution", "nodes", "values"}
+TABLE_ENTRY_KEYS = {"L_power", "divisor_powers", "stratum", "value"}
+# cycle.degrees: a cycle costs about 3.5 KB of memory per component;
+# compare vilsmeier at 20,000 takes about 5 s and 100 MB end to end
+# (30,000 takes 7 s and 140 MB)
+MAX_CYCLE_LENGTH = 20_000
+# intersection_table: about 1.2 KB per entry; model validate on 50,000
+# entries takes about 2-3 s and 100 MB end to end (100,000 take 3 s and
+# 150 MB)
+MAX_TABLE_ENTRIES = 50_000
 
 
 def _no_duplicates(pairs):
@@ -74,6 +83,16 @@ def require(mapping, key, context):
     if key not in mapping:
         raise ConfigError(f"missing required key {key!r} in {context}")
     return mapping[key]
+
+
+def bounded_list(value, cap, context):
+    """``value``, which must be a list of at most ``cap`` entries."""
+    if not isinstance(value, list):
+        raise ConfigError(f"{context} must be a list")
+    if len(value) > cap:
+        raise ConfigError(f"{context} has {len(value)} entries; at most "
+                          f"{cap} are allowed")
+    return value
 
 
 def rational(value, context):
@@ -141,13 +160,12 @@ def build_model_from_config(doc):
 
 
 def build_table_from_config(entries, n):
-    if not isinstance(entries, list):
-        raise ConfigError("intersection_table must be a list")
+    bounded_list(entries, MAX_TABLE_ENTRIES, "intersection_table")
     table = IntersectionTable(n)
+    parsed = {}     # value string -> Fraction: tables repeat a few strings
     for k, entry in enumerate(entries):
         ctx = f"intersection_table[{k}]"
-        check_keys(entry, {"L_power", "divisor_powers", "stratum", "value"},
-                   ctx)
+        check_keys(entry, TABLE_ENTRY_KEYS, ctx)
         lp = integer(require(entry, "L_power", ctx), f"{ctx}.L_power",
                      minimum=0)
         powers_raw = entry.get("divisor_powers", {})
@@ -159,8 +177,14 @@ def build_table_from_config(entries, n):
             powers[ident] = integer(val, f"{ctx}.divisor_powers[{key}]",
                                     minimum=1)
         stratum = id_list(entry.get("stratum", []), f"{ctx}.stratum")
-        value = rational(require(entry, "value", ctx), f"{ctx}.value")
-        table.add(lp, powers, tuple(stratum), value)
+        raw = require(entry, "value", ctx)
+        if isinstance(raw, str):
+            value = parsed.get(raw)
+            if value is None:
+                value = parsed[raw] = rational(raw, f"{ctx}.value")
+        else:
+            value = rational(raw, f"{ctx}.value")
+        table.add(lp, powers, stratum, value)
     return table
 
 
@@ -251,8 +275,9 @@ def model_bundle(doc, need_table=False):
         if "cycle" in doc:
             block = doc["cycle"]
             check_keys(block, {"degrees", "coefficients"}, "cycle")
-            degrees = [rational(d, "cycle.degrees")
-                       for d in require(block, "degrees", "cycle")]
+            raw = bounded_list(require(block, "degrees", "cycle"),
+                               MAX_CYCLE_LENGTH, "cycle.degrees")
+            degrees = [rational(d, "cycle.degrees") for d in raw]
             model = cycle_model(degrees)
             table = cycle_table(degrees)
             raw = require(block, "coefficients", "cycle")

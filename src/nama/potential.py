@@ -19,8 +19,6 @@ from .errors import (EmptySections, MassMismatch, MissingTableEntry)
 from .measures import AtomicMeasure
 from .skeleton import as_fraction, monomial_valuation
 
-_ZERO = Fraction(0)
-
 
 @dataclass(frozen=True)
 class AffinePiece:
@@ -86,8 +84,11 @@ class IntersectionTable:
     the intersection is empty and the number vanishes.  They are never
     required and never read, may be supplied as zeros, and a supplied
     *nonzero* off-face entry is an inconsistent table, rejected by
-    :meth:`check_faces`.  Only nonzero entries are indexed (per stratum),
-    so that check costs O(nonzero entries).
+    :meth:`check_faces`.  A generated table stores none of them: the
+    N-cycle's :func:`~nama.comparison.cycle_table` holds its 4N + 1
+    on-face entries, not the N^2 + N + 1 of the full matrix.  Only nonzero
+    entries are indexed (per stratum), so that check costs O(nonzero
+    entries).
 
     Linearity relations ``sum_i b_i (.. O(E_i) ..) = 0`` coming from the
     triviality of the central-fibre bundle are validated opportunistically by
@@ -128,17 +129,6 @@ class IntersectionTable:
         self._entries[key] = value
         if value:
             self._nonzero.setdefault(stratum, []).append(key)
-
-    def add_zeros(self, keys):
-        """Store zeros under canonical keys ``(a, powers, stratum)``.
-
-        For generated tables: the keys skip :meth:`add`'s validation, so
-        they must already be in the form :meth:`add` would build.
-        """
-        entries = self._entries
-        for key in keys:
-            if entries.setdefault(key, _ZERO):
-                raise ValueError(f"conflicting values for entry {key}")
 
     def check_faces(self, model, strata=None):
         """Reject nonzero entries off the face lattice of ``model``.

@@ -43,8 +43,12 @@ def write_config(tmp_path, doc, name="cfg.json"):
 
 
 def read_manifest(out_dir):
+    """The manifest, read with NaN and Infinity refused."""
+    def refuse(name):
+        raise ValueError(f"{name} in a manifest")
+
     with open(out_dir / "manifest.json") as fh:
-        return json.load(fh)
+        return json.load(fh, parse_constant=refuse)
 
 
 def read_csv(path):
@@ -378,6 +382,10 @@ def test_every_subcommand_reruns_byte_identical(tmp_path, argv, doc):
     second = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
     assert first == second
     assert len(first) == 2 and "manifest.json" in first
+    # one line of strict JSON
+    manifest = first["manifest.json"]
+    assert manifest.endswith(b"\n") and manifest.count(b"\n") == 1
+    assert read_manifest(tmp_path / "out")["passed"] is True
 
 
 @pytest.mark.parametrize("argv,doc", [s for s in SUBCOMMANDS if s[1]],
@@ -463,6 +471,7 @@ INVALID = [
     (["realma", "solve", "--grid", "3"],      # 1/3 is not a grid node
      {"domain": {"interval": [0, 1]}, "boundary": {"quadratic": [[0]]},
       "masses": [{"node": ["1/3"], "mass": 1}]}),
+    (["model", "validate"], {"cycle": {"degrees": 5, "coefficients": [0]}}),
 ]
 
 
@@ -580,6 +589,27 @@ def test_hybrid_size_caps_are_accepted_without_running(
     assert capsys.readouterr().err.startswith("config error: argument --n")
 
 
+@pytest.mark.parametrize("stage, key, cap, doc", [
+    ("cycle_model", "cycle.degrees", config.MAX_CYCLE_LENGTH,
+     lambda n: {"cycle": {"degrees": [1] * n, "coefficients": [0] * n}}),
+    ("IntersectionTable", "intersection_table", config.MAX_TABLE_ENTRIES,
+     lambda n: dict(SEGMENT_MODEL,
+                    intersection_table=SEGMENT_TABLE[:1] * n)),
+])
+def test_config_list_caps_are_accepted_without_building(
+        tmp_path, monkeypatch, capsys, stage, key, cap, doc):
+    monkeypatch.setattr(config, stage, stop)
+    out = ["--out", str(tmp_path / "out")]
+    with pytest.raises(Reached):
+        main(["model", "validate", write_config(tmp_path, doc(cap))] + out)
+    assert main(["model", "validate",
+                 write_config(tmp_path, doc(cap + 1))] + out) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {key} has {cap + 1} entries; at most {cap} are "
+        "allowed\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m, n", [(44, 45), (1, 150)])
 def test_gcalabi_checks_blocks_past_the_float_range(tmp_path, capsys, m, n):
@@ -591,21 +621,12 @@ def test_gcalabi_checks_blocks_past_the_float_range(tmp_path, capsys, m, n):
         == pytest.approx(-1.0, abs=1e-6)
 
 
-def strict_manifest(out_dir):
-    """The manifest, read with NaN and Infinity refused."""
-    def refuse(name):
-        raise ValueError(f"{name} in a manifest")
-
-    with open(out_dir / "manifest.json") as fh:
-        return json.load(fh, parse_constant=refuse)
-
-
 def test_manifests_are_strict_json(tmp_path, capsys):
     # det P * det Q overflows a float at n = 150: its limit is null
     out = tmp_path / "out"
     assert main(["geometry", "gcalabi", "--m", "1", "--n", "150",
                  "--out", str(out)]) == 0
-    summary = strict_manifest(out)["summary"]
+    summary = read_manifest(out)["summary"]
     assert summary["limit"] is None and summary["slope"] is not None
     assert "limit=inf" in capsys.readouterr().out
 

@@ -52,9 +52,10 @@ def test_cycle_model_and_table_shape():
     assert table.value(0, {1: 1}, (1,)) == -2
     assert table.value(0, {0: 1}, (1,)) == 1
     assert table.value(0, {0: 1}, (2,)) == 1   # cyclic neighbors wrap
-    # non-neighbors pair to zero, stored explicitly
+    # non-neighbors pair to structural zeros, which are not stored
     five = cycle_table([1] * 5)
-    assert five.value(0, {3: 1}, (0,)) == 0
+    assert len(five) == 4 * 5 + 1
+    assert not five.has(0, {3: 1}, (0,))
 
 
 def test_cycle_model_needs_three_vertices():

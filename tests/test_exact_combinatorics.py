@@ -4,8 +4,9 @@ The face-local expansion of ``na_ma_model_metric`` and ``stratum_class`` is
 checked against the full multilinear expansion over every twisted divisor
 (kept here as the oracle, reading a table with explicit off-face zeros),
 Bareiss elimination against cofactor expansion, Parlett-Reid against the
-first-row Pfaffian expansion, and the sorted 1D cells of
-``TargetMeasure.from_density`` and ``ma_measure`` against ``dual_cell_1d``.
+first-row Pfaffian expansion, the sorted 1D cells of
+``TargetMeasure.from_density`` and ``ma_measure`` against ``dual_cell_1d``,
+and ``cycle_table``'s on-face entries against the full N^2 + N + 1 table.
 """
 
 import itertools
@@ -21,8 +22,9 @@ from hypothesis import strategies as st
 from nama import (ConvexPL, Divisor, IntersectionTable, Interval,
                   TargetMeasure, build_model, cycle_model, cycle_table,
                   determinant, ma_measure, na_ma_model_metric, pfaffian,
-                  stratum_class)
+                  stratum_class, vilsmeier_check_1d)
 from nama.cli import main
+from nama.config import build_model_from_config, build_table_from_config
 from nama.convexgeom import dual_cell_1d
 
 F = Fraction
@@ -316,14 +318,74 @@ def test_check_relations_visits_only_neighbours(monkeypatch):
     assert counts[1] <= 2.2 * counts[0]
 
 
-def test_cycle_table_keeps_every_entry():
+def test_cycle_table_stores_only_on_face_entries():
     table = cycle_table([1, 2, 3, 4])
-    assert len(table) == 4 * 4 + 4 + 1
-    assert table.value(0, {2: 1}, (0,)) == 0
+    assert len(table) == 4 * 4 + 1
+    assert not table.has(0, {2: 1}, (0,))
     assert table.value(0, {1: 1}, (0,)) == 1
     assert table.value(0, {0: 1}, (0,)) == -2
     with pytest.raises(ValueError, match="conflicting"):
-        table.add_zeros([(0, ((1, 1),), (0,))])
+        table.add(0, {1: 1}, (0,), 0)
+
+
+def test_cycle_table_grows_linearly():
+    assert len(cycle_table([1] * 10_000)) == 4 * 10_000 + 1
+
+
+def full_cycle_config(degrees, coeffs):
+    """A cycle as a model config whose table spells out all N^2 + N + 1
+    entries, the structural zeros included."""
+    N = len(degrees)
+    table = [{"L_power": 1, "stratum": [], "value": str(sum(degrees))}]
+    for i in range(N):
+        table.append({"L_power": 1, "stratum": [i],
+                      "value": str(degrees[i])})
+        for j in range(N):
+            pairing = -2 if i == j else \
+                1 if j in ((i + 1) % N, (i - 1) % N) else 0
+            table.append({"L_power": 0, "divisor_powers": {str(j): 1},
+                          "stratum": [i], "value": str(pairing)})
+    return {"n": 1, "semistable": True,
+            "divisors": [{"id": i, "degrees": str(d)}
+                         for i, d in enumerate(degrees)],
+            "faces": [[i] for i in range(N)]
+            + [sorted((i, (i + 1) % N)) for i in range(N)],
+            "intersection_table": table,
+            "coefficients": {str(i): str(c) for i, c in enumerate(coeffs)}}
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_cycle_table_agrees_with_the_full_table(tmp_path, seed):
+    rng = np.random.default_rng(seed)
+    N = int(rng.integers(3, 13))
+    degrees = [F(int(p), int(q)) for p, q in zip(rng.integers(1, 8, N),
+                                                 rng.integers(1, 3, N))]
+    coeffs = [F(int(p), int(q)) for p, q in zip(rng.integers(-5, 6, N),
+                                                rng.integers(1, 5, N))]
+    doc = full_cycle_config(degrees, coeffs)
+    full = build_table_from_config(doc["intersection_table"], 1)
+    table = cycle_table(degrees)
+    assert (len(full), len(table)) == (N * N + N + 1, 4 * N + 1)
+    full_model = build_model_from_config(doc)
+    model = cycle_model(degrees)
+    c = dict(enumerate(coeffs))
+    assert na_ma_model_metric(model, table, c) \
+        == na_ma_model_metric(full_model, full, c)
+    assert vilsmeier_check_1d(model, table, c) \
+        == vilsmeier_check_1d(full_model, full, c)
+    assert table.check_relations(model) == full.check_relations(full_model) \
+        == (N, [], 0)
+
+    written = []
+    for name, config in (("full", doc), ("cycle", {"cycle": {
+            "degrees": [str(d) for d in degrees],
+            "coefficients": [str(x) for x in coeffs]}})):
+        path = tmp_path / f"{name}.json"
+        path.write_text(json.dumps(config))
+        out = tmp_path / name
+        assert main(["namma", str(path), "--out", str(out)]) == 0
+        written.append((out / "namma.csv").read_bytes())
+    assert written[0] == written[1]
 
 
 # ---------------------------------------------------------------------------
