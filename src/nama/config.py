@@ -39,12 +39,14 @@ MAX_TABLE_ENTRIES = 50_000
 
 
 def _no_duplicates(pairs):
-    seen = {}
-    for key, value in pairs:
-        if key in seen:
-            raise ConfigError(f"duplicate key {key!r} in configuration")
-        seen[key] = value
-    return seen
+    mapping = dict(pairs)
+    if len(mapping) < len(pairs):
+        seen = set()
+        for key, _ in pairs:
+            if key in seen:
+                raise ConfigError(f"duplicate key {key!r} in configuration")
+            seen.add(key)
+    return mapping
 
 
 def _no_constant(name):

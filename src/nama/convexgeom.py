@@ -250,12 +250,45 @@ def _orient(p, q, r):
 
 
 def lifted_hull(points, values):
-    """Qhull of the lifted points, or None when they are affinely flat."""
+    """Qhull of the lifted points, or None when they are flat (to rounding)."""
     from scipy.spatial import ConvexHull, QhullError
     try:
         return ConvexHull(np.column_stack([points, values]))
     except QhullError:
         return None
+
+
+def lower_facets(points, values):
+    """The lower-hull facets of the float nodes lifted to ``values``, as
+    ccw rows of node indices, and whether the lift is flat: then Qhull
+    rejects it, and every triangulation, so the Delaunay one, is its hull."""
+    from scipy.spatial import Delaunay, QhullError
+    hull = lifted_hull(points, values)
+    if hull is not None:
+        tri = hull.simplices[hull.equations[:, 2] < -1e-12]
+    else:
+        try:
+            tri = Delaunay(points).simplices
+        except QhullError:
+            tri = np.zeros((0, 3))
+    tri = tri.astype(np.int64)
+    flip = _orient(*points[tri].transpose(1, 2, 0)) < 0
+    tri[flip] = tri[flip][:, [0, 2, 1]]
+    return tri, hull is None
+
+
+def facet_planes(points, values):
+    """The planes of the float lower envelope: gradients ``g`` (facets x 2)
+    and intercepts ``b`` with ``envelope(x) = max_f g[f] . x + b[f]``, the
+    finite facet gradients of :func:`lower_facets`, each plane through its
+    facet's first node."""
+    tri, _ = lower_facets(points, values)
+    det, num = _plane(points[tri], values[tri])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = num / det[:, None]
+    keep = np.isfinite(g).all(axis=1)
+    g, a = g[keep], tri[keep, 0]
+    return g, values[a] - (points[a] * g).sum(axis=1)
 
 
 def _cleared(nodes, values):
@@ -323,7 +356,9 @@ class FacetCells:
     tiling the ccw polygon ``corners``; float checks allow a relative
     1e-11.  A node off the triangulation then has an empty cell: a cell is
     the envelope's subdifferential at the node (Rockafellar 1970, sections
-    23-24), which has interior only at a vertex of the triangulation.
+    23-24), which has interior only at a vertex of the triangulation.  The
+    triangles are :func:`lower_facets`; float input Qhull finds flat takes
+    its largest facet's gradient for all, so no cell has rounding noise.
 
     Exact input (Fraction nodes and values) runs on Python ints: node i is
     the int pair X_i over l_i, the lcm of its coordinates' denominators, and
@@ -363,12 +398,9 @@ class FacetCells:
             P = pts = np.array(nodes, dtype=float).reshape(-1, 2)
             V = vals = np.array(values, dtype=float)
             l = m = np.ones(n)
-        hull = lifted_hull(pts, vals)
-        if hull is None:
+        tri, flat = lower_facets(pts, vals)
+        if not len(tri):
             return
-        tri = hull.simplices[hull.equations[:, 2] < -1e-12].astype(np.int64)
-        flip = _orient(*pts[tri].transpose(1, 2, 0)) < 0
-        tri[flip] = tri[flip][:, [0, 2, 1]]
         # half-edge 3t + k runs from tri[t, k] to tri[t, k + 1] opposite the
         # apex tri[t, k + 2]; its twin runs back in the facet across, or is -1
         src, dst, apex = (np.roll(tri, -k, axis=1).ravel() for k in range(3))
@@ -419,6 +451,8 @@ class FacetCells:
         else:
             with np.errstate(divide="ignore", invalid="ignore"):
                 num = num / det[:, None]
+            if flat:    # one plane to rounding: its largest facet's for all
+                num[:] = num[np.argmax(det)]
             den = np.ones(len(det))
             tol = 1e-11 * (1 + np.abs(V).max() + np.abs(P).max()
                            * np.abs(num[~bad]).max(initial=0))

@@ -19,7 +19,8 @@ array passes, on integers with the denominators cleared for rational
 input, once the hull has been checked.  A node off the checked
 triangulation has a cell without interior.  A node the hull does not vouch
 for takes the full clip against every other node
-(:func:`~nama.convexgeom.dual_cell_2d`), counted as a cell fallback.
+(:func:`~nama.convexgeom.dual_cell_2d`), counted as a cell fallback.  The
+envelope's planes come off the same hull, and in 1D off the cell ends.
 """
 
 from __future__ import annotations
@@ -32,7 +33,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexgeom import (FacetCells, box_vertices, dual_cell_1d, lifted_hull,
+from .convexgeom import (FacetCells, box_vertices, dual_cell_1d, facet_planes,
                          polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure
@@ -235,10 +236,20 @@ class ConvexPL:
     # -- evaluation ---------------------------------------------------------
 
     def _envelope_planes(self):
+        """In 1D the line of slope ``hi`` through each node on the
+        envelope; in 2D :func:`~nama.convexgeom.facet_planes`."""
         if self._planes is None:
-            pts = np.array([[float(c) for c in nd] for nd in self.nodes])
-            vals = np.array([float(v) for v in self.values])
-            self._planes = lower_hull_planes(pts, vals)
+            if self.dim == 1:
+                lines = [(hi, v - hi * nd[0]) for nd, v, lo, hi in zip(
+                    self.nodes, self.values, *_cell_ends_1d(self.nodes,
+                                                            self.values))
+                         if hi is not None and (lo is None or hi >= lo)]
+                g, b = np.array(lines, dtype=float).T
+                self._planes = g[:, None], b
+            else:
+                self._planes = facet_planes(
+                    np.array(self.nodes, dtype=float).reshape(-1, 2),
+                    np.array(self.values, dtype=float))
         return self._planes
 
     def evaluate(self, points):
@@ -250,53 +261,6 @@ class ConvexPL:
         g, b = self._envelope_planes()
         pts = np.atleast_2d(np.asarray(points, dtype=float))
         return (pts @ g.T + b).max(axis=1)
-
-
-def lower_hull_planes(points, values):
-    """Supporting planes (gradients, intercepts) of the lower envelope.
-
-    Returns arrays ``g`` (facets x d) and ``b`` with
-    ``envelope(x) = max_f (g[f] . x + b[f])``.  Degenerate (affine) data is
-    handled by least-squares.
-    """
-    d = points.shape[1]
-    if d == 1:
-        order = np.argsort(points[:, 0], kind="stable")
-        xs, vs = points[order, 0], values[order]
-        chain = []          # indices into sorted arrays, lower hull
-        for k in range(len(xs)):
-            while len(chain) >= 2:
-                i, j = chain[-2], chain[-1]
-                cross = ((xs[j] - xs[i]) * (vs[k] - vs[i])
-                         - (xs[k] - xs[i]) * (vs[j] - vs[i]))
-                if cross <= 0:
-                    chain.pop()
-                else:
-                    break
-            chain.append(k)
-        g, b = [], []
-        for i, j in zip(chain[:-1], chain[1:]):
-            slope = (vs[j] - vs[i]) / (xs[j] - xs[i])
-            g.append([slope])
-            b.append(vs[i] - slope * xs[i])
-        if not g:
-            g, b = [[0.0]], [float(vs[0])]
-        return np.array(g), np.array(b)
-
-    hull = lifted_hull(points, values)
-    if hull is None:
-        coeffs, *_ = np.linalg.lstsq(
-            np.column_stack([points, np.ones(len(points))]), values,
-            rcond=None)
-        return coeffs[:d][None, :], np.array([coeffs[d]])
-    eqs = hull.equations          # a . x + c v + off <= 0
-    lower = eqs[:, d] < -1e-12
-    a, c, off = eqs[lower, :d], eqs[lower, d], eqs[lower, d + 1]
-    g = -a / c[:, None]
-    b = -off / c
-    # deduplicate coplanar triangulated facets
-    uniq = np.unique(np.round(np.column_stack([g, b]), 12), axis=0)
-    return uniq[:, :d], uniq[:, d]
 
 
 def discrete_slope_jumps(xs, values):
@@ -461,7 +425,7 @@ def _slope_grid(cpl, resolution):
 # the largest score magnitude; the dense scores and the bound each err by
 # fewer than 20 such ulps.
 _CERTIFY_ULPS = 128
-_BLOCK = 1 << 18            # (grid row or point) x node entries per block
+_BLOCK = 1 << 18            # (grid row, point or plane) x node entries
 
 
 def _scan_counts(axes, pts, vals):
@@ -614,35 +578,28 @@ def strict_convexity_report(cpl, tol=1e-12):
         else:
             singular.append(i)
 
-    # adjacency through lower-hull facets
-    pts = np.array([[float(c) for c in nd] for nd in cpl.nodes])
+    # singular nodes on one supporting plane are in one component: the
+    # components of the graph joining each plane to the nodes on it
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+    g, b = cpl._envelope_planes()
     vals = np.array([float(v) for v in cpl.values])
-    g, b = lower_hull_planes(pts, vals)
-    on_facet = []
     ftol = 1e-9 * max(1.0, np.abs(vals).max())
-    for f in range(len(g)):
-        plane = pts @ g[f] + b[f]
-        on_facet.append(set(np.nonzero(np.abs(plane - vals) <= ftol)[0]))
-
-    parent = {i: i for i in singular}
-
-    def find(i):
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        return i
-
-    sing = set(singular)
-    for members in on_facet:
-        group = sorted(sing & members)
-        for a, b2 in zip(group, group[1:]):
-            ra, rb = find(a), find(b2)
-            if ra != rb:
-                parent[max(ra, rb)] = min(ra, rb)
+    sing = np.array(singular, dtype=int)
+    pts, vals = np.array(cpl.nodes, dtype=float)[sing], vals[sing]
+    m, links = len(sing), [np.zeros((2, 0), dtype=int)]
+    step = max(1, _BLOCK // max(1, m))
+    for f in range(0, len(g), step):
+        k, h = np.nonzero(np.abs(pts @ g[f:f + step].T + b[f:f + step]
+                                 - vals[:, None]) <= ftol)
+        links.append(np.array([k, m + f + h]))
+    k, h = np.concatenate(links, axis=1)
+    _, label = connected_components(coo_matrix(
+        (np.ones(len(k)), (k, h)), shape=(m + len(g),) * 2))
     comps = {}
-    for i in singular:
-        comps.setdefault(find(i), []).append(i)
-    components = tuple(tuple(sorted(c)) for _, c in sorted(comps.items()))
+    for i, c in zip(singular, label[:m].tolist()):
+        comps.setdefault(c, []).append(i)
+    components = tuple(sorted(map(tuple, comps.values())))
     return StrictConvexityReport(tuple(strict), tuple(singular), components,
                                  measure.degenerate)
 
@@ -918,11 +875,8 @@ def _solve_1d(domain, nodes, target, boundary, tol):
 
 
 def _boundary_envelope_values(b_nodes, b_values, queries):
-    pts = np.array([[float(c) for c in nd] for nd in b_nodes])
-    vals = np.array([float(v) for v in b_values])
-    g, b = lower_hull_planes(pts, vals)
-    q = np.array([[float(c) for c in nd] for nd in queries])
-    return (q @ g.T + b).max(axis=1)
+    g, b = facet_planes(np.array(b_nodes), np.array(b_values))
+    return (np.array(queries) @ g.T + b).max(axis=1)
 
 
 def _cells_2d(nodes, values, interior_idx):

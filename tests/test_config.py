@@ -45,6 +45,11 @@ def test_load_document_rejects_duplicate_keys(tmp_path):
     path = write_json(tmp_path, '{"n": 1, "n": 2}')
     with pytest.raises(ConfigError, match="duplicate key"):
         load_document(path)
+    # the first key seen twice is named, in a nested object too
+    path = write_json(tmp_path, '{"a": {"b": 1, "c": 2, "c": 3, "b": 4}}')
+    with pytest.raises(ConfigError, match="^duplicate key 'c' in "
+                                          "configuration$"):
+        load_document(path)
 
 
 def test_load_document_rejects_broken_files(tmp_path):

@@ -185,13 +185,60 @@ def test_lifted_pieces_take_no_full_clip(monkeypatch):
     assert measure == assert_exact_agreement(cpl)
 
 
-def test_affine_data_takes_the_full_clip():
+def test_affine_data_takes_no_full_clip():
+    # Qhull rejects a flat lift, whose lower hull is every triangulation of
+    # the nodes: the cells are read off the Delaunay one, checked exactly
     nodes = [(F(i, 2), F(j, 2)) for i in range(3) for j in range(3)]
     cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes,
                    [x - 2 * y for x, y in nodes])
     measure = assert_exact_agreement(cpl)
-    assert measure.cell_fallbacks == len(nodes)
+    assert measure.cell_fallbacks == 0
     assert measure.degenerate
+
+
+def float_grid(n, f):
+    """``f`` on an n x n float grid of the unit square."""
+    nodes = [(float(x), float(y)) for x in np.linspace(0.0, 1.0, n)
+             for y in np.linspace(0.0, 1.0, n)]
+    return ConvexPL(box_polygon(0.0, 1.0, 0.0, 1.0), nodes,
+                    [f(x, y) for x, y in nodes])
+
+
+def flagged(measure):
+    return {nd for nd, on in zip(measure.nodes, measure.on_envelope) if on}
+
+
+CORNERS = {(0.0, 0.0), (1.0, 0.0), (1.0, 1.0), (0.0, 1.0)}
+
+
+@pytest.mark.parametrize("n", [9, 17, 33])
+def test_float_dyadic_affine_data_has_the_exact_flags(n):
+    # the values are exact in floats, so the flags must be the exact ones;
+    # the float full clip flags rounding slivers on the edges x = 0 and 1
+    cpl = float_grid(n, lambda x, y: 0.25 * x - 0.5 * y + 1)
+    measure = ma_measure(cpl)
+    assert measure.cell_fallbacks == 0 and measure.degenerate
+    assert flagged(measure) == CORNERS
+    assert measure.on_envelope == ma_measure(in_fractions(cpl)).on_envelope
+
+
+def test_float_data_flat_to_rounding_has_no_mass():
+    # affine only to rounding: Qhull takes the lift as flat, and one
+    # gradient for every facet leaves no rounding-noise area (near 1e-30,
+    # enough to flag 90 of the 100 nodes)
+    measure = ma_measure(float_grid(10, lambda x, y: 0.1 * x + 0.3 * y + 0.7))
+    assert measure.cell_fallbacks == 0 and measure.degenerate
+    assert set(measure.masses) == {0.0}
+    assert flagged(measure) == CORNERS
+
+
+def test_exact_data_flat_only_to_rounding_takes_the_full_clip():
+    # the Fractions of float affine values are not affine: Qhull rounds
+    # their lift to flat, the exact checks reject the Delaunay triangles,
+    # and every node takes the full clip
+    cpl = in_fractions(float_grid(5, lambda x, y: 0.1 * x + 0.3 * y + 0.7))
+    measure = assert_exact_agreement(cpl)
+    assert measure.cell_fallbacks == len(cpl.nodes)
 
 
 def scramble_hull(monkeypatch, n):

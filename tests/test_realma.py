@@ -10,6 +10,7 @@ from nama import (ConvexPL, InfeasibleBoundary, Interval, Polygon,
                   TargetMeasure, box_polygon, discrete_slope_jumps,
                   gradient_cells, ma_measure, ma_measure_oracle, solve,
                   strict_convexity_report)
+from nama import realma
 
 F = Fraction
 
@@ -144,17 +145,105 @@ def test_evaluate_returns_the_envelope():
     assert abs(vals[2]) < 1e-12
 
 
+def test_evaluate_skips_a_node_above_the_envelope_1d():
+    cpl = ConvexPL(Interval(0, 2), [(0,), (F(1, 2),), (1,), (2,)],
+                   [0, 1, -1, 1])
+    vals = cpl.evaluate([(0,), (0.5,), (1,), (1.5,)])
+    assert np.allclose(vals, [0, -0.5, -1, 0], rtol=0, atol=1e-15)
+
+
+def test_evaluate_reproduces_the_envelope_nodes_2d():
+    nodes = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
+    values = [x * x + x * y / 3 + 2 * y * y for x, y in nodes]
+    cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes, values)
+    assert np.allclose(cpl.evaluate(nodes), [float(v) for v in values],
+                       rtol=0, atol=1e-14)
+
+
+def test_evaluate_returns_affine_data_2d():
+    # a flat lift: every facet is the one plane
+    rng = np.random.default_rng(5)
+    nodes = [(0, 0), (1, 0), (1, 1), (0, 1)] + [
+        tuple(p) for p in rng.uniform(0, 1, (12, 2))]
+    cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes,
+                   [0.3 * x - 0.7 * y + 0.2 for x, y in nodes])
+    q = rng.uniform(0, 1, (50, 2))
+    assert np.allclose(cpl.evaluate(q), q @ (0.3, -0.7) + 0.2, rtol=0,
+                       atol=1e-14)
+
+
+def test_evaluate_skips_a_node_above_the_envelope_2d():
+    pyramid = square_pyramid()
+    cpl = ConvexPL(pyramid.domain, pyramid.nodes + [(F(1, 2), F(1, 2))],
+                   pyramid.values + [1])
+    assert np.allclose(cpl.evaluate([(0.5, 0.5), (0, 0), (-0.5, 0.25)]),
+                       [0.5, 0, 0.5], rtol=0, atol=1e-15)
+
+
 def test_strict_convexity_report_groups_flat_regions():
     cpl = square_pyramid()
     rep = strict_convexity_report(cpl)
     assert rep.strict == (4,) and rep.singular == ()
 
-    dom = Interval(0, 2)
-    flat = ConvexPL(dom, [(0,), (1,), (F(3, 2),), (2,)],
-                    [0, -1, -1, 0])      # the middle segment is affine
-    rep2 = strict_convexity_report(flat)
-    assert set(rep2.singular) <= {1, 2}
-    assert len(rep2.components) <= 1
+    # nodes 1 and 2 lie inside the segment of slope -1, node 4 inside the
+    # one of slope 1
+    line = ConvexPL(Interval(0, 5), [(k,) for k in range(6)],
+                    [0, -1, -2, -3, -2, -1])
+    rep = strict_convexity_report(line)
+    assert (rep.strict, rep.singular, rep.components) == (
+        (3,), (1, 2, 4), ((1, 2), (4,)))
+
+    # the flat quads of (x^2 + y^2) / 2 on a lattice: nodes 9 and 10 on the
+    # plane of one quad, 11 on that of another, 12 lifted above the envelope
+    lattice = [(i, j) for i in range(3) for j in range(3)]
+    extra = [(F(1, 2), F(1, 2)), (F(1, 4), F(3, 4)), (F(3, 2), F(3, 2)),
+             (F(3, 2), F(1, 2))]
+    values = ([F(x * x + y * y, 2) for x, y in lattice]
+              + [F(1, 2), F(1, 2), F(5, 2), F(5, 2)])
+    rep = strict_convexity_report(ConvexPL(box_polygon(0, 2, 0, 2),
+                                           lattice + extra, values))
+    assert (rep.strict, rep.singular, rep.components) == (
+        (4,), (9, 10, 11, 12), ((9, 10), (11,), (12,)))
+    assert not rep.degenerate
+
+
+def test_strict_convexity_components_equal_a_loop_grouping(monkeypatch):
+    # the flat quads of (x^2 + y^2) / 2 on a lattice, with up to two nodes
+    # per quad on its plane or above the envelope, grouped plane by plane
+    # with sets as the reference; one plane per block of the report
+    monkeypatch.setattr(realma, "_BLOCK", 1)
+    rng = np.random.default_rng(11)
+    h = F(1, 4)
+    lattice = [(h * i, h * j) for i in range(5) for j in range(5)]
+    sizes = set()
+    for _ in range(6):
+        nodes = list(lattice)
+        values = [(x * x + y * y) / 2 for x, y in nodes]
+        for i in range(4):
+            for j in range(4):
+                for dx, dy in rng.permutation([(2, 2), (1, 3)])[
+                        :rng.integers(0, 3)].tolist():
+                    x, y = h * (i + F(dx, 4)), h * (j + F(dy, 4))
+                    nodes.append((x, y))
+                    values.append((h * (2 * i + 1) * x - h * h * i * (i + 1)
+                                   + h * (2 * j + 1) * y - h * h * j * (j + 1))
+                                  / 2 + F(int(rng.integers(0, 3) == 0), 8))
+        cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes, values)
+        rep = strict_convexity_report(cpl)
+        assert len(rep.strict) == 9
+        pts = np.array(nodes, dtype=float)
+        vals = np.array(values, dtype=float)
+        groups = [{i} for i in rep.singular]
+        for g, b in zip(*cpl._envelope_planes()):
+            on = {i for i in rep.singular if abs(pts[i] @ g + b - vals[i])
+                  <= 1e-9 * max(1.0, np.abs(vals).max())}
+            if on:
+                groups = [s for s in groups if not s & on] + [
+                    on.union(*(s for s in groups if s & on))]
+        assert rep.components == tuple(sorted(tuple(sorted(s))
+                                              for s in groups))
+        sizes.update(map(len, rep.components))
+    assert sizes == {1, 2}
 
 
 def test_target_measure_from_density_is_exact():
