@@ -247,21 +247,25 @@ def write_node_table(emitter, name, pl, masses):
 
 def run_realma_solve(args, doc, emitter):
     domain = cfg.parse_domain(doc)
-    cap = MAX_SOLVE_GRID[domain.dim]
-    if args.grid > cap:
-        raise ConfigError(f"--grid must be at most {cap} on a {domain.dim}D "
-                          f"domain, got {args.grid}")
+    # in 2D a grid of 2 nodes a side is the box's corners: no interior node
+    lo, hi = (2, 3)[domain.dim - 1], MAX_SOLVE_GRID[domain.dim]
+    if not lo <= args.grid <= hi:
+        raise ConfigError(f"--grid must be in [{lo}, {hi}] on a "
+                          f"{domain.dim}D domain, got {args.grid}")
     nodes = grid_nodes(domain, args.grid)
     target = cfg.target_from_config(doc, domain, nodes)
-    bnd = cfg.boundary_values(doc, domain, nodes)
+    boundary = cfg.boundary_values(doc, domain.dim)
     tol = args.tol if args.tol is not None else 1e-8
-    result = solve(domain, target, bnd, nodes=nodes, tol=tol)
+    try:
+        result = solve(domain, target, boundary, nodes=nodes, tol=tol)
+    except ValueError as exc:
+        raise ConfigError(f"invalid target: {exc}")
     write_node_table(emitter, "solution.csv", result.solution, result.masses)
     emitter.summary["residual"] = float(result.residual)
     emitter.summary["iterations"] = result.iterations
     emitter.summary["converged"] = bool(result.converged)
     emitter.summary["nodes"] = len(nodes)
-    emitter.summary["interior_nodes"] = len(nodes) - len(bnd)
+    emitter.summary["interior_nodes"] = sum(result.solution.interior_mask())
     emitter.summary["cell_fallbacks"] = result.cell_fallbacks
     if not result.converged or float(result.residual) > tol:
         raise CheckFailed(

@@ -36,6 +36,13 @@ MAX_CYCLE_LENGTH = 20_000
 # entries takes about 2-3 s and 100 MB end to end (100,000 take 3 s and
 # 150 MB)
 MAX_TABLE_ENTRIES = 50_000
+# realma measure nodes and values: 50,000 float nodes take about 3 s and
+# 140 MB end to end in 2D (7 s with --tol's oracle at 1,000 slopes a side)
+# and 1.3 s and 60 MB in 1D
+MAX_MEASURE_NODES = 50_000
+# realma solve masses: one per node of the largest solve (cli.MAX_SOLVE_GRID);
+# reading and checking 100,000 takes about 1.5 s and 115 MB end to end
+MAX_SOLVE_NODES = 100_000
 
 
 def _no_duplicates(pairs):
@@ -321,14 +328,15 @@ def parse_domain(doc):
 
 
 def target_from_config(doc, domain, nodes):
-    """Target measure of a solve: a constant ``density`` or node ``masses``,
-    checked by :meth:`TargetMeasure.validate_masses` on ``nodes``."""
+    """Target measure of a solve on ``nodes``: a constant ``density`` or
+    node ``masses``, which :func:`~nama.realma.solve` checks."""
     if "density" in doc:
         density = rational(doc["density"], "density")
         target = TargetMeasure.from_density(domain, nodes, density)
     elif "masses" in doc:
         masses = {}
-        for k, entry in enumerate(doc["masses"]):
+        raw = bounded_list(doc["masses"], MAX_SOLVE_NODES, "masses")
+        for k, entry in enumerate(raw):
             ctx = f"masses[{k}]"
             check_keys(entry, {"node", "mass"}, ctx)
             nd = tuple(rational(c, "node")
@@ -340,10 +348,6 @@ def target_from_config(doc, domain, nodes):
             raise ConfigError(f"invalid masses: {exc}")
     else:
         raise ConfigError("config needs a density or masses block")
-    try:
-        target.validate_masses(domain, nodes)
-    except ValueError as exc:
-        raise ConfigError(f"invalid target: {exc}")
     return target
 
 
@@ -376,11 +380,11 @@ def quadratic_gradient(block, context, dim):
     return grad
 
 
-def boundary_values(doc, domain, nodes):
-    """Dirichlet data c + b.x + x.Ax/2 at the boundary nodes."""
+def boundary_values(doc, dim):
+    """Dirichlet data c + b.x + x.Ax/2 as a function of a node, which
+    :func:`~nama.realma.solve` calls at the boundary nodes it finds."""
     block = require(doc, "boundary", "config")
     check_keys(block, {"quadratic", "linear", "constant"}, "boundary")
-    dim = domain.dim
     A, b = _quadratic(block, "boundary", dim)
     const = rational(block.get("constant", 0), "boundary.constant")
 
@@ -389,13 +393,15 @@ def boundary_values(doc, domain, nodes):
                    for j in range(dim))
         return const + sum(l * c for l, c in zip(b, x)) + quad / 2
 
-    return {nd: value(nd) for nd in nodes if domain.on_boundary(nd)}
+    return value
 
 
 def convex_pl_from_config(doc, domain):
     """The function given by ``nodes`` and ``values``; floats stay floats."""
-    raw_nodes = require(doc, "nodes", "config")
-    raw_values = require(doc, "values", "config")
+    raw_nodes = bounded_list(require(doc, "nodes", "config"),
+                             MAX_MEASURE_NODES, "nodes")
+    raw_values = bounded_list(require(doc, "values", "config"),
+                              MAX_MEASURE_NODES, "values")
     if len(raw_nodes) != len(raw_values):
         raise ConfigError("nodes and values must have equal length")
 

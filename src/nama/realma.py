@@ -51,8 +51,74 @@ def _coerce(value):
 # domains
 
 
+def _float(c):
+    try:
+        return float(c)
+    except OverflowError:
+        return math.nan
+
+
+class _Domain:
+    """A convex domain ``{x : a . x >= c}`` over its inward halfplanes; every
+    point test is a :meth:`classify` pass.  A domain with a float vertex
+    takes tolerance 1e-12 times its scale, an exact (rational) one 0."""
+
+    def _set_halfplanes(self, hps):
+        exact = all(type(c) is Fraction for v in self.vertices for c in v)
+        tol = 0 if exact else 1e-12 * max(1.0, self._scale())
+        floats = np.array([[*map(_float, a), _float(c)] for a, c in hps])
+        for name, value in (("_halfplanes", tuple(hps)), ("_floats", floats),
+                            ("_tol", tol), ("_exact", exact)):
+            object.__setattr__(self, name, value)
+
+    def halfplanes(self):
+        """Inward halfplanes (a, c) with the domain = {x : a . x >= c}."""
+        return list(self._halfplanes)
+
+    def classify(self, nodes):
+        """The inside and on-boundary flags of ``nodes``, two bool arrays.
+
+        A node is inside when none of its slacks ``a . x - c`` is below
+        -tol, and on the boundary when it is inside and one is within tol
+        of 0.  The slacks come from one array pass in floats.  On an exact
+        domain (tol 0) only their signs count, and Python's arithmetic
+        takes the ones a float does not settle: a rational node's slack
+        within rounding distance of an edge line, exactly, and every slack
+        of a node with rational and float coordinates, as mixed
+        arithmetic rounds it.
+        """
+        dim, hps, fl = self.dim, self._halfplanes, self._floats
+        x = np.array([[_float(c) for c in nd]
+                      for nd in nodes]).reshape(-1, dim)
+        terms = x[:, None, :] * fl[:, :dim]
+        s = terms.sum(axis=2) - fl[:, dim]
+        if self._exact:
+            err = 1e-15 * (np.abs(terms).sum(axis=2) + np.abs(fl[:, dim])) \
+                + 1e-300 * (1 + np.abs(fl[:, :dim]).sum(axis=1)
+                            + np.abs(x).sum(axis=1)[:, None])
+            kind = np.array([[isinstance(c, (int, Fraction)) for c in nd]
+                             for nd in nodes], dtype=bool).reshape(-1, dim)
+            rational, mixed = kind.all(axis=1), kind.any(axis=1)
+            redo = rational[:, None] & ~(np.abs(s) > err) \
+                | (mixed & ~rational)[:, None]
+            for i, j in zip(*np.nonzero(redo)):
+                a, c = hps[j]
+                slack = sum(ak * xk for ak, xk in zip(a, nodes[i])) - c
+                s[i, j] = (slack > 0) - (slack < 0)
+        inside = s.min(axis=1) >= -self._tol
+        return inside, inside & (np.abs(s).min(axis=1) <= self._tol)
+
+    def contains(self, pt):
+        """Whether ``pt`` is inside: :meth:`classify` of one point."""
+        return bool(self.classify([pt])[0][0])
+
+    def on_boundary(self, pt):
+        """Whether ``pt`` is on the boundary: :meth:`classify` of one point."""
+        return bool(self.classify([pt])[1][0])
+
+
 @dataclass(frozen=True)
-class Interval:
+class Interval(_Domain):
     lo: object
     hi: object
 
@@ -61,6 +127,7 @@ class Interval:
         object.__setattr__(self, "hi", _coerce(self.hi))
         if not self.lo < self.hi:
             raise ValueError("empty interval")
+        self._set_halfplanes((((1,), self.lo), ((-1,), -self.hi)))
 
     dim = 1
 
@@ -71,21 +138,12 @@ class Interval:
     def volume(self):
         return self.hi - self.lo
 
-    def contains(self, pt):
-        return self.lo <= pt[0] <= self.hi
-
-    def on_boundary(self, pt):
-        tol = self._tol()
-        return abs(pt[0] - self.lo) <= tol or abs(pt[0] - self.hi) <= tol
-
-    def _tol(self):
-        if isinstance(self.lo, Fraction):
-            return 0
-        return 1e-12 * max(1.0, abs(float(self.hi - self.lo)))
+    def _scale(self):
+        return abs(float(self.hi - self.lo))
 
 
 @dataclass(frozen=True)
-class Polygon:
+class Polygon(_Domain):
     """A convex polygon domain with counterclockwise vertices."""
 
     verts: tuple
@@ -97,20 +155,11 @@ class Polygon:
         object.__setattr__(self, "verts", vs)
         if polygon_area(list(vs)) <= 0:
             raise ValueError("degenerate polygon")
-        # frozen, so the inward halfplanes are computed once
         hps = []
-        for (P, Q) in self._edges():
+        for P, Q in zip(vs, vs[1:] + vs[:1]):
             a = (-(Q[1] - P[1]), Q[0] - P[0])     # inward for ccw order
             hps.append((a, a[0] * P[0] + a[1] * P[1]))
-        object.__setattr__(self, "_halfplanes", tuple(hps))
-        floats = None
-        if all(type(c) is Fraction for v in vs for c in v):
-            try:
-                floats = tuple((float(a[0]), float(a[1]), float(c))
-                               for a, c in hps)
-            except OverflowError:
-                pass
-        object.__setattr__(self, "_float_halfplanes", floats)
+        self._set_halfplanes(hps)
 
     dim = 2
 
@@ -121,63 +170,8 @@ class Polygon:
     def volume(self):
         return polygon_area(list(self.verts))
 
-    def _edges(self):
-        m = len(self.verts)
-        return [(self.verts[k], self.verts[(k + 1) % m]) for k in range(m)]
-
-    def halfplanes(self):
-        """Inward halfplanes (a, c) with the domain = {x : a . x >= c}."""
-        return list(self._halfplanes)
-
-    def _tol(self):
-        if isinstance(self.verts[0][0], Fraction):
-            return 0
-        scale = max(abs(float(c)) for v in self.verts for c in v)
-        return 1e-12 * max(1.0, scale)
-
-    def contains(self, pt):
-        if self._exact_point(pt):
-            return min(self._exact_slack(pt)) >= 0
-        tol = self._tol()
-        for a, c in self._halfplanes:
-            if a[0] * pt[0] + a[1] * pt[1] < c - tol:
-                return False
-        return True
-
-    def on_boundary(self, pt):
-        if self._exact_point(pt):
-            slack = self._exact_slack(pt)
-            return min(slack) >= 0 and 0 in slack
-        tol = self._tol()
-        slack = [a[0] * pt[0] + a[1] * pt[1] - c for a, c in self._halfplanes]
-        return min(slack) >= -tol and min(map(abs, slack)) <= tol
-
-    def _exact_point(self, pt):
-        """Whether the polygon and ``pt`` are rational."""
-        return self._float_halfplanes is not None and all(
-            isinstance(c, (int, Fraction)) for c in pt)
-
-    def _exact_slack(self, pt):
-        """The slacks ``a . pt - c`` of an exact point.  A slack whose float
-        is farther from 0 than its rounding error is that float, of the
-        exact sign and not 0; the others, within rounding distance of an
-        edge line, are exact."""
-        try:
-            x, y = float(pt[0]), float(pt[1])
-        except OverflowError:
-            return [a[0] * pt[0] + a[1] * pt[1] - c
-                    for a, c in self._halfplanes]
-        out = []
-        for (a, c), (fa0, fa1, fc) in zip(self._halfplanes,
-                                          self._float_halfplanes):
-            u, v = fa0 * x, fa1 * y
-            s = u + v - fc
-            if abs(s) > 1e-15 * (abs(u) + abs(v) + abs(fc)) + 1e-300 * (
-                    1 + abs(fa0) + abs(fa1) + abs(x) + abs(y)):
-                out.append(s)
-            else:
-                out.append(a[0] * pt[0] + a[1] * pt[1] - c)
-        return out
+    def _scale(self):
+        return max(abs(float(c)) for v in self.verts for c in v)
 
 
 def box_polygon(lo0, hi0, lo1, hi1):
@@ -197,6 +191,8 @@ class ConvexPL:
     domain : Interval or Polygon
     nodes : iterable of coordinate tuples
         Must be distinct, lie in the domain and include all domain vertices.
+        One :meth:`~_Domain.classify` pass checks them and keeps the flags
+        of :meth:`interior_mask`.
     values : iterable of scalars
         Node lifts.  The function itself is the envelope; nodes lifted above
         it simply do not contribute.
@@ -212,9 +208,10 @@ class ConvexPL:
             raise ValueError("nodes must be distinct")
         if any(len(nd) != domain.dim for nd in nodes):
             raise ValueError("node dimension mismatch")
-        for nd in nodes:
-            if not domain.contains(nd):
-                raise ValueError(f"node {nd} lies outside the domain")
+        inside, on_boundary = domain.classify(nodes)
+        if not inside.all():
+            raise ValueError(f"node {nodes[int(np.argmin(inside))]} lies "
+                             "outside the domain")
         node_set = set(nodes)
         for v in domain.vertices:
             if tuple(_coerce(c) for c in v) not in node_set:
@@ -224,6 +221,7 @@ class ConvexPL:
         self.is_rational = (all(isinstance(v, Fraction) for v in values)
                             and all(isinstance(c, Fraction)
                                     for nd in nodes for c in nd))
+        self._interior = tuple((~on_boundary).tolist())
         self._planes = None
 
     @property
@@ -231,7 +229,8 @@ class ConvexPL:
         return self.domain.dim
 
     def interior_mask(self):
-        return [not self.domain.on_boundary(nd) for nd in self.nodes]
+        """Per node, off the boundary: the domain's flags at construction."""
+        return self._interior
 
     # -- evaluation ---------------------------------------------------------
 
@@ -730,11 +729,12 @@ class TargetMeasure:
             raise ValueError(
                 f"target total {got} != density * volume = {expected}")
 
-    def validate_masses(self, domain, nodes):
+    def validate_masses(self, nodes, interior=()):
         """Reject masses :func:`solve` cannot take: a negative one at any
         node, a nonzero one at a node not in ``nodes`` (the solve would drop
-        it), and in 2D a zero one at an interior node of ``nodes`` (the
-        damped Newton keeps every interior cell of positive area)."""
+        it), and, given the interior flags of the nodes of a 2D solve, a
+        zero one at an interior node (the damped Newton keeps every
+        interior cell of positive area)."""
         keys = {tuple(float(c) for c in nd) for nd in nodes}
         for (nd, mass), key in zip(self.masses.items(), self._table):
             where = f"node ({', '.join(map(str, nd))})"
@@ -743,10 +743,8 @@ class TargetMeasure:
             if mass != 0 and key not in keys:
                 raise ValueError(f"target mass {mass} at {where}, which is "
                                  "not a solve node")
-        if domain.dim != 2:
-            return
-        for nd in nodes:
-            if self.mass_at(nd) == 0 and not domain.on_boundary(nd):
+        for nd, inside in zip(nodes, interior):
+            if inside and self.mass_at(nd) == 0:
                 raise ValueError(f"zero target mass at interior node "
                                  f"({', '.join(map(str, nd))})")
 
@@ -760,12 +758,6 @@ class SolveResult:
     method: str
     cell_fallbacks: int = 0  # 2D cells that took the full clip
     masses: tuple = ()       # per solution node, 0 on the boundary
-
-
-def _resolve_boundary(boundary, node):
-    if callable(boundary):
-        return boundary(node)
-    return boundary[tuple(node)]
 
 
 def solve(domain, target, boundary, nodes=None, tol=1e-8):
@@ -801,7 +793,8 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
         Masses must be nonnegative, and positive at 2D interior nodes (see
         :meth:`TargetMeasure.validate_masses`).
     boundary : callable or mapping
-        Dirichlet values; must admit a convex extension.
+        Dirichlet values, read at the nodes the domain classifies as
+        boundary nodes; must admit a convex extension.
     nodes : iterable of tuples, optional
         Defaults to the target support plus the boundary nodes (boundary
         given as a mapping) or the domain vertices (boundary callable).
@@ -821,22 +814,19 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
         target = TargetMeasure({tuple(k): v for k, v in target.items()})
     target.validate_total(domain)
     if nodes is None:
-        if isinstance(boundary, dict):
-            extra = [tuple(k) for k in boundary.keys()]
-        elif hasattr(domain, "vertices"):
-            extra = [tuple(v) for v in domain.vertices]
-        else:
-            extra = [(domain.lo,), (domain.hi,)]
-        seen = {}
-        for pt in list(target.masses.keys()) + extra:
-            seen[tuple(float(c) for c in pt)] = pt
-        nodes = list(seen.values())
-    target.validate_masses(domain, nodes)
-
+        extra = boundary if isinstance(boundary, dict) else domain.vertices
+        nodes = {tuple(float(c) for c in pt): pt
+                 for pt in [*target.masses, *extra]}.values()
+    nodes = [tuple(nd) for nd in nodes]
+    interior = ~domain.classify(nodes)[1]
+    if not callable(boundary):
+        boundary = boundary.__getitem__
     if domain.dim == 1:
+        target.validate_masses(nodes)
         return _solve_1d(domain, nodes, target, boundary, tol)
     if domain.dim == 2:
-        return _solve_2d(domain, nodes, target, boundary, tol)
+        target.validate_masses(nodes, interior)
+        return _solve_2d(domain, nodes, interior, target, boundary, tol)
     raise NotImplementedError("solve supports dimensions 1 and 2")
 
 
@@ -844,8 +834,7 @@ def _solve_1d(domain, nodes, target, boundary, tol):
     nodes = sorted(tuple(_coerce(c) for c in nd) for nd in nodes)
     xs = [nd[0] for nd in nodes]
     mus = [_coerce(target.mass_at(nd)) for nd in nodes[1:-1]]
-    ends = [_coerce(_resolve_boundary(boundary, nd))
-            for nd in (nodes[0], nodes[-1])]
+    ends = [_coerce(boundary(nd)) for nd in (nodes[0], nodes[-1])]
     if not all(isinstance(c, Fraction) for c in xs + mus + ends):
         xs, mus, ends = ([float(c) for c in seq] for seq in (xs, mus, ends))
     v_lo, v_hi = ends
@@ -931,17 +920,15 @@ _NEWTON_STEPS = 50
 _TAU_FLOOR = 2.0 ** -12
 
 
-def _solve_2d(domain, nodes, target, boundary, tol):
+def _solve_2d(domain, nodes, interior, target, boundary, tol):
     from scipy.sparse.linalg import spsolve
 
-    # rounding may move a non-dyadic node off the boundary: classify first
-    on_bdry = [domain.on_boundary(nd) for nd in nodes]
-    interior_idx = [i for i, b in enumerate(on_bdry) if not b]
-    boundary_idx = [i for i, b in enumerate(on_bdry) if b]
+    # classified before rounding, which may move a node off the boundary
+    interior_idx = np.flatnonzero(interior).tolist()
+    boundary_idx = np.flatnonzero(~interior).tolist()
     if not interior_idx:
         raise ValueError("no interior nodes to solve for")
-    b_values = [float(_resolve_boundary(boundary, nodes[i]))
-                for i in boundary_idx]
+    b_values = [float(boundary(nodes[i])) for i in boundary_idx]
     psi = _edge_distance_mean(domain, [nodes[i] for i in interior_idx])
     nodes = [tuple(float(c) for c in nd) for nd in nodes]
     pts = np.array(nodes)

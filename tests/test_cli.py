@@ -144,6 +144,23 @@ def test_realma_measure_locates_the_kink_mass(tmp_path):
     assert manifest["summary"]["degenerate"] is False
 
 
+def test_realma_measure_takes_a_float_node_on_a_rational_edge(tmp_path):
+    # 0.3333333333333333 is below 1/3, and within rounding of the edge
+    doc = {"domain": {"box": [["1/3", 1], [0, 1]]},
+           "nodes": [["1/3", 0], [1, 0], [1, 1], ["1/3", 1],
+                     [1 / 3, 0.5], [0.75, 0.5]],
+           "values": [0, 0, 0, 0, -0.5, -1]}
+    out = tmp_path / "out"
+    assert main(["realma", "measure", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    masses = {tuple(row[:2]): row[-1] for row in read_csv(
+        out / "measure.csv")[1:]}
+    assert masses[("0.3333333333333333", "0.5")] == "0"
+    assert float(masses[("0.75", "0.5")]) > 0
+    assert read_manifest(out)["summary"]["total_mass"] == float(
+        masses[("0.75", "0.5")])
+
+
 def test_compare_vilsmeier_masses_on_a_cycle(tmp_path):
     doc = {"cycle": {"degrees": [1, 2, 1],
                      "coefficients": [0, "1/2", "1/3"]}}
@@ -472,6 +489,7 @@ INVALID = [
      {"domain": {"interval": [0, 1]}, "boundary": {"quadratic": [[0]]},
       "masses": [{"node": ["1/3"], "mass": 1}]}),
     (["model", "validate"], {"cycle": {"degrees": 5, "coefficients": [0]}}),
+    (["realma", "solve", "--grid", "2"], SQUARE),   # corners only
 ]
 
 
@@ -589,21 +607,34 @@ def test_hybrid_size_caps_are_accepted_without_running(
     assert capsys.readouterr().err.startswith("config error: argument --n")
 
 
+VALIDATE, MEASURE = ["model", "validate"], ["realma", "measure"]
+
+
 @pytest.mark.parametrize("stage, key, cap, doc", [
     ("cycle_model", "cycle.degrees", config.MAX_CYCLE_LENGTH,
-     lambda n: {"cycle": {"degrees": [1] * n, "coefficients": [0] * n}}),
+     lambda n: (VALIDATE,
+                {"cycle": {"degrees": [1] * n, "coefficients": [0] * n}})),
     ("IntersectionTable", "intersection_table", config.MAX_TABLE_ENTRIES,
-     lambda n: dict(SEGMENT_MODEL,
-                    intersection_table=SEGMENT_TABLE[:1] * n)),
+     lambda n: (VALIDATE, dict(SEGMENT_MODEL,
+                               intersection_table=SEGMENT_TABLE[:1] * n))),
+    ("ConvexPL", "nodes", config.MAX_MEASURE_NODES,
+     lambda n: (MEASURE, dict(KINK, nodes=[[0]] * n, values=[0] * n))),
+    ("ConvexPL", "values", config.MAX_MEASURE_NODES,
+     lambda n: (MEASURE, dict(KINK, nodes=[[0]] * config.MAX_MEASURE_NODES,
+                              values=[0] * n))),
+    ("TargetMeasure", "masses", config.MAX_SOLVE_NODES,
+     lambda n: (["realma", "solve", "--grid", "3"], dict(
+         SQUARE_BOUNDARY, masses=[{"node": [0, 0], "mass": 0}] * n))),
 ])
 def test_config_list_caps_are_accepted_without_building(
         tmp_path, monkeypatch, capsys, stage, key, cap, doc):
     monkeypatch.setattr(config, stage, stop)
     out = ["--out", str(tmp_path / "out")]
+    argv, document = doc(cap)
     with pytest.raises(Reached):
-        main(["model", "validate", write_config(tmp_path, doc(cap))] + out)
-    assert main(["model", "validate",
-                 write_config(tmp_path, doc(cap + 1))] + out) == 1
+        main(argv + [write_config(tmp_path, document)] + out)
+    argv, document = doc(cap + 1)
+    assert main(argv + [write_config(tmp_path, document)] + out) == 1
     assert capsys.readouterr().err == (
         f"config error: {key} has {cap + 1} entries; at most {cap} are "
         "allowed\n")

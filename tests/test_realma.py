@@ -44,7 +44,8 @@ def test_domains_classify_points():
 def test_polygon_tests_agree_with_the_exact_slack():
     # points on the edges with denominators near 2^60, and 1e-16 h, 1e-12 h
     # and h/3 off them either way: the float pre-test must leave the points
-    # within rounding distance of an edge line to the exact slack
+    # within rounding distance of an edge line to the exact slack.  Points
+    # on an edge line past the edge are outside, and not on the boundary
     rng = np.random.default_rng(5)
     corners = [(F(-1, 3), F(0)), (F(5, 2), F(-1, 7)), (F(3), F(2)),
                (F(1, 5), F(9, 4))]
@@ -53,6 +54,8 @@ def test_polygon_tests_agree_with_the_exact_slack():
     points = list(corners)
     for p, q in zip(corners, corners[1:] + corners[:1]):
         inward = (p[1] - q[1], q[0] - p[0])
+        points += [(p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
+                   for t in (F(-1, 2), F(3, 2))]
         for _ in range(25):
             t = F(int(rng.integers(big)), big - int(rng.integers(1, 9)))
             on = (p[0] + t * (q[0] - p[0]), p[1] + t * (q[1] - p[1]))
@@ -67,7 +70,32 @@ def test_polygon_tests_agree_with_the_exact_slack():
         assert dom.contains(pt) == inside
         assert dom.on_boundary(pt) == (inside and 0 in slack)
         flags.add((inside, 0 in slack))
-    assert flags == {(True, True), (True, False), (False, False)}
+    assert flags == {(True, True), (True, False), (False, False),
+                     (False, True)}
+    # one classify pass equals the one-point calls: on the points, on them
+    # as floats or with a float y, on a float copy of the polygon and on an
+    # interval.  The oracle is Python's scalar arithmetic, which takes a
+    # rational met by a float as its float, with the domain's tolerance
+    floats = [tuple(map(float, pt)) for pt in points]
+    mixed = [(x, float(y)) for x, y in points]
+    flat = Polygon([tuple(map(float, v)) for v in corners])
+    line = Interval(F(-1, 3), F(3))
+    cases = [(dom, points, 0), (dom, floats, 0), (dom, mixed, 0),
+             (flat, points, 1e-12 * 3), (flat, floats, 1e-12 * 3),
+             (line, [pt[:1] for pt in points], 0),
+             (line, [pt[:1] for pt in floats], 0)]
+    for domain, pts, tol in cases:
+        inside, boundary = domain.classify(pts)
+        assert inside.tolist() == [domain.contains(pt) for pt in pts]
+        assert boundary.tolist() == [domain.on_boundary(pt) for pt in pts]
+        assert not (boundary & ~inside).any()
+        for pt, it, on in zip(pts, inside, boundary):
+            slack = [sum(ak * xk for ak, xk in zip(a, pt)) - c
+                     for a, c in domain.halfplanes()]
+            assert it == (min(slack) >= -tol)
+            assert on == (it and min(map(abs, slack)) <= tol)
+    # the float corner is on the exact boundary, and so inside
+    assert dom.contains((3.0, 2.0)) and dom.on_boundary((3.0, 2.0))
 
 
 def test_convexpl_validates_its_input():
