@@ -43,8 +43,9 @@ MAX_DYADIC_BITS = 16
 # and np.ravel_multi_index accepts at most 63
 MAX_HYBRID_N = 63
 # hybrid --samples times the n + 1 coordinates of a sample: a run holds
-# about 60 bytes per sample coordinate, so 2^22 takes about 260 MB peak
-# end to end (--n 1 with 2^21 samples; 2^23 would take 470 MB)
+# about 60 bytes per sample coordinate, so 2^22 takes about 265 MB peak
+# end to end with the sampler on two threads (--n 1 with 2^21 samples;
+# 2^23 would take 490 MB)
 MAX_SAMPLE_COORDS = 1 << 22
 # realma measure --grid: at 2^16 slopes per axis a 36-node measure and its
 # oracle take about a second and 100 MB
@@ -431,11 +432,11 @@ def build_local_model(args):
     bs = parse_list(args.b, int, "--b") if args.b else [1] * (n + 1)
     weights = parse_list(args.weights, float, "--weights") \
         if args.weights else None
-    u = parse_poly(args.uJ, n + 1) if args.uJ else None
     t_exps = parse_list(args.t_exp, float, "--t-exp")
     if not t_exps or not all(0 < e < math.inf for e in t_exps):
         raise ConfigError("--t-exp needs positive exponents e (|t| = e^-e)")
     try:
+        u = parse_poly(args.uJ, n + 1) if args.uJ else None
         models = [LocalModel(tuple(bs), math.exp(-e), n, u, weights)
                   for e in t_exps]
     except ValueError as exc:

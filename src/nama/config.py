@@ -36,6 +36,12 @@ MAX_CYCLE_LENGTH = 20_000
 # entries takes about 2-3 s and 100 MB end to end (100,000 take 3 s and
 # 150 MB)
 MAX_TABLE_ENTRIES = 50_000
+# model divisors and faces: 20,000 divisors and 50,000 faces (a triangle
+# strip at n = 2) take about 1.2 s and 70 MB end to end in model validate
+# and 1.4 s in model skeleton (40,000 and 100,000 take 1.5 s and 2.7 s,
+# 107 MB; a 100,000-divisor chain 3-5 s and 190 MB)
+MAX_MODEL_DIVISORS = 20_000
+MAX_MODEL_FACES = 50_000
 # realma measure nodes and values: 50,000 float nodes take about 3 s and
 # 140 MB end to end in 2D (7 s with --tol's oracle at 1,000 slopes a side)
 # and 1.3 s and 60 MB in 1D
@@ -148,8 +154,9 @@ def build_model_from_config(doc):
     semistable = doc.get("semistable", False)
     if not isinstance(semistable, bool):
         raise ConfigError("semistable must be a boolean")
-    raw_divisors = require(doc, "divisors", "model config")
-    if not isinstance(raw_divisors, list) or not raw_divisors:
+    raw_divisors = bounded_list(require(doc, "divisors", "model config"),
+                                MAX_MODEL_DIVISORS, "divisors")
+    if not raw_divisors:
         raise ConfigError("divisors must be a nonempty list")
     divisors = []
     for k, entry in enumerate(raw_divisors):
@@ -161,8 +168,9 @@ def build_model_from_config(doc):
         deg = entry.get("degrees")
         degree = rational(deg, f"{ctx}.degrees") if deg is not None else None
         divisors.append(Divisor(ident, b, a, degree=degree))
-    raw_faces = require(doc, "faces", "model config")
-    if not isinstance(raw_faces, list) or not raw_faces:
+    raw_faces = bounded_list(require(doc, "faces", "model config"),
+                             MAX_MODEL_FACES, "faces")
+    if not raw_faces:
         raise ConfigError("faces must be a nonempty list")
     faces = [id_list(f, f"faces[{k}]") for k, f in enumerate(raw_faces)]
     return build_model(divisors, faces, n, semistable)

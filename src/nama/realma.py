@@ -58,6 +58,15 @@ def _float(c):
         return math.nan
 
 
+def _reject_outside(nodes, inside):
+    """Raise ValueError naming the first node whose inside flag (from
+    :meth:`_Domain.classify`) is False."""
+    if not inside.all():
+        nd = nodes[int(np.argmin(inside))]
+        raise ValueError(f"node ({', '.join(map(str, nd))}) lies outside "
+                         "the domain")
+
+
 class _Domain:
     """A convex domain ``{x : a . x >= c}`` over its inward halfplanes; every
     point test is a :meth:`classify` pass.  A domain with a float vertex
@@ -209,9 +218,7 @@ class ConvexPL:
         if any(len(nd) != domain.dim for nd in nodes):
             raise ValueError("node dimension mismatch")
         inside, on_boundary = domain.classify(nodes)
-        if not inside.all():
-            raise ValueError(f"node {nodes[int(np.argmin(inside))]} lies "
-                             "outside the domain")
+        _reject_outside(nodes, inside)
         node_set = set(nodes)
         for v in domain.vertices:
             if tuple(_coerce(c) for c in v) not in node_set:
@@ -798,6 +805,7 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
     nodes : iterable of tuples, optional
         Defaults to the target support plus the boundary nodes (boundary
         given as a mapping) or the domain vertices (boundary callable).
+        A node outside the domain is a ValueError that names it.
     tol : float
         Max-norm mass residual, relative to the mean target mass.
 
@@ -818,7 +826,9 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
         nodes = {tuple(float(c) for c in pt): pt
                  for pt in [*target.masses, *extra]}.values()
     nodes = [tuple(nd) for nd in nodes]
-    interior = ~domain.classify(nodes)[1]
+    inside, on_boundary = domain.classify(nodes)
+    _reject_outside(nodes, inside)
+    interior = ~on_boundary
     if not callable(boundary):
         boundary = boundary.__getitem__
     if domain.dim == 1:

@@ -490,6 +490,10 @@ INVALID = [
       "masses": [{"node": ["1/3"], "mass": 1}]}),
     (["model", "validate"], {"cycle": {"degrees": 5, "coefficients": [0]}}),
     (["realma", "solve", "--grid", "2"], SQUARE),   # corners only
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--uJ", "1+z3"], None),                         # z3 past z0..z2
+    (["hybrid", "growth", "--n", "1", "--t-exp", "30,40",
+      "--uJ", "1+*z0"], None),
 ]
 
 
@@ -614,6 +618,10 @@ VALIDATE, MEASURE = ["model", "validate"], ["realma", "measure"]
     ("cycle_model", "cycle.degrees", config.MAX_CYCLE_LENGTH,
      lambda n: (VALIDATE,
                 {"cycle": {"degrees": [1] * n, "coefficients": [0] * n}})),
+    ("build_model", "divisors", config.MAX_MODEL_DIVISORS,
+     lambda n: (VALIDATE, dict(SEGMENT_MODEL, divisors=[{"id": 0}] * n))),
+    ("build_model", "faces", config.MAX_MODEL_FACES,
+     lambda n: (VALIDATE, dict(SEGMENT_MODEL, faces=[[0]] * n))),
     ("IntersectionTable", "intersection_table", config.MAX_TABLE_ENTRIES,
      lambda n: (VALIDATE, dict(SEGMENT_MODEL,
                                intersection_table=SEGMENT_TABLE[:1] * n))),

@@ -2,6 +2,9 @@
 
 import dataclasses
 import math
+import os
+import sys
+import threading
 from fractions import Fraction
 
 import numpy as np
@@ -19,6 +22,14 @@ from nama import (LocalModel, MultiPoly, box_simplex_volume,
 
 def maximal_model(n, t_exp=20.0, u=None, weights=None):
     return LocalModel((1,) * (n + 1), math.exp(-t_exp), n, u, weights)
+
+
+def on_threads(monkeypatch, workers):
+    """Let the sampler run its chunks on up to ``workers`` threads, however
+    few CPUs this process may use."""
+    monkeypatch.setattr(hybrid, "_MAX_WORKERS", workers)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(64)),
+                        raising=False)
 
 
 def test_parse_poly_grammar():
@@ -195,23 +206,56 @@ def test_overlapping_chunk_streams_are_rejected_before_drawing(monkeypatch):
 
 
 def test_words_per_sample_bound_the_words_a_chunk_draws(monkeypatch):
-    generators = []
+    generators = {}
     make = hybrid._chunk_generator
 
     def keep(seed, index):
-        generators.append(make(seed, index))
-        return generators[-1]
+        generators[index] = make(seed, index), threading.current_thread()
+        return generators[index][0]
 
     monkeypatch.setattr(hybrid, "_chunk_generator", keep)
+    on_threads(monkeypatch, 3)
+    chunk = hybrid._CHUNK
     for model in (LocalModel((2, 1, 3), 0.01, 3),
                   LocalModel((1, 1), 0.01, 1),
                   LocalModel((3,), 0.01, 2)):
-        generators.clear()
-        sample_cy_measure(model, 1000, 5)
-        state = generators[0].bit_generator.state
-        used = 4 * int(state["state"]["counter"][0]) \
-            - (4 - state["buffer_pos"])
-        assert 0 < used <= 1000 * hybrid._words_per_sample(model)
+        for count in (1000, 2 * chunk + 1000):
+            generators.clear()
+            sample_cy_measure(model, count, 5)
+            assert sorted(generators) == list(range(-(-count // chunk)))
+            for index, (g, _) in generators.items():
+                state = g.bit_generator.state
+                steps = int(state["state"]["counter"][0]) \
+                    - index * hybrid._COUNTERS_PER_CHUNK
+                used = 4 * steps - (4 - state["buffer_pos"])
+                m = min(chunk, count - index * chunk)
+                assert 0 < used <= m * hybrid._words_per_sample(model)
+            threads = {thread for _, thread in generators.values()}
+            # one chunk runs inline; three take one thread each
+            if count <= chunk:
+                assert threads == {threading.main_thread()}
+            else:
+                assert len(threads) == 3
+
+
+def test_a_failing_chunk_raises_in_the_caller_after_every_join(monkeypatch):
+    make = hybrid._chunk_generator
+    failed_on = []
+
+    def fail_at_2(seed, index):
+        if index == 2:
+            failed_on.append(threading.current_thread())
+            raise RuntimeError("chunk 2 failed")
+        return make(seed, index)
+
+    monkeypatch.setattr(hybrid, "_chunk_generator", fail_at_2)
+    on_threads(monkeypatch, 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError, match="chunk 2 failed"):
+        sample_cy_measure(maximal_model(1), 5 * hybrid._CHUNK, 0)
+    assert threading.active_count() == before
+    # worker w takes chunks w, w + 3, ...: chunk 2 failed on a helper
+    assert failed_on and failed_on[0] is not threading.main_thread()
 
 
 def reference_sample(model, count, seed):
@@ -275,15 +319,28 @@ def reference_sample(model, count, seed):
                 (0.0, 1.5, 0.25)), 2000),
     (LocalModel((1, 1, 1), np.exp(-30.0), 3, parse_poly("1+0.4*z0-z3^2", 4)),
      hybrid._CHUNK + 300),
+    (LocalModel((2, 1), 0.2 * np.exp(1.0j), 2,
+                parse_poly("1+0.5*z0-0.3*z1*z2^2", 3)), 3 * hybrid._CHUNK + 17),
 ], ids=["sheets", "depth-0", "no-fiber", "constant-u", "fiber-only-u",
-        "damping", "chunk-plus-300"])
-def test_sampler_matches_the_reference_bit_for_bit(model, count):
-    batch = sample_cy_measure(model, count, seed=21)
+        "damping", "chunk-plus-300", "three-chunks-plus-17"])
+def test_sampler_matches_the_reference_bit_for_bit(model, count, monkeypatch):
     want = reference_sample(model, count, seed=21)
-    for name, value in want.items():
-        got = getattr(batch, name)
-        assert got.dtype == value.dtype and got.shape == value.shape, name
-        assert np.array_equal(got, value), name
+    interval = sys.getswitchinterval()
+    threads = threading.active_count()
+    for workers in (1, 2, 3):
+        on_threads(monkeypatch, workers)
+        # hand the interpreter lock between the workers as often as it goes
+        sys.setswitchinterval(1e-6)
+        try:
+            batch = sample_cy_measure(model, count, seed=21)
+        finally:
+            sys.setswitchinterval(interval)
+        assert threading.active_count() == threads
+        for name, value in want.items():
+            got = getattr(batch, name)
+            assert got.dtype == value.dtype and got.shape == value.shape, \
+                (workers, name)
+            assert np.array_equal(got, value), (workers, name)
 
 
 def oracle_cell_volumes(p, level):

@@ -482,6 +482,22 @@ def test_solve_rejects_a_mass_off_its_nodes():
     assert result.converged
 
 
+
+def test_solve_rejects_a_node_outside_its_domain():
+    # the outside node used to get a mass equation and fail in the cell
+    # geometry with "cell did not close up under box enlargement"
+    square = box_polygon(0, 1, 0, 1)
+    far = (F(3, 2), F(1, 2))
+    nodes = [(F(i, 2), F(j, 2)) for i in range(3) for j in range(3)] + [far]
+    masses = {(F(1, 2), F(1, 2)): F(1, 4), far: F(1, 4)}
+    with pytest.raises(ValueError, match=r"^node \(3/2, 1/2\) lies outside "
+                                         r"the domain$"):
+        solve(square, masses, lambda nd: 0, nodes=nodes)
+    line = Interval(0, 1)
+    with pytest.raises(ValueError, match=r"^node \(2\) lies outside"):
+        solve(line, {(F(1, 2),): 1}, lambda nd: 0,
+              nodes=[(0,), (F(1, 2),), (1,), (2,)])
+
 def test_oracle_matches_exact_measure_on_random_data():
     import random
 
