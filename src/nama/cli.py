@@ -84,16 +84,10 @@ def fmt(value):
     f = _FMT_BY_TYPE.get(type(value))
     if f is not None:
         return f(value)
-    if isinstance(value, Fraction):
-        return str(value)
-    if isinstance(value, bool):
-        return _true_false(value)
     if isinstance(value, float):
         return repr(float(value))
     if isinstance(value, (int, np.integer)):
         return str(int(value))
-    if value is None:
-        return ""
     return str(value)
 
 

@@ -4,9 +4,10 @@ The polygon routines are generic over the scalar type: exact rationals
 (`fractions.Fraction`) and floats run through the same code paths, so
 subgradient cells can be computed exactly when the inputs are rational.
 2D dual cells come from :class:`FacetCells`, the gradients of the lifted
-lower-hull facets, which runs exact input on integers; :func:`dual_cell_2d`,
-the generic clip against every other node, is its fallback and the
-independent oracle of the tests.
+lower-hull facets, which runs exact input on integers and also holds the
+float envelope's planes, so one hull serves every reader of a function;
+:func:`dual_cell_2d`, the generic clip against every other node, is the
+fallback of its callers and the independent oracle of the tests.
 """
 
 from __future__ import annotations
@@ -277,20 +278,6 @@ def lower_facets(points, values):
     return tri, hull is None
 
 
-def facet_planes(points, values):
-    """The planes of the float lower envelope: gradients ``g`` (facets x 2)
-    and intercepts ``b`` with ``envelope(x) = max_f g[f] . x + b[f]``, the
-    finite facet gradients of :func:`lower_facets`, each plane through its
-    facet's first node."""
-    tri, _ = lower_facets(points, values)
-    det, num = _plane(points[tri], values[tri])
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = num / det[:, None]
-    keep = np.isfinite(g).all(axis=1)
-    g, a = g[keep], tri[keep, 0]
-    return g, values[a] - (points[a] * g).sum(axis=1)
-
-
 def _cleared(nodes, values):
     """Exact input with each node's denominators cleared: (X, l, V, m), where
     node i is the int pair X[i] over l[i], the lcm of its coordinates'
@@ -357,8 +344,10 @@ class FacetCells:
     1e-11.  A node off the triangulation then has an empty cell: a cell is
     the envelope's subdifferential at the node (Rockafellar 1970, sections
     23-24), which has interior only at a vertex of the triangulation.  The
-    triangles are :func:`lower_facets`; float input Qhull finds flat takes
-    its largest facet's gradient for all, so no cell has rounding noise.
+    triangles ``tri`` are :func:`lower_facets` of the float nodes ``pts``
+    lifted to ``vals``, kept whatever the checks say, and :meth:`planes`
+    reads the envelope off them; float input Qhull finds flat takes its
+    largest facet's gradient for all cells, so no cell has rounding noise.
 
     Exact input (Fraction nodes and values) runs on Python ints: node i is
     the int pair X_i over l_i, the lcm of its coordinates' denominators, and
@@ -369,23 +358,23 @@ class FacetCells:
     over the lcm of its facets' denominators.  The ints grow with the
     denominators of a node's neighbours, not with those of the whole input.
     The passes build no Fraction but the corners'; the last step builds one
-    per closed node, and ``grad`` holds the correctly rounded floats.  :meth:`cut` clips in
-    integers too.
+    per closed node, and ``grad`` holds the correctly rounded floats.
+    :meth:`cut` clips in integers too.
 
     ``good`` marks the nodes whose cells the hull gives, ``closed`` those of
     them with bounded (possibly empty) cells, of areas ``area``.  The other
     good nodes lie on the hull boundary; ``solid`` says whether their cells
-    have interior.  The other nodes take the full clip, :meth:`full`, which
-    ``fallbacks`` counts: the nodes of a flat float triangle, and every node
-    when a check fails.
+    have interior.  The hull gives no cell of the other nodes (the nodes of
+    a flat float triangle, and every node when a check fails); their
+    callers take the full clip, :func:`dual_cell_2d`.  Nothing changes
+    after construction.
     """
 
     def __init__(self, nodes, values, corners=None):
-        self.nodes, self.values, self.fallbacks = nodes, values, 0
+        self.nodes, self.values = nodes, values
         n = len(nodes)
         self.good = self.closed = self.solid = np.zeros(n, dtype=bool)
         self.area, self.grad = np.zeros(n), np.zeros((0, 2))
-        self.tri = np.zeros((0, 3), dtype=int)
         self.src = self.dst = self.apex = self.twin = np.zeros(0, dtype=int)
         exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
             and all(isinstance(v, Fraction) for v in values)
@@ -399,6 +388,7 @@ class FacetCells:
             V = vals = np.array(values, dtype=float)
             l = m = np.ones(n)
         tri, flat = lower_facets(pts, vals)
+        self.pts, self.vals, self.tri = pts, vals, tri
         if not len(tri):
             return
         # half-edge 3t + k runs from tri[t, k] to tri[t, k + 1] opposite the
@@ -485,12 +475,13 @@ class FacetCells:
         self.good, self.closed = good, good & ~edge
         self.grad = (np.array(num / den[:, None], dtype=float)
                      if exact else num)
-        self.tri, self.src, self.dst, self.apex, self.twin = (
-            tri, src, dst, apex, twin)
+        self.src, self.dst, self.apex, self.twin = src, dst, apex, twin
         self._order, self._keys = order, key[order]
 
-        # the fan's shoelace
-        i, fs, ft = src[inner], inner // 3, twin[inner] // 3
+        # the fan's shoelace, over the half-edges of the closed nodes only:
+        # a zero-det facet's gradient never enters the sums
+        e = inner[self.closed[src[inner]]]
+        i, fs, ft = src[e], e // 3, twin[e] // 3
         if exact:
             # over the lcm D of the node's facets' den, each facet's
             # gradient numerators times D / den: one Fraction per closed node
@@ -515,8 +506,9 @@ class FacetCells:
             self.area = np.where(self.closed, np.abs(twice) / 2, 0.0)
 
         # an unbounded cell has interior unless its two boundary edges are
-        # parallel and the gradients of its end facets differ across them
-        e = np.nonzero(rim)[0]
+        # parallel and the gradients of its end facets differ across them;
+        # only rim half-edges at a good node, whose facets are proper
+        e = np.nonzero(rim & (good[src] | good[dst]))[0]
         f = e // 3
         first, last, g_in, g_out = np.zeros((4, n, 2), dtype=P.dtype)
         d_in, d_out = np.ones((2, n), dtype=P.dtype)
@@ -538,11 +530,10 @@ class FacetCells:
         """Node i's cell within the convex ``polygon``.  A good node's is the
         polygon cut by the halfplanes of its neighbours on the hull alone,
         which suffice because the interpolant is convex, and is empty off
-        the triangulation; any other node's is cut by every other node,
-        counted in ``fallbacks``.  Exact input with a rational polygon is
-        clipped by :meth:`_cut_exact`, the same cuts in integers."""
+        the triangulation; any other node's is cut by every other node.
+        Exact input with a rational polygon is clipped by
+        :meth:`_cut_exact`, the same cuts in integers."""
         if not self.good[i]:
-            self.fallbacks += 1
             star = [j for j in range(len(self.nodes)) if j != i]
         else:
             fan = self._fan(i)
@@ -592,6 +583,8 @@ class FacetCells:
     def inside(self, corners):
         """Closed nodes whose cells lie in the ccw polygon ``corners``, by a
         float test that says no near the boundary."""
+        if not self.closed.any():       # no checked triangles, no grad
+            return self.closed
         g = self.grad
         out = np.zeros(len(self.nodes), dtype=bool)
         C = np.array(corners, dtype=float)
@@ -610,8 +603,14 @@ class FacetCells:
         e, ell = e[ell > 0], ell[ell > 0]
         return self.src[e], self.dst[e], ell
 
-    def full(self, i, expect_bounded=False):
-        """Node i's cell by the box-free full clip of :func:`dual_cell_2d`."""
-        self.fallbacks += 1
-        return dual_cell_2d(i, self.nodes, self.values,
-                            expect_bounded=expect_bounded)
+    def planes(self):
+        """The planes of the float lower envelope: gradients ``g`` (facets x
+        2) and intercepts ``b`` with ``envelope(x) = max_f g[f] . x + b[f]``,
+        the finite gradients of the facets ``tri`` of ``pts`` lifted to
+        ``vals``, each plane through its facet's first node."""
+        det, num = _plane(self.pts[self.tri], self.vals[self.tri])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            g = num / det[:, None]
+        keep = np.isfinite(g).all(axis=1)
+        g, a = g[keep], self.tri[keep, 0]
+        return g, self.vals[a] - (self.pts[a] * g).sum(axis=1)

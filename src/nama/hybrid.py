@@ -522,18 +522,23 @@ def estimate_volume(model, count, seed):
     return volume_from_batch(batch)
 
 
-def volume_from_batch(batch):
-    model = batch.model
+def _flat_volume(model):
+    """2^p (2 pi)^n T^p / (p! prod b_i) |u(0)|^2: the volume for u constant
+    and zero damping weights, and the prefactor of every estimate."""
     p = model.depth
-    T = model.log_scale
     norm = math.factorial(p)
     for b in model.multiplicities:
         norm *= b
-    pref = (2.0 ** p) * (2.0 * math.pi) ** model.dimension * T ** p / norm
-    u0 = abs(model.u.constant_term()) ** 2
+    return (2.0 ** p) * (2.0 * math.pi) ** model.dimension \
+        * model.log_scale ** p / norm * abs(model.u.constant_term()) ** 2
+
+
+def volume_from_batch(batch):
+    model = batch.model
     a = np.array(model.weights)
-    damping = np.exp(-2.0 * T * (batch.xs @ a)) if a.any() else 1.0
-    return pref * u0 * float(np.mean(batch.weights * damping))
+    damping = (np.exp(-2.0 * model.log_scale * (batch.xs @ a)) if a.any()
+               else 1.0)
+    return _flat_volume(model) * float(np.mean(batch.weights * damping))
 
 
 def exact_flat_volume(model):
@@ -543,13 +548,7 @@ def exact_flat_volume(model):
         raise ValueError("exact volume needs a constant u")
     if any(model.weights):
         raise ValueError("exact volume needs zero damping weights")
-    p = model.depth
-    T = model.log_scale
-    norm = math.factorial(p)
-    for b in model.multiplicities:
-        norm *= b
-    return (2.0 ** p) * (2.0 * math.pi) ** model.dimension * T ** p \
-        / norm * abs(model.u.constant_term()) ** 2
+    return _flat_volume(model)
 
 
 @dataclass(frozen=True)

@@ -19,8 +19,9 @@ array passes, on integers with the denominators cleared for rational
 input, once the hull has been checked.  A node off the checked
 triangulation has a cell without interior.  A node the hull does not vouch
 for takes the full clip against every other node
-(:func:`~nama.convexgeom.dual_cell_2d`), counted as a cell fallback.  The
-envelope's planes come off the same hull, and in 1D off the cell ends.
+(:func:`~nama.convexgeom.dual_cell_2d`), counted as a cell fallback.  A
+:class:`ConvexPL` builds that hull once, for every reader; the envelope's
+planes come off it, and in 1D off the cell ends.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexgeom import (FacetCells, box_vertices, dual_cell_1d, facet_planes,
+from .convexgeom import (FacetCells, box_vertices, dual_cell_1d, dual_cell_2d,
                          polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure
@@ -229,7 +230,7 @@ class ConvexPL:
                             and all(isinstance(c, Fraction)
                                     for nd in nodes for c in nd))
         self._interior = tuple((~on_boundary).tolist())
-        self._planes = None
+        self._hull = None
 
     @property
     def dim(self):
@@ -241,22 +242,26 @@ class ConvexPL:
 
     # -- evaluation ---------------------------------------------------------
 
+    def _envelope(self):
+        """The one hull every reader takes, built on first use: the
+        :func:`_cell_ends_1d` ends in 1D, in 2D the :class:`FacetCells`."""
+        if self._hull is None:
+            self._hull = (_cell_ends_1d(self.nodes, self.values)
+                          if self.dim == 1 else
+                          FacetCells(self.nodes, self.values,
+                                     self.domain.vertices))
+        return self._hull
+
     def _envelope_planes(self):
         """In 1D the line of slope ``hi`` through each node on the
-        envelope; in 2D :func:`~nama.convexgeom.facet_planes`."""
-        if self._planes is None:
-            if self.dim == 1:
-                lines = [(hi, v - hi * nd[0]) for nd, v, lo, hi in zip(
-                    self.nodes, self.values, *_cell_ends_1d(self.nodes,
-                                                            self.values))
-                         if hi is not None and (lo is None or hi >= lo)]
-                g, b = np.array(lines, dtype=float).T
-                self._planes = g[:, None], b
-            else:
-                self._planes = facet_planes(
-                    np.array(self.nodes, dtype=float).reshape(-1, 2),
-                    np.array(self.values, dtype=float))
-        return self._planes
+        envelope; in 2D :meth:`~nama.convexgeom.FacetCells.planes`."""
+        if self.dim == 2:
+            return self._envelope().planes()
+        lines = [(hi, v - hi * nd[0]) for nd, v, lo, hi in zip(
+            self.nodes, self.values, *self._envelope())
+                 if hi is not None and (lo is None or hi >= lo)]
+        g, b = np.array(lines, dtype=float).T
+        return g[:, None], b
 
     def evaluate(self, points):
         """Envelope values at query points (float).
@@ -329,7 +334,7 @@ def gradient_cells(cpl, clip_box):
     if cpl.dim == 1:
         return [dual_cell_1d(i, cpl.nodes, cpl.values, box=clip_box)
                 for i in range(len(cpl.nodes))]
-    cells = FacetCells(cpl.nodes, cpl.values, cpl.domain.vertices)
+    cells = cpl._envelope()
     box = box_vertices(*clip_box)
     return [cells.cut(i, box) for i in range(len(cpl.nodes))]
 
@@ -349,10 +354,9 @@ def ma_measure(cpl):
     interior = cpl.interior_mask()
     masses, on_env = [], []
     zero = Fraction(0) if cpl.is_rational else 0.0
+    fallbacks = 0
     if cpl.dim == 1:
-        cells = None
-        for lo, hi, inside in zip(*_cell_ends_1d(cpl.nodes, cpl.values),
-                                  interior):
+        for lo, hi, inside in zip(*cpl._envelope(), interior):
             # domain endpoints always sit on the envelope
             on_env.append(not inside or hi >= lo)
             if not inside or hi < lo:
@@ -360,7 +364,7 @@ def ma_measure(cpl):
             else:       # dual_cell_1d's volume: the int 0 when hi == lo
                 masses.append(hi - lo if hi > lo else 0)
     else:
-        cells = FacetCells(cpl.nodes, cpl.values, cpl.domain.vertices)
+        cells = cpl._envelope()
         area = cells.area.tolist()
         for i, inside in enumerate(interior):
             if cells.closed[i]:
@@ -370,14 +374,15 @@ def ma_measure(cpl):
                 masses.append(zero)
                 on_env.append(bool(cells.solid[i]))
             else:
-                cell = cells.full(i, expect_bounded=inside)
+                fallbacks += 1
+                cell = dual_cell_2d(i, cpl.nodes, cpl.values,
+                                    expect_bounded=inside)
                 masses.append(cell.volume if inside and not cell.empty
                               else zero)
                 on_env.append(not cell.empty)
     degenerate = all(m == 0 for m, it in zip(masses, interior) if it)
     return MAMeasure(tuple(cpl.nodes), tuple(masses), tuple(interior),
-                     tuple(on_env), degenerate,
-                     cells.fallbacks if cells is not None else 0)
+                     tuple(on_env), degenerate, fallbacks)
 
 
 def ma_measure_oracle(cpl, resolution=1000):
@@ -874,7 +879,7 @@ def _solve_1d(domain, nodes, target, boundary, tol):
 
 
 def _boundary_envelope_values(b_nodes, b_values, queries):
-    g, b = facet_planes(np.array(b_nodes), np.array(b_values))
+    g, b = FacetCells(b_nodes, b_values).planes()
     return (np.array(queries) @ g.T + b).max(axis=1)
 
 
@@ -888,13 +893,15 @@ def _cells_2d(nodes, values, interior_idx):
     inside = np.zeros(len(nodes), dtype=bool)
     inside[interior_idx] = True
     edges = [(i[inside[i]], j[inside[i]], ell[inside[i]])]
-    for k in np.nonzero(~whole)[0]:
-        cell = cells.full(interior_idx[k], expect_bounded=True)
+    full = np.nonzero(~whole)[0]
+    for k in full:
+        cell = dual_cell_2d(interior_idx[k], nodes, values,
+                            expect_bounded=True)
         masses[k] = float(cell.volume)
         edges.append((np.full(len(cell.edges), interior_idx[k]),
                       np.array(list(cell.edges), dtype=int),
                       np.array(list(cell.edges.values()), dtype=float)))
-    return masses, tuple(map(np.concatenate, zip(*edges))), cells.fallbacks
+    return masses, tuple(map(np.concatenate, zip(*edges))), len(full)
 
 
 def _mass_jacobian(pts, interior_idx, edges):

@@ -7,6 +7,8 @@ the oracle: exact inputs must agree with it exactly, and float inputs with
 its exact answer for the same data, every float being a Fraction.
 """
 
+import hashlib
+import warnings
 from fractions import Fraction
 from unittest import mock
 
@@ -15,8 +17,9 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from nama import (ConvexPL, Polygon, TargetMeasure, box_polygon,
-                  gradient_cells, ma_measure)
+from nama import (ConvexPL, Interval, Polygon, TargetMeasure, box_polygon,
+                  gradient_cells, ma_measure, ma_measure_oracle,
+                  strict_convexity_report)
 from nama import convexgeom, realma
 from nama.convexgeom import Cell, cut_cell, dual_cell_2d
 
@@ -174,7 +177,8 @@ def test_lifted_pieces_take_no_full_clip(monkeypatch):
         calls.append(index)
         return real(index, *args, **kwargs)
 
-    monkeypatch.setattr(convexgeom, "dual_cell_2d", counting)
+    for module in (convexgeom, realma):
+        monkeypatch.setattr(module, "dual_cell_2d", counting)
     nodes = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
     values = [max(x + 2 * y, 3 * x - y + F(1, 2), -x + F(1, 4), F(1, 8))
               + F(i % 3, 8) for i, (x, y) in enumerate(nodes)]
@@ -238,7 +242,70 @@ def test_exact_data_flat_only_to_rounding_takes_the_full_clip():
     # and every node takes the full clip
     cpl = in_fractions(float_grid(5, lambda x, y: 0.1 * x + 0.3 * y + 0.7))
     measure = assert_exact_agreement(cpl)
-    assert measure.cell_fallbacks == len(cpl.nodes)
+    assert measure.cell_fallbacks == len(cpl.nodes) == 25
+    # the hull is built once, and a second measure counts its own clips
+    assert ma_measure(cpl) == measure
+
+
+def test_float_near_flat_data_takes_no_nan_arithmetic():
+    # 1e-12 (x^2 + y^2) + 0.5: Qhull leaves zero-det facets, whose inf and
+    # nan gradients stay out of the shoelace and the boundary flags; the
+    # digests pin the masses and flags the sums gave when they read them
+    base = np.linspace(-1, 1, 65)
+    nodes = [(float(x), float(y)) for x in base for y in base]
+    cpl = ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0), nodes,
+                   [1e-12 * (x * x + y * y) + 0.5 for x, y in nodes])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        measure = ma_measure(cpl)
+    assert measure.cell_fallbacks == 3 and sum(measure.on_envelope) == 558
+    assert [hashlib.sha256(np.array(a).tobytes()).hexdigest()[:16]
+            for a in (measure.masses, measure.on_envelope)] == [
+        "db4893f13ba5ecbc", "ef0b58b655b40f05"]
+
+
+@pytest.mark.parametrize("exact", [True, False])
+def test_every_reader_of_a_function_takes_its_one_hull(monkeypatch, exact):
+    # the flat quads of (x^2 + y^2) / 2 with a node on a quad's plane and
+    # one above the envelope, so the report has singular nodes to group
+    nodes = [(F(i, 2), F(j, 2)) for i in range(5) for j in range(5)]
+    nodes += [(F(1, 4), F(1, 4)), (F(3, 4), F(5, 4))]
+    values = [(x * x + y * y) / 2 for x, y in nodes[:25]] + [F(1, 8), 2]
+    if not exact:
+        nodes = [tuple(map(float, nd)) for nd in nodes]
+        values = [float(v) for v in values]
+    calls, real = [], convexgeom.lifted_hull
+    monkeypatch.setattr(convexgeom, "lifted_hull",
+                        lambda pts, vals: calls.append(len(pts))
+                        or real(pts, vals))
+    box = box_polygon(0, 2, 0, 2)
+    report = strict_convexity_report(ConvexPL(box, nodes, values))
+    assert calls == [27] and report.components == ((25,), (26,))
+    cpl = ConvexPL(box, nodes, values)
+    first = ma_measure(cpl)
+    ma_measure_oracle(cpl, resolution=50)
+    assert np.allclose(cpl.evaluate(nodes[:25]),
+                       [float(v) for v in values[:25]], rtol=0, atol=1e-15)
+    assert sum(c.volume for c in gradient_cells(cpl, (-4, 4, -4, 4))) == 64
+    assert ma_measure(cpl) == first
+    assert calls == [27, 27]
+
+
+def test_1d_readers_take_one_set_of_cell_ends(monkeypatch):
+    # node 1/2 lies above the envelope, whose slopes are -1, 1 and 3
+    calls = []
+    real = realma._cell_ends_1d
+    monkeypatch.setattr(realma, "_cell_ends_1d",
+                        lambda *a: calls.append(1) or real(*a))
+    cpl = ConvexPL(Interval(0, 2), [(0,), (F(1, 2),), (1,), (F(3, 2),), (2,)],
+                   [0, 1, -1, F(-1, 2), 1])
+    measure = ma_measure(cpl)
+    assert measure.masses == (0, 0, 2, 2, 0)
+    assert measure.on_envelope == (True, False, True, True, True)
+    assert cpl.evaluate([(0,), (0.5,), (1,), (1.25,), (2,)]).tolist() == [
+        0.0, -0.5, -1.0, -0.75, 1.0]
+    assert strict_convexity_report(cpl).singular == (1,)
+    assert ma_measure(cpl) == measure and len(calls) == 1
 
 
 def scramble_hull(monkeypatch, n):
