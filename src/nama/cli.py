@@ -250,9 +250,8 @@ def run_realma_solve(args, doc, emitter):
     nodes = grid_nodes(domain, args.grid)
     target = cfg.target_from_config(doc, domain, nodes)
     boundary = cfg.boundary_values(doc, domain.dim)
-    tol = args.tol if args.tol is not None else 1e-8
     try:
-        result = solve(domain, target, boundary, nodes=nodes, tol=tol)
+        result = solve(domain, target, boundary, nodes=nodes, tol=args.tol)
     except ValueError as exc:
         raise ConfigError(f"invalid target: {exc}")
     write_node_table(emitter, "solution.csv", result.solution, result.masses)
@@ -262,12 +261,14 @@ def run_realma_solve(args, doc, emitter):
     emitter.summary["nodes"] = len(nodes)
     emitter.summary["interior_nodes"] = sum(result.solution.interior_mask())
     emitter.summary["cell_fallbacks"] = result.cell_fallbacks
-    if not result.converged or float(result.residual) > tol:
+    if not result.converged or float(result.residual) > args.tol:
         raise CheckFailed(
-            f"mass residual {float(result.residual):.3e} exceeds {tol}")
+            f"mass residual {float(result.residual):.3e} exceeds {args.tol}")
 
 
 def run_realma_measure(args, doc, emitter):
+    if args.grid is not None and args.tol is None:
+        raise ConfigError("--grid is the oracle's resolution and needs --tol")
     pl = cfg.convex_pl_from_config(doc, cfg.parse_domain(doc))
     measure = ma_measure(pl)
     write_node_table(emitter, "measure.csv", pl, measure.masses)
@@ -385,24 +386,18 @@ COMPARE_MODES = {"vilsmeier": compare_vilsmeier,
 
 
 def run_compare(args, doc, emitter):
-    mode = args.mode_positional or args.mode
-    if mode is None:
-        raise ConfigError(
-            f"compare needs a mode: one of {', '.join(COMPARE_MODES)}")
-    if args.mode_positional and args.mode and \
-            args.mode_positional != args.mode:
-        raise ConfigError("conflicting compare modes given")
-    emitter.options["mode"] = mode
-    tol = args.tol if args.tol is not None else 1e-8
-    rows, summary, passed = COMPARE_MODES[mode](doc, tol)
+    try:
+        rows, summary, passed = COMPARE_MODES[args.mode](doc, args.tol)
+    except ValueError as exc:       # data the mode's check cannot take
+        raise ConfigError(str(exc))
     emitter.summary.update(summary)
     width = max((len(r) for r in rows), default=4) - 4
     header = ("face",) + tuple(f"x{i}" for i in range(max(width, 1))) \
         + ("lhs", "rhs", "residual")
     rows = [r[:-3] + ("",) * (len(header) - len(r)) + r[-3:] for r in rows]
-    emitter.write_table(f"compare_{mode}.csv", header, rows)
+    emitter.write_table(f"compare_{args.mode}.csv", header, rows)
     if not passed:
-        raise CheckFailed(f"compare {mode} residuals exceed tolerance")
+        raise CheckFailed(f"compare {args.mode} residuals exceed tolerance")
 
 
 # ---------------------------------------------------------------------------
@@ -439,7 +434,9 @@ def build_local_model(args):
 
 
 def run_hybrid_pushforward(args, doc, emitter):
-    model = build_local_model(args)[0]
+    model, *others = build_local_model(args)
+    if others:
+        raise ConfigError("pushforward takes one --t-exp exponent")
     p = model.depth
     if args.level * p > MAX_DYADIC_BITS:
         raise ConfigError(
@@ -468,18 +465,17 @@ def run_hybrid_pushforward(args, doc, emitter):
 
 def run_hybrid_growth(args, doc, emitter):
     models = build_local_model(args)
-    if len(models) < 2:
-        raise ConfigError("growth needs at least two --t-exp values")
+    if len({m.t for m in models}) < 2:
+        raise ConfigError("growth needs at least two distinct --t-exp values")
     rep = volume_growth_exponent(models[0], [m.t for m in models],
                                  count=args.samples, seed=args.seed)
     rows = [(T, v) for T, v in zip(rep.log_scales, rep.volumes)]
     emitter.write_table("growth.csv", ("log_scale", "volume"), rows)
     emitter.summary["exponent"] = rep.exponent
     emitter.summary["expected"] = rep.expected
-    tol = args.tol if args.tol is not None else 0.1
-    if not rep.within(tol):
+    if not rep.within(args.tol):
         raise CheckFailed(
-            f"growth exponent {rep.exponent:.4f} not within {tol} "
+            f"growth exponent {rep.exponent:.4f} not within {args.tol} "
             f"of {rep.expected}")
 
 
@@ -494,24 +490,22 @@ def run_geometry_slag(args, doc, emitter):
     if n > MAX_FORM_DIM:
         raise ConfigError(f"--hessian must be at most {MAX_FORM_DIM}x"
                           f"{MAX_FORM_DIM}, got {n}x{n}")
-    L = args.L[0] if args.L else 1.0
-    form = semiflat_form(H, L)
+    form = semiflat_form(H, args.L)
     frame = standard_torus_frame(n)
     lag = fiber_lagrangian_residual(form, frame)
     phase = fiber_phase_residual(n, frame)
     rows = [
         ("dimension", n),
-        ("scale", L),
+        ("scale", args.L),
         ("lagrangian_residual", lag),
         ("phase", phase.phase),
         ("phase_residual", phase.residual),
         ("smallest_eigenvalue", form.smallest_eigenvalue()),
     ]
     emitter.write_table("slag_check.csv", ("quantity", "value"), rows)
-    tol = args.tol if args.tol is not None else 1e-12
     emitter.summary["lagrangian_residual"] = lag
     emitter.summary["phase_residual"] = phase.residual
-    if lag > tol or phase.residual > tol:
+    if lag > args.tol or phase.residual > args.tol:
         raise CheckFailed("fiber residuals exceed tolerance")
 
 
@@ -525,10 +519,9 @@ def run_geometry_calabi(args, doc, emitter):
     emitter.summary["constant"] = rep.constant
     emitter.summary["expected_constant"] = constant
     emitter.summary["residual"] = rep.residual
-    tol = args.tol if args.tol is not None else 1e-12
     scale = max(1.0, abs(constant))
-    if rep.residual > tol * scale \
-            or abs(rep.constant - constant) > tol * scale:
+    if rep.residual > args.tol * scale \
+            or abs(rep.constant - constant) > args.tol * scale:
         raise CheckFailed("Calabi invariant is not constant to tolerance")
 
 
@@ -546,19 +539,22 @@ def random_block_instance(m, n, seed):
 def run_geometry_gcalabi(args, doc, emitter):
     if args.m < 0 or args.n <= args.m:
         raise ConfigError("need 0 <= m < n")
-    scales = args.L or [10.0 ** k for k in range(2, 7)]
+    P, Q, B = random_block_instance(args.m, args.n, args.seed)
+    # first-order relative error (4 pi / L) tr(P^-1 B Q^-1 B*): from ~10^-2
+    first = 4 * math.pi * abs(np.trace(
+        np.linalg.solve(P, B) @ np.linalg.solve(Q, B.conj().T)))
+    scales = args.L or [max(1, first) * 10.0 ** k for k in range(2, 7)]
     if len(scales) < 2:
         raise ConfigError("need at least two --L scales for the slope fit")
-    P, Q, B = random_block_instance(args.m, args.n, args.seed)
     rep = volume_identity_check(P, Q, B, scales)
     rows = [(L, e) for L, e in zip(rep.scales, rep.relative_errors)]
     emitter.write_table("gcalabi.csv", ("scale", "relative_error"), rows)
     emitter.summary["slope"] = rep.slope
     emitter.summary["exact"] = rep.exact
     emitter.summary["limit"] = rep.limit
-    tol = args.tol if args.tol is not None else 0.05
-    if not rep.slope_within(-1.0, tol):
-        raise CheckFailed(f"error slope {rep.slope} not within {tol} of -1")
+    if not rep.slope_within(-1.0, args.tol):
+        raise CheckFailed(
+            f"error slope {rep.slope} not within {args.tol} of -1")
 
 
 # ---------------------------------------------------------------------------
@@ -602,14 +598,17 @@ CONFIG = (("config",), {"help": "config JSON"})
 
 
 def _command(subs, name, handler, *positionals, help=None, **defaults):
-    """A subcommand: its positionals, in order, and the common options."""
+    """A subcommand: its positionals, in order, and ``--out``; a ``seed``
+    or ``tol`` default also declares ``--seed`` or ``--tol``."""
     sp = subs.add_parser(name, help=help)
     for args, kwargs in positionals:
         sp.add_argument(*args, **kwargs)
     sp.add_argument("--out", default="out", help="output directory")
-    sp.add_argument("--seed", type=SEED, default=0, help="random seed")
-    sp.add_argument("--tol", type=TOLERANCE, default=None,
-                    help="tolerance override for the run's check")
+    if "seed" in defaults:
+        sp.add_argument("--seed", type=SEED, help="random seed")
+    if "tol" in defaults:
+        sp.add_argument("--tol", type=TOLERANCE,
+                        help="tolerance of the run's check")
     sp.set_defaults(handler=handler, **defaults)
     return sp
 
@@ -627,22 +626,21 @@ def build_parser():
 
     rsub = top.add_parser("realma", help="real Monge-Ampere solver") \
         .add_subparsers(dest="subcommand", required=True)
-    _command(rsub, "solve", run_realma_solve, CONFIG).add_argument(
+    _command(rsub, "solve", run_realma_solve, CONFIG, tol=1e-8).add_argument(
         "--grid", type=GRID, default=9, help="nodes per side")
-    _command(rsub, "measure", run_realma_measure, CONFIG).add_argument(
-        "--grid", type=ORACLE_GRID, default=None,
-        help="oracle resolution when --tol is set")
+    _command(rsub, "measure", run_realma_measure, CONFIG, tol=None) \
+        .add_argument("--grid", type=ORACLE_GRID, default=None,
+                      help="oracle resolution of the --tol check")
 
-    mode = (("mode_positional",),
-            {"nargs": "?", "choices": COMPARE_MODES, "metavar": "mode"})
-    comp = _command(top, "compare", run_compare, mode, CONFIG,
-                    subcommand=None, help="intersection vs convex analysis")
-    comp.add_argument("--mode", choices=COMPARE_MODES)
+    mode = (("mode",), {"choices": COMPARE_MODES})
+    _command(top, "compare", run_compare, mode, CONFIG, subcommand=None,
+             tol=1e-8, help="intersection vs convex analysis")
 
     hsub = top.add_parser("hybrid", help="Monte Carlo on local models") \
         .add_subparsers(dest="subcommand", required=True)
-    push = _command(hsub, "pushforward", run_hybrid_pushforward)
-    grow = _command(hsub, "growth", run_hybrid_growth)
+    push = _command(hsub, "pushforward", run_hybrid_pushforward, seed=0,
+                    tol=None)
+    grow = _command(hsub, "growth", run_hybrid_growth, seed=0, tol=0.1)
     for sp in (push, grow):
         sp.add_argument("--n", type=HYBRID_DIM, required=True,
                         help="complex dimension")
@@ -660,19 +658,21 @@ def build_parser():
 
     gsub = top.add_parser("geometry", help="Hermitian form identities") \
         .add_subparsers(dest="subcommand", required=True)
-    slag = _command(gsub, "slag-check", run_geometry_slag)
-    slag.add_argument("--n", type=FORM_DIM, default=2)
-    slag.add_argument("--hessian", default=None,
-                      help="CSV file with a symmetric matrix")
-    slag.add_argument("--L", type=SCALE, nargs="*", default=None)
-    _command(gsub, "calabi", run_geometry_calabi).add_argument(
+    slag = _command(gsub, "slag-check", run_geometry_slag, tol=1e-12)
+    hessian = slag.add_mutually_exclusive_group()
+    # the string default is parsed only when --n is absent: --n 2 conflicts
+    hessian.add_argument("--n", type=FORM_DIM, default="2")
+    hessian.add_argument("--hessian", default=None,
+                         help="CSV file with a symmetric matrix")
+    slag.add_argument("--L", type=SCALE, default=1.0)
+    _command(gsub, "calabi", run_geometry_calabi, tol=1e-12).add_argument(
         "--n", type=CALABI_N, required=True)
-    gcal = _command(gsub, "gcalabi", run_geometry_gcalabi)
+    gcal = _command(gsub, "gcalabi", run_geometry_gcalabi, seed=0, tol=0.05)
     gcal.add_argument("--m", type=int, required=True,
                       help="base block size")
     gcal.add_argument("--n", type=GCALABI_DIM, required=True,
                       help="total dimension")
-    gcal.add_argument("--L", type=SCALE, nargs="*", default=None)
+    gcal.add_argument("--L", type=SCALE, nargs="+", default=None)
     return parser
 
 
@@ -681,7 +681,7 @@ def run(args):
     command = args.command + (f" {args.subcommand}" if args.subcommand
                               else "")
     options = {k: v for k, v in sorted(vars(args).items())
-               if k not in ("handler", "mode_positional") and v is not None}
+               if k != "handler" and v is not None}
     doc = None
     if hasattr(args, "config"):
         doc = cfg.load_document(args.config)

@@ -85,10 +85,15 @@ def load_document(path):
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
 
 
-def check_keys(mapping, allowed, context):
-    if not isinstance(mapping, dict):
+def json_object(value, context):
+    """``value``, which must be a JSON object."""
+    if not isinstance(value, dict):
         raise ConfigError(f"{context} must be an object")
-    unknown = sorted(set(mapping) - set(allowed))
+    return value
+
+
+def check_keys(mapping, allowed, context):
+    unknown = sorted(set(json_object(mapping, context)) - set(allowed))
     if unknown:
         raise ConfigError(
             f"unknown keys {unknown} in {context}; allowed: {sorted(allowed)}")
@@ -100,11 +105,16 @@ def require(mapping, key, context):
     return mapping[key]
 
 
-def bounded_list(value, cap, context):
-    """``value``, which must be a list of at most ``cap`` entries."""
+def json_list(value, context):
+    """``value``, which must be a JSON list."""
     if not isinstance(value, list):
         raise ConfigError(f"{context} must be a list")
-    if len(value) > cap:
+    return value
+
+
+def bounded_list(value, cap, context):
+    """``value``, which must be a list of at most ``cap`` entries."""
+    if len(json_list(value, context)) > cap:
         raise ConfigError(f"{context} has {len(value)} entries; at most "
                           f"{cap} are allowed")
     return value
@@ -185,11 +195,9 @@ def build_table_from_config(entries, n):
         check_keys(entry, TABLE_ENTRY_KEYS, ctx)
         lp = integer(require(entry, "L_power", ctx), f"{ctx}.L_power",
                      minimum=0)
-        powers_raw = entry.get("divisor_powers", {})
-        if not isinstance(powers_raw, dict):
-            raise ConfigError(f"{ctx}.divisor_powers must be an object")
         powers = {}
-        for key, val in powers_raw.items():
+        for key, val in json_object(entry.get("divisor_powers", {}),
+                                    f"{ctx}.divisor_powers").items():
             ident = divisor_id(key, f"{ctx}.divisor_powers")
             powers[ident] = integer(val, f"{ctx}.divisor_powers[{key}]",
                                     minimum=1)
@@ -276,7 +284,14 @@ def model_face(model, key, context):
 
 
 def validate_toplevel(doc):
+    """Known keys only, and none that another key would override."""
     check_keys(doc, MODEL_KEYS | COMMAND_KEYS, "config document")
+    overridden = sorted(set(doc) & (MODEL_KEYS - {"sections"}))
+    if "cycle" in doc and overridden:
+        raise ConfigError(f"cycle builds the model and its table; drop the "
+                          f"model keys {overridden}")
+    if "density" in doc and "masses" in doc:
+        raise ConfigError("the target is a density or masses, not both")
 
 
 # ---------------------------------------------------------------------------
@@ -348,7 +363,8 @@ def target_from_config(doc, domain, nodes):
             ctx = f"masses[{k}]"
             check_keys(entry, {"node", "mass"}, ctx)
             nd = tuple(rational(c, "node")
-                       for c in require(entry, "node", ctx))
+                       for c in json_list(require(entry, "node", ctx),
+                                          f"{ctx}.node"))
             masses[nd] = rational(require(entry, "mass", ctx), "mass")
         try:
             target = TargetMeasure(masses)
@@ -359,18 +375,24 @@ def target_from_config(doc, domain, nodes):
     return target
 
 
+def square_matrix(rows, dim, context):
+    """The rational ``dim`` x ``dim`` matrix given by a list of rows."""
+    if not isinstance(rows, list) or len(rows) != dim or any(
+            not isinstance(r, list) or len(r) != dim for r in rows):
+        raise ConfigError(f"{context} must be {dim}x{dim}")
+    return [[rational(v, context) for v in r] for r in rows]
+
+
 def _quadratic(block, context, dim):
     """Symmetric A (zero when absent) and b of 1/2 x^T A x + b.x."""
     rows = block.get("quadratic")
     if rows is None:
         rows = [[0] * dim for _ in range(dim)]
-    if len(rows) != dim or any(len(r) != dim for r in rows):
-        raise ConfigError(f"{context}.quadratic must be {dim}x{dim}")
-    A = [[rational(v, f"{context}.quadratic") for v in r] for r in rows]
+    A = square_matrix(rows, dim, f"{context}.quadratic")
     if any(A[i][j] != A[j][i] for i in range(dim) for j in range(dim)):
         raise ConfigError(f"{context}.quadratic must be symmetric")
     lin = block.get("linear", [0] * dim)
-    if len(lin) != dim:
+    if not isinstance(lin, list) or len(lin) != dim:
         raise ConfigError(f"{context}.linear needs {dim} entries")
     return A, [rational(v, f"{context}.linear") for v in lin]
 
@@ -420,7 +442,8 @@ def convex_pl_from_config(doc, domain):
             return v
         return rational(v, ctx)
 
-    nodes = [tuple(coord(c, "nodes") for c in nd) for nd in raw_nodes]
+    nodes = [tuple(coord(c, "nodes") for c in json_list(nd, "nodes entry"))
+             for nd in raw_nodes]
     values = [coord(v, "values") for v in raw_values]
     try:
         return ConvexPL(domain, nodes, values)
@@ -436,12 +459,10 @@ def face_potential_from_config(doc, model):
                                "potential.face")
     grads = {divisor_id(k, "potential.gradients"):
              rational(v, "potential.gradients")
-             for k, v in require(block, "gradients", "potential").items()}
+             for k, v in json_object(require(block, "gradients", "potential"),
+                                     "potential.gradients").items()}
     p = model_face(model, key, "potential.face").dim
-    rows = block.get("hessian", [])
-    if len(rows) != p or any(len(r) != p for r in rows):
-        raise ConfigError(f"potential.hessian must be {p}x{p}")
-    hess = [[rational(v, "potential.hessian") for v in r] for r in rows]
+    hess = square_matrix(block.get("hessian", []), p, "potential.hessian")
     return key, FacePotential(gradient=lambda x: grads,
                               hessian=lambda x: hess)
 
@@ -478,27 +499,32 @@ def matching_from_config(doc, model):
                               "matching.face_b")
     degs = {divisor_id(k, "matching.degrees"):
             integer(v, "matching.degrees")
-            for k, v in require(block, "degrees", "matching").items()}
+            for k, v in json_object(require(block, "degrees", "matching"),
+                                    "matching.degrees").items()}
     transition = transition_between(model, fa, fb, degs)
     n = transition.dim
     ga = quadratic_gradient(require(block, "a", "matching"), "matching.a", n)
     gb = quadratic_gradient(require(block, "b", "matching"), "matching.b", n)
-    pts = [tuple(rational(c, "wall_points") for c in w)
-           for w in require(block, "wall_points", "matching")]
+    pts = [tuple(rational(c, "wall_points")
+                 for c in json_list(w, "wall_points entry"))
+           for w in json_list(require(block, "wall_points", "matching"),
+                              "matching.wall_points")]
     return transition, ga, gb, pts
 
 
 def mass_audit_from_config(doc, model, table):
     """Face terms, atomic masses and expected total of a mass audit."""
     terms = []
-    for k, entry in enumerate(require(doc, "mass_terms", "config")):
+    for k, entry in enumerate(json_list(require(doc, "mass_terms", "config"),
+                                        "mass_terms")):
         ctx = f"mass_terms[{k}]"
         check_keys(entry, {"face", "density"}, ctx)
         key = face_key_from_string(require(entry, "face", ctx), ctx)
         model_face(model, key, f"{ctx}.face")
         dens = rational(require(entry, "density", ctx), ctx)
         terms.append(FaceMassTerm.from_constant(model, key, dens))
-    atomic = [rational(v, "atomic") for v in doc.get("atomic", [])]
+    atomic = [rational(v, "atomic")
+              for v in json_list(doc.get("atomic", []), "atomic")]
     if "expected" in doc:
         expected = rational(doc["expected"], "expected")
     elif table is not None:

@@ -32,6 +32,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .errors import CheckFailed
+
 _DYADIC_BITS = 40
 _DYADIC_ONE = 1 << _DYADIC_BITS
 _CHUNK = 1 << 16
@@ -63,6 +65,8 @@ class MultiPoly:
             if any(e < 0 for e in exps):
                 raise ValueError("exponents must be nonnegative")
             c = complex(coeff)
+            if not cmath.isfinite(c):
+                raise ValueError(f"coefficient {coeff} is not finite")
             if c != 0:
                 cleaned[exps] = cleaned.get(exps, 0) + c
         object.__setattr__(self, "terms", cleaned)
@@ -175,8 +179,9 @@ class LocalModel:
         ws = tuple(float(w) for w in ws)
         if len(ws) != len(bs):
             raise ValueError("one damping weight per divisor coordinate")
-        if any(w < 0 for w in ws):
-            raise ValueError("damping weights must be nonnegative")
+        if not all(0 <= w < math.inf for w in ws):
+            raise ValueError("damping weights must be finite and "
+                             "nonnegative")
         object.__setattr__(self, "weights", ws)
 
     @property
@@ -576,6 +581,9 @@ def volume_growth_exponent(model, t_values, count=100000, seed=0):
     for t in ts:
         variant = model.with_t(t)
         v = estimate_volume(variant, count, seed)
+        if v == 0:
+            raise CheckFailed(f"the volume estimate at T = "
+                              f"{variant.log_scale} underflows to 0")
         logT.append(math.log(variant.log_scale))
         logV.append(math.log(v))
     slope = float(np.polyfit(logT, logV, 1)[0])

@@ -1,12 +1,18 @@
 """End-to-end tests of the command line interface, run in process."""
 
+import argparse
+import contextlib
+import copy
 import csv
 import io
 import json
+import warnings
 from fractions import Fraction as F
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from nama import cli, config
 from nama.cli import (MAX_CALABI_N, MAX_FORM_DIM, MAX_GCALABI_DIM,
@@ -173,14 +179,10 @@ def test_compare_vilsmeier_masses_on_a_cycle(tmp_path):
 
 
 def test_compare_mode_flag_and_positional_must_agree(tmp_path):
+    # the mode is the positional alone: no mode is an input error
     doc = {"cycle": {"degrees": [1, 1, 1], "coefficients": [0, 0, 0]}}
     cfg = write_config(tmp_path, doc)
-    out = tmp_path / "out"
-    assert main(["compare", "--mode", "vilsmeier", cfg,
-                 "--out", str(out)]) == 0
-    assert main(["compare", "vilsmeier", "--mode", "pde", cfg,
-                 "--out", str(out)]) == 1
-    assert main(["compare", cfg, "--out", str(out)]) == 1
+    assert main(["compare", cfg, "--out", str(tmp_path / "out")]) == 1
 
 
 def test_compare_lowerface_checks_the_expected_density(tmp_path):
@@ -346,6 +348,7 @@ SQUARE = dict(SQUARE_BOUNDARY, density=1)
 KINK = {"domain": {"interval": [0, 1]}, "nodes": [[0], ["1/2"], [1]],
         "values": [0, "-1/8", 0]}
 CYCLE = {"cycle": {"degrees": [1, 2, 1], "coefficients": [0, "1/2", "1/3"]}}
+COEFFS = {"0": "0", "1": "1/4"}
 SQUARE_COMPLEX = {
     "n": 2, "semistable": True,
     "divisors": [{"id": k} for k in range(4)],
@@ -363,7 +366,7 @@ POTENTIAL = {"face": "0,1", "gradients": {"0": 0, "1": 0}, "hessian": [[2]]}
 SUBCOMMANDS = [
     (["model", "validate"], SEGMENT_MODEL),
     (["model", "skeleton"], SEGMENT_MODEL),
-    (["namma"], dict(SEGMENT_MODEL, coefficients={"0": "0", "1": "1/4"})),
+    (["namma"], dict(SEGMENT_MODEL, coefficients=COEFFS)),
     (["realma", "solve", "--grid", "3"], SQUARE),
     (["realma", "measure", "--tol", "0.01", "--grid", "400"], KINK),
     (["compare", "vilsmeier"], CYCLE),
@@ -494,6 +497,58 @@ INVALID = [
       "--uJ", "1+z3"], None),                         # z3 past z0..z2
     (["hybrid", "growth", "--n", "1", "--t-exp", "30,40",
       "--uJ", "1+*z0"], None),
+    # a value no run reads: --seed where nothing is drawn, --tol where
+    # nothing is checked, the old --mode flag
+    (["model", "validate", "--seed", "5"], SEGMENT_MODEL),
+    (["model", "skeleton", "--seed", "5"], SEGMENT_MODEL),
+    (["namma", "--seed", "5"], dict(SEGMENT_MODEL, coefficients=COEFFS)),
+    (["realma", "solve", "--grid", "3", "--seed", "5"], SQUARE),
+    (["realma", "measure", "--seed", "5"], KINK),
+    (["compare", "--seed", "5", "vilsmeier"], CYCLE),
+    (["geometry", "slag-check", "--seed", "5"], None),
+    (["geometry", "calabi", "--n", "2", "--seed", "5"], None),
+    (["model", "validate", "--tol", "0.5"], SEGMENT_MODEL),
+    (["model", "skeleton", "--tol", "0.5"], SEGMENT_MODEL),
+    (["namma", "--tol", "0.5"], dict(SEGMENT_MODEL, coefficients=COEFFS)),
+    (["compare", "--mode", "vilsmeier", "vilsmeier"], CYCLE),
+    # a value a run would read only in part
+    (["realma", "measure", "--grid", "400"], KINK),
+    (["geometry", "slag-check", "--L", "2", "3"], None),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30,40",
+      "--samples", "2000"], None),
+    # a config entry another key would override
+    (["model", "validate"], dict(CYCLE, divisors="garbage", faces=3)),
+    (["realma", "solve", "--grid", "3"],
+     dict(SQUARE, masses=[{"node": [5, 5], "mass": -3}])),
+    # config entries of the wrong JSON type
+    (["compare", "mass"], dict(SEGMENT_MODEL, mass_terms=3)),
+    (["compare", "mass"], dict(SEGMENT_MODEL, mass_terms=[], atomic=5)),
+    (["compare", "matching"], dict(MATCHING, matching=dict(
+        MATCHING["matching"], degrees=3))),
+    (["compare", "matching"], dict(MATCHING, matching=dict(
+        MATCHING["matching"], wall_points=3))),
+    (["compare", "matching"], dict(MATCHING, matching=dict(
+        MATCHING["matching"], wall_points=[3]))),
+    (["compare", "lowerface"], dict(SEGMENT_MODEL, expected=1, potential=dict(
+        POTENTIAL, face="0", hessian=[], gradients="x"))),
+    (["compare", "lowerface"], dict(SEGMENT_MODEL, expected=1, potential=dict(
+        POTENTIAL, face="0", hessian=3))),
+    (["realma", "solve", "--grid", "3"],
+     dict(SQUARE, boundary={"quadratic": 2})),
+    (["realma", "solve", "--grid", "3"], dict(SQUARE, boundary={"linear": 2})),
+    # non-finite polynomial coefficients and damping weights
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "2000", "--uJ", "nan"], None),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "2000", "--uJ", "1e400"], None),
+    (["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
+      "--samples", "2000", "--uJ", "inf"], None),
+    (["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
+      "--samples", "2000", "--weights", "inf,0"], None),
+    (["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
+      "--samples", "2000", "--weights", "nan,0"], None),
+    (["hybrid", "pushforward", "--n", "1", "--t-exp", "30",
+      "--samples", "2000", "--weights", "nan,0"], None),
 ]
 
 
@@ -506,6 +561,7 @@ def test_invalid_input_exits_one_with_one_line(tmp_path, capsys, argv, doc):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("rows", ["1,2\n3,4\n", "1,2,3\n2,4,5\n"],
@@ -517,6 +573,19 @@ def test_slag_check_rejects_an_invalid_hessian(tmp_path, capsys, rows):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("n", ["2", "3"])
+def test_slag_check_takes_n_or_hessian(tmp_path, capsys, n):
+    # --n 2 equals the default, and still conflicts
+    path = tmp_path / "hessian.csv"
+    path.write_text("1,0\n0,1\n")
+    argv = ["geometry", "slag-check", "--hessian", str(path),
+            "--out", str(tmp_path / "out")]
+    assert main(argv) == 0
+    assert main(argv + ["--n", n]) == 1
+    assert capsys.readouterr().err.endswith(
+        "config error: argument --n: not allowed with argument --hessian\n")
 
 
 def test_oracle_grid_cap_is_accepted_without_running(tmp_path):
@@ -591,14 +660,13 @@ def test_hessian_dimension_cap_is_accepted_without_running(
 
 
 @pytest.mark.parametrize("argv, stage", [
-    (["pushforward", "--level", "0"], "sample_cy_measure"),
-    (["growth"], "volume_growth_exponent"),
+    (["pushforward", "--level", "0", "--t-exp", "20"], "sample_cy_measure"),
+    (["growth", "--t-exp", "20,40"], "volume_growth_exponent"),
 ])
 def test_hybrid_size_caps_are_accepted_without_running(
         tmp_path, monkeypatch, capsys, argv, stage):
     monkeypatch.setattr(cli, stage, lambda *args, **kwargs: stop())
-    argv = ["hybrid"] + argv + ["--t-exp", "20,40",
-                                "--out", str(tmp_path / "out")]
+    argv = ["hybrid"] + argv + ["--out", str(tmp_path / "out")]
     widest = MAX_SAMPLE_COORDS // (MAX_HYBRID_N + 1)
     for n, samples in ((MAX_HYBRID_N, widest), (1, MAX_SAMPLE_COORDS // 2)):
         with pytest.raises(Reached):
@@ -658,6 +726,23 @@ def test_gcalabi_checks_blocks_past_the_float_range(tmp_path, capsys, m, n):
     assert capsys.readouterr().err == ""
     assert read_manifest(tmp_path / "out")["summary"]["slope"] \
         == pytest.approx(-1.0, abs=1e-6)
+
+
+@pytest.mark.parametrize("m, n, seed, first", [
+    (32, 64, 0, 114087.46465136338), (250, 500, 0, 805666.2048116775),
+    (1, 2, 3, 100.0)])       # 4 pi |tr| = 0.197 < 1: the fixed scales
+def test_gcalabi_default_scales_start_in_the_first_order_regime(
+        tmp_path, m, n, seed, first):
+    # 10^2..10^6 fitted slopes -0.79 and -0.51 on the first two
+    out = tmp_path / "out"
+    assert main(["geometry", "gcalabi", "--m", str(m), "--n", str(n),
+                 "--seed", str(seed), "--out", str(out)]) == 0
+    rows = read_csv(out / "gcalabi.csv")[1:]
+    assert [float(r[0]) for r in rows] == pytest.approx(
+        [first * 10.0 ** k for k in range(5)], rel=1e-15)
+    assert float(rows[0][1]) < 0.011
+    assert read_manifest(out)["summary"]["slope"] == pytest.approx(
+        -1.0, abs=1e-3)
 
 
 def test_manifests_are_strict_json(tmp_path, capsys):
@@ -734,3 +819,170 @@ def test_rerun_into_a_used_directory_removes_only_stale_tables(tmp_path):
     assert main(measure + ["--out", str(out)]) == 0
     assert sorted(p.name for p in out.iterdir()) == [
         "manifest.json", "measure.csv", "notes.csv", "notes.txt"]
+
+
+# ---------------------------------------------------------------------------
+# each subcommand's options, and a fuzz of argv and config mutations
+
+
+def subcommand_parsers(parser=None, path=()):
+    """(name, parser) of every runnable subcommand."""
+    parser = parser or build_parser()
+    subs = [a for a in parser._actions
+            if isinstance(a, argparse._SubParsersAction)]
+    if not subs:
+        yield " ".join(path), parser
+    for action in subs:
+        for name, sub in action.choices.items():
+            yield from subcommand_parsers(sub, path + (name,))
+
+
+def option_strings(parser):
+    return {s for a in parser._actions for s in a.option_strings} \
+        - {"-h", "--help"}
+
+
+HYBRID_OPTIONS = {"--out", "--seed", "--tol", "--n", "--t-exp", "--samples",
+                  "--uJ", "--b", "--weights"}
+OPTIONS = {
+    "model validate": {"--out"},
+    "model skeleton": {"--out"},
+    "namma": {"--out"},
+    "realma solve": {"--out", "--tol", "--grid"},
+    "realma measure": {"--out", "--tol", "--grid"},
+    "compare": {"--out", "--tol"},
+    "hybrid pushforward": HYBRID_OPTIONS | {"--level"},
+    "hybrid growth": HYBRID_OPTIONS,
+    "geometry slag-check": {"--out", "--tol", "--n", "--hessian", "--L"},
+    "geometry calabi": {"--out", "--tol", "--n"},
+    "geometry gcalabi": {"--out", "--seed", "--tol", "--m", "--n", "--L"},
+}
+
+
+def test_each_subcommand_declares_only_the_options_it_reads():
+    # --seed where a run draws random numbers, --tol where it checks one
+    assert {name: option_strings(sp)
+            for name, sp in subcommand_parsers()} == OPTIONS
+
+
+def test_a_growth_volume_that_underflows_fails_the_check(tmp_path, capsys):
+    out = tmp_path / "out"
+    assert main(["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
+                 "--samples", "2000", "--weights", "20,40",
+                 "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("check failed: the volume estimate at T = 20.0 "
+                   "underflows to 0\n")
+    manifest = read_manifest(out)
+    assert manifest["passed"] is False and "failure" in manifest["summary"]
+
+
+# 1e-12 (x^2 + y^2) + 0.5 on a 65 x 65 float grid: Qhull leaves zero-det
+# facets there (tests/test_hullstar.py)
+_BASE = np.linspace(-1, 1, 65)
+NEAR_FLAT = {"domain": {"box": [[-1, 1], [-1, 1]]},
+             "nodes": [[float(x), float(y)] for x in _BASE for y in _BASE],
+             "values": [1e-12 * (x * x + y * y) + 0.5
+                        for x in _BASE for y in _BASE]}
+FUZZ_CORPUS = SUBCOMMANDS + [(["realma", "measure"], NEAR_FLAT)]
+# --out would write outside the run's directory (-h/--help, which exits
+# through argparse's SystemExit(0), is in no OPTIONS entry)
+FUZZ_OPTIONS = sorted(set().union(*OPTIONS.values()) - {"--out"})
+FUZZ_VALUES = ["0", "1", "-1", "2", "nan", "inf", "1e400", "abc", "20,40",
+               "3/2"]
+FUZZ_JSON = [0, 1, -1, 2, "abc", "1/2", None, True, [], {}, [3], [[0]], 0.5]
+
+
+def entries(node, path=()):
+    """Path of every entry below ``node``, dict keys and list indices."""
+    items = node.items() if isinstance(node, dict) else (
+        enumerate(node) if isinstance(node, list) else ())
+    for key, child in items:
+        yield path + (key,)
+        yield from entries(child, path + (key,))
+
+
+def _at(node, path):
+    for key in path:
+        node = node[key]
+    return node
+
+
+def containers(doc):
+    """Path of ``doc`` and of every dict or list below it."""
+    return [()] + [path for path in entries(doc)
+                   if isinstance(_at(doc, path), (dict, list))]
+
+
+# every key of a config block, and one that none has
+FUZZ_KEYS = sorted(config.MODEL_KEYS | config.COMMAND_KEYS | {"x"} | {
+    path[-1] for _, doc in SUBCOMMANDS if doc for path in entries(doc)
+    if isinstance(path[-1], str)})
+
+
+@st.composite
+def mutated(draw, argv, doc):
+    """``argv`` and ``doc`` with one token dropped, one option appended, or
+    one config entry dropped, added or replaced."""
+    kinds = ["drop-token", "append-option"] + (["config"] * 2 if doc else [])
+    kind = draw(st.sampled_from(kinds))
+    argv = list(argv)
+    if kind == "drop-token":
+        del argv[draw(st.integers(0, len(argv) - 1))]
+        return argv, doc
+    if kind == "append-option":
+        return argv + [draw(st.sampled_from(FUZZ_OPTIONS)),
+                       draw(st.sampled_from(FUZZ_VALUES))], doc
+    doc = copy.deepcopy(doc)
+    op = draw(st.sampled_from(["drop", "add", "replace"]))
+    value = draw(st.sampled_from(FUZZ_JSON))
+    if op == "add":
+        path = draw(st.sampled_from(containers(doc)))
+        node = _at(doc, path)
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(FUZZ_KEYS))] = value
+        else:
+            node.append(value)
+        return argv, doc
+    path = draw(st.sampled_from(list(entries(doc))))
+    parent = _at(doc, path[:-1])
+    if op == "drop":
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return argv, doc
+
+
+def run_fuzzed(directory, argv, doc):
+    """Exit status and stderr lines of one in-process run; every warning
+    is an error."""
+    argv = argv + ([write_config(directory, doc)] if doc is not None else [])
+    err = io.StringIO()
+    with warnings.catch_warnings(), contextlib.redirect_stderr(err), \
+            contextlib.redirect_stdout(io.StringIO()):
+        warnings.simplefilter("error")
+        code = main(argv + ["--out", str(directory / "out")])
+    return code, err.getvalue().splitlines()
+
+
+@pytest.mark.parametrize("argv,doc", FUZZ_CORPUS,
+                         ids=[" ".join(a[:2]) for a, _ in FUZZ_CORPUS])
+def test_mutated_inputs_exit_with_one_line(tmp_path_factory, argv, doc):
+    @settings(max_examples=40 if doc is not NEAR_FLAT else 6)
+    @given(mutated(argv, doc))
+    def check(case):
+        directory = tmp_path_factory.mktemp("fuzz")
+        code, lines = run_fuzzed(directory, *case)
+        manifest = directory / "out" / "manifest.json"
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert lines == []
+        else:
+            prefix = {1: "config error: ", 2: "check failed: "}[code]
+            assert len(lines) == 1 and lines[0].startswith(prefix), lines
+        if code == 1:
+            assert not manifest.exists()
+        else:
+            assert read_manifest(directory / "out")["passed"] is (code == 0)
+
+    check()

@@ -28,7 +28,7 @@ from nama.config import build_model_from_config, build_table_from_config
 from nama.convexgeom import dual_cell_1d
 
 F = Fraction
-EXACT = settings(max_examples=60, deadline=None, derandomize=True)
+EXACT = settings(max_examples=60)
 
 
 # ---------------------------------------------------------------------------
@@ -422,7 +422,7 @@ def rational_matrices(draw):
 
 
 @given(rational_matrices())
-@settings(max_examples=80, deadline=None, derandomize=True)
+@settings(max_examples=80)
 def test_bareiss_equals_cofactor_expansion(rows):
     got = determinant(rows)
     assert got == cofactor_det(rows)

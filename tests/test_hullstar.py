@@ -24,8 +24,8 @@ from nama import convexgeom, realma
 from nama.convexgeom import Cell, cut_cell, dual_cell_2d
 
 F = Fraction
-EXACT = settings(max_examples=60, deadline=None, derandomize=True)
-FLOAT = settings(max_examples=40, deadline=None, derandomize=True)
+EXACT = settings(max_examples=60)
+FLOAT = settings(max_examples=40)
 
 
 def full_clip(cpl, box=None):
@@ -114,7 +114,7 @@ def test_a_corner_whose_cell_misses_the_default_box_is_on_the_envelope():
     assert assert_exact_agreement(cpl).on_envelope == (True,) * 5
 
 
-@settings(max_examples=25, deadline=None, derandomize=True)
+@settings(max_examples=25)
 @given(st.integers(3, 6), rationals, rationals)
 def test_flat_lattice_quads_are_certified(n, a, b):
     measure = assert_exact_agreement(lattice(n, F(1, 3), (a, b)))
@@ -157,7 +157,7 @@ def lattice_hull(pts):
     return chain(pts) + chain(pts[::-1])
 
 
-@settings(max_examples=60, deadline=None, derandomize=True)
+@settings(max_examples=60)
 @given(polygon_functions())
 def test_on_envelope_is_the_box_free_full_clip(cpl):
     # a cell has interior or not, whatever box the clip starts from; every
@@ -435,7 +435,7 @@ def test_integer_cells_with_a_prime_denominator_per_node(seed):
     assert cells.good.all() and cells.closed.sum() == len(nodes) - 4
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40)
 @given(skew_functions(), st.randoms(use_true_random=False))
 def test_scrambled_hulls_are_rejected_whole(cpl, rnd):
     # the hull of shuffled values: no node is vouched for, or the hull is

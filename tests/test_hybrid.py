@@ -352,7 +352,7 @@ def oracle_cell_volumes(p, level):
             for idx in np.ndindex((k,) * p)]
 
 
-@settings(max_examples=25, deadline=None)
+@settings(max_examples=25)
 @given(p=st.integers(0, 4), level=st.integers(0, 3), data=st.data())
 def test_dyadic_cell_volumes_match_the_corner_oracle(p, level, data):
     vols = dyadic_cell_volumes(p, level)
@@ -365,7 +365,7 @@ def test_dyadic_cell_volumes_match_the_corner_oracle(p, level, data):
     assert np.array_equal(grid, grid.transpose(axes))
 
 
-@settings(max_examples=50, deadline=None)
+@settings(max_examples=50)
 @given(st.lists(st.integers(0, 6), max_size=60))
 def test_stable_order_equals_the_stable_argsort(keys):
     keys = np.array(keys, dtype=np.int64)

@@ -18,7 +18,7 @@ from nama import ConvexPL, Interval, box_polygon, ma_measure_oracle
 from nama.realma import _scan_counts, _slope_grid
 
 F = Fraction
-SETTINGS = settings(max_examples=80, deadline=None, derandomize=True)
+SETTINGS = settings(max_examples=80)
 
 
 def dense_counts(axes, pts, vals):
@@ -79,7 +79,7 @@ def line_sets(draw):
     return axes, pts, vals
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+@settings(max_examples=300)
 @given(line_sets())
 def test_counts_equal_the_dense_argmax_on_tied_lattices(case):
     axes, pts, vals = case
