@@ -47,6 +47,10 @@ MAX_HYBRID_N = 63
 # end to end with the sampler on two threads (--n 1 with 2^21 samples;
 # 2^23 would take 490 MB)
 MAX_SAMPLE_COORDS = 1 << 22
+# hybrid growth --t-exp: the fit draws once and re-weighs the batch for
+# each exponent; 20 take about 5 s and 175 MB end to end at --n 1
+# --samples 2097152 (100 take 19 s)
+MAX_T_EXPONENTS = 20
 # realma measure --grid: at 2^16 slopes per axis a 36-node measure and its
 # oracle take about a second and 100 MB
 MAX_ORACLE_GRID = 1 << 16
@@ -64,6 +68,10 @@ MAX_GCALABI_DIM = 500
 # geometry calabi --n: the exact constant is a big-integer power; 10^5
 # takes about 0.5 s end to end (3 x 10^5 takes 1.8 s)
 MAX_CALABI_N = 100_000
+# compare lowerface/pde resolution: a face of dimension d walks
+# (resolution + 1)^d grid points; 50,000 on the segment take about 2.7 s
+# and 60 MB end to end (100,000 take 6 s and 90 MB)
+MAX_FACE_GRID = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -311,6 +319,11 @@ def face_grid_rows(doc, model, key, residual):
     entries, and the largest |residual|."""
     resolution = cfg.integer(doc.get("resolution", 2), "resolution",
                              minimum=1)
+    walked = (min(resolution, MAX_FACE_GRID) + 1) ** max(len(key) - 1, 1)
+    if walked > MAX_FACE_GRID:
+        raise ConfigError(
+            f"resolution {resolution} walks more than {MAX_FACE_GRID} grid "
+            f"points of face {face_label(key)}")
     rows = [(face_label(key),) + tuple(pt[i] for i in key) + residual(pt)
             for pt in model.face(key).grid_points(resolution)]
     return rows, max([0] + [abs(r[-1]) for r in rows])
@@ -422,6 +435,9 @@ def build_local_model(args):
     weights = parse_list(args.weights, float, "--weights") \
         if args.weights else None
     t_exps = parse_list(args.t_exp, float, "--t-exp")
+    if len(t_exps) > MAX_T_EXPONENTS:
+        raise ConfigError(f"--t-exp has {len(t_exps)} exponents; at most "
+                          f"{MAX_T_EXPONENTS} are allowed")
     if not t_exps or not all(0 < e < math.inf for e in t_exps):
         raise ConfigError("--t-exp needs positive exponents e (|t| = e^-e)")
     try:
@@ -581,7 +597,10 @@ def _checked(kind, rule, ok):
 NATURAL = _checked(int, ">= 0", lambda v: v >= 0)
 POSITIVE = _checked(int, ">= 1", lambda v: v >= 1)
 GRID = _checked(int, ">= 2", lambda v: v >= 2)
-SCALE = _checked(float, "positive and finite", lambda v: 0 < v < math.inf)
+# 4 pi L^2 divides the Hessian in semiflat_form
+SCALE = _checked(float, "positive with 4 pi L^2 a normal float",
+                 lambda v: v > 0 and sys.float_info.min
+                 <= 4.0 * math.pi * v * v < math.inf)
 TOLERANCE = _checked(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
 ORACLE_GRID = _checked(int, f"in [1, {MAX_ORACLE_GRID}]",
                        lambda v: 1 <= v <= MAX_ORACLE_GRID)

@@ -14,7 +14,10 @@ bit-identical batches.  The chunks are generated in parallel on threads
 (numpy releases the interpreter lock in the draws, the sort and the
 ufuncs), and the batch is the same bit for bit for any number of them.
 Each chunk writes its rows of the preallocated batch arrays in place, and
-the coordinates z_i are formed only for the variables that u reads.
+the coordinates z_i are formed only for the variables that u reads.  A
+chunk's work is two steps: the draws, none of which depends on t, and the
+t part, theta_0 and the weights.  A growth fit draws once and redoes only
+the t part for each t.
 
 The exact dyadic cell volumes of :func:`pushforward_distance` come from a
 closed form in the cell's index sum, so there are p(2^level - 1) + 1
@@ -24,6 +27,7 @@ distinct values, each an integer over 2^(level p).
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 import os
 import threading
@@ -45,6 +49,10 @@ _WORDS_PER_CHUNK = 4 * _COUNTERS_PER_CHUNK
 # batch at depth 1 to 3 peaks 6-8 MB above its arrays on one thread, 13 MB
 # on two, 17-20 MB on four, and 25-53 MB on six to eight
 _MAX_WORKERS = 4
+# samples of one batch: the KS order packs a 41-bit numerator and a 22-bit
+# index into one int64.  A depth-1 batch of 2^22 samples and its KS
+# distance peak at about 490 MB (2^21 at 265 MB)
+MAX_SAMPLES = 1 << 22
 
 
 @dataclass(frozen=True)
@@ -172,8 +180,19 @@ class LocalModel:
         u = self.u if self.u is not None else MultiPoly.constant(n + 1)
         if u.nvars != n + 1:
             raise ValueError(f"u must be a polynomial in {n + 1} variables")
-        if abs(u.constant_term()) == 0:
+        c0 = abs(u.constant_term())
+        if c0 == 0:
             raise ValueError("u must not vanish at the origin")
+        # on the chart every |z_i| <= 1, so |u|^2 is at most (sum |c|)^2 and
+        # a weight |u|^2 / |u(0)|^2 at most (sum |c| / |u(0)|)^2
+        if c0 * c0 == 0:
+            raise ValueError(f"|u(0)|^2 = {c0!r}^2 underflows to 0")
+        total = sum(abs(c) for c in u.terms.values())
+        bound = total / c0
+        if not (total * total < math.inf and bound * bound < math.inf):
+            raise ValueError(
+                f"the weights |u|^2 / |u(0)|^2 may leave the float range: "
+                f"sum |c| = {total!r} and |u(0)| = {c0!r}")
         object.__setattr__(self, "u", u)
         ws = self.weights if self.weights is not None else (0,) * len(bs)
         ws = tuple(float(w) for w in ws)
@@ -314,6 +333,103 @@ def _run_chunks(chunk, count):
         raise errors[0]
 
 
+class _Draws:
+    """The part of a batch read from its Philox streams: the simplex
+    points, the free phases, the sheets and the fiber coordinates.  None
+    of it depends on t.  ``thetas[:, 0]`` holds ``sum_{i >= 1} b_i
+    theta_i``, from which :meth:`weigh` forms theta_0 at each t."""
+
+    def __init__(self, model, count, seed):
+        count = int(count)
+        if count < 1:
+            raise ValueError("count must be >= 1")
+        if count > MAX_SAMPLES:
+            raise ValueError(f"count {count} is more than the {MAX_SAMPLES} "
+                             f"samples of one batch")
+        check_streams(model, count)
+        p = model.depth
+        self.model, self.count, self.seed = model, count, int(seed)
+        self.rows = [slice(start, min(start + _CHUNK, count))
+                     for start in range(0, count, _CHUNK)]
+        self.numerators = np.empty((count, p + 1), dtype=np.int64)
+        self.xs = np.empty((count, p + 1))
+        self.thetas = np.empty((count, p + 1))
+        self.fiber = np.empty((count, model.fiber_count), dtype=complex)
+        self.sheets = np.empty(count, dtype=np.int64) \
+            if model.multiplicities[0] > 1 else None
+        # z_i is formed only for the variables u reads: divisor coordinates
+        # exp(-T x_i + i theta_i) for i <= p, fiber coordinates after them
+        used = model.u.variables()
+        self.divisors = [i for i in used if i <= p]
+        self.fibers = [i for i in used if i > p]
+        self.u0 = abs(model.u.constant_term()) ** 2
+
+    def draw(self, k):
+        """Fill chunk k's rows from its stream."""
+        model = self.model
+        bs = np.array(model.multiplicities, dtype=np.int64)
+        p, nf = model.depth, model.fiber_count
+        rows = self.rows[k]
+        num, x = self.numerators[rows], self.xs[rows]
+        m = len(num)
+        g = _chunk_generator(self.seed, k)
+
+        cuts = g.integers(0, _DYADIC_ONE + 1, size=(m, p), dtype=np.int64)
+        cuts.sort(axis=1)
+        num[:, :p] = cuts
+        num[:, p] = _DYADIC_ONE
+        np.subtract(num[:, 1:], cuts, out=num[:, 1:])
+        np.divide(num, float(_DYADIC_ONE), out=x)
+        x /= bs
+
+        free_thetas = g.uniform(0.0, 2.0 * math.pi, size=(m, p))
+        theta = self.thetas[rows]
+        theta[:, 0] = free_thetas @ bs[1:].astype(float)
+        theta[:, 1:] = free_thetas
+        if self.sheets is not None:
+            self.sheets[rows] = g.integers(0, model.multiplicities[0],
+                                           size=m)
+
+        if nf:
+            fib = self.fiber[rows]
+            radii = g.uniform(0.0, 1.0, size=(m, nf))
+            np.sqrt(radii, out=radii)
+            fphase = np.multiply(1j, g.uniform(0.0, 2.0 * math.pi,
+                                               size=(m, nf)))
+            np.exp(fphase, out=fphase)
+            np.multiply(radii, fphase, out=fib)
+
+    def weigh(self, model, weights, k):
+        """The t part of chunk k for ``model``, this batch's model at some
+        t: theta_0 from arg t, then the weights |u(z)|^2 / |u(0)|^2 into
+        ``weights``.  Returns theta_0 and leaves the draws as they were."""
+        rows = self.rows[k]
+        x, theta, fib = self.xs[rows], self.thetas[rows], self.fiber[rows]
+        m = len(x)
+        theta0 = cmath.phase(model.t) - theta[:, 0]
+        if self.sheets is not None:
+            theta0 += 2.0 * math.pi * self.sheets[rows]
+        theta0 /= model.multiplicities[0]
+        np.remainder(theta0, 2.0 * math.pi, out=theta0)
+
+        # z_i = exp(-T x_i) exp(i theta_i) in place: one complex array per
+        # divisor variable that u reads, one real scratch array
+        zs = {}
+        modulus = np.empty(m)
+        for i in self.divisors:
+            z = zs[i] = np.multiply(1j, theta[:, i] if i else theta0)
+            np.exp(z, out=z)
+            np.multiply(x[:, i], -model.log_scale, out=modulus)
+            np.exp(modulus, out=modulus)
+            z *= modulus
+        zs.update((i, fib[:, i - model.depth - 1]) for i in self.fibers)
+        w = weights[rows]
+        np.abs(model.u.on_columns(zs, (m,)), out=w)
+        np.square(w, out=w)
+        w /= self.u0
+        return theta0
+
+
 def sample_cy_measure(model, count, seed):
     """Draw ``count`` samples of the local volume measure.
 
@@ -323,86 +439,19 @@ def sample_cy_measure(model, count, seed):
     ``sum b_i theta_i = arg t`` with the sheet chosen uniformly, fiber
     coordinates are uniform on the unit disc, and the weight is
     |u(z)|^2 / |u(0)|^2.  Identical inputs give bit-identical batches,
-    whatever the number of threads that drew the chunks.
+    whatever the number of threads that drew the chunks.  ``count`` lies
+    in [1, MAX_SAMPLES].
     """
-    count = int(count)
-    if count < 1:
-        raise ValueError("count must be >= 1")
-    check_streams(model, count)
-    bs = np.array(model.multiplicities, dtype=np.int64)
-    free_bs = bs[1:].astype(float)
-    p = model.depth
-    nf = model.fiber_count
-    T = model.log_scale
-    phase_t = cmath.phase(model.t)
-    u0 = abs(model.u.constant_term()) ** 2
-    # z_i is formed only for the variables u reads: divisor coordinates
-    # exp(-T x_i + i theta_i) for i <= p, fiber coordinates after them
-    used = model.u.variables()
-    divisors = [i for i in used if i <= p]
-    fibers = [i for i in used if i > p]
-
-    numerators = np.empty((count, p + 1), dtype=np.int64)
-    xs = np.empty((count, p + 1))
-    thetas = np.empty((count, p + 1))
-    fiber = np.empty((count, nf), dtype=complex)
-    weights = np.empty(count)
+    draws = _Draws(model, count, seed)
+    weights = np.empty(draws.count)
 
     def chunk(k):
-        start = k * _CHUNK
-        stop = min(start + _CHUNK, count)
-        m = stop - start
-        g = _chunk_generator(seed, k)
+        draws.draw(k)
+        draws.thetas[draws.rows[k], 0] = draws.weigh(model, weights, k)
 
-        cuts = g.integers(0, _DYADIC_ONE + 1, size=(m, p), dtype=np.int64)
-        cuts.sort(axis=1)
-        num = numerators[start:stop]
-        num[:, :p] = cuts
-        num[:, p] = _DYADIC_ONE
-        np.subtract(num[:, 1:], cuts, out=num[:, 1:])
-        x = xs[start:stop]
-        np.divide(num, float(_DYADIC_ONE), out=x)
-        x /= bs
-
-        free_thetas = g.uniform(0.0, 2.0 * math.pi, size=(m, p))
-        if model.multiplicities[0] > 1:
-            sheet = g.integers(0, model.multiplicities[0], size=m)
-        else:
-            sheet = np.zeros(m, dtype=np.int64)
-        theta0 = (phase_t - free_thetas @ free_bs
-                  + 2.0 * math.pi * sheet) / bs[0]
-        theta = thetas[start:stop]
-        np.remainder(theta0, 2.0 * math.pi, out=theta[:, 0])
-        theta[:, 1:] = free_thetas
-
-        fib = fiber[start:stop]
-        if nf:
-            radii = g.uniform(0.0, 1.0, size=(m, nf))
-            np.sqrt(radii, out=radii)
-            fphase = np.multiply(1j, g.uniform(0.0, 2.0 * math.pi,
-                                               size=(m, nf)))
-            np.exp(fphase, out=fphase)
-            np.multiply(radii, fphase, out=fib)
-
-        # z_i = exp(-T x_i) exp(i theta_i) in place: one complex array per
-        # divisor variable that u reads, one real scratch array
-        zs = {}
-        modulus = np.empty(m)
-        for i in divisors:
-            z = zs[i] = np.multiply(1j, theta[:, i])
-            np.exp(z, out=z)
-            np.multiply(x[:, i], -T, out=modulus)
-            np.exp(modulus, out=modulus)
-            z *= modulus
-        zs.update((i, fib[:, i - p - 1]) for i in fibers)
-        w = weights[start:stop]
-        np.abs(model.u.on_columns(zs, (m,)), out=w)
-        np.square(w, out=w)
-        w /= u0
-
-    _run_chunks(chunk, -(-count // _CHUNK))
-    return SampleBatch(model, int(seed), count, numerators, xs, thetas,
-                       fiber, weights)
+    _run_chunks(chunk, len(draws.rows))
+    return SampleBatch(model, draws.seed, draws.count, draws.numerators,
+                       draws.xs, draws.thetas, draws.fiber, weights)
 
 
 # ---------------------------------------------------------------------------
@@ -468,21 +517,21 @@ def dyadic_cells(batch, level):
     return np.ravel_multi_index(tuple(idx.T), (k,) * batch.model.depth)
 
 
-def _stable_order(keys):
-    """``np.argsort(keys, kind="stable")`` for an integer array.
-
-    The default sort is several times faster on integers; runs of equal
-    keys then get their indices back in ascending order.
+def _sorted_with_order(keys):
+    """``np.sort(keys)`` and ``np.argsort(keys, kind="stable")`` from one
+    sort of ``key << b | index``, b the bit length of the largest index:
+    the high bits are the sorted keys, the low b bits the order.  Takes at
+    most MAX_SAMPLES int64 keys in [0, 2^40], so the packed keys fit in 63
+    bits.
     """
-    order = np.argsort(keys)
-    ranked = keys[order]
-    tied = np.zeros(len(keys), dtype=bool)
-    equal = ranked[1:] == ranked[:-1]
-    tied[1:] |= equal
-    tied[:-1] |= equal
-    at = np.flatnonzero(tied)
-    order[at] = order[at][np.lexsort((order[at], ranked[at]))]
-    return order
+    if len(keys) > MAX_SAMPLES or keys.min() < 0 or keys.max() > _DYADIC_ONE:
+        raise ValueError(f"the KS order takes at most {MAX_SAMPLES} keys in "
+                         f"[0, 2^{_DYADIC_BITS}]")
+    b = (len(keys) - 1).bit_length()
+    packed = keys << b
+    packed |= np.arange(len(keys))
+    packed.sort()
+    return packed >> b, packed & ((1 << b) - 1)
 
 
 def pushforward_distance(batch, level=2):
@@ -499,9 +548,8 @@ def pushforward_distance(batch, level=2):
     if p == 0:
         return DistanceReport(0.0, 0.0, "point")
     if p == 1:
-        order = _stable_order(batch.numerators[:, 1])
-        ys = batch.numerators[order, 1] / float(_DYADIC_ONE)
-        d = ks_statistic(ys, batch.weights[order])
+        keys, order = _sorted_with_order(batch.numerators[:, 1])
+        d = ks_statistic(keys / float(_DYADIC_ONE), batch.weights[order])
         return DistanceReport(d, 1.0 / math.sqrt(neff), "ks")
     emp = np.bincount(dyadic_cells(batch, level), weights=batch.weights,
                       minlength=(1 << level) ** p)
@@ -539,11 +587,13 @@ def _flat_volume(model):
 
 
 def volume_from_batch(batch):
-    model = batch.model
+    return _volume(batch.model, batch.xs, batch.weights)
+
+
+def _volume(model, xs, weights):
     a = np.array(model.weights)
-    damping = (np.exp(-2.0 * model.log_scale * (batch.xs @ a)) if a.any()
-               else 1.0)
-    return _flat_volume(model) * float(np.mean(batch.weights * damping))
+    damping = np.exp(-2.0 * model.log_scale * (xs @ a)) if a.any() else 1.0
+    return _flat_volume(model) * float(np.mean(weights * damping))
 
 
 def exact_flat_volume(model):
@@ -572,15 +622,23 @@ def volume_growth_exponent(model, t_values, count=100000, seed=0):
 
     Estimates the volume for each t, then least-squares fits
     log(volume) against log(T).  The expected exponent is the number of
-    zero damping weights minus one.
+    zero damping weights minus one.  The draws do not depend on t: they
+    are made once, and for each t only theta_0 and the weights are
+    recomputed, so each volume equals ``estimate_volume(model.with_t(t),
+    count, seed)`` bit for bit and the fit holds one batch.
     """
     ts = [complex(t) for t in t_values]
     if len(set(abs(t) for t in ts)) < 2:
         raise ValueError("need at least two distinct |t| values")
+    variants = [model.with_t(t) for t in ts]
+    draws = _Draws(model, count, seed)
+    _run_chunks(draws.draw, len(draws.rows))
+    weights = np.empty(draws.count)
     logT, logV = [], []
-    for t in ts:
-        variant = model.with_t(t)
-        v = estimate_volume(variant, count, seed)
+    for variant in variants:
+        _run_chunks(functools.partial(draws.weigh, variant, weights),
+                    len(draws.rows))
+        v = _volume(variant, draws.xs, weights)
         if v == 0:
             raise CheckFailed(f"the volume estimate at T = "
                               f"{variant.log_scale} underflows to 0")

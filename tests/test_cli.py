@@ -15,9 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nama import cli, config
-from nama.cli import (MAX_CALABI_N, MAX_FORM_DIM, MAX_GCALABI_DIM,
-                      MAX_HYBRID_N, MAX_ORACLE_GRID, MAX_SAMPLE_COORDS,
-                      MAX_SOLVE_GRID, build_parser, main)
+from nama import skeleton
+from nama.cli import (MAX_CALABI_N, MAX_FACE_GRID, MAX_FORM_DIM,
+                      MAX_GCALABI_DIM, MAX_HYBRID_N, MAX_ORACLE_GRID,
+                      MAX_SAMPLE_COORDS, MAX_SOLVE_GRID, MAX_T_EXPONENTS,
+                      build_parser, main)
 from nama.errors import ConfigError
 
 SEGMENT_TABLE = [
@@ -549,6 +551,25 @@ INVALID = [
       "--samples", "2000", "--weights", "nan,0"], None),
     (["hybrid", "pushforward", "--n", "1", "--t-exp", "30",
       "--samples", "2000", "--weights", "nan,0"], None),
+    # |u(0)|^2 overflows or underflows, or a weight bound is not finite
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "2000", "--uJ", "1e300"], None),
+    (["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
+      "--samples", "2000", "--uJ", "1e300"], None),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "2000", "--uJ", "1+1e200*z0"], None),
+    (["hybrid", "pushforward", "--n", "2", "--t-exp", "30",
+      "--samples", "2000", "--uJ", "0." + "0" * 170 + "1"], None),
+    # 4 pi L^2 underflows
+    (["geometry", "slag-check", "--L", "1e-300"], None),
+    (["geometry", "gcalabi", "--m", "0", "--n", "1", "--L", "1", "1e200"],
+     None),
+    # face grids past the cap
+    (["compare", "pde"], dict(SEGMENT_MODEL, potential=POTENTIAL,
+                              residues={"0,1": 1}, resolution=10 ** 400)),
+    (["compare", "lowerface"], dict(
+        SEGMENT_MODEL, potential=dict(POTENTIAL, face="0", hessian=[]),
+        expected=1, resolution=MAX_FACE_GRID)),
 ]
 
 
@@ -677,6 +698,41 @@ def test_hybrid_size_caps_are_accepted_without_running(
     assert main(argv + ["--n", str(MAX_HYBRID_N + 1),
                         "--samples", "1"]) == 1
     assert capsys.readouterr().err.startswith("config error: argument --n")
+
+
+def test_t_exp_cap_is_accepted_without_running(tmp_path, monkeypatch,
+                                               capsys):
+    monkeypatch.setattr(cli, "volume_growth_exponent",
+                        lambda *args, **kwargs: stop())
+    argv = ["hybrid", "growth", "--n", "1", "--out", str(tmp_path / "out"),
+            "--t-exp"]
+    exps = [str(20 + k) for k in range(MAX_T_EXPONENTS + 1)]
+    with pytest.raises(Reached):
+        main(argv + [",".join(exps[:-1])])
+    assert main(argv + [",".join(exps)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --t-exp has {MAX_T_EXPONENTS + 1} exponents; at "
+        f"most {MAX_T_EXPONENTS} are allowed\n")
+
+
+@pytest.mark.parametrize("mode, doc", [
+    ("lowerface", dict(SEGMENT_MODEL, expected=1, potential=dict(
+        POTENTIAL, gradients={"0": 0, "1": 0}))),
+    ("pde", dict(SEGMENT_MODEL, potential=POTENTIAL, residues={"0,1": 1})),
+])
+def test_face_grid_cap_is_accepted_without_running(tmp_path, monkeypatch,
+                                                   capsys, mode, doc):
+    monkeypatch.setattr(skeleton.Face, "grid_points", stop)
+    out = ["--out", str(tmp_path / "out")]
+    # the segment walks resolution + 1 grid points
+    at_cap = write_config(tmp_path, dict(doc, resolution=MAX_FACE_GRID - 1))
+    with pytest.raises(Reached):
+        main(["compare", mode, at_cap] + out)
+    past = write_config(tmp_path, dict(doc, resolution=MAX_FACE_GRID))
+    assert main(["compare", mode, past] + out) == 1
+    assert capsys.readouterr().err == (
+        f"config error: resolution {MAX_FACE_GRID} walks more than "
+        f"{MAX_FACE_GRID} grid points of face 0,1\n")
 
 
 VALIDATE, MEASURE = ["model", "validate"], ["realma", "measure"]

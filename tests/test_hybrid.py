@@ -5,6 +5,7 @@ import math
 import os
 import sys
 import threading
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -65,6 +66,12 @@ def test_local_model_validation():
         LocalModel((1, 1), 0.1, 2, parse_poly("z0", 3))   # u(0) = 0
     with pytest.raises(ValueError):
         LocalModel((1, 1), 0.1, 1, None, (0.0,))  # weight count
+    # |u(0)|^2 underflows, |u|^2 or a weight |u|^2 / |u(0)|^2 could overflow
+    for terms in ({(0, 0): 1e-170}, {(0, 0): 1e300},
+                  {(0, 0): 1, (1, 0): 1e200}, {(0, 0): 1e-160, (0, 1): 1}):
+        with pytest.raises(ValueError, match="underflows|float range"):
+            LocalModel((1, 1), 0.1, 1, MultiPoly(2, terms))
+    LocalModel((1, 1), 0.1, 1, MultiPoly(2, {(0, 0): 1e150, (0, 1): 1e-150}))
 
     m = LocalModel((2, 4), 0.01, 3)
     assert m.depth == 1
@@ -180,6 +187,44 @@ def test_growth_exponent_recovers_the_dimension():
     assert rep.expected == 2
     assert abs(rep.exponent - 2) < 1e-6    # zero-variance estimator
     assert rep.within(0.1)
+
+
+@pytest.mark.parametrize("model, ts, count", [
+    (maximal_model(2, u=parse_poly("1+0.4*z0-0.3*z2^2", 3)),
+     [math.exp(-e) for e in (20, 40, 80)], 3000),
+    # complex t of different phases, and sheets (b_0 > 1)
+    (LocalModel((3, 2, 1), 0.3, 4, parse_poly("1+0.3*z1*z4-0.1*z0^2", 5)),
+     [0.3 * np.exp(2.0j), 0.01 * np.exp(-1.0j), -1e-5, 1e-3j], 2000),
+    # nonzero damping weights over two chunks and a part
+    (LocalModel((1, 1, 1), 0.1, 2, parse_poly("1+z0+z2", 3),
+                (0.0, 1.5, 0.25)),
+     [0.3, 0.01j, 1e-5], 2 * hybrid._CHUNK + 300),
+], ids=["real-t", "phases-and-sheets", "damping-three-chunks"])
+def test_growth_volumes_equal_the_per_t_estimates(model, ts, count,
+                                                  monkeypatch):
+    on_threads(monkeypatch, 2)
+    fitted = []
+    volume = hybrid._volume
+    monkeypatch.setattr(hybrid, "_volume",
+                        lambda *args: fitted.append(volume(*args))
+                        or fitted[-1])
+    rep = volume_growth_exponent(model, ts, count=count, seed=6)
+    monkeypatch.setattr(hybrid, "_volume", volume)
+    want = [estimate_volume(model.with_t(t), count, 6) for t in ts]
+    assert fitted == want
+    # the report carries exp(log(volume)), the values the fit used
+    assert rep.volumes == tuple(math.exp(math.log(v)) for v in want)
+
+
+def test_a_count_past_the_cap_raises_before_allocating():
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="more than the 4194304"):
+            sample_cy_measure(maximal_model(1), hybrid.MAX_SAMPLES + 1, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20      # the batch would take about 200 MB
 
 
 def test_growth_exponent_sees_damping():
@@ -366,11 +411,21 @@ def test_dyadic_cell_volumes_match_the_corner_oracle(p, level, data):
 
 
 @settings(max_examples=50)
-@given(st.lists(st.integers(0, 6), max_size=60))
-def test_stable_order_equals_the_stable_argsort(keys):
+@given(st.lists(st.one_of(st.integers(0, 6),
+                          st.sampled_from([0, hybrid._DYADIC_ONE]),
+                          st.integers(0, hybrid._DYADIC_ONE)),
+                min_size=1, max_size=60))
+def test_packed_order_equals_the_stable_argsort(keys):
     keys = np.array(keys, dtype=np.int64)
-    assert np.array_equal(hybrid._stable_order(keys),
-                          np.argsort(keys, kind="stable"))
+    got, order = hybrid._sorted_with_order(keys)
+    assert np.array_equal(order, np.argsort(keys, kind="stable"))
+    assert np.array_equal(got, np.sort(keys))
+
+
+@pytest.mark.parametrize("keys", [[-1, 0], [0, hybrid._DYADIC_ONE + 1]])
+def test_packed_order_rejects_keys_outside_the_dyadic_range(keys):
+    with pytest.raises(ValueError, match="KS order"):
+        hybrid._sorted_with_order(np.array(keys, dtype=np.int64))
 
 
 def test_ks_distance_with_tied_numerators_matches_the_stable_reference():
