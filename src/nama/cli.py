@@ -51,6 +51,11 @@ MAX_SAMPLE_COORDS = 1 << 22
 # each exponent; 20 take about 5 s and 175 MB end to end at --n 1
 # --samples 2097152 (100 take 19 s)
 MAX_T_EXPONENTS = 20
+# hybrid --uJ terms: each term is one complex pass over every chunk for
+# each exponent; 32 terms take about 16 s and 175 MB end to end at --n 1
+# --samples 2097152 with 20 --t-exp values, 23 s and 205 MB at --n 63
+# --samples 65536 (64 terms take 51 s at --n 1)
+MAX_POLY_TERMS = 32
 # realma measure --grid: at 2^16 slopes per axis a 36-node measure and its
 # oracle take about a second and 100 MB
 MAX_ORACLE_GRID = 1 << 16
@@ -442,6 +447,9 @@ def build_local_model(args):
         raise ConfigError("--t-exp needs positive exponents e (|t| = e^-e)")
     try:
         u = parse_poly(args.uJ, n + 1) if args.uJ else None
+        if u is not None and len(u.terms) > MAX_POLY_TERMS:
+            raise ConfigError(f"--uJ has {len(u.terms)} terms; at most "
+                              f"{MAX_POLY_TERMS} are allowed")
         models = [LocalModel(tuple(bs), math.exp(-e), n, u, weights)
                   for e in t_exps]
     except ValueError as exc:
@@ -506,6 +514,7 @@ def run_geometry_slag(args, doc, emitter):
     if n > MAX_FORM_DIM:
         raise ConfigError(f"--hessian must be at most {MAX_FORM_DIM}x"
                           f"{MAX_FORM_DIM}, got {n}x{n}")
+    check_form_scale(H, args.L)
     form = semiflat_form(H, args.L)
     frame = standard_torus_frame(n)
     lag = fiber_lagrangian_residual(form, frame)
@@ -601,6 +610,23 @@ GRID = _checked(int, ">= 2", lambda v: v >= 2)
 SCALE = _checked(float, "positive with 4 pi L^2 a normal float",
                  lambda v: v > 0 and sys.float_info.min
                  <= 4.0 * math.pi * v * v < math.inf)
+
+
+def check_form_scale(hessian, scale):
+    """The entries of ``hessian / (4 pi L^2)``, the form's matrix, must be
+    finite and at most float max / (2 n^2), so that no sum of its n^2
+    products with the unit frame vectors overflows."""
+    n = hessian.shape[0]
+    bound = sys.float_info.max / (2 * n * n)
+    entry, area = float(np.abs(hessian).max()), 4.0 * math.pi * scale * scale
+    # a Python float product rounds to inf where a numpy one warns
+    if not (math.isfinite(entry) and entry <= bound * area):
+        raise ConfigError(
+            f"--hessian entry {entry:.3g} over 4 pi L^2 = {area:.3g} leaves "
+            f"the float range: the form's entries must be at most "
+            f"{bound:.3g} at n = {n}")
+
+
 TOLERANCE = _checked(float, "finite and >= 0", lambda v: 0 <= v < math.inf)
 ORACLE_GRID = _checked(int, f"in [1, {MAX_ORACLE_GRID}]",
                        lambda v: 1 <= v <= MAX_ORACLE_GRID)

@@ -19,6 +19,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .errors import InconsistentDegrees, NotAdjacent
+from .measures import exact_sum
 from .potential import IntersectionTable, model_function, na_ma_model_metric, \
     stratum_class
 from .realma import discrete_slope_jumps
@@ -59,12 +60,13 @@ def cycle_table(degrees):
     if N < 3:
         raise ValueError("a simplicial cycle needs at least 3 components")
     table = IntersectionTable(1)
-    table.add(1, {}, (), sum(ds))
-    for i in range(N):
-        table.add(1, {}, (i,), ds[i])
-        table.add(0, {i: 1}, (i,), -2)
-        table.add(0, {(i + 1) % N: 1}, (i,), 1)
-        table.add(0, {(i - 1) % N: 1}, (i,), 1)
+    table.add(1, (), (), exact_sum(ds))
+    self_pairing, neighbour = Fraction(-2), Fraction(1)
+    for i in range(N):      # keys in canonical form, as the table keeps them
+        table.add(1, (), (i,), ds[i])
+        table.add(0, ((i, 1),), (i,), self_pairing)
+        table.add(0, (((i + 1) % N, 1),), (i,), neighbour)
+        table.add(0, (((i - 1) % N, 1),), (i,), neighbour)
     return table
 
 
@@ -108,7 +110,8 @@ def vilsmeier_check_1d(model, table, coefficients):
         raise ValueError("every divisor needs a polarization degree")
     degrees = [d.degree for d in divisors]
     total = table.top_self_intersection()
-    if sum(b.multiplicity * d for b, d in zip(divisors, degrees)) != total:
+    if exact_sum([b.multiplicity * d
+                  for b, d in zip(divisors, degrees)]) != total:
         raise InconsistentDegrees(
             f"sum of degrees {sum(degrees)} != stored total {total}")
 
@@ -131,7 +134,8 @@ def vilsmeier_check_1d(model, table, coefficients):
     diffs = [abs(a - b) for a, b in zip(na_masses, real_masses)]
     return CycleComparison(tuple(order), tuple(na_masses),
                            tuple(real_masses), tuple(degrees),
-                           max(diffs), sum(na_masses), sum(real_masses))
+                           max(diffs), exact_sum(na_masses),
+                           exact_sum(real_masses))
 
 
 # ---------------------------------------------------------------------------

@@ -187,29 +187,51 @@ def build_model_from_config(doc):
 
 
 def build_table_from_config(entries, n):
+    """The intersection table of a config's entries.
+
+    Each check tests the plain JSON types first and calls its helper only
+    when the test fails, so a valid entry builds no context string and an
+    invalid one gets the helper's message.  The key reaches the table in
+    canonical form: ints, sorted powers, sorted stratum.
+    """
     bounded_list(entries, MAX_TABLE_ENTRIES, "intersection_table")
     table = IntersectionTable(n)
-    parsed = {}     # value string -> Fraction: tables repeat a few strings
+    parsed = {}     # value string or int -> Fraction: tables repeat a few
     for k, entry in enumerate(entries):
-        ctx = f"intersection_table[{k}]"
-        check_keys(entry, TABLE_ENTRY_KEYS, ctx)
-        lp = integer(require(entry, "L_power", ctx), f"{ctx}.L_power",
-                     minimum=0)
+        if type(entry) is not dict or not entry.keys() <= TABLE_ENTRY_KEYS:
+            check_keys(entry, TABLE_ENTRY_KEYS, f"intersection_table[{k}]")
+        lp = entry.get("L_power")
+        if type(lp) is not int or lp < 0:
+            ctx = f"intersection_table[{k}]"
+            lp = integer(require(entry, "L_power", ctx), f"{ctx}.L_power",
+                         minimum=0)
+        raw = entry.get("divisor_powers", {})
+        if type(raw) is not dict:
+            raw = json_object(raw, f"intersection_table[{k}].divisor_powers")
         powers = {}
-        for key, val in json_object(entry.get("divisor_powers", {}),
-                                    f"{ctx}.divisor_powers").items():
-            ident = divisor_id(key, f"{ctx}.divisor_powers")
-            powers[ident] = integer(val, f"{ctx}.divisor_powers[{key}]",
-                                    minimum=1)
-        stratum = id_list(entry.get("stratum", []), f"{ctx}.stratum")
-        raw = require(entry, "value", ctx)
-        if isinstance(raw, str):
-            value = parsed.get(raw)
-            if value is None:
-                value = parsed[raw] = rational(raw, f"{ctx}.value")
-        else:
-            value = rational(raw, f"{ctx}.value")
-        table.add(lp, powers, stratum, value)
+        for key, val in raw.items():
+            try:
+                ident = int(key)
+            except ValueError:
+                ident = divisor_id(key,
+                                   f"intersection_table[{k}].divisor_powers")
+            if type(val) is not int or val < 1:
+                val = integer(val, f"intersection_table[{k}].divisor_powers"
+                              f"[{key}]", minimum=1)
+            powers[ident] = val
+        stratum = entry.get("stratum", [])
+        if type(stratum) is not list or not all(type(i) is int
+                                                for i in stratum):
+            stratum = id_list(stratum, f"intersection_table[{k}].stratum")
+        raw = entry.get("value")
+        value = parsed.get(raw) if type(raw) in (str, int) else None
+        if value is None:
+            ctx = f"intersection_table[{k}]"
+            value = rational(require(entry, "value", ctx), f"{ctx}.value")
+            if type(raw) in (str, int):
+                parsed[raw] = value
+        table.add(lp, tuple(sorted(powers.items())), tuple(sorted(stratum)),
+                  value)
     return table
 
 

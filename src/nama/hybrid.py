@@ -111,14 +111,18 @@ class MultiPoly:
 
 
 def parse_poly(text, nvars):
-    """Parse expressions like ``1 + z0 - 2.5*z1^2*z2`` into a MultiPoly."""
+    """Parse expressions like ``1 + z0 - 2.5e-3*z1^2*z2`` into a MultiPoly.
+
+    Terms split at every ``+`` and ``-`` except the sign of an exponent,
+    one right after a digit or point and an ``e`` or ``E``.
+    """
     import re
 
     terms = {}
     cleaned = text.replace(" ", "").replace("**", "^")
     if not cleaned:
         raise ValueError("empty polynomial")
-    pieces = re.findall(r"[+-]?[^+-]+", cleaned)
+    pieces = re.findall(r"[+-]?(?:[0-9.][eE][+-]|[^+-])+", cleaned)
     if "".join(pieces) != cleaned:
         raise ValueError(f"cannot parse polynomial {text!r}")
     for piece in pieces:

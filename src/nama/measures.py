@@ -7,10 +7,27 @@ coordinates).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
 
 from .errors import MassMismatch
+
+
+def exact_sum(values):
+    """The sum of ``values``; when every one is a Fraction it accumulates on
+    ints over the lcm of the denominators and builds one reduced Fraction,
+    equal to the Fraction sum."""
+    values = list(values)
+    if not values or any(type(v) is not Fraction for v in values):
+        return sum(values)
+    num, den = 0, 1
+    for v in values:
+        n, d = v.numerator, v.denominator
+        g = math.gcd(den, d)
+        num, den = num * (d // g) + n * (den // g), den // g * d
+    return Fraction(num, den)
 
 
 @dataclass(frozen=True)
@@ -36,7 +53,7 @@ class AtomicMeasure:
             raise ValueError("support and masses must have equal length")
 
     def total(self):
-        return sum(self.masses)
+        return exact_sum(self.masses)
 
     @cached_property
     def _mass_by_label(self):

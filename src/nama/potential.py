@@ -5,7 +5,8 @@ the divisorial points of the central fibre: twisting a polarization L by a
 vertical divisor ``sum c_i E_i`` puts mass ``b_i (L'^n . E_i)`` at the vertex
 of ``E_i``, where the intersection numbers come from a user-supplied table
 and the twisted powers expand multilinearly.  All mass computations are exact
-in rational arithmetic.
+in rational arithmetic, carried on Python ints with one reduced Fraction
+built per mass.
 """
 
 from __future__ import annotations
@@ -62,11 +63,10 @@ def model_function(model, coefficients):
     gives the constant function 1).
     """
     c = {i: as_fraction(v) for i, v in dict(coefficients).items()}
-    pieces = {}
-    for f in model.faces:
-        pieces[f.index_set] = (affine_piece(
-            0, {i: c.get(i, Fraction(0)) for i in f.index_set}),)
-    return PLPotential(pieces)
+    zero = Fraction(0)
+    # index sets are sorted, so each piece is in affine_piece's form already
+    return PLPotential({f.index_set: (AffinePiece(zero, tuple(
+        (i, c.get(i, zero)) for i in f.index_set)),) for f in model.faces})
 
 
 class IntersectionTable:
@@ -105,6 +105,14 @@ class IntersectionTable:
 
     @staticmethod
     def _key(a, powers, stratum):
+        """The canonical key: the int power ``a``, the ``(id, power)`` int
+        pairs with nonzero powers in ascending id order, the sorted
+        stratum.  A key already in that form (ints, a tuple of pairs and a
+        tuple) is returned as it is; anything else is converted."""
+        if (type(a) is int and type(powers) is tuple
+                and type(stratum) is tuple and _canonical(powers)
+                and (len(stratum) < 2 or list(stratum) == sorted(stratum))):
+            return (a, powers, stratum)
         powers = tuple(sorted((int(i), int(k)) for i, k in dict(powers).items()
                               if int(k) != 0))
         return (int(a), powers, tuple(sorted(stratum)))
@@ -112,8 +120,11 @@ class IntersectionTable:
     def add(self, a, powers, stratum, value):
         key = self._key(a, powers, stratum)
         a, powers, stratum = key
-        total = a + sum(k for _, k in powers)
-        if any(k < 0 for _, k in powers) or a < 0:
+        total, negative = a, a < 0
+        for _, k in powers:
+            total += k
+            negative = negative or k < 0
+        if negative:
             raise ValueError("negative powers in table entry")
         expected = self.dimension if not stratum \
             else self.dimension - (len(stratum) - 1)
@@ -128,7 +139,8 @@ class IntersectionTable:
             return
         self._entries[key] = value
         if value:
-            self._nonzero.setdefault(stratum, []).append(key)
+            support = set(stratum).union(i for i, _ in powers)
+            self._nonzero.setdefault(stratum, []).append((key, support))
 
     def check_faces(self, model, strata=None):
         """Reject nonzero entries off the face lattice of ``model``.
@@ -144,10 +156,8 @@ class IntersectionTable:
         """
         groups = self._nonzero.values() if strata is None else \
             (self._nonzero.get(tuple(sorted(J)), ()) for J in strata)
-        for keys in groups:
-            for key in keys:
-                a, powers, stratum = key
-                support = set(stratum).union(i for i, _ in powers)
+        for entries in groups:
+            for key, support in entries:
                 if support and not model.has_face(support):
                     raise ValueError(
                         f"entry {key} has value {self._entries[key]} but "
@@ -161,7 +171,10 @@ class IntersectionTable:
         return len(self._entries)
 
     def value(self, a, powers, stratum):
-        key = self._key(a, powers, stratum)
+        try:        # a canonical key costs one probe
+            return self._entries[a, powers, stratum]
+        except (KeyError, TypeError):
+            key = self._key(a, powers, stratum)
         try:
             return self._entries[key]
         except KeyError:
@@ -225,30 +238,51 @@ class IntersectionTable:
         return checked, violations, unchecked
 
 
-def _face_monomials(model, ids, degree, stratum):
-    """Multi-indices over ``ids`` of total degree <= ``degree`` whose support
-    together with ``stratum`` is a face of ``model``.
+def _canonical(powers):
+    """Whether ``powers`` is a tuple of ``(id, power)`` int pairs, ids
+    strictly ascending and powers nonzero: a table key's canonical form."""
+    last = None
+    for pair in powers:
+        if type(pair) is not tuple or len(pair) != 2:
+            return False
+        i, k = pair
+        if (type(i) is not int or type(k) is not int or not k
+                or (last is not None and i <= last)):
+            return False
+        last = i
+    return True
 
-    Yields ``(total degree, {id: power})``; the others pair to structural
-    zeros and are skipped.
+
+def _face_monomials(model, ids, degree, stratum):
+    """Multi-indices over the sorted ``ids`` of total degree <= ``degree``
+    whose support together with ``stratum`` is a face of ``model``.
+
+    Yields ``(total degree, powers)``, with ``powers`` the canonical
+    ``((id, power), ...)`` table key read off the sorted combination; the
+    others pair to structural zeros and are skipped.
     """
     base = set(stratum)
     for r in range(degree + 1):
         for combo in itertools.combinations_with_replacement(ids, r):
             support = base.union(combo)
             if support == base or model.has_face(support):
-                k = {}
+                powers = []
                 for j in combo:
-                    k[j] = k.get(j, 0) + 1
-                yield r, k
+                    if powers and powers[-1][0] == j:
+                        powers[-1] = (j, powers[-1][1] + 1)
+                    else:
+                        powers.append((j, 1))
+                yield r, tuple(powers)
 
 
-def _multinomial(n, ks):
+def _multinomial(n, powers):
+    """``n! / (prod k! (n - sum k)!)`` over the powers of a table key."""
     coeff = math.factorial(n)
-    for k in ks:
+    r = 0
+    for _, k in powers:
         coeff //= math.factorial(k)
-    coeff //= math.factorial(n - sum(ks))
-    return coeff
+        r += k
+    return coeff // math.factorial(n - r)
 
 
 def na_ma_model_metric(model, table, coefficients):
@@ -281,8 +315,11 @@ def na_ma_model_metric(model, table, coefficients):
     """
     n = model.dimension
     table.check_faces(model)
-    c = {i: as_fraction(v) for i, v in dict(coefficients).items()
-         if as_fraction(v) != 0}
+    c = {}      # divisor id -> (numerator, denominator) of a nonzero c_i
+    for i, v in dict(coefficients).items():
+        v = as_fraction(v)
+        if v:
+            c[i] = (v.numerator, v.denominator)
     neighbours = model.neighbours
     unknown = sorted(set(c) - set(neighbours))
     if unknown:
@@ -290,15 +327,22 @@ def na_ma_model_metric(model, table, coefficients):
                          "in the model")
     support, masses = [], []
     for d in model.divisors:
-        ids = sorted(j for j in neighbours[d.id] + (d.id,) if j in c)
-        acc = Fraction(0)
-        for r, k in _face_monomials(model, ids, n, (d.id,)):
-            term = Fraction(_multinomial(n, k.values()))
-            for j, kj in k.items():
-                term *= c[j] ** kj
-            acc += term * table.value(n - r, k, (d.id,))
+        stratum = (d.id,)
+        ids = sorted(j for j in neighbours[d.id] + stratum if j in c)
+        # the sum of the terms as num / den on ints, den the lcm of theirs
+        num, den = 0, 1
+        for r, powers in _face_monomials(model, ids, n, stratum):
+            value = table.value(n - r, powers, stratum)
+            tn = _multinomial(n, powers) * value.numerator
+            td = value.denominator
+            for j, k in powers:
+                cn, cd = c[j]
+                tn *= cn ** k
+                td *= cd ** k
+            g = math.gcd(den, td)
+            num, den = num * (td // g) + tn * (den // g), den // g * td
         support.append(d.id)
-        masses.append(d.multiplicity * acc)
+        masses.append(Fraction(d.multiplicity * num, den))
     measure = AtomicMeasure(tuple(support), tuple(masses),
                             expected_total=table.top_self_intersection())
     measure.validate_total()
@@ -479,11 +523,11 @@ def stratum_class(model, table, gradients, index_set, base_twist=None):
 
     power = n - p
     pairing = 0
-    for r, k in _face_monomials(model, sorted(relevant), power, J):
-        prod = Fraction(_multinomial(power, k.values()))
-        for j, kj in k.items():
+    for r, powers in _face_monomials(model, sorted(relevant), power, J):
+        prod = Fraction(_multinomial(power, powers))
+        for j, kj in powers:
             prod = prod * (coeffs[j] ** kj)
-        pairing = pairing + prod * table.value(power - r, k, J)
+        pairing = pairing + prod * table.value(power - r, powers, J)
     return StratumClassPairing(cls, pairing)
 
 

@@ -279,10 +279,22 @@ def discrete_slope_jumps(xs, values):
 
     ``xs`` must be strictly increasing.  No envelope is taken: jumps can be
     negative, which is how non-convex model potentials report negative mass.
-    Exact for rational input.
+    Exact for rational input: each slope is an int pair of cross-multiplied
+    differences, and each jump one reduced Fraction.
     """
     xs = [_coerce(x) for x in xs]
     values = [_coerce(v) for v in values]
+    if all(type(c) is Fraction for c in itertools.chain(xs, values)):
+        steps = [(b.numerator * a.denominator - a.numerator * b.denominator,
+                  a.denominator * b.denominator) for a, b in zip(xs, xs[1:])]
+        if any(h <= 0 for h, _ in steps):
+            raise ValueError("xs must be strictly increasing")
+        # (v - u) / (h / k) with u = a / b, v = c / e; the denominator is > 0
+        slopes = [((v.numerator * u.denominator - u.numerator * v.denominator)
+                   * k, u.denominator * v.denominator * h)
+                  for (h, k), u, v in zip(steps, values, values[1:])]
+        return [Fraction(n * d - m * e, d * e)
+                for (m, d), (n, e) in zip(slopes, slopes[1:])]
     if any(b <= a for a, b in zip(xs, xs[1:])):
         raise ValueError("xs must be strictly increasing")
     jumps = []
@@ -619,7 +631,7 @@ def strict_convexity_report(cpl, tol=1e-12):
 # targets and the solver
 
 
-def _cell_ends_1d(nodes, values):
+def _cell_slopes_1d(nodes, values):
     """Both ends of every 1D dual cell, in node order, as
     :func:`dual_cell_1d` computes them: the largest slope to a node on the
     left and the smallest to a node on the right, None where there is none.
@@ -627,12 +639,38 @@ def _cell_ends_1d(nodes, values):
     One sort, then one pass each way.  Over the nodes passed so far the
     extreme slope is taken at the tangent point of their lower chain, which
     the monotone-chain pops leave on top, so each pass is linear.  Repeated
-    nodes divide by zero.
+    nodes divide by zero.  Returns the two lists of ends and whether the
+    input is rational.  Rational input runs the passes on ints: an end is
+    the pair (numerator, denominator > 0) of cross-multiplied differences,
+    and pairs compare by cross-multiplying.
     """
     order = sorted(range(len(nodes)), key=lambda i: nodes[i][0])
+    exact = all(type(nd[0]) is Fraction for nd in nodes) and all(
+        type(v) is Fraction for v in values)
+    if exact:
+        xs = [(nd[0].numerator, nd[0].denominator) for nd in nodes]
+        vs = [(v.numerator, v.denominator) for v in values]
 
-    def slope(i, j):
-        return (values[i] - values[j]) / (nodes[i][0] - nodes[j][0])
+        def slope(i, j):
+            (p, q), (r, t) = xs[i], xs[j]
+            (a, b), (c, e) = vs[i], vs[j]
+            num, den = (a * e - c * b) * q * t, (p * t - r * q) * b * e
+            if den > 0:
+                return num, den
+            if den:
+                return -num, -den
+            raise ZeroDivisionError(f"repeated node {nodes[i][0]}")
+
+        def ge(s, t):
+            return s[0] * t[1] >= t[0] * s[1]
+
+        def le(s, t):
+            return s[0] * t[1] <= t[0] * s[1]
+    else:
+        def slope(i, j):
+            return (values[i] - values[j]) / (nodes[i][0] - nodes[j][0])
+
+        ge, le = operator.ge, operator.le
 
     # slopes to the node passed just before, shared by both passes
     steps = [None] + [slope(b, a) for a, b in zip(order, order[1:])]
@@ -648,8 +686,18 @@ def _cell_ends_1d(nodes, values):
             chain.append((i, s))
         return ends
 
-    return (sweep(order, steps, operator.ge),
-            sweep(order[::-1], [None] + steps[:0:-1], operator.le))
+    return (sweep(order, steps, ge),
+            sweep(order[::-1], [None] + steps[:0:-1], le), exact)
+
+
+def _cell_ends_1d(nodes, values):
+    """The ends of :func:`_cell_slopes_1d` as numbers: one reduced
+    Fraction per end of rational input."""
+    left, right, exact = _cell_slopes_1d(nodes, values)
+    if exact:
+        left, right = ([None if s is None else Fraction(*s) for s in ends]
+                       for ends in (left, right))
+    return left, right
 
 
 def _half_square(node):
@@ -698,18 +746,36 @@ class TargetMeasure:
         exactly in rational mode.  In 2D a cell inside the domain is its
         fan of facet gradients (:class:`FacetCells`); the others are the
         domain polygon cut as :meth:`FacetCells.cut` decides.  In 1D the cells
-        come from one sort (:func:`_cell_ends_1d`): a cell is bounded by the
-        lift's slopes to the sorted neighbours, the midpoints.
+        come from one sort (:func:`_cell_slopes_1d`): a cell is bounded by
+        the lift's slopes to the sorted neighbours, the midpoints.  Rational
+        input on a rational interval clips each cell on ints and builds its
+        mass as one Fraction.
         """
         density = _coerce(density)
         nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
-        if isinstance(density, Fraction) and all(
-                type(c) is Fraction for nd in nodes for c in nd):
+        exact = isinstance(density, Fraction) and all(
+            type(c) is Fraction for nd in nodes for c in nd)
+        if exact:
             values = [_half_square(nd) for nd in nodes]
         else:
             values = [0.5 * sum(c * c for c in nd) for nd in nodes]
         masses = {}
-        if domain.dim == 1:
+        if domain.dim == 1 and exact and domain._exact:
+            # the cell [left, right] clipped to [a / b, c / e] on ints, its
+            # mass one Fraction
+            (a, b), (c, e) = (domain.lo.as_integer_ratio(),
+                              domain.hi.as_integer_ratio())
+            p, q = density.as_integer_ratio()
+            for nd, left, right in zip(nodes,
+                                       *_cell_slopes_1d(nodes, values)[:2]):
+                if left is None or left[0] * b < a * left[1]:
+                    left = (a, b)
+                if right is None or right[0] * e > c * right[1]:
+                    right = (c, e)
+                width = right[0] * left[1] - left[0] * right[1]
+                masses[nd] = Fraction(p * max(width, 0),
+                                      q * left[1] * right[1])
+        elif domain.dim == 1:
             for nd, left, right in zip(nodes, *_cell_ends_1d(nodes, values)):
                 left = domain.lo if left is None else max(left, domain.lo)
                 right = domain.hi if right is None else min(right, domain.hi)
@@ -850,24 +916,25 @@ def _solve_1d(domain, nodes, target, boundary, tol):
     xs = [nd[0] for nd in nodes]
     mus = [_coerce(target.mass_at(nd)) for nd in nodes[1:-1]]
     ends = [_coerce(boundary(nd)) for nd in (nodes[0], nodes[-1])]
-    if not all(isinstance(c, Fraction) for c in xs + mus + ends):
-        xs, mus, ends = ([float(c) for c in seq] for seq in (xs, mus, ends))
-    v_lo, v_hi = ends
-
     # slope k is s_0 plus the masses of nodes 1..k, and the slopes times
     # the steps add up to v_hi - v_lo
-    steps = [b - a for a, b in zip(xs, xs[1:])]
-    rise = list(itertools.accumulate(mus, initial=0 * v_lo))
-    width = xs[-1] - xs[0]
-    s0 = (v_hi - v_lo - sum(h * r for h, r in zip(steps, rise))) / width
-    values = list(itertools.accumulate(
-        (h * (s0 + r) for h, r in zip(steps, rise)), initial=v_lo))
-    miss = (v_hi - values[-1]) / width
-    if miss:
-        # float rounding leaves the far end off v_hi: an affine correction
-        # closes the gap without moving a slope jump or piling it on one
-        values = [v + miss * (x - xs[0]) for v, x in zip(values, xs)]
-    values[-1] = v_hi
+    if all(isinstance(c, Fraction) for c in xs + mus + ends):
+        values = _direct_values_exact(xs, mus, *ends)
+    else:
+        xs, mus, ends = ([float(c) for c in seq] for seq in (xs, mus, ends))
+        v_lo, v_hi = ends
+        steps = [b - a for a, b in zip(xs, xs[1:])]
+        rise = list(itertools.accumulate(mus, initial=0 * v_lo))
+        width = xs[-1] - xs[0]
+        s0 = (v_hi - v_lo - sum(h * r for h, r in zip(steps, rise))) / width
+        values = list(itertools.accumulate(
+            (h * (s0 + r) for h, r in zip(steps, rise)), initial=v_lo))
+        miss = (v_hi - values[-1]) / width
+        if miss:
+            # rounding leaves the far end off v_hi: an affine correction
+            # closes the gap without moving a slope jump or piling it on one
+            values = [v + miss * (x - xs[0]) for v, x in zip(values, xs)]
+        values[-1] = v_hi
     cpl = ConvexPL(domain, [(x,) for x in xs], values)
 
     jumps = discrete_slope_jumps(xs, values)
@@ -876,6 +943,27 @@ def _solve_1d(domain, nodes, target, boundary, tol):
                    default=0.0) / mean
     return SolveResult(cpl, residual, 1, residual <= tol, "direct",
                        masses=(0, *jumps, 0))
+
+
+def _direct_values_exact(xs, mus, v_lo, v_hi):
+    """The node values of the 1D direct solve on ints, one reduced Fraction
+    per node.  With x_k = X_k / q, the prefix mass sums R_k / l and v_lo =
+    a / b, v_hi = c / e: s_0 = sn / sd, and value k is V_k / m with V_0 =
+    a q sd l and V_k+1 = V_k + (X_k+1 - X_k)(sn l + R_k sd) b, m = b q sd l.
+    """
+    q = math.lcm(*(x.denominator for x in xs))
+    X = [x.numerator * (q // x.denominator) for x in xs]
+    l = math.lcm(*(mu.denominator for mu in mus))
+    R = list(itertools.accumulate(
+        (mu.numerator * (l // mu.denominator) for mu in mus), initial=0))
+    steps = [b - a for a, b in zip(X, X[1:])]
+    (a, b), (c, e) = v_lo.as_integer_ratio(), v_hi.as_integer_ratio()
+    sn = (c * b - a * e) * q * l - b * e * sum(h * r for h, r in zip(steps, R))
+    sd = b * e * l * (X[-1] - X[0])
+    m = b * q * sd * l
+    return [Fraction(v, m) for v in itertools.accumulate(
+        (h * (sn * l + r * sd) * b for h, r in zip(steps, R)),
+        initial=a * q * sd * l)]
 
 
 def _boundary_envelope_values(b_nodes, b_values, queries):

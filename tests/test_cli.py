@@ -18,8 +18,8 @@ from nama import cli, config
 from nama import skeleton
 from nama.cli import (MAX_CALABI_N, MAX_FACE_GRID, MAX_FORM_DIM,
                       MAX_GCALABI_DIM, MAX_HYBRID_N, MAX_ORACLE_GRID,
-                      MAX_SAMPLE_COORDS, MAX_SOLVE_GRID, MAX_T_EXPONENTS,
-                      build_parser, main)
+                      MAX_POLY_TERMS, MAX_SAMPLE_COORDS, MAX_SOLVE_GRID,
+                      MAX_T_EXPONENTS, build_parser, main)
 from nama.errors import ConfigError
 
 SEGMENT_TABLE = [
@@ -570,6 +570,14 @@ INVALID = [
     (["compare", "lowerface"], dict(
         SEGMENT_MODEL, potential=dict(POTENTIAL, face="0", hessian=[]),
         expected=1, resolution=MAX_FACE_GRID)),
+    # a float literal cut at its exponent sign, and --uJ terms past the cap
+    (["hybrid", "pushforward", "--n", "1", "--t-exp", "20",
+      "--samples", "1000", "--uJ", "1+1e*z0"], None),
+    (["hybrid", "pushforward", "--n", "1", "--t-exp", "20",
+      "--samples", "1000", "--uJ", "1+1e-*z0"], None),
+    (["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
+      "--samples", "1000", "--uJ",
+      "+".join(f"z0^{k}" for k in range(MAX_POLY_TERMS + 1))], None),
 ]
 
 
@@ -594,6 +602,24 @@ def test_slag_check_rejects_an_invalid_hessian(tmp_path, capsys, rows):
                  "--out", str(tmp_path / "out")]) == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+
+
+@pytest.mark.parametrize("rows, L", [("1e300,0\n0,1e300\n", "1e-150"),
+                                     ("inf,0\n0,1\n", "1")],
+                         ids=["overflowing", "infinite"])
+def test_slag_check_rejects_a_form_past_the_float_range(tmp_path, capsys,
+                                                       rows, L):
+    path = tmp_path / "hessian.csv"
+    path.write_text(rows)
+    argv = ["geometry", "slag-check", "--hessian", str(path),
+            "--out", str(tmp_path / "out")]
+    assert main(argv + ["--L", L]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith(
+        "config error: --hessian entry ")
+    assert not (tmp_path / "out").exists()
+    if L != "1":        # the same entries over 4 pi: no product overflows
+        assert main(argv + ["--L", "1"]) == 0
 
 
 @pytest.mark.parametrize("n", ["2", "3"])
@@ -678,6 +704,38 @@ def test_hessian_dimension_cap_is_accepted_without_running(
     assert capsys.readouterr().err == (
         f"config error: --hessian must be at most {MAX_FORM_DIM}x"
         f"{MAX_FORM_DIM}, got {n}x{n}\n")
+
+
+def test_poly_term_cap_is_accepted_without_running(tmp_path, monkeypatch,
+                                                   capsys):
+    monkeypatch.setattr(cli, "volume_growth_exponent",
+                        lambda *args, **kwargs: stop())
+    argv = ["hybrid", "growth", "--n", "1", "--t-exp", "20,40", "--out",
+            str(tmp_path / "out"), "--uJ"]
+    terms = [f"{k + 1}e-3*z0^{k}" for k in range(MAX_POLY_TERMS + 1)]
+    with pytest.raises(Reached):
+        main(argv + ["+".join(terms[:-1])])
+    assert main(argv + ["+".join(terms)]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: --uJ has {MAX_POLY_TERMS + 1} terms; at most "
+        f"{MAX_POLY_TERMS} are allowed\n")
+
+
+@pytest.mark.parametrize("literal, plain", [
+    ("1+1e-3*z0", "1+0.001*z0"), ("2.5E+2-1E2*z0^2", "250-100*z0^2"),
+    ("1e0+1e1*z0*z1", "1+10*z0*z1")])
+def test_uj_float_literals_keep_their_exponent_sign(tmp_path, literal,
+                                                    plain):
+    written = []
+    for k, u in enumerate((literal, plain)):
+        out = tmp_path / str(k)
+        assert main(["hybrid", "pushforward", "--n", "1", "--t-exp", "20",
+                     "--samples", "1000", "--uJ", u, "--out", str(out)]) == 0
+        manifest = read_manifest(out)
+        for option in ("uJ", "out"):
+            del manifest["options"][option]
+        written.append((manifest, (out / "histogram.csv").read_bytes()))
+    assert written[0] == written[1]
 
 
 @pytest.mark.parametrize("argv, stage", [

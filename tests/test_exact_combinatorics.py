@@ -16,16 +16,18 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from nama import (ConvexPL, Divisor, IntersectionTable, Interval,
-                  TargetMeasure, build_model, cycle_model, cycle_table,
-                  determinant, ma_measure, na_ma_model_metric, pfaffian,
-                  stratum_class, vilsmeier_check_1d)
+from nama import (AtomicMeasure, ConvexPL, CycleComparison, Divisor,
+                  IntersectionTable, Interval, TargetMeasure, build_model,
+                  cycle_model, cycle_table, determinant, discrete_slope_jumps,
+                  ma_measure, model_function, na_ma_model_metric, pfaffian,
+                  solve, stratum_class, vilsmeier_check_1d)
 from nama.cli import main
 from nama.config import build_model_from_config, build_table_from_config
 from nama.convexgeom import dual_cell_1d
+from nama.realma import _cell_ends_1d
 
 F = Fraction
 EXACT = settings(max_examples=60)
@@ -265,6 +267,11 @@ def test_table_value_calls_grow_linearly_with_the_cycle(monkeypatch):
         calls[0] = 0
         na_ma_model_metric(cycle_model(degrees), table, coeffs)
         counts.append(calls[0])
+        # per vertex (L . E_i) and one (E_j . E_i) per twisted j in
+        # {i - 1, i, i + 1}; the one more read is the stored (L)
+        monomials = sum(1 + sum(coeffs[j % N] != 0 for j in (i - 1, i, i + 1))
+                        for i in range(N))
+        assert calls[0] == monomials + 1 > 1
     assert counts[1] <= 2.2 * counts[0]
 
 
@@ -570,3 +577,213 @@ def test_1d_ma_measure_equals_the_dual_cell_oracle(data):
     masses, _ = dual_cell_measure(flat)
     for got, want in zip(ma_measure(flat).masses, masses):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+# ---------------------------------------------------------------------------
+# the exact paths on ints against the Fraction loops they replaced
+
+BIG = 10 ** 100
+
+
+def big_rationals():
+    """Small, mixed and 100-digit denominators."""
+    return st.one_of(
+        rationals(),
+        st.builds(F, st.integers(-4 * BIG, 4 * BIG), st.integers(BIG, 2 * BIG)))
+
+
+def fraction_model_metric(model, table, coefficients):
+    """The Fraction loop of ``na_ma_model_metric``: face-local monomials
+    as dicts, one Fraction operation per step."""
+    n = model.dimension
+    table.check_faces(model)
+    c = {i: F(v) for i, v in coefficients.items() if F(v) != 0}
+    support, masses = [], []
+    for d in model.divisors:
+        ids = sorted(j for j in model.neighbours[d.id] + (d.id,) if j in c)
+        acc = F(0)
+        for r in range(n + 1):
+            for combo in itertools.combinations_with_replacement(ids, r):
+                on = {d.id}.union(combo)
+                if on != {d.id} and not model.has_face(on):
+                    continue
+                k = {}
+                for j in combo:
+                    k[j] = k.get(j, 0) + 1
+                term = F(multinomial(n, list(k.values())))
+                for j, kj in k.items():
+                    term *= c[j] ** kj
+                acc += term * table.value(n - r, k, (d.id,))
+        support.append(d.id)
+        masses.append(d.multiplicity * acc)
+    return AtomicMeasure(tuple(support), tuple(masses),
+                         expected_total=table.top_self_intersection())
+
+
+def fraction_slope_jumps(xs, values):
+    """The Fraction loop of ``discrete_slope_jumps``."""
+    xs, values = list(map(F, xs)), list(map(F, values))
+    return [(values[i + 1] - values[i]) / (xs[i + 1] - xs[i])
+            - (values[i] - values[i - 1]) / (xs[i] - xs[i - 1])
+            for i in range(1, len(xs) - 1)]
+
+
+def fraction_cell_ends(nodes, values):
+    """The Fraction sweep of ``_cell_ends_1d``."""
+    order = sorted(range(len(nodes)), key=lambda i: nodes[i][0])
+
+    def slope(i, j):
+        return (values[i] - values[j]) / (nodes[i][0] - nodes[j][0])
+
+    steps = [None] + [slope(b, a) for a, b in zip(order, order[1:])]
+
+    def sweep(seq, steps, worse):
+        ends, chain = [None] * len(nodes), []
+        for i, s in zip(seq, steps):
+            while len(chain) > 1 and worse(chain[-1][1], s):
+                chain.pop()
+                s = slope(i, chain[-1][0])
+            if chain:
+                ends[i] = s
+            chain.append((i, s))
+        return ends
+
+    return (sweep(order, steps, lambda a, b: a >= b),
+            sweep(order[::-1], [None] + steps[:0:-1], lambda a, b: a <= b))
+
+
+def fraction_direct_values(xs, mus, v_lo, v_hi):
+    """The Fraction prefix sums of the 1D direct solve."""
+    steps = [b - a for a, b in zip(xs, xs[1:])]
+    rise = list(itertools.accumulate(mus, initial=F(0)))
+    width = xs[-1] - xs[0]
+    s0 = (v_hi - v_lo - sum(h * r for h, r in zip(steps, rise))) / width
+    values = list(itertools.accumulate(
+        (h * (s0 + r) for h, r in zip(steps, rise)), initial=v_lo))
+    assert values[-1] == v_hi
+    return values
+
+
+@given(data=st.data())
+@EXACT
+def test_model_metric_on_ints_equals_the_fraction_loop(data):
+    model = data.draw(snc_models())
+    table = IntersectionTable(model.dimension)
+    for a, k, J in on_face_keys(model):
+        table.add(a, k, J, data.draw(big_rationals()))
+    coeffs = {d.id: data.draw(st.one_of(st.just(0), big_rationals()))
+              for d in model.divisors}
+    masses = fraction_model_metric(
+        model, IntersectionTable(model.dimension, [
+            (a, k, J, v) for (a, k, J), v in table.entries().items()]
+            + [(model.dimension, {}, (), 0)]), coeffs).masses
+    table.add(model.dimension, {}, (), sum(masses))
+    got = na_ma_model_metric(model, table, coeffs)
+    assert got == fraction_model_metric(model, table, coeffs)
+    assert [type(m) for m in got.masses] == [F] * len(got.masses)
+    assert got.total() == sum(got.masses) == table.top_self_intersection()
+
+
+def fraction_vilsmeier(model, table, coefficients):
+    """``vilsmeier_check_1d`` with the Fraction loops of both sides."""
+    divisors = sorted(model.divisors, key=lambda d: d.id)
+    degrees = [d.degree for d in divisors]
+    na = fraction_model_metric(model, table, coefficients)
+    na_masses = [na.mass_of(d.id) for d in divisors]
+    pot = model_function(model, coefficients)
+    vals = [pot.value(model.face((d.id,)),
+                      model.face((d.id,)).vertex_point(d.id))
+            for d in divisors]
+    xs = range(-1, len(vals) + 1)
+    jumps = fraction_slope_jumps(xs, [vals[-1]] + vals + [vals[0]])
+    real = [d + j for d, j in zip(degrees, jumps)]
+    return CycleComparison(
+        tuple(d.id for d in divisors), tuple(na_masses), tuple(real),
+        tuple(degrees), max(abs(a - b) for a, b in zip(na_masses, real)),
+        sum(na_masses), sum(real))
+
+
+@given(st.lists(big_rationals(), min_size=3, max_size=12), st.data())
+@EXACT
+def test_vilsmeier_on_ints_equals_the_fraction_loops(degrees, data):
+    N = len(degrees)
+    coeffs = {i: data.draw(big_rationals()) for i in range(N)}
+    model, table = cycle_model(degrees), cycle_table(degrees)
+    entries = [(1, {}, (), sum(degrees))]
+    for i in range(N):
+        entries += [(1, {}, (i,), degrees[i]), (0, {i: 1}, (i,), -2),
+                    (0, {(i + 1) % N: 1}, (i,), 1),
+                    (0, {(i - 1) % N: 1}, (i,), 1)]
+    assert table.entries() == IntersectionTable(1, entries).entries()
+    got = vilsmeier_check_1d(model, table, coeffs)
+    assert got == fraction_vilsmeier(model, table, coeffs)
+    assert got.holds
+
+
+@given(st.lists(big_rationals(), min_size=0, max_size=12, unique=True),
+       st.data())
+@EXACT
+def test_slope_jumps_on_ints_equal_the_fraction_loop(xs, data):
+    xs = sorted(xs)
+    values = [data.draw(st.one_of(big_rationals(), st.integers(-9, 9)))
+              for _ in xs]
+    got = discrete_slope_jumps(xs, values)
+    assert got == fraction_slope_jumps(xs, values)
+    assert all(type(j) is F for j in got)
+    if len(xs) >= 2:
+        with pytest.raises(ValueError, match="strictly increasing"):
+            discrete_slope_jumps(xs[:1] + xs, values[:1] + values)
+
+
+@given(lifted_interval_nodes())
+@EXACT
+def test_cell_ends_on_ints_equal_the_fraction_sweep(data):
+    nodes, values = data
+    nodes = [(F(x),) for x, in nodes]
+    values = list(map(F, values))
+    assert _cell_ends_1d(nodes, values) == fraction_cell_ends(nodes, values)
+
+
+@st.composite
+def big_interval_nodes(draw):
+    """Unsorted nodes of an interval, inner ones with small, mixed and
+    100-digit denominators, and a rational density and boundary data."""
+    lo = draw(st.fractions(min_value=-3, max_value=0, max_denominator=7))
+    width = draw(st.fractions(min_value=1, max_value=3, max_denominator=7))
+    inner = set()
+    for den in draw(st.lists(st.one_of(st.integers(2, 12),
+                                       st.integers(BIG, 2 * BIG)),
+                             max_size=12)):
+        inner.add(lo + width * F(draw(st.integers(1, den - 1)), den))
+    xs = draw(st.permutations([lo, lo + width, *inner]))
+    # TargetMeasure keys its masses by float nodes
+    assume(len({float(x) for x in xs}) == len(xs))
+    density = draw(st.fractions(min_value=F(1, 3), max_value=5,
+                                max_denominator=9))
+    v_lo, v_hi = draw(big_rationals()), draw(big_rationals())
+    return lo, lo + width, [(x,) for x in xs], density, v_lo, v_hi
+
+
+@given(big_interval_nodes())
+@EXACT
+def test_1d_target_and_solve_on_ints_equal_the_fraction_loops(data):
+    lo, hi, nodes, density, v_lo, v_hi = data
+    dom = Interval(lo, hi)
+    target = TargetMeasure.from_density(dom, nodes, density)
+    values = [x * x / 2 for x, in nodes]
+    want = {}
+    for nd, left, right in zip(nodes, *fraction_cell_ends(nodes, values)):
+        left = lo if left is None else max(left, lo)
+        right = hi if right is None else min(right, hi)
+        want[nd] = density * (right - left if right > left else 0)
+    assert target.masses == want
+    assert target.total() == density * (hi - lo)
+
+    result = solve(dom, target, {(lo,): v_lo, (hi,): v_hi}, nodes=nodes)
+    xs = sorted(x for x, in nodes)
+    mus = [target.masses[(x,)] for x in xs[1:-1]]
+    values = fraction_direct_values(xs, mus, v_lo, v_hi)
+    assert result.solution.values == values
+    assert all(type(v) is F for v in result.solution.values)
+    assert result.masses == (0, *fraction_slope_jumps(xs, values), 0)
+    assert result.masses[1:-1] == tuple(mus) and result.residual == 0.0
