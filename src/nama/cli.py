@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import itertools
 import json
 import math
@@ -746,10 +747,14 @@ def run(args):
     return 0
 
 
+# one parser per process: parsing leaves it as it was (no handler or type
+# changes a default), and building it costs milliseconds a run
+_parser = functools.cache(build_parser)
+
+
 def main(argv=None):
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
         return run(args)
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)

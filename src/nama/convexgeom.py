@@ -312,12 +312,13 @@ def _plane(Q, W):
                                           u[:, 0] * dw - w[:, 0] * du])
 
 
-def _on_line(p, q, X, w):
-    """Whether the points X / w lie on the line through the homogeneous
-    integer points p and q: the 3x3 determinant of p, q, (X, w) is 0."""
+def _side(p, q, X, w):
+    """The 3x3 determinant of the homogeneous integer points p and q
+    (w > 0) and each row (X, w), w > 0.  It has the sign of
+    ``_orient(p, q, X / w)``: positive left of the line p -> q, 0 on it."""
     return ((p[1] * q[2] - p[2] * q[1]) * X[:, 0]
             + (p[2] * q[0] - p[0] * q[2]) * X[:, 1]
-            + (p[0] * q[1] - p[1] * q[0]) * w == 0)
+            + (p[0] * q[1] - p[1] * q[0]) * w)
 
 
 def _meet(P, sp, Q, sq):
@@ -326,6 +327,17 @@ def _meet(P, sp, Q, sq):
     R = [sp * q - sq * p for p, q in zip(P[0], Q[0])]
     g = math.gcd(*R) if R[2] > 0 else -math.gcd(*R)
     return (R[0] // g, R[1] // g, R[2] // g), None
+
+
+def _fan_sums(n, i, fs, ft, num, den, D):
+    """Per node, the exact shoelace sum over its inner half-edges, each at
+    node i between facet fs and its twin's facet ft: the terms
+    ``cross(g_ft, g_fs)`` of the gradients ``num / den``, on ints over the
+    node's ``D^2``."""
+    twice = np.zeros(n, dtype=object)
+    np.add.at(twice, i, _cross(num[ft], num[fs])
+              * (D[i] // den[ft]) * (D[i] // den[fs]))
+    return twice
 
 
 class FacetCells:
@@ -359,7 +371,9 @@ class FacetCells:
     denominators of a node's neighbours, not with those of the whole input.
     The passes build no Fraction but the corners'; the last step builds one
     per closed node, and ``grad`` holds the correctly rounded floats.
-    :meth:`cut` clips in integers too.
+    :meth:`cut` clips in integers too.  Asked for the cells within the
+    polygon (:meth:`areas_within`), exact input also reads the cells of rim
+    nodes off their fans, on ints, and clips none.
 
     ``good`` marks the nodes whose cells the hull gives, ``closed`` those of
     them with bounded (possibly empty) cells, of areas ``area``.  The other
@@ -376,6 +390,7 @@ class FacetCells:
         self.good = self.closed = self.solid = np.zeros(n, dtype=bool)
         self.area, self.grad = np.zeros(n), np.zeros((0, 2))
         self.src = self.dst = self.apex = self.twin = np.zeros(0, dtype=int)
+        self._ints = None       # exact input: num, den and D once checked
         exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
             and all(isinstance(v, Fraction) for v in values)
         if exact:       # int / int rounds as float(Fraction) does
@@ -433,8 +448,8 @@ class FacetCells:
                     and (_cross(P[rs], P[rd]) * (W // w)).sum() == W * sum(
                         _orient(F[0], p, q) for p, q in zip(F[1:], F[2:]))
                     and np.logical_or.reduce([
-                        _on_line(p, q, P[rs], l[rs])
-                        & _on_line(p, q, P[rd], l[rd])
+                        (_side(p, q, P[rs], l[rs]) == 0)
+                        & (_side(p, q, P[rd], l[rd]) == 0)
                         for p, q in zip(C, C[1:] + C[:1])]).all()):
                 return
             num, den, tol = num * Lt[:, None], det * Mt, 0
@@ -487,14 +502,13 @@ class FacetCells:
             # gradient numerators times D / den: one Fraction per closed node
             D = np.ones(n, dtype=object)
             np.lcm.at(D, src, den[np.arange(len(src)) // 3])
-            twice = np.zeros(n, dtype=object)
-            np.add.at(twice, i, _cross(num[ft], num[fs])
-                      * (D[i] // den[ft]) * (D[i] // den[fs]))
+            twice = _fan_sums(n, i, fs, ft, num, den, D)
             self.area = np.full(n, Fraction(0), dtype=object)
             k = np.nonzero(self.closed)[0]
             self.area[k] = [Fraction(abs(a), 2 * d * d)
                             for a, d in zip(twice[k].tolist(),
                                             D[k].tolist())]
+            self._ints = num, den, D
         else:
             # terms relative to one facet of the node, so that cells far
             # from the origin keep their digits
@@ -581,8 +595,26 @@ class FacetCells:
                     any(lab is None for lab in labels), len(verts) < 3)
 
     def inside(self, corners):
-        """Closed nodes whose cells lie in the ccw polygon ``corners``, by a
-        float test that says no near the boundary."""
+        """Good nodes whose fans' gradients all lie in the ccw polygon
+        ``corners``.  Exact input with a rational polygon tests each
+        gradient exactly, by the sign of :func:`_orient` against every side
+        in integers, so a gradient on the boundary is in; a node on the
+        rim counts only when every rim node lies in the polygon too.  Else
+        the test is the float one and takes closed nodes only, saying no
+        near the boundary."""
+        if self._ints is not None and all(
+                isinstance(c, (int, Fraction)) for v in corners for c in v):
+            num, den, _ = self._ints
+            C = [_homogeneous(v) for v in corners]
+            sides = list(zip(C, C[1:] + C[:1]))
+            out = np.zeros(len(self.nodes), dtype=bool)
+            for p, q in sides:
+                out[self.tri[_side(p, q, num, den) < 0].ravel()] = True
+            X, l = self._cleared[:2]
+            r = self.src[self.twin < 0]
+            if any((_side(p, q, X[r], l[r]) < 0).any() for p, q in sides):
+                out |= ~self.closed
+            return self.good & ~out
         if not self.closed.any():       # no checked triangles, no grad
             return self.closed
         g = self.grad
@@ -594,6 +626,47 @@ class FacetCells:
             out[self.tri[~(_orient(p, q, g.T) > tol)].ravel()] = True
         return self.closed & ~out
 
+    def areas_within(self, corners):
+        """Each node's cell area within the ccw polygon ``corners`` where
+        its fan gives it, None where only :meth:`cut` does.  A node of
+        :meth:`inside` that is closed has its whole cell in the polygon,
+        of area ``area``.  One on the rim (exact input only), with the
+        triangles tiling the polygon, has the cell within it that is the
+        polygon ``x_i, mid(i -> next), g_1, ..., g_k, mid(prev -> i)``:
+        its fan's gradients closed by the midpoints of its two rim edges,
+        which lie on the polygon's sides.  Its shoelace is the fan's sum
+        plus, for each rim half-edge s -> d in facet f,
+        ``cross(x_s, mid) + cross(mid, g_f)`` at s and ``cross(g_f, mid) +
+        cross(mid, x_d)`` at d, on ints over each node's lcm of ``D^2`` and
+        ``2 l_s l_d den_f``: one Fraction per node."""
+        whole = self.inside(corners)
+        area = [a if w else None for a, w in zip(self.area.tolist(), whole)]
+        rim = whole & ~self.closed
+        if not rim.any():
+            return area
+        X, l = self._cleared[:2]
+        num, den, D = self._ints
+        src, dst, twin = self.src, self.dst, self.twin
+        e = np.nonzero((twin >= 0) & rim[src])[0]
+        fan = _fan_sums(len(rim), src[e], e // 3, twin[e] // 3, num, den, D)
+        # rim half-edges: 2 l_s l_d mid = X_s l_d + X_d l_s, and both
+        # cross(x_s, mid) and cross(mid, x_d) are cross(X_s, X_d) / 2 l_s l_d
+        e = np.nonzero((twin < 0) & (rim[src] | rim[dst]))[0]
+        s, d, f = src[e], dst[e], e // 3
+        mid = X[s] * l[d, None] + X[d] * l[s, None]
+        c, t = _cross(X[s], X[d]) * den[f], _cross(mid, num[f])
+        w = 2 * l[s] * l[d] * den[f]
+        square = D * D
+        K = square.copy()
+        for k, at in ((s, rim[s]), (d, rim[d])):
+            np.lcm.at(K, k[at], w[at])
+        twice = fan * (K // square)
+        for k, at, term in ((s, rim[s], c + t), (d, rim[d], c - t)):
+            np.add.at(twice, k[at], term[at] * (K[k[at]] // w[at]))
+        for k in np.nonzero(rim)[0].tolist():
+            area[k] = Fraction(twice[k], 2 * K[k])
+        return area
+
     def dual_edges(self):
         """Arrays (i, j, length) over the nonzero edges of the closed cells:
         node i's cell shares that length of boundary with node j's."""
@@ -604,13 +677,20 @@ class FacetCells:
         return self.src[e], self.dst[e], ell
 
     def planes(self):
-        """The planes of the float lower envelope: gradients ``g`` (facets x
-        2) and intercepts ``b`` with ``envelope(x) = max_f g[f] . x + b[f]``,
-        the finite gradients of the facets ``tri`` of ``pts`` lifted to
-        ``vals``, each plane through its facet's first node."""
-        det, num = _plane(self.pts[self.tri], self.vals[self.tri])
-        with np.errstate(divide="ignore", invalid="ignore"):
-            g = num / det[:, None]
-        keep = np.isfinite(g).all(axis=1)
-        g, a = g[keep], self.tri[keep, 0]
-        return g, self.vals[a] - (self.pts[a] * g).sum(axis=1)
+        """:func:`facet_planes` of the float nodes ``pts`` lifted to
+        ``vals`` over the facets ``tri``."""
+        return facet_planes(self.pts, self.vals, self.tri)
+
+
+def facet_planes(pts, vals, tri):
+    """The planes of a float lower envelope: gradients ``g`` (facets x 2)
+    and intercepts ``b`` with ``envelope(x) = max_f g[f] . x + b[f]``, the
+    finite gradients of the facets ``tri`` of ``pts`` lifted to ``vals``
+    (as :func:`lower_facets` gives them), each plane through its facet's
+    first node."""
+    det, num = _plane(pts[tri], vals[tri])
+    with np.errstate(divide="ignore", invalid="ignore"):
+        g = num / det[:, None]
+    keep = np.isfinite(g).all(axis=1)
+    g, a = g[keep], tri[keep, 0]
+    return g, vals[a] - (pts[a] * g).sum(axis=1)

@@ -35,9 +35,9 @@ from fractions import Fraction
 import numpy as np
 
 from .convexgeom import (FacetCells, box_vertices, dual_cell_1d, dual_cell_2d,
-                         polygon_area)
+                         facet_planes, lower_facets, polygon_area)
 from .errors import InfeasibleBoundary
-from .measures import AtomicMeasure
+from .measures import AtomicMeasure, exact_sum
 
 
 def _coerce(value):
@@ -326,7 +326,7 @@ class MAMeasure:
     cell_fallbacks: int = 0  # 2D cells that took the full clip
 
     def total(self):
-        return sum(self.masses)
+        return exact_sum(self.masses)
 
     def atomic(self):
         sup, ms = [], []
@@ -734,7 +734,7 @@ class TargetMeasure:
         return self._table.get(tuple(float(c) for c in node), 0)
 
     def total(self):
-        return sum(self.masses.values())
+        return exact_sum(self.masses.values())
 
     @classmethod
     def from_density(cls, domain, nodes, density):
@@ -743,9 +743,14 @@ class TargetMeasure:
         The Voronoi cell of a node is its dual cell for the paraboloid lift
         ``|x|^2 / 2`` clipped to the domain, so the construction reuses the
         exact cell machinery and the masses add up to density * volume
-        exactly in rational mode.  In 2D a cell inside the domain is its
-        fan of facet gradients (:class:`FacetCells`); the others are the
-        domain polygon cut as :meth:`FacetCells.cut` decides.  In 1D the cells
+        exactly in rational mode.  In 2D the cells come off the facet
+        gradients (:meth:`FacetCells.areas_within`): a cell inside the
+        domain is its fan's polygon, and, for rational nodes and domain,
+        the part in the domain of the cell of a node on the rim of the
+        triangulation is its fan closed by the midpoints of its rim edges,
+        when its gradients lie in the closed domain.  Only the other nodes,
+        and every node when the hull checks fail, take the domain polygon
+        cut as :meth:`FacetCells.cut` decides.  In 1D the cells
         come from one sort (:func:`_cell_slopes_1d`): a cell is bounded by
         the lift's slopes to the sorted neighbours, the midpoints.  Rational
         input on a rational interval clips each cell on ints and builds its
@@ -781,12 +786,11 @@ class TargetMeasure:
                 right = domain.hi if right is None else min(right, domain.hi)
                 masses[nd] = density * (right - left if right > left else 0)
         elif domain.dim == 2:
-            cells = FacetCells(nodes, values, domain.vertices)
-            whole = cells.inside(domain.vertices).tolist()
-            area = cells.area.tolist()
             corners = list(domain.vertices)
+            cells = FacetCells(nodes, values, corners)
+            area = cells.areas_within(corners)
             for i, nd in enumerate(nodes):
-                if not whole[i]:
+                if area[i] is None:
                     area[i] = cells.cut(i, corners).volume
                 masses[nd] = density * area[i]
         else:
@@ -967,7 +971,9 @@ def _direct_values_exact(xs, mus, v_lo, v_hi):
 
 
 def _boundary_envelope_values(b_nodes, b_values, queries):
-    g, b = FacetCells(b_nodes, b_values).planes()
+    pts = np.array(b_nodes, dtype=float).reshape(-1, 2)
+    vals = np.array(b_values, dtype=float)
+    g, b = facet_planes(pts, vals, lower_facets(pts, vals)[0])
     return (np.array(queries) @ g.T + b).max(axis=1)
 
 

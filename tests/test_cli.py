@@ -426,6 +426,36 @@ def test_each_run_loads_its_config_once(tmp_path, monkeypatch, argv, doc):
     assert len(calls) == 1
 
 
+def test_one_parser_serves_every_run_of_a_process(tmp_path, capsys):
+    # main builds its parser once: runs of different subcommands, a rejected
+    # --n/--hessian pair and slag-check's string default for --n among them,
+    # write the same files in any order as runs with a parser each
+    runs = [(["geometry", "slag-check"], None),
+            *SUBCOMMANDS[:4],
+            (["geometry", "slag-check", "--n", "2", "--hessian", "h.csv"],
+             None),
+            *SUBCOMMANDS[10:]]
+
+    def outputs(order, fresh):
+        got = {}
+        for k in order:
+            if fresh:
+                cli._parser.cache_clear()
+            out = tmp_path / f"out{k}"
+            status = main(argv_for(tmp_path, *runs[k]) + ["--out", str(out)])
+            got[k] = status, capsys.readouterr().err, {
+                p.name: p.read_bytes() for p in out.glob("*")}
+        return got
+
+    fresh = outputs(range(len(runs)), True)
+    cli._parser.cache_clear()
+    assert outputs(range(len(runs)), False) == fresh
+    assert outputs(reversed(range(len(runs))), False) == fresh
+    assert cli._parser.cache_info().misses == 1
+    assert [status for status, _, _ in fresh.values()].count(1) == 1
+    assert read_manifest(tmp_path / "out0")["options"]["n"] == 2
+
+
 INVALID = [
     (["model", "validate"],
      {"n": 1, "divisors": [{"id": 0}, {"id": 1}], "faces": [[1], [0, 1]]}),

@@ -346,14 +346,116 @@ def test_exact_density_targets_match_the_full_clip():
     nodes = [(F(i, 10), F(j, 10)) for i in range(11) for j in range(11)]
     target = TargetMeasure.from_density(box, nodes, F(3))
     assert target.total() == 3
+    values = [(x * x + y * y) / 2 for x, y in nodes]
+    assert list(target.masses.values()) == [
+        3 * dual_cell_2d(i, nodes, values, box=(0, 1, 0, 1)).volume
+        for i in range(len(nodes))]
     edge = [v for (x, y), v in target.masses.items()
             if x == 0 and 0 < y < 1]
     assert set(edge) == {F(3, 200)}
     assert target.masses[(F(1, 2), F(1, 2))] == F(3, 100)
 
 
+def cut_loop_targets(domain, nodes, density):
+    """Exact density masses as every node's :meth:`FacetCells.cut` of the
+    domain polygon: the per-node loop the fan areas replace."""
+    values = [(x * x + y * y) / 2 for x, y in nodes]
+    corners = list(domain.vertices)
+    cells = convexgeom.FacetCells(nodes, values, corners)
+    return {nd: density * cells.cut(i, corners).volume
+            for i, nd in enumerate(nodes)}
+
+
+def counting_cuts(monkeypatch):
+    """Count the calls of :meth:`FacetCells.cut` in the returned list."""
+    calls = []
+    real = convexgeom.FacetCells.cut
+
+    def cut(self, i, polygon):
+        calls.append(i)
+        return real(self, i, polygon)
+
+    monkeypatch.setattr(convexgeom.FacetCells, "cut", cut)
+    return calls
+
+
+# the grid-solve benchmark's lattices: (nodes per side, step)
+LATTICES = [(9, F(1, 10)), (11, F(1, 8)), (13, F(1, 12)), (9, F(1, 8)),
+            (11, F(1, 10))]
+
+
+@pytest.mark.parametrize("n, h", LATTICES)
+def test_lattice_density_targets_equal_the_cut_loop(n, h):
+    for x0 in (F(-1, 2), F(-1, 4), F(0)):
+        for y0 in (F(-1, 2), F(-1, 4), F(0)):
+            w = h * (n - 1)
+            box = box_polygon(x0, x0 + w, y0, y0 + w)
+            nodes = [(x0 + h * i, y0 + h * j)
+                     for i in range(n) for j in range(n)]
+            target = TargetMeasure.from_density(box, nodes, F(1))
+            assert target.masses == cut_loop_targets(box, nodes, F(1))
+            assert target.total() == w * w
+
+
+def test_lattice_density_targets_take_no_cut(monkeypatch):
+    calls = counting_cuts(monkeypatch)
+    nodes = [(F(i, 12), F(j, 12)) for i in range(13) for j in range(13)]
+    target = TargetMeasure.from_density(box_polygon(0, 1, 0, 1), nodes, F(1))
+    assert calls == [] and target.total() == 1
+    assert sum(m == F(1, 576) for m in target.masses.values()) == 4
+
+
 SKEW = Polygon([(F(-1, 3), F(0)), (F(5, 2), F(-1, 7)), (F(3), F(2)),
                 (F(1, 5), F(9, 4))])
+
+
+@st.composite
+def density_nodes(draw):
+    """Rational nodes k/d (d <= 7) in the unit box or in ``SKEW``, with
+    points on its sides and, mostly, its corners."""
+    domain = draw(st.sampled_from((box_polygon(0, 1, 0, 1), SKEW)))
+    point = st.builds(lambda a, b, d: (F(a, d), F(b, d)), st.integers(-3, 21),
+                      st.integers(-1, 16), st.integers(1, 7))
+    inner = {p for p in draw(st.lists(point, max_size=14))
+             if domain.contains(p)}
+    corners = domain.vertices
+    on_sides = {tuple(p + t * (q - p) for p, q in zip(corners[k],
+                                                      corners[(k + 1) % 4]))
+                for k, t in draw(st.lists(st.tuples(
+                    st.integers(0, 3), st.builds(F, st.integers(1, 6),
+                                                 st.integers(7, 8))),
+                    max_size=6))}
+    drop = draw(st.sampled_from((None,) * 5 + tuple(corners)))
+    nodes = sorted((set(corners) - {drop}) | inner | on_sides)
+    return domain, nodes, draw(st.builds(F, st.integers(1, 5),
+                                         st.integers(1, 3)))
+
+
+def test_fan_density_targets_equal_the_cut_loop(monkeypatch):
+    # rim nodes read off their fans and nodes the fans cannot give, which
+    # take the cut: both must be reached, and agree with the cut loop
+    paths = set()
+    calls = counting_cuts(monkeypatch)
+
+    @settings(max_examples=150, derandomize=True, deadline=None)
+    @given(density_nodes())
+    def check(data):
+        domain, nodes, density = data
+        corners = list(domain.vertices)
+        values = [(x * x + y * y) / 2 for x, y in nodes]
+        cells = convexgeom.FacetCells(nodes, values, corners)
+        fan = cells.inside(corners) & ~cells.closed
+        calls.clear()
+        target = TargetMeasure.from_density(domain, nodes, density)
+        if fan.any():
+            paths.add("fan")
+        if calls:
+            paths.add("cut")
+        assert target.masses == cut_loop_targets(domain, nodes, density)
+        assert target.total() == density * domain.volume()
+
+    check()
+    assert paths == {"fan", "cut"}
 
 
 @st.composite
