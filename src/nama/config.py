@@ -43,8 +43,8 @@ MAX_TABLE_ENTRIES = 50_000
 MAX_MODEL_DIVISORS = 20_000
 MAX_MODEL_FACES = 50_000
 # realma measure nodes and values: 50,000 float nodes take about 3 s and
-# 140 MB end to end in 2D (7 s with --tol's oracle at 1,000 slopes a side)
-# and 1.3 s and 60 MB in 1D
+# 140 MB end to end in 2D (22 s with --tol's oracle at 1,000 slopes a side
+# on a jittered 223 x 223 grid) and 1.3 s and 60 MB in 1D
 MAX_MEASURE_NODES = 50_000
 # realma solve masses: one per node of the largest solve (cli.MAX_SOLVE_GRID);
 # reading and checking 100,000 takes about 1.5 s and 115 MB end to end

@@ -408,18 +408,41 @@ def ma_measure_oracle(cpl, resolution=1000):
 
     The counts are those of the dense argmax over all grid points, bit for
     bit, found by a scanline (:func:`_scan_counts`): along a grid row the
-    scores are n lines in the last slope coordinate, the row's winners are
+    scores are lines in the last slope coordinate, the row's winners are
     the segments of their upper envelope, and each segment takes its grid
     points by index arithmetic.  A point counts for its segment's node only
     when a forward error bound on the scores separates that node from every
-    other; the rest (points next to a breakpoint, rows where nodes with the
+    other line of the walk by more than a slack of 128 ulps of the score
+    scale; the rest (points next to a breakpoint, rows where nodes with the
     same last coordinate nearly tie) are re-scored with the dense
-    expression, whose argmax keeps the lowest-index tie rule.  With R the
-    resolution and h the most envelope segments in a row, the time is
-    O(R n h) in 2D and O(n h) in 1D, plus O(n) per re-scored point; memory
-    is O(n) per row, for a bounded block of rows at a time.  The lower
-    hull's facet planes set the box only; no hull star, cell or clipping
-    code is used, so the oracle stays independent of :func:`ma_measure`.
+    expression against all n nodes, whose argmax keeps the lowest-index tie
+    rule.
+
+    A row is won only by the few nodes whose cells cross it, so the rows
+    are cut into strips of about sqrt(2 R) rows, R the resolution, and a
+    strip walks only its candidate lines.  Its first and last rows are
+    walked with all n lines, and the lines on their envelopes are its
+    dominators K.  Line j is dropped from the strip when one k in K beats
+    it by more than twice the slack at all four corners of the strip's
+    (p, t) rectangle.  score_k - score_j is affine in (p, t), so its least
+    value on the rectangle is at a corner; the corner scores and their
+    difference err by fewer than 8 ulps of the scale, so k beats j by more
+    than the slack at every grid point of the strip.  A dominator that is
+    dropped in turn is beaten by more still, and the chain ends at a kept
+    line.  The counts therefore stay those of the dense argmax: a point
+    certified for a line is ahead of every kept line by the slack, hence
+    of every dropped one, which the dense scores' rounding (fewer than 20
+    ulps) cannot lift to the win; the certificate takes its rivals from
+    the candidates and its slope gaps from all n lines, which only narrows
+    it; and every other point is re-scored against all n lines as before.
+
+    With h the most envelope segments in a row and c the most candidates
+    in a strip, the time is O(strips |K| n) for the prune (and the same
+    order, strips n h, for the edge walks) plus O(R c h) for the walks in
+    2D, O(n h) in 1D, and O(n) per re-scored point.  Every temporary is a
+    block of a bounded number of entries.  The lower hull's facet planes
+    set the box only; no hull star, cell or clipping code is used, so the
+    oracle stays independent of :func:`ma_measure`.
     """
     if cpl.dim > 2:
         raise NotImplementedError("oracle supports dimensions 1 and 2")
@@ -456,9 +479,15 @@ def _scan_counts(axes, pts, vals):
 
     Along the last axis t, node j scores ``a_j t + b_j``, with ``a_j`` its
     last coordinate and ``b_j`` the rest of ``p . x_j - v_j``, so each grid
-    row is a set of n lines.  Returns the counts per node and the number of
-    line evaluations (scores and crossings), a machine-independent measure
-    of the work.
+    row is a set of n lines.  The rows are cut into strips of
+    :func:`_strip_height` rows; each strip's first and last rows are walked
+    with all lines, its other rows with the lines that no line on those
+    two envelopes beats at the strip's four corners (the argument is in
+    :func:`ma_measure_oracle`).  The strips go in groups whose edge rows
+    and corner scores fit a block; candidate rows are padded with a line
+    of intercept -inf.  Returns the counts per node and the number of line
+    evaluations (scores, crossings and corner comparisons), a
+    machine-independent measure of the work.
     """
     t = axes[-1]
     scale = sum(np.abs(ax).max() * np.abs(pts[:, k]).max()
@@ -475,19 +504,25 @@ def _scan_counts(axes, pts, vals):
     rank = np.searchsorted(levels, a)
     gap_left = a - levels[np.maximum(rank - 1, 0)]      # 0: no smaller slope
     gap_right = levels[np.minimum(rank + 1, len(levels) - 1)] - a
+    # line n pads the candidate rows: the least slope and intercept -inf
+    a = np.append(a, a[-1])
+    x = np.append(pts[order, 0] if len(axes) == 2 else np.zeros(n), 0.0)
+    v = np.append(vals[order], np.inf)
+    p = axes[0] if len(axes) == 2 else np.zeros(1)      # 1D: a single row
 
     counts = np.zeros(n, dtype=np.int64)
     scored = 0
-    p0 = axes[0] if len(axes) == 2 else np.zeros(1)     # 1D: a single row
-    block = max(1, _BLOCK // n)
-    for r0 in range(0, len(p0), block):
-        if len(axes) == 2:
-            b = np.outer(p0[r0:r0 + block], pts[order, 0]) - vals[order]
-        else:
-            b = -vals[None, order]
-        segments, work = _envelope_walk(t, a, b)
+
+    def scan(rows, cols):
+        """Count the grid ``rows``, each against its row of ``cols`` (line
+        indices, increasing, padded with n); return every envelope
+        segment's grid row and line."""
+        nonlocal counts, scored
+        b = p[rows][:, None] * x[cols] - v[cols]
+        segments, work = _envelope_walk(t, a[cols], b)
         scored += work
-        row, line, left, right, d_left, d_right, par = segments
+        seg, col, left, right, d_left, d_right, par = segments
+        line = cols[seg, col]
         lo = np.searchsorted(t, left)
         hi = np.searchsorted(t, right)
         # certified: past (d + slack) / gap from both ends, no parallel tie
@@ -506,73 +541,133 @@ def _scan_counts(axes, pts, vals):
         # the rest, [lo, first) and [stop, hi), scored as the dense argmax
         start = np.concatenate([lo, stop])
         size = np.concatenate([first, hi]) - start
-        rows = r0 + np.repeat(np.concatenate([row, row]), size)
-        cols = (np.arange(size.sum())
-                + np.repeat(start - np.cumsum(size) + size, size))
-        scored += len(rows) * n
-        for s in range(0, len(rows), block):
-            r, k = rows[s:s + block], cols[s:s + block]
+        at = rows[np.repeat(np.concatenate([seg, seg]), size)]
+        ks = (np.arange(size.sum())
+              + np.repeat(start - np.cumsum(size) + size, size))
+        scored += len(at) * n
+        step = max(1, _BLOCK // n)
+        for s in range(0, len(at), step):
+            r, k = at[s:s + step], ks[s:s + step]
             if len(axes) == 1:
                 win = (np.outer(t[k], pts[:, 0]) - vals).argmax(axis=1)
             else:
-                P = np.column_stack([p0[r], t[k]])
-                if len(P) == 1 and len(p0) > 1:
+                P = np.column_stack([p[r], t[k]])
+                if len(P) == 1 and len(p) > 1:
                     # BLAS rounds a one-row product (matrix times vector)
                     # unlike the rows of the grid's matrix product
                     P = np.repeat(P, 2, axis=0)
                 win = (P @ pts.T - vals).argmax(axis=1)[:len(r)]
             counts += np.bincount(win, minlength=n)
+        return rows[seg], line
+
+    height = _strip_height(len(p))
+    # the strips of a group: their edge rows and corner scores fit a block
+    group = height * max(1, _BLOCK // (4 * (n + 1)))
+    for g0 in range(0, len(p), group):
+        first = np.arange(g0, min(g0 + group, len(p)), height)
+        last = np.minimum(first + height, len(p)) - 1
+        edges = np.union1d(first, last)
+        row, line = scan(edges, np.broadcast_to(np.arange(n),
+                                                (len(edges), n)))
+        inner = np.setdiff1d(np.arange(g0, last[-1] + 1), edges)
+        if not inner.size:
+            continue
+        key = np.unique((row - g0) // height * (n + 1) + line)
+        K = _padded(key // (n + 1), key % (n + 1), len(first), n)
+        # each strip's corners: its least and greatest p, t's ends
+        lo = np.minimum.reduceat(p[g0:last[-1] + 1], first - g0)
+        hi = np.maximum.reduceat(p[g0:last[-1] + 1], first - g0)
+        pc = np.column_stack([lo, lo, hi, hi])[:, :, None]
+        tc = np.array([t[0], t[-1], t[0], t[-1]])[:, None]
+        C = pc * x + tc * a - v                     # strip, corner, line
+        Ck = np.take_along_axis(C, K[:, None, :], axis=2)
+        keep = np.empty((len(first), n), dtype=bool)
+        step = max(1, _BLOCK // Ck.size)
+        for j in range(0, n, step):
+            # dropped: a dominator ahead by twice the slack at every corner
+            span = slice(j, min(j + step, n))
+            beat = Ck[:, :, :, None] - C[:, :, None, span]
+            keep[:, span] = ~(beat.min(axis=1) > 2 * slack).any(axis=1)
+            scored += beat.size
+        lines = _padded(*np.nonzero(keep), len(first), n)
+        strip = (inner - g0) // height
+        step = max(1, _BLOCK // lines.shape[1])
+        for i in range(0, len(inner), step):
+            scan(inner[i:i + step], lines[strip[i:i + step]])
     return counts, scored
 
 
-def _rival(scores, line, side):
-    """Per row, the max over the lines in ``side`` of score_j - score_line."""
-    own = scores[np.arange(len(line)), line][:, None]
-    return np.where(side, scores - own, -np.inf).max(axis=1, initial=-np.inf)
+def _strip_height(rows):
+    """Rows per strip of :func:`_scan_counts` for R rows, about sqrt(2 R).
+
+    Each of the R / height strips pays two full-width edge walks and a
+    prune, and each row of a taller strip walks more candidates; both
+    costs scale alike in n, so their balance is at a height of order
+    sqrt(R) for any n (on jittered grids of 25 to 2,500 nodes the times
+    were flat from sqrt(R / 2) to sqrt(8 R) rows).
+    """
+    return max(2, math.isqrt(2 * rows))
+
+
+def _padded(owner, item, rows, fill):
+    """The items of each owner (``owner`` sorted) as the rows of a matrix,
+    padded on the right with ``fill``."""
+    size = np.bincount(owner, minlength=rows)
+    out = np.full((rows, size.max(initial=0)), fill)
+    out[owner, np.arange(len(owner))
+        - np.repeat(np.cumsum(size) - size, size)] = item
+    return out
+
+
+def _rival(values, own, side):
+    """Per row, the max over the lines in ``side`` of value_j - own; the max
+    is taken first, since rounding a difference is monotone in it."""
+    return values.max(axis=1, where=side, initial=-np.inf) - own
 
 
 def _envelope_walk(t, a, b):
-    """Upper-envelope segments of the lines ``a_j t + b[r, j]`` over t.
+    """Upper-envelope segments of the lines ``a[r, j] t + b[r, j]`` over t.
 
-    Gift wrapping, one numpy step per envelope edge for all rows at once:
-    from the winner at ``t[0]`` (ties to the steepest, ``a`` is sorted
-    descending) step to the line crossing first among the steeper ones.
-    Each segment [left, right) of a line also records, for certification,
-    the worst rival score minus its own at ``left`` among shallower lines
-    and at ``min(right, t[-1])`` among steeper lines, and the worst
-    intercept minus its own among the other lines of its slope.  The last
-    segment of a row has ``right`` = inf.  Returns the segments as arrays
-    (row, line, left, right, d_left, d_right, parallel) and the number of
-    line evaluations.
+    Gift wrapping, one numpy step per envelope edge for all rows r at once:
+    from the winner at ``t[0]`` (ties to the steepest, each row of ``a`` is
+    sorted descending) step to the line crossing first among the steeper
+    ones.  Each segment [left, right) of a line also records, for
+    certification, the worst rival score minus its own at ``left`` among
+    shallower lines and at ``min(right, t[-1])`` among steeper lines, and
+    the worst intercept minus its own among the other lines of its slope.
+    The last segment of a row has ``right`` = inf.  Returns the segments as
+    arrays (row, column, left, right, d_left, d_right, parallel) and the
+    number of line evaluations.
     """
     live = np.arange(len(b))
     left = np.full(len(b), t[0])
     scores = a * t[0] + b
     line = scores.argmax(axis=1)
-    d_left = _rival(scores, line, a < a[line][:, None])
     work = scores.size
     segments = []
     while live.size:
-        bb = b[live]
         here = np.arange(live.size)
-        slope = a[line][:, None]
-        ahead = a > slope
-        with np.errstate(divide="ignore", invalid="ignore"):
-            cross = np.where(ahead, (bb[here, line][:, None] - bb)
-                             / (a - slope), np.inf)
+        rise = a - a[here, line][:, None]       # slope minus the line's
+        ahead = rise > 0
+        d_left = _rival(scores, scores[here, line], rise < 0)
+        own = b[here, line]
+        cross = np.full(b.shape, np.inf)
+        np.divide(own[:, None] - b, rise, out=cross, where=ahead)
         nxt = cross.argmin(axis=1)
         right = np.maximum(cross[here, nxt], left)
         last = right > t[-1]
-        scores = a * np.minimum(right, t[-1])[:, None] + bb
-        parallel = a == slope
+        scores = a * np.minimum(right, t[-1])[:, None] + b
+        parallel = rise == 0
         parallel[here, line] = False
         segments.append((live, line, left, np.where(last, np.inf, right),
-                         d_left, _rival(scores, line, ahead),
-                         _rival(bb, line, parallel)))
+                         d_left, _rival(scores, scores[here, line], ahead),
+                         _rival(b, own, parallel)))
         work += cross.size + scores.size
-        go = ~last
-        live, left, line, scores = live[go], right[go], nxt[go], scores[go]
-        d_left = _rival(scores, line, a < a[line][:, None])
+        left, line = right, nxt
+        if last.any():
+            go = ~last
+            live, left, line, scores = live[go], left[go], line[go], scores[go]
+            a, b = a[go], b[go]
     return [np.concatenate(part) for part in zip(*segments)], work
 
 

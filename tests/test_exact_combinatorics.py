@@ -173,6 +173,30 @@ def test_face_local_masses_equal_the_full_expansion(data):
     assert got == full_expansion_pairing(model, full, grads, J)
 
 
+@given(data=st.data())
+@settings(max_examples=60, derandomize=True)
+def test_stratum_class_is_invariant_under_the_gauge_shift(data):
+    # t -> t + d, gradients -> gradients + d for one d per divisor, with
+    # the base twist given on some divisors only (the rest twist by 0)
+    model = data.draw(snc_models())
+    ids = [d.id for d in model.divisors]
+    table = IntersectionTable(model.dimension)
+    for a, k, J in on_face_keys(model):
+        table.add(a, k, J, data.draw(rationals()))
+    J = data.draw(st.sampled_from(model.faces)).index_set
+    grads = {i: data.draw(rationals()) for i in ids}
+    twist = {i: data.draw(rationals()) for i in ids
+             if data.draw(st.booleans())}
+    d = {i: data.draw(rationals()) for i in ids}
+    base = stratum_class(model, table, grads, J, base_twist=twist)
+    shifted = stratum_class(model, table,
+                            {i: g + d[i] for i, g in grads.items()}, J,
+                            base_twist={i: twist.get(i, 0) + d[i]
+                                        for i in ids})
+    assert shifted.cls == base.cls
+    assert shifted.pairing == base.pairing
+
+
 def chain(N):
     """A chain of N rational curves: E_i^2 = -(number of neighbours)."""
     model = build_model([Divisor(i) for i in range(N)],

@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nama import ConvexPL, Interval, box_polygon, ma_measure_oracle
-from nama.realma import _scan_counts, _slope_grid
+from nama.realma import _scan_counts, _slope_grid, _strip_height
 
 F = Fraction
 SETTINGS = settings(max_examples=80)
@@ -91,8 +91,8 @@ def test_counts_equal_the_dense_argmax_on_tied_lattices(case):
 
 
 @st.composite
-def jittered_grids(draw):
-    k = draw(st.integers(2, 5))
+def jittered_grids(draw, kmax=5):
+    k = draw(st.integers(2, kmax))
     digits = draw(st.integers(1, 6))        # few digits: shared coordinates
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
     base = np.linspace(-1.0, 1.0, k)
@@ -145,6 +145,60 @@ def test_oracle_equals_the_dense_oracle_in_1d(inner, shape, exact):
     assert_same_as_dense(cpl, resolutions=(1, 2, 4, 9, 16, 50))
 
 
+# -- the strips' prune: several strips, near-margin pairs, parallel lines --
+
+
+@st.composite
+def strip_cases(draw):
+    """Slope grids of several strips, R not a multiple of the strip height,
+    on jittered grids up to 7 x 7 or rational lattices (rows of nodes with
+    one last coordinate: parallel lines in every strip), with one node
+    duplicated at a value a few ulps of the scale up or down, so that a
+    pair sits on either side of the prune's margin."""
+    R = draw(st.integers(64, 300).filter(lambda r: r % _strip_height(r)))
+    if draw(st.booleans()):
+        cpl = draw(jittered_grids(kmax=7))
+    else:
+        k = draw(st.integers(2, 7))
+        f = draw(st.sampled_from([lambda x, y: x * x + y * y,
+                                  lambda x, y: max(abs(x), abs(y)),
+                                  lambda x, y: abs(x) + y / 2]))
+        nodes = [(F(2 * i, k - 1) - 1, F(2 * j, k - 1) - 1)
+                 for i in range(k) for j in range(k)]
+        cpl = ConvexPL(box_polygon(-1, 1, -1, 1), nodes,
+                       [f(x, y) for x, y in nodes])
+    axes, _ = _slope_grid(cpl, R)
+    pts = np.array([[float(c) for c in nd] for nd in cpl.nodes])
+    vals = np.array([float(v) for v in cpl.values])
+    scale = sum(np.abs(ax).max() * np.abs(pts[:, i]).max()
+                for i, ax in enumerate(axes)) + np.abs(vals).max()
+    i = draw(st.integers(0, len(vals) - 1))
+    ulps = draw(st.sampled_from((-300, -3, 1, 2, 5, 250, 256, 260, 520)))
+    pts = np.vstack([pts, pts[i]])
+    vals = np.append(vals, vals[i] + ulps * np.spacing(scale))
+    return axes, pts, vals
+
+
+@settings(max_examples=40, derandomize=True, deadline=None)
+@given(strip_cases())
+def test_counts_equal_the_dense_argmax_across_strips(case):
+    axes, pts, vals = case
+    counts, _ = _scan_counts(axes, pts, vals)
+    assert np.array_equal(counts, dense_counts(axes, pts, vals))
+
+
+def test_counts_equal_the_dense_argmax_when_nothing_is_pruned():
+    # every node on x = 0: each cell is a band of t across every row, so
+    # it crosses every strip and no line of the envelope can be dropped
+    y = np.sort(np.random.default_rng(3).uniform(-1.0, 1.0, 40))
+    pts = np.column_stack([np.zeros(40), y])
+    vals = y * y + y / 10
+    axes = [np.linspace(-1.0, 1.0, 150), np.linspace(-2.5, 2.5, 150)]
+    counts, _ = _scan_counts(axes, pts, vals)
+    assert np.array_equal(counts, dense_counts(axes, pts, vals))
+    assert np.count_nonzero(counts) > 10
+
+
 # -- work: linear in the resolution, and invalid input --
 
 
@@ -165,6 +219,29 @@ def test_doubling_the_resolution_at_most_doubles_the_scores():
         work.append(scored)
     assert work[1] <= 2.2 * work[0] and work[2] <= 2.2 * work[1]
     assert work[2] < 1600 * 1600 * len(pts) / 20     # far below dense
+
+
+# The line evaluations on the input below at 2,000 slopes a side when every
+# row was walked with all 36 lines, before the strips' prune: the ``scored``
+# that _scan_counts returned on it then.
+UNPRUNED_SCORED = 1_007_784
+
+
+def test_the_prune_halves_the_line_evaluations():
+    # the 6 x 6 jittered grid of the test above, at the benchmark's 2,000
+    # slopes; the count includes the strip-edge walks and the corner tests
+    rng = np.random.default_rng(7)
+    base = np.linspace(-1.0, 1.0, 6)
+    pts = np.array([(x, y) for x in base for y in base])
+    inner = (np.abs(pts) < 1).all(axis=1)
+    pts[inner] += rng.uniform(-0.1, 0.1, (inner.sum(), 2))
+    vals = (pts ** 2).sum(axis=1) + 0.2 * np.exp(pts[:, 0] - pts[:, 1])
+    cpl = ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0),
+                   [tuple(p) for p in pts], list(vals))
+    axes, _ = _slope_grid(cpl, 2000)
+    counts, scored = _scan_counts(axes, pts, vals)
+    assert counts.sum() == 2000 * 2000
+    assert scored <= UNPRUNED_SCORED / 2
 
 
 def test_non_finite_values_are_rejected():
