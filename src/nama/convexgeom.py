@@ -2,12 +2,13 @@
 
 The polygon routines are generic over the scalar type: exact rationals
 (`fractions.Fraction`) and floats run through the same code paths, so
-subgradient cells can be computed exactly when the inputs are rational.
-2D dual cells come from :class:`FacetCells`, the gradients of the lifted
+subgradient cells can be computed exactly when the inputs are rational.  2D
+dual cells come from :class:`FacetCells`, the gradients of the lifted
 lower-hull facets, which runs exact input on integers and also holds the
 float envelope's planes, so one hull serves every reader of a function;
 :func:`dual_cell_2d`, the generic clip against every other node, is the
-fallback of its callers and the independent oracle of the tests.
+fallback of its callers and the independent oracle of the tests.  1D cells
+are not here: one sorted pass in :mod:`nama.realma` serves every 1D reader.
 """
 
 from __future__ import annotations
@@ -116,42 +117,6 @@ class Cell:
 def box_vertices(lo0, hi0, lo1, hi1):
     """The corners of an axis-aligned box, counterclockwise."""
     return [(lo0, lo1), (hi0, lo1), (hi0, hi1), (lo0, hi1)]
-
-
-def dual_cell_1d(index, points, values, box=None):
-    """The interval ``{p : p (x_i - x_j) >= v_i - v_j for all j}``."""
-    xi, vi = points[index][0], values[index]
-    lo, hi = (None, None)
-    lo_lab = hi_lab = None
-    for j, (pt, vj) in enumerate(zip(points, values)):
-        if j == index:
-            continue
-        xj = pt[0]
-        slope = (vi - vj) / (xi - xj)
-        if xj < xi:
-            if lo is None or slope > lo:
-                lo, lo_lab = slope, j
-        else:
-            if hi is None or slope < hi:
-                hi, hi_lab = slope, j
-    touches = lo is None or hi is None
-    if box is not None:
-        lo = box[0] if lo is None else max(lo, box[0])
-        hi = box[1] if hi is None else min(hi, box[1])
-    if lo is None or hi is None or hi <= lo:
-        length = 0
-        verts = []
-        empty = lo is None or hi is None or hi < lo
-    else:
-        length = hi - lo
-        verts = [(lo,), (hi,)]
-        empty = False
-    edges = {}
-    if not empty and lo_lab is not None:
-        edges[lo_lab] = 1.0
-    if not empty and hi_lab is not None:
-        edges[hi_lab] = 1.0
-    return Cell(1, verts, length, edges, touches, empty)
 
 
 def cut_cell(index, points, values, polygon, others):

@@ -12,16 +12,18 @@ image of the open domain.  Boundary nodes have unbounded cells and are
 excluded from mass accounting.
 
 Everything runs exactly in rational arithmetic when nodes and values are
-rationals; the solver works in floats.  In 2D every cell comes from one
-Qhull lower hull of the lifted nodes (:class:`~nama.convexgeom.FacetCells`):
-its facet gradients give each cell's area and dual-edge lengths in a few
-array passes, on integers with the denominators cleared for rational
-input, once the hull has been checked.  A node off the checked
-triangulation has a cell without interior.  A node the hull does not vouch
-for takes the full clip against every other node
-(:func:`~nama.convexgeom.dual_cell_2d`), counted as a cell fallback.  A
-:class:`ConvexPL` builds that hull once, for every reader; the envelope's
-planes come off it, and in 1D off the cell ends.
+rationals; the solver works in floats.  In 1D one sorted pass serves every
+reader (:class:`_Slopes1D`, :func:`_cell_slopes_1d`): the monotone chain
+gives each cell's ends, and the nodes they are the slopes to, in linear
+time after the sort.  In 2D every cell comes from one Qhull lower hull of
+the lifted nodes (:class:`~nama.convexgeom.FacetCells`): its facet
+gradients give each cell's area and dual-edge lengths in a few array
+passes, on integers with the denominators cleared for rational input, once
+the hull has been checked.  A node off the checked triangulation has a cell
+without interior.  A node the hull does not vouch for takes the full clip
+against every other node (:func:`~nama.convexgeom.dual_cell_2d`), counted
+as a cell fallback.  A :class:`ConvexPL` builds that hull once, for every
+reader; the envelope's planes come off it, and in 1D off the cell ends.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexgeom import (FacetCells, box_vertices, dual_cell_1d, dual_cell_2d,
+from .convexgeom import (Cell, FacetCells, box_vertices, dual_cell_2d,
                          facet_planes, lower_facets, polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure, exact_sum
@@ -230,7 +232,7 @@ class ConvexPL:
                             and all(isinstance(c, Fraction)
                                     for nd in nodes for c in nd))
         self._interior = tuple((~on_boundary).tolist())
-        self._hull = None
+        self._hull = self._planes = None
 
     @property
     def dim(self):
@@ -253,15 +255,16 @@ class ConvexPL:
         return self._hull
 
     def _envelope_planes(self):
-        """In 1D the line of slope ``hi`` through each node on the
-        envelope; in 2D :meth:`~nama.convexgeom.FacetCells.planes`."""
-        if self.dim == 2:
-            return self._envelope().planes()
-        lines = [(hi, v - hi * nd[0]) for nd, v, lo, hi in zip(
-            self.nodes, self.values, *self._envelope())
-                 if hi is not None and (lo is None or hi >= lo)]
-        g, b = np.array(lines, dtype=float).T
-        return g[:, None], b
+        """The envelope's planes, built once: in 1D the line of slope ``hi``
+        through each node on the envelope, in 2D :meth:`FacetCells.planes`."""
+        if self._planes is None and self.dim == 2:
+            self._planes = self._envelope().planes()
+        elif self._planes is None:
+            g, b = np.array([(hi, v - hi * nd[0]) for nd, v, lo, hi in zip(
+                self.nodes, self.values, *self._envelope())
+                if hi is not None and (lo is None or hi >= lo)], dtype=float).T
+            self._planes = g[:, None], b
+        return self._planes
 
     def evaluate(self, points):
         """Envelope values at query points (float).
@@ -277,32 +280,60 @@ class ConvexPL:
 def discrete_slope_jumps(xs, values):
     """Signed 1D second-difference measure of a piecewise-linear function.
 
-    ``xs`` must be strictly increasing.  No envelope is taken: jumps can be
-    negative, which is how non-convex model potentials report negative mass.
-    Exact for rational input: each slope is an int pair of cross-multiplied
-    differences, and each jump one reduced Fraction.
+    ``xs`` must be strictly increasing, one value per point.  No envelope
+    is taken: jumps can be negative, which is how non-convex model
+    potentials report negative mass.  Exact for rational input.
     """
-    xs = [_coerce(x) for x in xs]
-    values = [_coerce(v) for v in values]
-    if all(type(c) is Fraction for c in itertools.chain(xs, values)):
-        steps = [(b.numerator * a.denominator - a.numerator * b.denominator,
-                  a.denominator * b.denominator) for a, b in zip(xs, xs[1:])]
-        if any(h <= 0 for h, _ in steps):
-            raise ValueError("xs must be strictly increasing")
-        # (v - u) / (h / k) with u = a / b, v = c / e; the denominator is > 0
-        slopes = [((v.numerator * u.denominator - u.numerator * v.denominator)
-                   * k, u.denominator * v.denominator * h)
-                  for (h, k), u, v in zip(steps, values, values[1:])]
-        return [Fraction(n * d - m * e, d * e)
-                for (m, d), (n, e) in zip(slopes, slopes[1:])]
-    if any(b <= a for a, b in zip(xs, xs[1:])):
-        raise ValueError("xs must be strictly increasing")
-    jumps = []
-    for i in range(1, len(xs) - 1):
-        right = (values[i + 1] - values[i]) / (xs[i + 1] - xs[i])
-        left = (values[i] - values[i - 1]) / (xs[i] - xs[i - 1])
-        jumps.append(right - left)
-    return jumps
+    slopes = _Slopes1D([_coerce(x) for x in xs], [_coerce(v) for v in values],
+                       increasing=True)
+    s, read = slopes.steps, slopes.read
+    return [read(n * d - m * e, d * e) for (m, d), (n, e) in zip(s, s[1:])]
+
+
+class _Slopes1D:
+    """The slopes of the points ``(xs[i], values[i])``, sorted once by x:
+    the one place that tells rational input from float input.  ``order`` is
+    the sorted order (the given one if xs increases, and with
+    ``increasing`` no other), ``steps`` the slopes between its neighbours,
+    ``slope(i, j)`` any one.  A slope is a pair (n, d > 0): the ints of
+    cross-multiplied differences for rational input, which ``le`` compares
+    by cross-multiplying, and (float quotient, 1) otherwise.  ``read``
+    turns (n, d) into one reduced Fraction or the float result, and
+    ``pair`` turns a number into a pair.  A repeated x divides by zero.
+    """
+
+    def __init__(self, xs, values, increasing=False):
+        if len(xs) != len(values):
+            raise ValueError(f"{len(xs)} points but {len(values)} values")
+        if all(type(c) is Fraction for c in itertools.chain(xs, values)):
+            self.pair, self.read = operator.methodcaller(
+                "as_integer_ratio"), Fraction
+            X, V = list(map(self.pair, xs)), list(map(self.pair, values))
+
+            def slope(i, j):
+                (p, q), (r, t) = X[i], X[j]
+                (a, b), (c, e) = V[i], V[j]
+                num, den = (a * e - c * b) * q * t, (p * t - r * q) * b * e
+                if den:
+                    return (num, den) if den > 0 else (-num, -den)
+                raise ZeroDivisionError(f"repeated node {xs[i]}")
+
+            def le(s, t):
+                return s[0] * t[1] <= t[0] * s[1]
+        else:
+            # (x, 1) <= (y, 1) as tuples is x <= y
+            self.pair, self.read = (lambda c: (c, 1)), operator.truediv
+            X, le = list(map(self.pair, xs)), operator.le
+
+            def slope(i, j):
+                return (values[i] - values[j]) / (xs[i] - xs[j]), 1
+        order = range(len(xs))
+        if any(r * q <= p * t for (p, q), (r, t) in zip(X, X[1:])):
+            if increasing:
+                raise ValueError("xs must be strictly increasing")
+            order = sorted(order, key=xs.__getitem__)
+        self.order, self.slope, self.le = order, slope, le
+        self.steps = [slope(j, i) for i, j in zip(order, order[1:])]
 
 
 # ---------------------------------------------------------------------------
@@ -340,15 +371,23 @@ class MAMeasure:
 def gradient_cells(cpl, clip_box):
     """Dual (subgradient) cells of every node, clipped to ``clip_box``
     (``(lo, hi)`` in 1D, ``(lo0, hi0, lo1, hi1)`` in 2D), which is how the
-    tiling identity is checked.  In 2D a cell is the box cut by the node's
+    tiling identity is checked.  In 1D a cell is the node's envelope ends
+    (:func:`_cell_ends_1d`, one sorted pass: O(n log n), O(n) for sorted
+    nodes) clipped to the box.  In 2D it is the box cut by the node's
     neighbours on the lifted lower hull (:meth:`FacetCells.cut`).
     """
-    if cpl.dim == 1:
-        return [dual_cell_1d(i, cpl.nodes, cpl.values, box=clip_box)
-                for i in range(len(cpl.nodes))]
-    cells = cpl._envelope()
-    box = box_vertices(*clip_box)
-    return [cells.cut(i, box) for i in range(len(cpl.nodes))]
+    if cpl.dim == 2:
+        box = box_vertices(*clip_box)
+        return [cpl._envelope().cut(i, box) for i in range(len(cpl.nodes))]
+    ends, (box_lo, box_hi), cells = cpl._envelope(), clip_box, []
+    for lo, hi, below, above in zip(*ends, ends.below, ends.above):
+        touches = lo is None or hi is None
+        lo = box_lo if lo is None else max(lo, box_lo)
+        hi = box_hi if hi is None else min(hi, box_hi)
+        edges = {j: 1.0 for j in (below, above) if j is not None and hi >= lo}
+        cells.append(Cell(1, [(lo,), (hi,)] if hi > lo else [],
+                          hi - lo if hi > lo else 0, edges, touches, hi < lo))
+    return cells
 
 
 def ma_measure(cpl):
@@ -369,12 +408,10 @@ def ma_measure(cpl):
     fallbacks = 0
     if cpl.dim == 1:
         for lo, hi, inside in zip(*cpl._envelope(), interior):
-            # domain endpoints always sit on the envelope
+            # domain ends sit on the envelope; volumes as in gradient_cells
             on_env.append(not inside or hi >= lo)
-            if not inside or hi < lo:
-                masses.append(zero)
-            else:       # dual_cell_1d's volume: the int 0 when hi == lo
-                masses.append(hi - lo if hi > lo else 0)
+            masses.append(zero if not inside or hi < lo
+                          else hi - lo if hi > lo else 0)
     else:
         cells = cpl._envelope()
         area = cells.area.tolist()
@@ -726,73 +763,45 @@ def strict_convexity_report(cpl, tol=1e-12):
 # targets and the solver
 
 
-def _cell_slopes_1d(nodes, values):
-    """Both ends of every 1D dual cell, in node order, as
-    :func:`dual_cell_1d` computes them: the largest slope to a node on the
-    left and the smallest to a node on the right, None where there is none.
-
-    One sort, then one pass each way.  Over the nodes passed so far the
-    extreme slope is taken at the tangent point of their lower chain, which
-    the monotone-chain pops leave on top, so each pass is linear.  Repeated
-    nodes divide by zero.  Returns the two lists of ends and whether the
-    input is rational.  Rational input runs the passes on ints: an end is
-    the pair (numerator, denominator > 0) of cross-multiplied differences,
-    and pairs compare by cross-multiplying.
+def _cell_slopes_1d(slopes):
+    """Every 1D dual cell's ends in node order, in the form of ``slopes``
+    (a :class:`_Slopes1D`), as two pairs (ends, points): the largest slopes
+    to a point on the left and those points, then the smallest to one on
+    the right, None where there is none.  One pass each way over the
+    sorted points: the extreme slope to the points passed so far is taken
+    at the tangent point of their lower chain, which the monotone-chain
+    pops leave on top (the farthest among equal slopes), so it is linear.
     """
-    order = sorted(range(len(nodes)), key=lambda i: nodes[i][0])
-    exact = all(type(nd[0]) is Fraction for nd in nodes) and all(
-        type(v) is Fraction for v in values)
-    if exact:
-        xs = [(nd[0].numerator, nd[0].denominator) for nd in nodes]
-        vs = [(v.numerator, v.denominator) for v in values]
-
-        def slope(i, j):
-            (p, q), (r, t) = xs[i], xs[j]
-            (a, b), (c, e) = vs[i], vs[j]
-            num, den = (a * e - c * b) * q * t, (p * t - r * q) * b * e
-            if den > 0:
-                return num, den
-            if den:
-                return -num, -den
-            raise ZeroDivisionError(f"repeated node {nodes[i][0]}")
-
-        def ge(s, t):
-            return s[0] * t[1] >= t[0] * s[1]
-
-        def le(s, t):
-            return s[0] * t[1] <= t[0] * s[1]
-    else:
-        def slope(i, j):
-            return (values[i] - values[j]) / (nodes[i][0] - nodes[j][0])
-
-        ge, le = operator.ge, operator.le
-
-    # slopes to the node passed just before, shared by both passes
-    steps = [None] + [slope(b, a) for a, b in zip(order, order[1:])]
+    slope, le, n = slopes.slope, slopes.le, len(slopes.order)
 
     def sweep(seq, steps, worse):
-        ends, chain = [None] * len(nodes), []  # (node, slope to the one below)
+        ends, tangent, chain = [None] * n, [None] * n, []  # (point, slope)
         for i, s in zip(seq, steps):
             while len(chain) > 1 and worse(chain[-1][1], s):
                 chain.pop()
                 s = slope(i, chain[-1][0])
             if chain:
-                ends[i] = s
+                ends[i], tangent[i] = s, chain[-1][0]
             chain.append((i, s))
-        return ends
+        return ends, tangent
 
-    return (sweep(order, steps, ge),
-            sweep(order[::-1], [None] + steps[:0:-1], le), exact)
+    return (sweep(slopes.order, [None] + slopes.steps, lambda s, t: le(t, s)),
+            sweep(slopes.order[::-1], [None] + slopes.steps[::-1], le))
+
+
+class _CellEnds(tuple):
+    """Cell ends (left, right); ``below``, ``above``: the nodes they go to."""
 
 
 def _cell_ends_1d(nodes, values):
     """The ends of :func:`_cell_slopes_1d` as numbers: one reduced
     Fraction per end of rational input."""
-    left, right, exact = _cell_slopes_1d(nodes, values)
-    if exact:
-        left, right = ([None if s is None else Fraction(*s) for s in ends]
-                       for ends in (left, right))
-    return left, right
+    slopes = _Slopes1D([nd[0] for nd in nodes], values)
+    (left, below), (right, above) = _cell_slopes_1d(slopes)
+    ends = _CellEnds([None if s is None else slopes.read(*s) for s in end]
+                     for end in (left, right))
+    ends.below, ends.above = below, above
+    return ends
 
 
 def _half_square(node):
@@ -845,49 +854,35 @@ class TargetMeasure:
         triangulation is its fan closed by the midpoints of its rim edges,
         when its gradients lie in the closed domain.  Only the other nodes,
         and every node when the hull checks fail, take the domain polygon
-        cut as :meth:`FacetCells.cut` decides.  In 1D the cells
-        come from one sort (:func:`_cell_slopes_1d`): a cell is bounded by
-        the lift's slopes to the sorted neighbours, the midpoints.  Rational
-        input on a rational interval clips each cell on ints and builds its
-        mass as one Fraction.
+        cut as :meth:`FacetCells.cut` decides.  In 1D the cells come from
+        the one sorted pass of every 1D reader (:func:`_cell_slopes_1d`),
+        bounded by the midpoints, and are clipped to the interval as slope
+        pairs: on ints for rational input, with one Fraction per mass.
         """
         density = _coerce(density)
         nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
         exact = isinstance(density, Fraction) and all(
             type(c) is Fraction for nd in nodes for c in nd)
-        if exact:
-            values = [_half_square(nd) for nd in nodes]
-        else:
-            values = [0.5 * sum(c * c for c in nd) for nd in nodes]
-        masses = {}
-        if domain.dim == 1 and exact and domain._exact:
-            # the cell [left, right] clipped to [a / b, c / e] on ints, its
-            # mass one Fraction
-            (a, b), (c, e) = (domain.lo.as_integer_ratio(),
-                              domain.hi.as_integer_ratio())
-            p, q = density.as_integer_ratio()
-            for nd, left, right in zip(nodes,
-                                       *_cell_slopes_1d(nodes, values)[:2]):
-                if left is None or left[0] * b < a * left[1]:
-                    left = (a, b)
-                if right is None or right[0] * e > c * right[1]:
-                    right = (c, e)
-                width = right[0] * left[1] - left[0] * right[1]
-                masses[nd] = Fraction(p * max(width, 0),
-                                      q * left[1] * right[1])
-        elif domain.dim == 1:
-            for nd, left, right in zip(nodes, *_cell_ends_1d(nodes, values)):
-                left = domain.lo if left is None else max(left, domain.lo)
-                right = domain.hi if right is None else min(right, domain.hi)
-                masses[nd] = density * (right - left if right > left else 0)
+        values = [_half_square(nd) if exact else 0.5 * sum(c * c for c in nd)
+                  for nd in nodes]
+        if domain.dim == 1:
+            slopes = _Slopes1D([nd[0] for nd in nodes], values)
+            lo, hi, (p, q) = map(slopes.pair, (domain.lo, domain.hi, density))
+            (left, _), (right, _) = _cell_slopes_1d(slopes)
+            masses = {}
+            for nd, l, r in zip(nodes, left, right):
+                l = lo if l is None or l[0] * lo[1] < lo[0] * l[1] else l
+                r = hi if r is None or hi[0] * r[1] < r[0] * hi[1] else r
+                a, b = r[0] * l[1], l[0] * r[1]
+                masses[nd] = slopes.read(p * (a - b if a > b else 0),
+                                         q * l[1] * r[1])
         elif domain.dim == 2:
             corners = list(domain.vertices)
             cells = FacetCells(nodes, values, corners)
-            area = cells.areas_within(corners)
-            for i, nd in enumerate(nodes):
-                if area[i] is None:
-                    area[i] = cells.cut(i, corners).volume
-                masses[nd] = density * area[i]
+            masses = {nd: density * (cells.cut(i, corners).volume
+                                     if area is None else area)
+                      for i, (nd, area) in enumerate(
+                          zip(nodes, cells.areas_within(corners)))}
         else:
             raise NotImplementedError("density targets support dims 1 and 2")
         return cls(masses, density)

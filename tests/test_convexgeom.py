@@ -3,8 +3,7 @@
 from fractions import Fraction
 
 from nama import box_simplex_volume
-from nama.convexgeom import (clip_halfplane, dual_cell_1d, dual_cell_2d,
-                             polygon_area)
+from nama.convexgeom import clip_halfplane, dual_cell_2d, polygon_area
 
 F = Fraction
 
@@ -48,24 +47,6 @@ def test_clip_halfplane_can_empty_the_polygon():
     out, out_labels, changed = clip_halfplane(verts, [None] * 4, (F(1), F(0)),
                                               F(3), "gone")
     assert out == [] and out_labels == [] and changed
-
-
-def test_dual_cell_1d_is_the_slope_interval():
-    # kink of size 1/2 at x = 1/2 for the function with values 0, -1/8, 0
-    points = [(F(0),), (F(1, 2),), (F(1),)]
-    values = [F(0), F(-1, 8), F(0)]
-    cell = dual_cell_1d(1, points, values)
-    assert cell.volume == F(1, 2)
-    assert cell.vertices == [(F(-1, 4),), (F(1, 4),)]
-    assert not cell.touches_box
-    assert cell.edges == {0: 1.0, 2: 1.0}
-
-
-def test_dual_cell_1d_of_a_lifted_node_is_empty():
-    points = [(F(0),), (F(1, 2),), (F(1),)]
-    values = [F(0), F(1), F(0)]       # middle node strictly above the chord
-    cell = dual_cell_1d(1, points, values)
-    assert cell.empty and cell.volume == 0
 
 
 def test_dual_cell_2d_pyramid_center_cell():

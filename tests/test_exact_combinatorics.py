@@ -22,12 +22,14 @@ from hypothesis import strategies as st
 from nama import (AtomicMeasure, ConvexPL, CycleComparison, Divisor,
                   IntersectionTable, Interval, TargetMeasure, build_model,
                   cycle_model, cycle_table, determinant, discrete_slope_jumps,
-                  ma_measure, model_function, na_ma_model_metric, pfaffian,
-                  solve, stratum_class, vilsmeier_check_1d)
+                  gradient_cells, ma_measure, model_function,
+                  na_ma_model_metric, pfaffian, solve, stratum_class,
+                  vilsmeier_check_1d)
+from nama import realma
 from nama.cli import main
 from nama.config import build_model_from_config, build_table_from_config
-from nama.convexgeom import dual_cell_1d
 from nama.realma import _cell_ends_1d
+from oracles import dual_cell_1d
 
 F = Fraction
 EXACT = settings(max_examples=60)
@@ -601,6 +603,103 @@ def test_1d_ma_measure_equals_the_dual_cell_oracle(data):
     masses, _ = dual_cell_measure(flat)
     for got, want in zip(ma_measure(flat).masses, masses):
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def extreme_points(cpl, i):
+    """The nodes left and right of node i whose slopes to it are the ends
+    of its cell: the largest on the left, the smallest on the right."""
+    (x,), v = cpl.nodes[i], cpl.values[i]
+    sides = ([], [])
+    for j, ((y,), w) in enumerate(zip(cpl.nodes, cpl.values)):
+        if j != i:
+            sides[x < y].append(((v - w) / (x - y), j))
+    return ([j for s, j in sides[0] if s == max(sides[0])[0]],
+            [j for s, j in sides[1] if s == min(sides[1])[0]])
+
+
+def clip_intervals():
+    """Boxes (lo, hi) of ints and Fractions that cut, miss and hold cells."""
+    end = st.one_of(st.integers(-4, 4),
+                    st.fractions(min_value=-4, max_value=4, max_denominator=4))
+    return st.lists(end, min_size=2, max_size=2, unique=True).map(
+        lambda ends: tuple(sorted(ends)))
+
+
+@given(lifted_interval_nodes(), clip_intervals())
+@EXACT
+def test_1d_gradient_cells_equal_the_dual_cell_oracle(data, box):
+    nodes, values = data
+    cpl = ConvexPL(Interval(-3, 3), nodes, values)
+    cells = gradient_cells(cpl, box)
+    for i, got in enumerate(cells):
+        want = dual_cell_1d(i, cpl.nodes, cpl.values, box=box)
+        fields = [(c.dim, c.vertices, c.volume, c.touches_box, c.empty)
+                  for c in (got, want)]
+        assert fields[0] == fields[1]
+        assert type(got.volume) is type(want.volume)
+        assert [type(x) for x, in got.vertices] \
+            == [type(x) for x, in want.vertices]
+        # several nodes may attain an end: the oracle names the first, the
+        # chain the farthest
+        left, right = extreme_points(cpl, i)
+        assert len(got.edges) == len(want.edges)
+        assert all(w == 1.0 for w in got.edges.values())
+        assert set(got.edges) <= set(left) | set(right)
+        if len(left) <= 1 and len(right) <= 1:
+            assert got.edges == want.edges
+    assert sum(c.volume for c in cells) == box[1] - box[0]
+
+    flat = ConvexPL(Interval(-3.0, 3.0), [(float(x),) for x, in nodes],
+                    [float(v) for v in values])
+    fbox = tuple(map(float, box))
+    for i, got in enumerate(gradient_cells(flat, fbox)):
+        want = dual_cell_1d(i, flat.nodes, flat.values, box=fbox)
+        assert abs(got.volume - want.volume) \
+            <= 1e-12 * max(1.0, abs(want.volume))
+        if got.vertices and want.vertices:
+            for (a,), (b,) in zip(got.vertices, want.vertices):
+                assert abs(a - b) <= 1e-12 * max(1.0, abs(b))
+
+
+def test_1d_cells_evaluate_a_linear_number_of_slopes(monkeypatch):
+    # x^2 on 20,001 nodes with every odd node lifted above the envelope:
+    # each sweep pops at every odd node
+    evaluations = []
+
+    class Counting(realma._Slopes1D):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            evaluations.append(len(self.steps))
+            slope = self.slope
+            self.slope = lambda i, j: evaluations.append(1) or slope(i, j)
+
+    monkeypatch.setattr(realma, "_Slopes1D", Counting)
+    n = 20_000
+    nodes = [(F(k, n),) for k in range(n + 1)]
+    values = [x * x + F(k % 2, n) for k, (x,) in enumerate(nodes)]
+    cells = gradient_cells(ConvexPL(Interval(0, 1), nodes, values), (-3, 3))
+    assert sum(c.volume for c in cells) == 6
+    assert [c.empty for c in cells[1:-1]] == [k % 2 == 1
+                                              for k in range(1, n)]
+    assert n <= sum(evaluations) <= 4 * n
+
+
+def test_dual_cell_1d_is_the_slope_interval():
+    # kink of size 1/2 at x = 1/2 for the function with values 0, -1/8, 0
+    points = [(F(0),), (F(1, 2),), (F(1),)]
+    values = [F(0), F(-1, 8), F(0)]
+    cell = dual_cell_1d(1, points, values)
+    assert cell.volume == F(1, 2)
+    assert cell.vertices == [(F(-1, 4),), (F(1, 4),)]
+    assert not cell.touches_box
+    assert cell.edges == {0: 1.0, 2: 1.0}
+
+
+def test_dual_cell_1d_of_a_lifted_node_is_empty():
+    points = [(F(0),), (F(1, 2),), (F(1),)]
+    values = [F(0), F(1), F(0)]       # middle node strictly above the chord
+    cell = dual_cell_1d(1, points, values)
+    assert cell.empty and cell.volume == 0
 
 
 # ---------------------------------------------------------------------------

@@ -308,6 +308,18 @@ def test_1d_readers_take_one_set_of_cell_ends(monkeypatch):
     assert ma_measure(cpl) == measure and len(calls) == 1
 
 
+def test_a_second_evaluate_builds_no_lines():
+    # the 1D lines are built once: without the nodes and values a rebuild
+    # would fail
+    cpl = ConvexPL(Interval(0, 2), [(0,), (F(1, 2),), (1,), (F(3, 2),), (2,)],
+                   [0, 1, -1, F(-1, 2), 1])
+    first = cpl.evaluate([(0.25,), (1.75,)]).tolist()
+    planes = cpl._envelope_planes()
+    cpl.nodes = cpl.values = None
+    assert cpl.evaluate([(0.25,), (1.75,)]).tolist() == first == [-0.25, 0.25]
+    assert cpl._envelope_planes() is planes
+
+
 def scramble_hull(monkeypatch, n):
     """Make ``lifted_hull`` return the hull of other values at n nodes."""
     real = convexgeom.lifted_hull
@@ -516,6 +528,24 @@ def check_integer_cells(cpl):
     skew_functions()))
 def test_integer_cells_equal_the_fraction_clip(cpl):
     check_integer_cells(cpl)
+
+
+def clip_boxes():
+    """Rational boxes (lo0, hi0, lo1, hi1) that cut cells of the functions
+    above, miss some and hold others whole."""
+    side = st.lists(rationals, min_size=2, max_size=2, unique=True)
+    return st.tuples(side, side).map(lambda s: (*sorted(s[0]), *sorted(s[1])))
+
+
+@EXACT
+@given(st.one_of(exact_functions().map(
+    lambda d: ConvexPL(box_polygon(0, 2, 0, 2), *d)), polygon_functions(),
+    skew_functions()), clip_boxes())
+def test_gradient_cells_tile_any_clip_box(cpl, box):
+    lo0, hi0, lo1, hi1 = box
+    cells = gradient_cells(cpl, box)
+    assert sum(c.volume for c in cells) == (hi0 - lo0) * (hi1 - lo1)
+    assert all(type(c.volume) is Fraction or c.volume == 0 for c in cells)
 
 
 PRIMES = [9967, 9973, 10007, 10009, 10037, 10039, 10061, 10067, 10069,

@@ -119,6 +119,15 @@ def test_discrete_slope_jumps_second_difference():
         discrete_slope_jumps([0, 0, 1], [0, 0, 0])
 
 
+@pytest.mark.parametrize("number", [F, float])
+def test_discrete_slope_jumps_needs_one_value_per_point(number):
+    for xs, values in (([0, 1, 2, 3], [0, 1, 0]), ([0, 1, 2], [0, 1, 0, 5])):
+        with pytest.raises(ValueError, match=f"^{len(xs)} points but "
+                                             f"{len(values)} values$"):
+            discrete_slope_jumps(list(map(number, xs)),
+                                 list(map(number, values)))
+
+
 def test_ma_measure_1d_kink():
     measure = ma_measure(kink_function())
     assert measure.masses == (0, F(1, 2), 0)
