@@ -19,6 +19,7 @@ import json
 import math
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -89,10 +90,21 @@ def _true_false(value):
     return "true" if value else "false"
 
 
+def _rational(value):
+    """``str`` of an int or a Fraction, through :mod:`decimal` where ``str``
+    refuses its digits (the interpreter's limit on int strings)."""
+    try:
+        return str(value)
+    except ValueError:
+        n, d = value.as_integer_ratio()
+        return str(Decimal(n)) + ("" if d == 1 else f"/{Decimal(d)}")
+
+
 # fmt's branch for a value of exactly these types, looked up by type: a
 # large table's cells skip the abstract-base-class checks of the chain
-_FMT_BY_TYPE = {Fraction: str, bool: _true_false, float: float.__repr__,
-                int: str, type(None): lambda value: ""}
+_FMT_BY_TYPE = {Fraction: _rational, bool: _true_false,
+                float: float.__repr__, int: _rational,
+                type(None): lambda value: ""}
 
 
 def fmt(value):

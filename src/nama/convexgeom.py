@@ -5,10 +5,10 @@ The polygon routines are generic over the scalar type: exact rationals
 subgradient cells can be computed exactly when the inputs are rational.  2D
 dual cells come from :class:`FacetCells`, the gradients of the lifted
 lower-hull facets, which runs exact input on integers and also holds the
-float envelope's planes, so one hull serves every reader of a function;
-:func:`dual_cell_2d`, the generic clip against every other node, is the
-fallback of its callers and the independent oracle of the tests.  1D cells
-are not here: one sorted pass in :mod:`nama.realma` serves every 1D reader.
+float envelope's planes, so one hull serves every reader of a function.
+A node its hull does not vouch for takes :meth:`FacetCells.full_clip`, the
+one clip of a cell against every other node.  1D cells are not here: one
+sorted pass in :mod:`nama.realma` serves every 1D reader.
 """
 
 from __future__ import annotations
@@ -137,50 +137,6 @@ def cut_cell(index, points, values, polygon, others):
     edges.pop(None, None)
     return Cell(2, verts, polygon_area(verts), edges,
                 any(lab is None for lab in labels), len(verts) < 3)
-
-
-def dual_cell_2d(index, points, values, box=None, expect_bounded=False):
-    """The polygon ``{p : p . (x_i - x_j) >= v_i - v_j for all j}``.
-
-    The full clip: every other node cuts the box, nearest first, with a
-    cheap no-op skip, so grid-like inputs clip in effectively constant time
-    per constraint.  Without ``box`` the default box is enlarged while the
-    cell misses it, so the answer does not depend on a box: a cell with
-    interior, bounded or not, may lie wholly outside the default box, and
-    only a cell empty in every box is empty.  When ``expect_bounded`` the
-    box is enlarged until the cell is empty or no longer touches it
-    (interior nodes of an envelope have bounded cells).
-    """
-    xi = points[index]
-    vi = values[index]
-    others = [j for j in range(len(points)) if j != index]
-    others.sort(key=lambda j: ((float(points[j][0]) - float(xi[0])) ** 2
-                               + (float(points[j][1]) - float(xi[1])) ** 2,
-                               j))
-    grow = box is None or expect_bounded
-    if box is None:
-        m = 0.0
-        for j in others:
-            dx = max(abs(float(points[j][0]) - float(xi[0])),
-                     abs(float(points[j][1]) - float(xi[1])))
-            if dx > 0:
-                m = max(m, abs(float(values[j]) - float(vi)) / dx)
-        half = m + 1.0
-        if isinstance(vi, Fraction):
-            half = Fraction(int(math.ceil(half)))
-        box = (-half, half, -half, half)
-    lo0, hi0, lo1, hi1 = box
-
-    for _ in range(12):
-        cell = cut_cell(index, points, values,
-                        box_vertices(lo0, hi0, lo1, hi1), others)
-        if not (grow and cell.empty or expect_bounded and cell.touches_box):
-            return cell
-        lo0, hi0, lo1, hi1 = lo0 * 4, hi0 * 4, lo1 * 4, hi1 * 4
-    if cell.empty:
-        return cell
-    raise RuntimeError("cell did not close up under box enlargement; "
-                       "is the node interior?")
 
 
 def box_simplex_volume(widths, coeffs, cap):
@@ -336,7 +292,8 @@ class FacetCells:
     denominators of a node's neighbours, not with those of the whole input.
     The passes build no Fraction but the corners'; the last step builds one
     per closed node, and ``grad`` holds the correctly rounded floats.
-    :meth:`cut` clips in integers too.  Asked for the cells within the
+    :meth:`cut` and :meth:`full_clip` clip in integers too, each
+    constraint on its own integer line.  Asked for the cells within the
     polygon (:meth:`areas_within`), exact input also reads the cells of rim
     nodes off their fans, on ints, and clips none.
 
@@ -344,8 +301,8 @@ class FacetCells:
     them with bounded (possibly empty) cells, of areas ``area``.  The other
     good nodes lie on the hull boundary; ``solid`` says whether their cells
     have interior.  The hull gives no cell of the other nodes (the nodes of
-    a flat float triangle, and every node when a check fails); their
-    callers take the full clip, :func:`dual_cell_2d`.  Nothing changes
+    a flat float triangle, and every node when a check fails): :meth:`cut`
+    and :meth:`full_clip` cut theirs by every other node.  Nothing changes
     after construction.
     """
 
@@ -509,9 +466,7 @@ class FacetCells:
         """Node i's cell within the convex ``polygon``.  A good node's is the
         polygon cut by the halfplanes of its neighbours on the hull alone,
         which suffice because the interpolant is convex, and is empty off
-        the triangulation; any other node's is cut by every other node.
-        Exact input with a rational polygon is clipped by
-        :meth:`_cut_exact`, the same cuts in integers."""
+        the triangulation; any other node's is cut by every other node."""
         if not self.good[i]:
             star = [j for j in range(len(self.nodes)) if j != i]
         else:
@@ -520,6 +475,40 @@ class FacetCells:
                 return Cell(2, [], 0, {}, False, True)
             star = sorted(set(self.dst[fan].tolist()
                               + self.apex[fan].tolist()))
+        return self._cut(i, polygon, star)
+
+    def full_clip(self, i, bounded=False):
+        """Node i's cell cut by every other node, nearest first (ties by
+        index, so that on grid-like input most cuts are no-ops), with no
+        box: the fallback of the nodes the hull does not vouch for.  The
+        box ``[-h, h]^2``, h one more than the steepest slope from node i
+        to another node (an integer for a rational value), grows 4-fold
+        while the cell is empty, so only a cell empty in every box is
+        empty, and when ``bounded`` also while the cell touches it
+        (interior nodes of an envelope have bounded cells)."""
+        d = self.pts - self.pts[i]
+        others = np.argsort((d ** 2).sum(axis=1), kind="stable")
+        others = others[others != i].tolist()
+        dx = np.abs(d).max(axis=1)
+        half = float(np.max(np.abs(self.vals - self.vals[i]) / np.where(
+            dx > 0, dx, 1.0), where=dx > 0, initial=0.0)) + 1.0
+        if isinstance(self.values[i], Fraction):
+            half = Fraction(math.ceil(half))
+        for _ in range(12):
+            cell = self._cut(i, box_vertices(-half, half, -half, half),
+                             others)
+            if not (cell.empty or bounded and cell.touches_box):
+                return cell
+            half *= 4
+        if cell.empty:
+            return cell
+        raise RuntimeError("cell did not close up under box enlargement; "
+                           "is the node interior?")
+
+    def _cut(self, i, polygon, star):
+        """:func:`cut_cell` of node i by the nodes ``star``, in that order;
+        exact input with a rational polygon is clipped by
+        :meth:`_cut_exact`, the same cuts in integers."""
         if self._cleared is not None and all(
                 isinstance(c, (int, Fraction)) for v in polygon for c in v):
             return self._cut_exact(i, polygon, star)
@@ -527,33 +516,29 @@ class FacetCells:
 
     def _cut_exact(self, i, polygon, star):
         """:func:`cut_cell` of exact input in homogeneous integer
-        coordinates (x, y, w), w > 0, of the scaled gradient space, where a
-        gradient p is ``L (x, y) / (M w)`` over the lcms L and M of the
-        denominators of node i and its ``star``, and node j's constraint
-        reads ``(x, y) . (X_i - X_j) >= (V_i - V_j) w``.  The same vertices
-        in the same order, labels and edges; the cut vertices and the area
-        are made Fractions once, at the end."""
+        coordinates (x, y, w), w > 0, of a gradient ``(x, y) / w``.  Node
+        j's constraint is its own integer line, the Fraction one times
+        ``l_i l_j m_i m_j w``: ``(x, y) . (X_i l_j - X_j l_i) m_i m_j >=
+        (V_i m_j - V_j m_i) l_i l_j w``.  The same vertices in the same
+        order, labels and edges; the cut vertices and the area are made
+        Fractions once, at the end."""
         X, l, V, m = self._cleared
-        L, M = math.lcm(*l[[i, *star]]), math.lcm(*m[[i, *star]])
-        verts = [((x * M, y * M, w * L), v)
-                 for v, (x, y, w) in zip(polygon, map(_homogeneous, polygon))]
+        s = np.array(star, dtype=int)
+        a = (X[i] * l[s, None] - X[s] * l[i]) * (m[i] * m[s])[:, None]
+        c = (V[i] * m[s] - V[s] * m[i]) * (l[i] * l[s])
+        verts = list(zip(map(_homogeneous, polygon), polygon))
         labels = [None] * len(verts)
-        xi, yi = X[i] * (L // l[i])
-        vi = V[i] * (M // m[i])
-        for j in star:
-            xj, yj = X[j] * (L // l[j])
-            a0, a1, c = xi - xj, yi - yj, vi - V[j] * (M // m[j])
+        for j, (a0, a1), cj in zip(star, a.tolist(), c.tolist()):
             verts, labels, _ = _clip(
-                verts, labels, [a0 * x + a1 * y - c * w
+                verts, labels, [a0 * x + a1 * y - cj * w
                                 for (x, y, w), _ in verts], _meet, j)
             if not verts:
                 return Cell(2, [], 0, {}, False, True)
         hs, kept = zip(*verts)
-        scaled = [(x * L, y * L, w * M) for x, y, w in hs]
         verts = [v if v is not None else (Fraction(x, w), Fraction(y, w))
-                 for (x, y, w), v in zip(scaled, kept)]
+                 for (x, y, w), v in zip(hs, kept)]
         # int / int rounds as float(Fraction) does
-        edges = edge_lengths_by_label([(x / w, y / w) for x, y, w in scaled],
+        edges = edge_lengths_by_label([(x / w, y / w) for x, y, w in hs],
                                       labels)
         edges.pop(None, None)
         return Cell(2, verts, polygon_area(verts), edges,

@@ -21,9 +21,10 @@ gradients give each cell's area and dual-edge lengths in a few array
 passes, on integers with the denominators cleared for rational input, once
 the hull has been checked.  A node off the checked triangulation has a cell
 without interior.  A node the hull does not vouch for takes the full clip
-against every other node (:func:`~nama.convexgeom.dual_cell_2d`), counted
-as a cell fallback.  A :class:`ConvexPL` builds that hull once, for every
-reader; the envelope's planes come off it, and in 1D off the cell ends.
+against every other node (:meth:`~nama.convexgeom.FacetCells.full_clip`),
+counted as a cell fallback.  A :class:`ConvexPL` builds that hull once, for
+every reader; the envelope's planes come off it, and in 1D off the cell
+ends.
 """
 
 from __future__ import annotations
@@ -36,8 +37,8 @@ from fractions import Fraction
 
 import numpy as np
 
-from .convexgeom import (Cell, FacetCells, box_vertices, dual_cell_2d,
-                         facet_planes, lower_facets, polygon_area)
+from .convexgeom import (Cell, FacetCells, box_vertices, facet_planes,
+                         lower_facets, polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure, exact_sum
 
@@ -400,7 +401,8 @@ def ma_measure(cpl):
     or on it but at no vertex of the envelope's graph.  In 2D every cell
     the lifted hull vouches for is read off its facet gradients
     (:class:`FacetCells`), a boundary node's flag off its fan; the others
-    take the box-free full clip, counted in ``cell_fallbacks``.
+    take the box-free full clip (:meth:`FacetCells.full_clip`), counted
+    in ``cell_fallbacks``.
     """
     interior = cpl.interior_mask()
     masses, on_env = [], []
@@ -424,8 +426,7 @@ def ma_measure(cpl):
                 on_env.append(bool(cells.solid[i]))
             else:
                 fallbacks += 1
-                cell = dual_cell_2d(i, cpl.nodes, cpl.values,
-                                    expect_bounded=inside)
+                cell = cells.full_clip(i, bounded=inside)
                 masses.append(cell.volume if inside and not cell.empty
                               else zero)
                 on_env.append(not cell.empty)
@@ -938,8 +939,9 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
     Finds the convex PL function with prescribed subgradient masses at the
     interior nodes and prescribed boundary values.  In 1D the slope on
     [x_k, x_k+1] is s_0 plus the masses of x_1..x_k, and s_0 follows from
-    the slopes times the steps adding up to v_hi - v_lo: two prefix sums,
-    exact for rational data.  In 2D it is the damped
+    the slopes times the steps adding up to v_hi - v_lo: two prefix sums
+    on integers, exact for rational data and, for float data, the exact
+    solve of the floats rounded once per value.  In 2D it is the damped
     Newton method of Kitagawa, Merigot and Thibert (JEMS 2019,
     arXiv:1603.05579) on the cell-area map, second order in practice on
     this (Oliker-Prussner) scheme:
@@ -1010,25 +1012,21 @@ def _solve_1d(domain, nodes, target, boundary, tol):
     xs = [nd[0] for nd in nodes]
     mus = [_coerce(target.mass_at(nd)) for nd in nodes[1:-1]]
     ends = [_coerce(boundary(nd)) for nd in (nodes[0], nodes[-1])]
-    # slope k is s_0 plus the masses of nodes 1..k, and the slopes times
-    # the steps add up to v_hi - v_lo
-    if all(isinstance(c, Fraction) for c in xs + mus + ends):
-        values = _direct_values_exact(xs, mus, *ends)
-    else:
+    exact = all(isinstance(c, Fraction) for c in xs + mus + ends)
+    if not exact:
         xs, mus, ends = ([float(c) for c in seq] for seq in (xs, mus, ends))
-        v_lo, v_hi = ends
-        steps = [b - a for a, b in zip(xs, xs[1:])]
-        rise = list(itertools.accumulate(mus, initial=0 * v_lo))
-        width = xs[-1] - xs[0]
-        s0 = (v_hi - v_lo - sum(h * r for h, r in zip(steps, rise))) / width
-        values = list(itertools.accumulate(
-            (h * (s0 + r) for h, r in zip(steps, rise)), initial=v_lo))
-        miss = (v_hi - values[-1]) / width
-        if miss:
-            # rounding leaves the far end off v_hi: an affine correction
-            # closes the gap without moving a slope jump or piling it on one
-            values = [v + miss * (x - xs[0]) for v, x in zip(values, xs)]
-        values[-1] = v_hi
+        for kind, at, seq in (("target mass", xs[1:-1], mus),
+                              ("boundary value", (xs[0], xs[-1]), ends)):
+            for x, c in zip(at, seq):
+                if not math.isfinite(c):
+                    raise ValueError(f"{kind} {c} at node ({x}) is not "
+                                     "finite")
+    V, m = _direct_values(xs, mus, *ends)
+    try:
+        values = [Fraction(v, m) for v in V] if exact else [v / m for v in V]
+    except OverflowError:
+        raise ValueError("a node value of the solution leaves the float "
+                         "range") from None
     cpl = ConvexPL(domain, [(x,) for x in xs], values)
 
     jumps = discrete_slope_jumps(xs, values)
@@ -1039,25 +1037,27 @@ def _solve_1d(domain, nodes, target, boundary, tol):
                        masses=(0, *jumps, 0))
 
 
-def _direct_values_exact(xs, mus, v_lo, v_hi):
-    """The node values of the 1D direct solve on ints, one reduced Fraction
-    per node.  With x_k = X_k / q, the prefix mass sums R_k / l and v_lo =
-    a / b, v_hi = c / e: s_0 = sn / sd, and value k is V_k / m with V_0 =
-    a q sd l and V_k+1 = V_k + (X_k+1 - X_k)(sn l + R_k sd) b, m = b q sd l.
+def _direct_values(xs, mus, v_lo, v_hi):
+    """The node values of the 1D direct solve on ints, (V, m) with value k
+    V_k / m, for rationals or finite floats (each its exact value).  Slope
+    k is s_0 plus the masses of nodes 1..k, and the slopes times the steps
+    add up to v_hi - v_lo.  With x_k = X_k / q, the prefix mass sums R_k /
+    l and v_lo = a / b, v_hi = c / e: s_0 = sn / sd, V_0 = a q sd l, V_k+1
+    = V_k + (X_k+1 - X_k)(sn l + R_k sd) b and m = b q sd l.
     """
-    q = math.lcm(*(x.denominator for x in xs))
-    X = [x.numerator * (q // x.denominator) for x in xs]
-    l = math.lcm(*(mu.denominator for mu in mus))
-    R = list(itertools.accumulate(
-        (mu.numerator * (l // mu.denominator) for mu in mus), initial=0))
+    xr = [x.as_integer_ratio() for x in xs]
+    q = math.lcm(*(d for _, d in xr))
+    X = [n * (q // d) for n, d in xr]
+    mr = [mu.as_integer_ratio() for mu in mus]
+    l = math.lcm(*(d for _, d in mr))
+    R = list(itertools.accumulate((n * (l // d) for n, d in mr), initial=0))
     steps = [b - a for a, b in zip(X, X[1:])]
     (a, b), (c, e) = v_lo.as_integer_ratio(), v_hi.as_integer_ratio()
     sn = (c * b - a * e) * q * l - b * e * sum(h * r for h, r in zip(steps, R))
     sd = b * e * l * (X[-1] - X[0])
-    m = b * q * sd * l
-    return [Fraction(v, m) for v in itertools.accumulate(
+    return list(itertools.accumulate(
         (h * (sn * l + r * sd) * b for h, r in zip(steps, R)),
-        initial=a * q * sd * l)]
+        initial=a * q * sd * l)), b * q * sd * l
 
 
 def _boundary_envelope_values(b_nodes, b_values, queries):
@@ -1079,8 +1079,7 @@ def _cells_2d(nodes, values, interior_idx):
     edges = [(i[inside[i]], j[inside[i]], ell[inside[i]])]
     full = np.nonzero(~whole)[0]
     for k in full:
-        cell = dual_cell_2d(interior_idx[k], nodes, values,
-                            expect_bounded=True)
+        cell = cells.full_clip(interior_idx[k], bounded=True)
         masses[k] = float(cell.volume)
         edges.append((np.full(len(cell.edges), interior_idx[k]),
                       np.array(list(cell.edges), dtype=int),

@@ -6,7 +6,9 @@ import copy
 import csv
 import io
 import json
+import random
 import warnings
+from decimal import Decimal
 from fractions import Fraction as F
 
 import numpy as np
@@ -14,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nama import cli, config
+from nama import ConvexPL, box_polygon, cli, config, ma_measure
 from nama import skeleton
 from nama.cli import (MAX_CALABI_N, MAX_FACE_GRID, MAX_FORM_DIM,
                       MAX_GCALABI_DIM, MAX_HYBRID_N, MAX_ORACLE_GRID,
@@ -150,6 +152,28 @@ def test_realma_measure_locates_the_kink_mass(tmp_path):
     manifest = read_manifest(out)
     assert manifest["summary"]["total_mass"] == "1/2"
     assert manifest["summary"]["degenerate"] is False
+
+
+def test_realma_measure_writes_rationals_past_the_int_digit_limit(tmp_path):
+    # x^2 + y^2 + 1/d, d an odd 2,000-digit integer per node: the centre's
+    # mass has a denominator of about 32,000 digits, past the 4,300 that
+    # str writes of an int
+    rnd = random.Random(0)
+    nodes = [(F(x), F(y)) for x in (-1, 0, 1) for y in (-1, 0, 1)]
+    values = [x * x + y * y + F(1, rnd.randrange(10 ** 1999, 10 ** 2000) | 1)
+              for x, y in nodes]
+    doc = {"domain": {"box": [[-1, 1], [-1, 1]]},
+           "nodes": [[str(x), str(y)] for x, y in nodes],
+           "values": [str(v) for v in values]}
+    out = tmp_path / "out"
+    assert main(["realma", "measure", write_config(tmp_path, doc),
+                 "--out", str(out)]) == 0
+    row = read_csv(out / "measure.csv")[5]
+    assert row[:2] == ["0", "0"] and len(row[-1]) > 4300
+    num, den = (int(Decimal(part)) for part in row[-1].split("/"))
+    assert F(num, den) == ma_measure(
+        ConvexPL(box_polygon(-1, 1, -1, 1), nodes, values)).masses[4]
+    assert read_manifest(out)["passed"] is True
 
 
 def test_realma_measure_takes_a_float_node_on_a_rational_edge(tmp_path):

@@ -3,7 +3,8 @@
 from fractions import Fraction
 
 from nama import box_simplex_volume
-from nama.convexgeom import clip_halfplane, dual_cell_2d, polygon_area
+from nama.convexgeom import clip_halfplane, polygon_area
+from oracles import dual_cell_2d
 
 F = Fraction
 

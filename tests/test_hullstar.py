@@ -2,9 +2,10 @@
 
 ``ma_measure``, ``gradient_cells``, ``from_density`` and the solver read
 each 2D cell off the gradients of the lifted lower-hull facets around its
-node.  The box-free full clip against all other nodes (``dual_cell_2d``) is
-the oracle: exact inputs must agree with it exactly, and float inputs with
-its exact answer for the same data, every float being a Fraction.
+node.  The box-free full clip against all other nodes in Fraction
+arithmetic (``dual_cell_2d`` of ``tests/oracles.py``) is the oracle: exact
+inputs must agree with it exactly, and float inputs with its exact answer
+for the same data, every float being a Fraction.
 """
 
 import hashlib
@@ -21,7 +22,8 @@ from nama import (ConvexPL, Interval, Polygon, TargetMeasure, box_polygon,
                   gradient_cells, ma_measure, ma_measure_oracle,
                   strict_convexity_report)
 from nama import convexgeom, realma
-from nama.convexgeom import Cell, cut_cell, dual_cell_2d
+from nama.convexgeom import Cell, cut_cell
+from oracles import dual_cell_2d
 
 F = Fraction
 EXACT = settings(max_examples=60)
@@ -122,6 +124,43 @@ def test_flat_lattice_quads_are_certified(n, a, b):
 
 
 @st.composite
+def near_tie_lattices(draw):
+    """x^2 + y^2 + k / 10^20, k in 0..9 per node, plus a rational linear
+    shift, on an n x n lattice of [-1, 1]^2: the ties of its flat quads
+    break below float resolution, so the exact checks often reject the
+    hull of the floats."""
+    n = draw(st.integers(3, 9))
+    a, b = draw(rationals), draw(rationals)
+    nodes = [(F(2 * i, n - 1) - 1, F(2 * j, n - 1) - 1)
+             for i in range(n) for j in range(n)]
+    ks = draw(st.lists(st.integers(0, 9), min_size=n * n, max_size=n * n))
+    values = [x * x + y * y + F(k, 10 ** 20) + a * x + b * y
+              for (x, y), k in zip(nodes, ks)]
+    return ConvexPL(box_polygon(-1, 1, -1, 1), nodes, values)
+
+
+def test_near_tie_lattices_equal_the_full_clip():
+    # the integer full clip of the nodes the hull does not vouch for
+    # against the Fraction one; some draws must take it
+    fallbacks = []
+
+    @settings(max_examples=12)
+    @given(near_tie_lattices())
+    def check(cpl):
+        measure = ma_measure(cpl)
+        cells = full_clip(cpl)
+        assert measure.on_envelope == tuple(not c.empty for c in cells)
+        assert measure.masses == tuple(
+            c.volume if inside and not c.empty else 0
+            for c, inside in zip(cells, measure.interior))
+        assert measure.cell_fallbacks == (~cpl._envelope().good).sum()
+        fallbacks.append(measure.cell_fallbacks)
+
+    check()
+    assert max(fallbacks) > 0
+
+
+@st.composite
 def polygon_functions(draw):
     """Random rational values k/d (|k| <= 6, d <= 3) on a random lattice
     polygon, the hull of 3 to 7 points of [-3, 3]^2: the nodes are those
@@ -171,14 +210,13 @@ def test_lifted_pieces_take_no_full_clip(monkeypatch):
     # nodes inside flat facets and nodes lifted above them lie off the
     # certified triangulation: their cells are empty without a clip
     calls = []
-    real = convexgeom.dual_cell_2d
+    real = convexgeom.FacetCells.full_clip
 
-    def counting(index, *args, **kwargs):
-        calls.append(index)
-        return real(index, *args, **kwargs)
+    def counting(self, i, *args, **kwargs):
+        calls.append(i)
+        return real(self, i, *args, **kwargs)
 
-    for module in (convexgeom, realma):
-        monkeypatch.setattr(module, "dual_cell_2d", counting)
+    monkeypatch.setattr(convexgeom.FacetCells, "full_clip", counting)
     nodes = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
     values = [max(x + 2 * y, 3 * x - y + F(1, 2), -x + F(1, 4), F(1, 8))
               + F(i % 3, 8) for i, (x, y) in enumerate(nodes)]
@@ -500,19 +538,22 @@ def hull_star(cells, i):
 
 def check_integer_cells(cpl):
     """The integer passes of exact ``FacetCells`` against the Fraction full
-    clip: closed areas, the solid flags of boundary cells, and the integer
-    cut of a box, which must also be :func:`cut_cell` to the last label."""
+    clip: the integer full clip of every node, to the last label, closed
+    areas, the solid flags of boundary cells, and the integer cut of a box,
+    which must also be :func:`cut_cell` to the last label."""
     nodes, values = cpl.nodes, cpl.values
     cells = convexgeom.FacetCells(nodes, values, cpl.domain.vertices)
     assert not cells.good.any() or all(type(a) is Fraction
                                       for a in cells.area)
     box = [(-4, -4), (4, -4), (4, 4), (-4, 4)]
     for i in range(len(nodes)):
+        bounded = bool(cells.closed[i])
+        clip = dual_cell_2d(i, nodes, values, expect_bounded=bounded)
+        assert cells.full_clip(i, bounded) == clip
         if cells.closed[i]:
-            clip = dual_cell_2d(i, nodes, values, expect_bounded=True)
             assert cells.area[i] == (0 if clip.empty else clip.volume)
         elif cells.good[i]:
-            assert cells.solid[i] == (not dual_cell_2d(i, nodes, values).empty)
+            assert cells.solid[i] == (not clip.empty)
         got = cells.cut(i, box)
         want = dual_cell_2d(i, nodes, values, box=(-4, 4, -4, 4))
         assert (got.volume, got.empty) == (want.volume, want.empty)
@@ -741,11 +782,11 @@ def test_lattice_measures_and_float_cells_make_no_clips(monkeypatch):
             return real(*args, **kwargs)
         return wrapper
 
-    for module in (convexgeom, realma):
-        for name in ("clip_halfplane", "dual_cell_2d"):
-            if hasattr(module, name):
-                monkeypatch.setattr(module, name,
-                                    counting(name, getattr(module, name)))
+    # every clip, exact or float, runs _clip; a missing name fails the patch
+    for owner, name in ((convexgeom, "_clip"),
+                        (convexgeom, "clip_halfplane"),
+                        (convexgeom.FacetCells, "full_clip")):
+        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
     for n in (17, 33):
         measure = ma_measure(lattice(n))
         assert measure.cell_fallbacks == 0

@@ -332,10 +332,24 @@ def test_float_1d_solve_matches_the_exact_solve_of_its_nodes():
         {(0,): F(1, 4), (1,): F(-1, 2)}, nodes=[(F(x),) for x in xs])
     assert got.converged and got.residual <= 1e-12
     assert all(isinstance(v, float) for v in got.solution.values)
-    for v, exact in zip(got.solution.values, want.solution.values):
-        assert abs(v - float(exact)) <= 1e-12 * abs(float(exact))
+    # each value is the exact one, rounded once
+    assert got.solution.values == [float(v) for v in want.solution.values]
     assert got.masses[1:-1] == tuple(discrete_slope_jumps(
         xs, got.solution.values))
+
+
+@pytest.mark.parametrize("mass, ends, message", [
+    (math.inf, (0.0, 0.0), r"target mass inf at node \(0.0\)"),
+    (math.nan, (0.0, 0.0), r"target mass nan at node \(0.0\)"),
+    (1.0, (-math.inf, 0.0), r"boundary value -inf at node \(-1e\+300\)"),
+    (1.0, (0.0, math.nan), r"boundary value nan at node \(1e\+300\)"),
+    (1e10, (0.0, 0.0), "leaves the float range")])
+def test_float_1d_solve_rejects_what_floats_cannot_hold(mass, ends, message):
+    # the last: the value at 0 is -mass * 1e300 / 2
+    nodes = [(-1e300,), (0.0,), (1e300,)]
+    with pytest.raises(ValueError, match=message):
+        solve(Interval(-1e300, 1e300), {(0.0,): mass},
+              dict(zip(nodes[::2], ends)), nodes=nodes)
 
 
 def test_solve_default_nodes_come_from_target_and_boundary():
