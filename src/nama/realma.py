@@ -62,13 +62,12 @@ def _float(c):
         return math.nan
 
 
-def _reject_outside(nodes, inside):
-    """Raise ValueError naming the first node whose inside flag (from
-    :meth:`_Domain.classify`) is False."""
-    if not inside.all():
-        nd = nodes[int(np.argmin(inside))]
-        raise ValueError(f"node ({', '.join(map(str, nd))}) lies outside "
-                         "the domain")
+def _named(node):
+    return f"({', '.join(map(str, node))})"
+
+
+class _Pair(tuple):
+    """A pair with extras: ``points`` (classify), ``below``, ``above``."""
 
 
 class _Domain:
@@ -76,20 +75,21 @@ class _Domain:
     point test is a :meth:`classify` pass.  A domain with a float vertex
     takes tolerance 1e-12 times its scale, an exact (rational) one 0."""
 
-    def _set_halfplanes(self, hps):
+    def _set_halfplanes(self, hps, scale):
         exact = all(type(c) is Fraction for v in self.vertices for c in v)
-        tol = 0 if exact else 1e-12 * max(1.0, self._scale())
+        tol = 0 if exact else 1e-12 * max(1.0, abs(float(scale)))
         floats = np.array([[*map(_float, a), _float(c)] for a, c in hps])
-        for name, value in (("_halfplanes", tuple(hps)), ("_floats", floats),
-                            ("_tol", tol), ("_exact", exact)):
-            object.__setattr__(self, name, value)
+        corners = tuple(tuple(map(_float, v)) for v in self.vertices)
+        self.__dict__.update(_halfplanes=tuple(hps), _floats=floats,
+                             _corners=corners, _tol=tol, _exact=exact)
 
     def halfplanes(self):
         """Inward halfplanes (a, c) with the domain = {x : a . x >= c}."""
         return list(self._halfplanes)
 
     def classify(self, nodes):
-        """The inside and on-boundary flags of ``nodes``, two bool arrays.
+        """The inside and on-boundary flags of ``nodes``, two bool arrays;
+        the pair also carries the nodes' float coordinates as ``points``.
 
         A node is inside when none of its slacks ``a . x - c`` is below
         -tol, and on the boundary when it is inside and one is within tol
@@ -119,7 +119,9 @@ class _Domain:
                 slack = sum(ak * xk for ak, xk in zip(a, nodes[i])) - c
                 s[i, j] = (slack > 0) - (slack < 0)
         inside = s.min(axis=1) >= -self._tol
-        return inside, inside & (np.abs(s).min(axis=1) <= self._tol)
+        flags = _Pair((inside, inside & (np.abs(s).min(axis=1) <= self._tol)))
+        flags.points = x
+        return flags
 
     def contains(self, pt):
         """Whether ``pt`` is inside: :meth:`classify` of one point."""
@@ -140,7 +142,8 @@ class Interval(_Domain):
         object.__setattr__(self, "hi", _coerce(self.hi))
         if not self.lo < self.hi:
             raise ValueError("empty interval")
-        self._set_halfplanes((((1,), self.lo), ((-1,), -self.hi)))
+        self._set_halfplanes((((1,), self.lo), ((-1,), -self.hi)),
+                             self.hi - self.lo)
 
     dim = 1
 
@@ -150,9 +153,6 @@ class Interval(_Domain):
 
     def volume(self):
         return self.hi - self.lo
-
-    def _scale(self):
-        return abs(float(self.hi - self.lo))
 
 
 @dataclass(frozen=True)
@@ -172,7 +172,7 @@ class Polygon(_Domain):
         for P, Q in zip(vs, vs[1:] + vs[:1]):
             a = (-(Q[1] - P[1]), Q[0] - P[0])     # inward for ccw order
             hps.append((a, a[0] * P[0] + a[1] * P[1]))
-        self._set_halfplanes(hps)
+        self._set_halfplanes(hps, max(abs(c) for v in vs for c in v))
 
     dim = 2
 
@@ -182,9 +182,6 @@ class Polygon(_Domain):
 
     def volume(self):
         return polygon_area(list(self.verts))
-
-    def _scale(self):
-        return max(abs(float(c)) for v in self.verts for c in v)
 
 
 def box_polygon(lo0, hi0, lo1, hi1):
@@ -196,6 +193,36 @@ def box_polygon(lo0, hi0, lo1, hi1):
 # convex PL functions
 
 
+def _node_set(domain, nodes, rounded=False):
+    """Check and classify ``nodes`` on ``domain`` once: a dict from each
+    node's key (the coerced node; with ``rounded`` its float tuple, the node
+    a float solver sees) to the node, the interior flags, and the floats
+    :meth:`_Domain.classify` read.  A wrong dimension, a key given twice, a
+    node outside and a domain vertex (with ``rounded`` its float tuple) that
+    is no key are each a one-line ValueError naming them."""
+    nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
+    nd = next((nd for nd in nodes if len(nd) != domain.dim), None)
+    if nd is not None:
+        raise ValueError(f"node {_named(nd)} is not of dimension {domain.dim}")
+    inside, on_boundary = flags = domain.classify(nodes)
+    index = {}
+    for nd, key in zip(nodes, map(tuple, flags.points.tolist())
+                       if rounded else nodes):
+        first = index.setdefault(key, nd)
+        if first is not nd:
+            raise ValueError(f"node {_named(nd)} is given twice" if first == nd
+                             else f"nodes {_named(first)} and {_named(nd)} "
+                             f"round to one float node {_named(key)}")
+    if not inside.all():
+        raise ValueError(f"node {_named(nodes[int(np.argmin(inside))])} "
+                         "lies outside the domain")
+    for v, key in zip(domain.vertices,
+                      domain._corners if rounded else domain.vertices):
+        if key not in index:
+            raise ValueError(f"domain vertex {_named(v)} must be a node")
+    return index, tuple((~on_boundary).tolist()), flags.points
+
+
 class ConvexPL:
     """Lower convex envelope of lifted nodes over a convex domain.
 
@@ -205,42 +232,34 @@ class ConvexPL:
     nodes : iterable of coordinate tuples
         Must be distinct, lie in the domain and include all domain vertices.
         One :meth:`~_Domain.classify` pass checks them and keeps the flags
-        of :meth:`interior_mask`.
+        of :meth:`interior_mask` (a :func:`solve` solution: the solve's).
     values : iterable of scalars
         Node lifts.  The function itself is the envelope; nodes lifted above
         it simply do not contribute.
     """
 
     def __init__(self, domain, nodes, values):
-        self.domain = domain
-        nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
+        index, interior, _ = _node_set(domain, nodes)
         values = [_coerce(v) for v in values]
-        if len(nodes) != len(values):
+        if len(index) != len(values):
             raise ValueError("one value per node required")
-        if len(set(nodes)) != len(nodes):
-            raise ValueError("nodes must be distinct")
-        if any(len(nd) != domain.dim for nd in nodes):
-            raise ValueError("node dimension mismatch")
-        inside, on_boundary = domain.classify(nodes)
-        _reject_outside(nodes, inside)
-        node_set = set(nodes)
-        for v in domain.vertices:
-            if tuple(_coerce(c) for c in v) not in node_set:
-                raise ValueError(f"domain vertex {v} must be a node")
-        self.nodes = nodes
-        self.values = values
-        self.is_rational = (all(isinstance(v, Fraction) for v in values)
-                            and all(isinstance(c, Fraction)
-                                    for nd in nodes for c in nd))
-        self._interior = tuple((~on_boundary).tolist())
+        self._keep(domain, list(index.values()), values, interior)
+
+    def _keep(self, domain, nodes, values, interior):
+        """Hold nodes checked and flagged here, or by :func:`solve`."""
+        self.domain, self.nodes, self.values = domain, nodes, values
+        self.is_rational = all(isinstance(c, Fraction)
+                               for c in itertools.chain(values, *nodes))
+        self._interior = interior
         self._hull = self._planes = None
+        return self
 
     @property
     def dim(self):
         return self.domain.dim
 
     def interior_mask(self):
-        """Per node, off the boundary: the domain's flags at construction."""
+        """Per node, off the boundary: the flags of :class:`ConvexPL`."""
         return self._interior
 
     # -- evaluation ---------------------------------------------------------
@@ -361,12 +380,9 @@ class MAMeasure:
         return exact_sum(self.masses)
 
     def atomic(self):
-        sup, ms = [], []
-        for nd, m, it in zip(self.nodes, self.masses, self.interior):
-            if it:
-                sup.append(nd)
-                ms.append(m)
-        return AtomicMeasure(tuple(sup), tuple(ms))
+        inside = [k for k, it in enumerate(self.interior) if it]
+        return AtomicMeasure(tuple(self.nodes[k] for k in inside),
+                             tuple(self.masses[k] for k in inside))
 
 
 def gradient_cells(cpl, clip_box):
@@ -725,14 +741,10 @@ def strict_convexity_report(cpl, tol=1e-12):
     """
     measure = ma_measure(cpl)
     scale = max([abs(float(m)) for m in measure.masses] + [1.0])
-    strict, singular = [], []
-    for i, it in enumerate(measure.interior):
-        if not it:
-            continue
-        if float(measure.masses[i]) > tol * scale:
-            strict.append(i)
-        else:
-            singular.append(i)
+    inside = [i for i, it in enumerate(measure.interior) if it]
+    big = [float(m) > tol * scale for m in measure.masses]
+    strict = [i for i in inside if big[i]]
+    singular = [i for i in inside if not big[i]]
 
     # singular nodes on one supporting plane are in one component: the
     # components of the graph joining each plane to the nodes on it
@@ -790,17 +802,13 @@ def _cell_slopes_1d(slopes):
             sweep(slopes.order[::-1], [None] + slopes.steps[::-1], le))
 
 
-class _CellEnds(tuple):
-    """Cell ends (left, right); ``below``, ``above``: the nodes they go to."""
-
-
 def _cell_ends_1d(nodes, values):
     """The ends of :func:`_cell_slopes_1d` as numbers: one reduced
     Fraction per end of rational input."""
     slopes = _Slopes1D([nd[0] for nd in nodes], values)
     (left, below), (right, above) = _cell_slopes_1d(slopes)
-    ends = _CellEnds([None if s is None else slopes.read(*s) for s in end]
-                     for end in (left, right))
+    ends = _Pair([None if s is None else slopes.read(*s) for s in end]
+                 for end in (left, right))
     ends.below, ends.above = below, above
     return ends
 
@@ -816,11 +824,11 @@ def _half_square(node):
 class TargetMeasure:
     """Node masses prescribing the discrete Monge-Ampere equation.
 
-    ``masses`` maps node tuples to nonnegative masses; ``density`` records a
-    background density the masses were derived from (when both are known the
-    totals must agree, see :meth:`from_density`).  Lookups go through float
-    node keys so exact and float representations of the same node agree;
-    mass values keep whatever arithmetic they were built with.
+    ``masses`` maps node tuples to nonnegative masses; ``density`` records
+    the density they came from (the totals must then agree, see
+    :meth:`from_density`).  Lookups go through float node keys, so exact and
+    float forms of a node agree; a solve looks each of its nodes up once
+    (:meth:`validate_masses`).  Masses keep the arithmetic they came in.
     """
 
     masses: dict
@@ -891,8 +899,7 @@ class TargetMeasure:
     def validate_total(self, domain):
         if self.density is None:
             return
-        expected = self.density * domain.volume()
-        got = self.total()
+        expected, got = self.density * domain.volume(), self.total()
         if isinstance(got, Fraction) and isinstance(expected, Fraction):
             ok = got == expected
         else:
@@ -903,23 +910,25 @@ class TargetMeasure:
                 f"target total {got} != density * volume = {expected}")
 
     def validate_masses(self, nodes, interior=()):
-        """Reject masses :func:`solve` cannot take: a negative one at any
+        """The masses at the nodes of a solve, each looked up once (``nodes``
+        maps float node tuples to nodes).  Rejects a negative mass at any
         node, a nonzero one at a node not in ``nodes`` (the solve would drop
         it), and, given the interior flags of the nodes of a 2D solve, a
         zero one at an interior node (the damped Newton keeps every
         interior cell of positive area)."""
-        keys = {tuple(float(c) for c in nd) for nd in nodes}
         for (nd, mass), key in zip(self.masses.items(), self._table):
-            where = f"node ({', '.join(map(str, nd))})"
             if mass < 0:
-                raise ValueError(f"negative target mass {mass} at {where}")
-            if mass != 0 and key not in keys:
-                raise ValueError(f"target mass {mass} at {where}, which is "
-                                 "not a solve node")
-        for nd, inside in zip(nodes, interior):
-            if inside and self.mass_at(nd) == 0:
+                raise ValueError(f"negative target mass {mass} at node "
+                                 f"{_named(nd)}")
+            if mass != 0 and key not in nodes:
+                raise ValueError(f"target mass {mass} at node {_named(nd)}, "
+                                 "which is not a solve node")
+        masses = [self._table.get(key, 0) for key in nodes]
+        for nd, mass, inside in zip(nodes.values(), masses, interior):
+            if inside and mass == 0:
                 raise ValueError(f"zero target mass at interior node "
-                                 f"({', '.join(map(str, nd))})")
+                                 f"{_named(nd)}")
+        return masses
 
 
 @dataclass(frozen=True)
@@ -958,7 +967,9 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
 
     Every accepted step lowers the residual, so the last iterate is the
     best one.  A cell-map evaluation is one lower hull and every interior
-    cell.
+    cell.  Before any of it, one pass checks and classifies the nodes and
+    reads each coordinate into a float once; every step, and the
+    solution's :meth:`ConvexPL.interior_mask`, reads its flags.
 
     Parameters
     ----------
@@ -972,18 +983,18 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
     nodes : iterable of tuples, optional
         Defaults to the target support plus the boundary nodes (boundary
         given as a mapping) or the domain vertices (boundary callable).
-        A node outside the domain is a ValueError that names it.
+        Two nodes of one float node, a node outside the domain, a domain
+        vertex that is no node of the solution and a 1D node that a float
+        domain's tolerance puts on the boundary between the end nodes (it
+        would take a third Dirichlet value) are a ValueError naming them.
     tol : float
         Max-norm mass residual, relative to the mean target mass.
 
     Returns
     -------
     SolveResult
-        ``iterations`` counts cell-map evaluations in 2D (1 in 1D);
-        ``masses`` holds the last iterate's mass at each node of
-        ``solution`` (its slope jump in 1D), 0 at boundary nodes;
-        ``converged=False`` carries the last iterate with its residual; no
-        exception is raised for slow convergence.
+        The last iterate with its masses (slope jumps in 1D) and residual,
+        also unconverged: slow convergence raises no exception.
     """
     if isinstance(target, dict):
         target = TargetMeasure({tuple(k): v for k, v in target.items()})
@@ -992,25 +1003,24 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
         extra = boundary if isinstance(boundary, dict) else domain.vertices
         nodes = {tuple(float(c) for c in pt): pt
                  for pt in [*target.masses, *extra]}.values()
-    nodes = [tuple(nd) for nd in nodes]
-    inside, on_boundary = domain.classify(nodes)
-    _reject_outside(nodes, inside)
-    interior = ~on_boundary
-    if not callable(boundary):
-        boundary = boundary.__getitem__
+    index, interior, pts = _node_set(domain, nodes, rounded=True)
+    masses = target.validate_masses(
+        index, interior if domain.dim == 2 else ())
+    boundary = boundary if callable(boundary) else boundary.__getitem__
+    nodes = [*index.values()]
     if domain.dim == 1:
-        target.validate_masses(nodes)
-        return _solve_1d(domain, nodes, target, boundary, tol)
-    if domain.dim == 2:
-        target.validate_masses(nodes, interior)
-        return _solve_2d(domain, nodes, interior, target, boundary, tol)
-    raise NotImplementedError("solve supports dimensions 1 and 2")
+        return _solve_1d(domain, nodes, interior, masses, boundary, tol)
+    return _solve_2d(domain, nodes, interior, pts, masses, boundary, tol)
 
 
-def _solve_1d(domain, nodes, target, boundary, tol):
-    nodes = sorted(tuple(_coerce(c) for c in nd) for nd in nodes)
+def _solve_1d(domain, nodes, interior, masses, boundary, tol):
+    nodes, interior, masses = zip(*sorted(zip(nodes, interior, masses)))
+    if not all(interior[1:-1]):
+        raise ValueError(f"node {_named(nodes[interior.index(False, 1)])} is "
+                         "on the domain's boundary between the end nodes; "
+                         "a 1D solve takes Dirichlet values at the ends only")
     xs = [nd[0] for nd in nodes]
-    mus = [_coerce(target.mass_at(nd)) for nd in nodes[1:-1]]
+    mus = [_coerce(m) for m in masses[1:-1]]
     ends = [_coerce(boundary(nd)) for nd in (nodes[0], nodes[-1])]
     exact = all(isinstance(c, Fraction) for c in xs + mus + ends)
     if not exact:
@@ -1021,18 +1031,22 @@ def _solve_1d(domain, nodes, target, boundary, tol):
                 if not math.isfinite(c):
                     raise ValueError(f"{kind} {c} at node ({x}) is not "
                                      "finite")
+    if (xs[0], xs[-1]) != (domain.lo, domain.hi):
+        raise ValueError(f"end nodes ({xs[0]}) and ({xs[-1]}) of the "
+                         f"{'exact' if exact else 'float'} solve are not the "
+                         f"domain vertices ({domain.lo}) and ({domain.hi})")
     V, m = _direct_values(xs, mus, *ends)
     try:
         values = [Fraction(v, m) for v in V] if exact else [v / m for v in V]
     except OverflowError:
         raise ValueError("a node value of the solution leaves the float "
                          "range") from None
-    cpl = ConvexPL(domain, [(x,) for x in xs], values)
-
     jumps = discrete_slope_jumps(xs, values)
     mean = sum(float(m) for m in mus) / max(1, len(mus)) or 1.0
     residual = max((abs(float(j) - float(m)) for j, m in zip(jumps, mus)),
                    default=0.0) / mean
+    cpl = ConvexPL.__new__(ConvexPL)._keep(domain, [(x,) for x in xs],
+                                           values, interior)
     return SolveResult(cpl, residual, 1, residual <= tol, "direct",
                        masses=(0, *jumps, 0))
 
@@ -1058,13 +1072,6 @@ def _direct_values(xs, mus, v_lo, v_hi):
     return list(itertools.accumulate(
         (h * (sn * l + r * sd) * b for h, r in zip(steps, R)),
         initial=a * q * sd * l)), b * q * sd * l
-
-
-def _boundary_envelope_values(b_nodes, b_values, queries):
-    pts = np.array(b_nodes, dtype=float).reshape(-1, 2)
-    vals = np.array(b_values, dtype=float)
-    g, b = facet_planes(pts, vals, lower_facets(pts, vals)[0])
-    return (np.array(queries) @ g.T + b).max(axis=1)
 
 
 def _cells_2d(nodes, values, interior_idx):
@@ -1104,15 +1111,6 @@ def _mass_jacobian(pts, interior_idx, edges):
                         np.concatenate([ki, kj[off]]))), shape=(n, n))
 
 
-def _edge_distance_mean(domain, points):
-    """Geometric mean of the distances from ``points`` to the lines of the
-    domain's edges: concave, zero on the boundary, strictly concave inside."""
-    pts = np.array(points, dtype=float)
-    dist = [(pts @ np.array(a, dtype=float) - float(c)) / math.hypot(*a)
-            for a, c in domain.halfplanes()]
-    return np.prod(np.maximum(dist, 0.0), axis=0) ** (1 / len(dist))
-
-
 # damped Newton: at most _START_DOUBLINGS doublings of c and _NEWTON_STEPS
 # steps, and a step whose length would fall below _TAU_FLOOR ends the solve
 _START_DOUBLINGS = 30
@@ -1120,29 +1118,31 @@ _NEWTON_STEPS = 50
 _TAU_FLOOR = 2.0 ** -12
 
 
-def _solve_2d(domain, nodes, interior, target, boundary, tol):
+def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     from scipy.sparse.linalg import spsolve
 
     # classified before rounding, which may move a node off the boundary
     interior_idx = np.flatnonzero(interior).tolist()
-    boundary_idx = np.flatnonzero(~interior).tolist()
+    boundary_idx = [i for i, inside in enumerate(interior) if not inside]
     if not interior_idx:
         raise ValueError("no interior nodes to solve for")
-    b_values = [float(boundary(nodes[i])) for i in boundary_idx]
-    psi = _edge_distance_mean(domain, [nodes[i] for i in interior_idx])
-    nodes = [tuple(float(c) for c in nd) for nd in nodes]
-    pts = np.array(nodes)
+    b_values = np.array([float(boundary(nodes[i])) for i in boundary_idx])
+    dist = [(pts[interior_idx] @ row[:2] - row[2]) / math.hypot(*row[:2])
+            for row in domain._floats]
+    psi = np.prod(np.maximum(dist, 0.0), axis=0) ** (1 / len(dist))
+    nodes = list(map(tuple, pts.tolist()))
 
-    b_nodes = [nodes[i] for i in boundary_idx]
-    env = _boundary_envelope_values(b_nodes, b_values, nodes)
-    scale = max(1.0, np.abs(b_values).max() if b_values else 1.0)
-    if np.any(env[boundary_idx] < np.array(b_values) - 1e-9 * scale):
-        bad = int(np.argmin(env[boundary_idx] - np.array(b_values)))
+    b_pts = pts[boundary_idx]
+    g, b = facet_planes(b_pts, b_values, lower_facets(b_pts, b_values)[0])
+    env = (pts @ g.T + b).max(axis=1)
+    scale = max(1.0, np.abs(b_values).max())
+    if np.any(env[boundary_idx] < b_values - 1e-9 * scale):
+        bad = boundary_idx[int(np.argmin(env[boundary_idx] - b_values))]
         raise InfeasibleBoundary(
-            f"boundary node {b_nodes[bad]} lies above the envelope of the "
+            f"boundary node {nodes[bad]} lies above the envelope of the "
             "other boundary data; no convex extension exists")
 
-    mus = np.array([float(target.mass_at(nodes[i])) for i in interior_idx])
+    mus = np.array([float(targets[i]) for i in interior_idx])
     mean_mu = mus.mean()
     values = np.zeros(len(nodes))
     values[boundary_idx] = b_values
@@ -1183,8 +1183,8 @@ def _solve_2d(domain, nodes, interior, target, boundary, tol):
     values[interior_idx] = v
     final = np.zeros(len(nodes))
     final[interior_idx] = masses
-    # a float copy of the domain classifies the rounded nodes
-    flat = Polygon([[float(c) for c in vert] for vert in domain.vertices])
-    return SolveResult(ConvexPL(flat, nodes, values.tolist()), float(res),
-                       evaluations, bool(res <= tol), "newton", fallbacks,
-                       tuple(final.tolist()))
+    # the float nodes on a float copy of the domain, with the solve's flags
+    cpl = ConvexPL.__new__(ConvexPL)._keep(
+        Polygon(domain._corners), nodes, values.tolist(), interior)
+    return SolveResult(cpl, float(res), evaluations, bool(res <= tol),
+                       "newton", fallbacks, tuple(final.tolist()))

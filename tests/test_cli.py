@@ -436,15 +436,8 @@ def test_every_subcommand_reruns_byte_identical(tmp_path, argv, doc):
 
 @pytest.mark.parametrize("argv,doc", [s for s in SUBCOMMANDS if s[1]],
                          ids=[" ".join(a[:2]) for a, d in SUBCOMMANDS if d])
-def test_each_run_loads_its_config_once(tmp_path, monkeypatch, argv, doc):
-    calls = []
-    load = config.load_document
-
-    def counting(path):
-        calls.append(path)
-        return load(path)
-
-    monkeypatch.setattr(config, "load_document", counting)
+def test_each_run_loads_its_config_once(tmp_path, count_calls, argv, doc):
+    calls = count_calls(config, "load_document")
     argv = argv_for(tmp_path, argv, doc)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 0
     assert len(calls) == 1

@@ -276,28 +276,21 @@ def test_off_face_entries_are_structural_zeros_and_nonzero_ones_rejected():
         na_ma_model_metric(model, zeros, {**coeffs, 7: 1})
 
 
-def test_table_value_calls_grow_linearly_with_the_cycle(monkeypatch):
-    calls = [0]
-    value = IntersectionTable.value
-
-    def counting(self, *args):
-        calls[0] += 1
-        return value(self, *args)
-
-    monkeypatch.setattr(IntersectionTable, "value", counting)
+def test_table_value_calls_grow_linearly_with_the_cycle(count_calls):
+    calls = count_calls(IntersectionTable, "value")
     counts = []
     for N in (40, 80):
         degrees = [1 + i % 3 for i in range(N)]
         coeffs = {i: F(i % 5 - 2, 3) for i in range(N)}
         table = cycle_table(degrees)
-        calls[0] = 0
+        calls.clear()
         na_ma_model_metric(cycle_model(degrees), table, coeffs)
-        counts.append(calls[0])
+        counts.append(len(calls))
         # per vertex (L . E_i) and one (E_j . E_i) per twisted j in
         # {i - 1, i, i + 1}; the one more read is the stored (L)
         monomials = sum(1 + sum(coeffs[j % N] != 0 for j in (i - 1, i, i + 1))
                         for i in range(N))
-        assert calls[0] == monomials + 1 > 1
+        assert len(calls) == monomials + 1 > 1
     assert counts[1] <= 2.2 * counts[0]
 
 
@@ -331,23 +324,16 @@ def test_check_relations_agree_with_and_without_off_face_zeros(data):
                                              sorted(expected[1]))
 
 
-def test_check_relations_visits_only_neighbours(monkeypatch):
-    calls = [0]
-    has = IntersectionTable.has
-
-    def counting(self, *args):
-        calls[0] += 1
-        return has(self, *args)
-
-    monkeypatch.setattr(IntersectionTable, "has", counting)
+def test_check_relations_visits_only_neighbours(count_calls):
+    calls = count_calls(IntersectionTable, "has")
     counts = []
     for N in (40, 80):
         degrees = [1 + i % 3 for i in range(N)]
-        calls[0] = 0
+        calls.clear()
         checked, _, _ = cycle_table(degrees).check_relations(
             cycle_model(degrees))
         assert checked == N
-        counts.append(calls[0])
+        counts.append(len(calls))
     assert counts[1] <= 2.2 * counts[0]
 
 

@@ -206,17 +206,10 @@ def test_on_envelope_is_the_box_free_full_clip(cpl):
         assert measure.on_envelope[cpl.nodes.index(corner)]
 
 
-def test_lifted_pieces_take_no_full_clip(monkeypatch):
+def test_lifted_pieces_take_no_full_clip(monkeypatch, count_calls):
     # nodes inside flat facets and nodes lifted above them lie off the
     # certified triangulation: their cells are empty without a clip
-    calls = []
-    real = convexgeom.FacetCells.full_clip
-
-    def counting(self, i, *args, **kwargs):
-        calls.append(i)
-        return real(self, i, *args, **kwargs)
-
-    monkeypatch.setattr(convexgeom.FacetCells, "full_clip", counting)
+    calls = count_calls(convexgeom.FacetCells, "full_clip")
     nodes = [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
     values = [max(x + 2 * y, 3 * x - y + F(1, 2), -x + F(1, 4), F(1, 8))
               + F(i % 3, 8) for i, (x, y) in enumerate(nodes)]
@@ -416,19 +409,6 @@ def cut_loop_targets(domain, nodes, density):
             for i, nd in enumerate(nodes)}
 
 
-def counting_cuts(monkeypatch):
-    """Count the calls of :meth:`FacetCells.cut` in the returned list."""
-    calls = []
-    real = convexgeom.FacetCells.cut
-
-    def cut(self, i, polygon):
-        calls.append(i)
-        return real(self, i, polygon)
-
-    monkeypatch.setattr(convexgeom.FacetCells, "cut", cut)
-    return calls
-
-
 # the grid-solve benchmark's lattices: (nodes per side, step)
 LATTICES = [(9, F(1, 10)), (11, F(1, 8)), (13, F(1, 12)), (9, F(1, 8)),
             (11, F(1, 10))]
@@ -447,8 +427,8 @@ def test_lattice_density_targets_equal_the_cut_loop(n, h):
             assert target.total() == w * w
 
 
-def test_lattice_density_targets_take_no_cut(monkeypatch):
-    calls = counting_cuts(monkeypatch)
+def test_lattice_density_targets_take_no_cut(count_calls):
+    calls = count_calls(convexgeom.FacetCells, "cut")
     nodes = [(F(i, 12), F(j, 12)) for i in range(13) for j in range(13)]
     target = TargetMeasure.from_density(box_polygon(0, 1, 0, 1), nodes, F(1))
     assert calls == [] and target.total() == 1
@@ -481,11 +461,11 @@ def density_nodes(draw):
                                          st.integers(1, 3)))
 
 
-def test_fan_density_targets_equal_the_cut_loop(monkeypatch):
+def test_fan_density_targets_equal_the_cut_loop(count_calls):
     # rim nodes read off their fans and nodes the fans cannot give, which
     # take the cut: both must be reached, and agree with the cut loop
     paths = set()
-    calls = counting_cuts(monkeypatch)
+    calls = count_calls(convexgeom.FacetCells, "cut")
 
     @settings(max_examples=150, derandomize=True, deadline=None)
     @given(density_nodes())
@@ -773,20 +753,11 @@ def test_flat_quad_diagonals_have_no_dual_edge():
     assert sorted(j[i == 40]) == [31, 39, 41, 49]      # no diagonal
 
 
-def test_lattice_measures_and_float_cells_make_no_clips(monkeypatch):
-    calls = []
-
-    def counting(name, real):
-        def wrapper(*args, **kwargs):
-            calls.append(name)
-            return real(*args, **kwargs)
-        return wrapper
-
+def test_lattice_measures_and_float_cells_make_no_clips(count_calls):
     # every clip, exact or float, runs _clip; a missing name fails the patch
-    for owner, name in ((convexgeom, "_clip"),
-                        (convexgeom, "clip_halfplane"),
-                        (convexgeom.FacetCells, "full_clip")):
-        monkeypatch.setattr(owner, name, counting(name, getattr(owner, name)))
+    calls = [count_calls(owner, name) for owner, name in (
+        (convexgeom, "_clip"), (convexgeom, "clip_halfplane"),
+        (convexgeom.FacetCells, "full_clip"))]
     for n in (17, 33):
         measure = ma_measure(lattice(n))
         assert measure.cell_fallbacks == 0
@@ -808,7 +779,7 @@ def test_lattice_measures_and_float_cells_make_no_clips(monkeypatch):
         [max(x + 2 * y, 3 * x - y + 0.5, -x + 0.25, 0.125) for x, y in grid]))
     assert measure.cell_fallbacks == 0
     assert abs(measure.total() - 7.0) <= 1e-12
-    assert calls == []
+    assert calls == [[], [], []]
 
 
 def test_more_nodes_than_int32_half_edge_keys_hold():

@@ -13,6 +13,9 @@ from nama import (ConvexPL, InfeasibleBoundary, Interval, Polygon,
 from nama import realma
 
 F = Fraction
+UNIT = box_polygon(0, 1, 0, 1)
+HALVES = [(F(i, 2), F(j, 2)) for i in range(3) for j in range(3)]
+TINY = F(1, 10 ** 30)           # below a float's resolution at 1/2
 
 
 def kink_function():
@@ -100,14 +103,19 @@ def test_polygon_tests_agree_with_the_exact_slack():
 
 def test_convexpl_validates_its_input():
     iv = Interval(0, 1)
-    with pytest.raises(ValueError):
-        ConvexPL(iv, [(0,), (1,)], [0])            # value count
-    with pytest.raises(ValueError):
-        ConvexPL(iv, [(0,), (0,), (1,)], [0, 0, 0])  # duplicate node
-    with pytest.raises(ValueError):
-        ConvexPL(iv, [(0,), (2,)], [0, 0])         # outside the domain
-    with pytest.raises(ValueError):
-        ConvexPL(iv, [(0,), (F(1, 2),)], [0, 0])   # missing domain vertex
+    with pytest.raises(ValueError, match="one value per node"):
+        ConvexPL(iv, [(0,), (1,)], [0])
+    with pytest.raises(ValueError, match=r"^node \(0\) is given twice$"):
+        ConvexPL(iv, [(0,), (0,), (1,)], [0, 0, 0])
+    with pytest.raises(ValueError, match=r"^node \(2\) lies outside"):
+        ConvexPL(iv, [(0,), (2,)], [0, 0])
+    with pytest.raises(ValueError, match=r"^domain vertex \(1\) must be"):
+        ConvexPL(iv, [(0,), (F(1, 2),)], [0, 0])
+    with pytest.raises(ValueError, match=r"^node \(0, 1\) is not of dim"):
+        ConvexPL(iv, [(0,), (0, 1), (1,)], [0, 0, 0])
+    # exact nodes closer than a float apart are distinct nodes here
+    tiny = F(1, 10 ** 30)
+    ConvexPL(iv, [(0,), (F(1, 2),), (F(1, 2) + tiny,), (1,)], [0, -1, -1, 0])
 
 
 def test_discrete_slope_jumps_second_difference():
@@ -315,6 +323,7 @@ def test_solve_1d_quadratic_is_exact():
     result = solve(dom, target, {(F(0),): F(0), (F(1),): F(0)}, nodes=nodes)
     assert result.converged
     assert result.method == "direct"
+    check_the_solves_flags(result, dom, nodes)
     for (x,), v in zip(result.solution.nodes, result.solution.values):
         assert v == x * x - x
 
@@ -336,6 +345,8 @@ def test_float_1d_solve_matches_the_exact_solve_of_its_nodes():
     assert got.solution.values == [float(v) for v in want.solution.values]
     assert got.masses[1:-1] == tuple(discrete_slope_jumps(
         xs, got.solution.values))
+    check_the_solves_flags(got, Interval(0.0, 1.0), nodes)
+    check_the_solves_flags(want, Interval(0, 1), [(F(x),) for x in xs])
 
 
 @pytest.mark.parametrize("mass, ends, message", [
@@ -359,6 +370,20 @@ def test_solve_default_nodes_come_from_target_and_boundary():
     result = solve(dom, target, {(F(0),): F(0), (F(1),): F(0)})
     assert sorted(result.solution.nodes) == sorted(nodes)
     assert result.converged
+    check_the_solves_flags(result, dom, nodes)
+
+
+def check_the_solves_flags(result, domain, nodes):
+    """The solution's interior flags are the ones the solve classified
+    (before rounding) and acted on; in 2D its measure is the solve's last
+    masses, exactly, as both read one FacetCells of the same floats."""
+    sol = result.solution
+    flags = (~domain.classify(sorted(nodes) if domain.dim == 1
+                              else nodes)[1]).tolist()
+    assert list(sol.interior_mask()) == flags
+    if domain.dim == 2:
+        assert flags == [m > 0 for m in result.masses]
+        assert ma_measure(sol).masses == result.masses
 
 
 def test_solve_2d_uniform_square():
@@ -375,6 +400,7 @@ def test_solve_2d_uniform_square():
     result = solve(dom, target, boundary, nodes=nodes, tol=1e-8)
     assert result.converged
     assert result.residual <= 1e-8
+    check_the_solves_flags(result, dom, nodes)
     sol = dict(zip(result.solution.nodes, result.solution.values))
     exact = (0.5 ** 2 + 0.5 ** 2) / 2
     assert abs(sol[(0.5, 0.5)] - exact) < 0.02
@@ -393,6 +419,21 @@ def test_solve_2d_on_an_exact_non_dyadic_box():
         assert abs(v - (x * x + y * y) / 2) < 1e-9
     measure = ma_measure(result.solution)
     assert sum(measure.interior) == 49
+    check_the_solves_flags(result, dom, nodes)
+    # the grid-solve benchmark's calls: a float box, exact h = 1/10 nodes
+    # and an exact density target on the exact box; then a function on
+    # the solution's own domain and nodes, lowered at the centre
+    flat = box_polygon(0.0, 0.8, 0.0, 0.8)
+    result = solve(flat, target, lambda nd: (nd[0] ** 2 + nd[1] ** 2) / 2,
+                   nodes=nodes, tol=1e-8)
+    sol = result.solution
+    assert result.converged and sol.domain == flat
+    check_the_solves_flags(result, flat, nodes)
+    values = list(sol.values)
+    values[40] -= 1e-4
+    lowered = ConvexPL(sol.domain, sol.nodes, values)
+    assert lowered.interior_mask() == sol.interior_mask()
+    assert ma_measure(lowered).masses[40] > result.masses[40]
 
 
 def test_solve_2d_rejects_concave_boundary_data():
@@ -452,6 +493,21 @@ def test_solve_returns_the_masses_of_its_last_iterate(exp_solves):
             Interval(0, 1), {(F(1, 3),): 1, (F(1, 2),): F(1, 2)},
             {(0,): 0, (1,): 1})):
         assert result.masses == ma_measure(result.solution).masses
+    for per, (result, _, _) in exp_solves.items():
+        check_the_solves_flags(result, UNIT, [
+            (F(i, per - 1), F(j, per - 1))
+            for i in range(per) for j in range(per)])
+
+
+def test_a_node_off_the_edge_by_a_float_tolerance_stays_interior():
+    # the exact square calls (1/2, 1e-13) interior, a float copy of it
+    # calls it boundary: the solution keeps the flags the solve acted on
+    nodes = HALVES + [(F(1, 2), F(1, 10 ** 13))]
+    masses = {(F(1, 2), F(1, 2)): F(1, 6), nodes[-1]: F(1, 6)}
+    result = solve(UNIT, masses, lambda nd: 0, nodes=nodes)
+    assert result.converged and result.solution.interior_mask()[-1]
+    assert result.masses[-1] == pytest.approx(1 / 6)
+    check_the_solves_flags(result, UNIT, nodes)
 
 
 def test_a_33_by_33_solve_takes_at_most_30_cell_evaluations(exp_solves):
@@ -461,6 +517,8 @@ def test_a_33_by_33_solve_takes_at_most_30_cell_evaluations(exp_solves):
 def test_solve_with_zero_tolerance_stops_with_its_last_iterate():
     result, target, sup = exp_solve(5, tol=0.0)
     assert result.iterations <= 40
+    check_the_solves_flags(result, UNIT, [
+        (F(i, 4), F(j, 4)) for i in range(5) for j in range(5)])
     assert result.converged == (result.residual <= 0.0)
     assert result.residual < 1e-12 and sup < 1e-2
     # the reported residual is the returned function's
@@ -520,6 +578,72 @@ def test_solve_rejects_a_node_outside_its_domain():
     with pytest.raises(ValueError, match=r"^node \(2\) lies outside"):
         solve(line, {(F(1, 2),): 1}, lambda nd: 0,
               nodes=[(0,), (F(1, 2),), (1,), (2,)])
+
+# a node set solve rejects: domain, nodes, target masses, message
+LINE = [(F(0),), (F(1, 2),), (F(1),)]
+BAD_NODE_SETS = {
+    "2d given twice": (UNIT, HALVES + [(F(1, 2), F(1, 2))],
+                       r"node \(1/2, 1/2\) is given twice"),
+    "2d one float node": (UNIT, HALVES + [(F(1, 2) + TINY, F(1, 2))],
+                          r"nodes \(1/2, 1/2\) and \(\d+/\d+, 1/2\) "
+                          r"round to one float node \(0\.5, 0\.5\)"),
+    "2d no vertex": (UNIT, HALVES[:-1], r"domain vertex \(1, 1\) must be"),
+    "2d outside": (UNIT, HALVES + [(F(3, 2), F(1, 2))],
+                   r"node \(3/2, 1/2\) lies outside the domain"),
+    "1d given twice": (Interval(0, 1), LINE + [(F(1, 2),)],
+                       r"node \(1/2\) is given twice"),
+    "1d one float node": (Interval(0, 1), LINE + [(F(1, 2) + TINY,)],
+                          r"nodes \(1/2\) and \(\d+/\d+\) round to one "
+                          r"float node \(0\.5\)"),
+    "1d no vertex": (Interval(0, 1), LINE[:-1],
+                     r"domain vertex \(1\) must be a node"),
+    "1d outside": (Interval(0, 1), LINE + [(F(2),)],
+                   r"node \(2\) lies outside the domain"),
+    # a float domain's tolerance puts 1e-13 on its boundary
+    "1d boundary inside": (Interval(0.0, 1.0), LINE + [(1e-13,)],
+                           r"node \(1e-13\) is on the domain's boundary "
+                           r"between the end nodes"),
+    # the float solve's end node 1/3 is not the vertex 1/3
+    "1d float end": (Interval(0, F(1, 3)), [(F(0),), (F(1, 6),), (F(1, 3),)],
+                     r"end nodes \(0\.0\) and \(0\.3+\d\) of the float "
+                     r"solve are not the domain vertices \(0\) and \(1/3\)"),
+    # the exact solve's end node 1/10 is not the float vertex 0.1
+    "1d exact end": (Interval(0.0, 0.1), [(F(0),), (F(1, 20),), (F(1, 10),)],
+                     r"end nodes \(0\) and \(1/10\) of the exact solve"),
+}
+
+
+@pytest.mark.parametrize("case", BAD_NODE_SETS)
+def test_solve_rejects_a_bad_node_set_before_any_work(case, count_calls):
+    domain, nodes, message = BAD_NODE_SETS[case]
+    inner = nodes[1]
+    masses = {inner: 1.0 if case == "1d float end" else 1}
+    cells = count_calls(realma, "FacetCells")
+    direct = count_calls(realma, "_direct_values")
+    with pytest.raises(ValueError, match=f"^{message}") as info:
+        solve(domain, masses, lambda nd: 0, nodes=nodes)
+    assert "\n" not in str(info.value)
+    assert cells == direct == []
+
+
+def test_a_solve_classifies_once_and_converts_each_coordinate_once(
+        count_calls):
+    n = 33
+    nodes = [(F(i, n - 1), F(j, n - 1)) for i in range(n) for j in range(n)]
+    target = TargetMeasure.from_density(UNIT, nodes, 1)
+    boundary = {nd: 0.0 for nd in nodes if UNIT.on_boundary(nd)}
+    classify = count_calls(realma._Domain, "classify")
+    floats = count_calls(Fraction, "__float__")
+    result = solve(UNIT, target, boundary, nodes=nodes)
+    # one per node coordinate and one per interior target mass (the
+    # parent made 11,367: about 5.2 per coordinate)
+    assert result.converged and len(classify) == 1
+    assert len(floats) <= 2 * n * n + (n - 2) ** 2
+    classify.clear()
+    result = solve(Interval(0, 1), {(F(1, 3),): 1, (F(1, 2),): F(1, 2)},
+                   {(0,): 0, (1,): 1})
+    assert result.converged and len(classify) == 1
+
 
 def test_oracle_matches_exact_measure_on_random_data():
     import random
