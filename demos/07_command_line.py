@@ -10,6 +10,7 @@ files.  This script exercises the command line in process.
 
 # %%
 import contextlib
+import hashlib
 import io
 import json
 import pathlib
@@ -63,7 +64,8 @@ print("exit status:", code)
 
 A CSV table per result plus ``manifest.json`` echoing the resolved
 options, the output list, and a machine-readable summary.  The manifest
-is one line of strict JSON.
+is one line of strict JSON.  It names the config by its path and the
+SHA-256 digest of its bytes rather than copying it.
 """
 
 # %%
@@ -71,6 +73,8 @@ text = (workdir / "run1" / "manifest.json").read_text()
 manifest = json.loads(text)
 print("lines:     ", text.count("\n"))
 print("outputs:   ", manifest["outputs"])
+print("digest of the config file:", manifest["options"]["config_sha256"]
+      == hashlib.sha256(cfg.read_bytes()).hexdigest())
 print("summary:   ", manifest["summary"])
 print((workdir / "run1" / "namma.csv").read_text())
 

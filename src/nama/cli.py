@@ -1,12 +1,12 @@
 """Command line driver: deterministic CSV reports plus a config manifest.
 
 Every run writes its tables into the output directory together with a
-``manifest.json`` echoing the fully resolved configuration.  Reruns with
-identical inputs produce byte-identical files: floats are printed with
-shortest round-trip precision, rationals as ``p/q``, row order is fixed,
-and no timestamps are recorded.  Exit status 0 means the run's check
-passed, 2 means the mathematics failed the check, 1 means the input was
-invalid.
+``manifest.json`` echoing the resolved options, which name a config file by
+its path and the SHA-256 digest of its bytes.  Reruns with identical inputs
+produce byte-identical files: floats are printed with shortest round-trip
+precision, rationals as ``p/q``, row order is fixed, and no timestamps are
+recorded.  Exit status 0 means the run's check passed, 2 means the
+mathematics failed the check, 1 means the input was invalid.
 """
 
 from __future__ import annotations
@@ -743,9 +743,8 @@ def run(args):
                if k != "handler" and v is not None}
     doc = None
     if hasattr(args, "config"):
-        doc = cfg.load_document(args.config)
+        doc, options["config_sha256"] = cfg.load_document(args.config)
         cfg.validate_toplevel(doc)
-        options["config_document"] = doc
     emitter = Emitter(args.out, command, options)
     try:
         args.handler(args, doc, emitter)

@@ -60,13 +60,13 @@ def cycle_table(degrees):
     if N < 3:
         raise ValueError("a simplicial cycle needs at least 3 components")
     table = IntersectionTable(1)
-    table.add(1, (), (), exact_sum(ds))
+    table.insert((1, (), ()), exact_sum(ds))
     self_pairing, neighbour = Fraction(-2), Fraction(1)
     for i in range(N):      # keys in canonical form, as the table keeps them
-        table.add(1, (), (i,), ds[i])
-        table.add(0, ((i, 1),), (i,), self_pairing)
-        table.add(0, (((i + 1) % N, 1),), (i,), neighbour)
-        table.add(0, (((i - 1) % N, 1),), (i,), neighbour)
+        table.insert((1, (), (i,)), ds[i])
+        table.insert((0, ((i, 1),), (i,)), self_pairing)
+        table.insert((0, (((i + 1) % N, 1),), (i,)), neighbour)
+        table.insert((0, (((i - 1) % N, 1),), (i,)), neighbour)
     return table
 
 

@@ -9,6 +9,7 @@ multiplicities, masses, or intersection numbers).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -74,15 +75,19 @@ def _finite(text):
 
 
 def load_document(path):
+    """The parsed UTF-8 JSON document at ``path`` and the SHA-256 digest
+    of its bytes, which the manifest names it by; the file is read once."""
     try:
-        with open(path) as fh:
-            return json.load(fh, object_pairs_hook=_no_duplicates,
-                             parse_constant=_no_constant,
-                             parse_float=_finite)
+        with open(path, "rb") as fh:
+            data = fh.read()
+        doc = json.loads(data.decode("utf-8"),
+                         object_pairs_hook=_no_duplicates,
+                         parse_constant=_no_constant, parse_float=_finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config file {path}: {exc}")
-    except ValueError as exc:       # json.JSONDecodeError, NaN, 1e400
+    except ValueError as exc:   # UnicodeDecodeError, JSONDecodeError, 1e400
         raise ConfigError(f"config file {path} is not valid JSON: {exc}")
+    return doc, hashlib.sha256(data).hexdigest()
 
 
 def json_object(value, context):
@@ -152,6 +157,18 @@ def divisor_id(key, context):
         raise ConfigError(f"{context} key {key!r} is not a divisor id")
 
 
+def divisor_keys(mapping, context):
+    """The JSON object ``mapping`` keyed by divisor id; two keys that name
+    one id, as ``"1"`` and ``"01"`` do, are an input error."""
+    named = {}
+    for key in json_object(mapping, context):
+        first = named.setdefault(divisor_id(key, context), key)
+        if first != key:
+            raise ConfigError(f"{context} keys {first!r} and {key!r} both "
+                              f"name divisor {int(key)}")
+    return {ident: mapping[key] for ident, key in named.items()}
+
+
 def id_list(value, context):
     if not isinstance(value, list):
         raise ConfigError(f"{context} must be a list of divisor ids")
@@ -187,13 +204,12 @@ def build_model_from_config(doc):
 
 
 def build_table_from_config(entries, n):
-    """The intersection table of a config's entries.
-
-    Each check tests the plain JSON types first and calls its helper only
-    when the test fails, so a valid entry builds no context string and an
-    invalid one gets the helper's message.  The key reaches the table in
-    canonical form: ints, sorted powers, sorted stratum.
-    """
+    """The intersection table of a config's entries, each parsed straight
+    to its canonical key (int ids, pairs and stratum sorted by id, no id
+    twice) for ``IntersectionTable.insert``.  Each check tests the plain
+    JSON types first and calls its helper only when the test fails, so a
+    valid entry builds no context string and an invalid one gets the
+    helper's message."""
     bounded_list(entries, MAX_TABLE_ENTRIES, "intersection_table")
     table = IntersectionTable(n)
     parsed = {}     # value string or int -> Fraction: tables repeat a few
@@ -208,7 +224,7 @@ def build_table_from_config(entries, n):
         raw = entry.get("divisor_powers", {})
         if type(raw) is not dict:
             raw = json_object(raw, f"intersection_table[{k}].divisor_powers")
-        powers = {}
+        powers = []
         for key, val in raw.items():
             try:
                 ident = int(key)
@@ -218,20 +234,27 @@ def build_table_from_config(entries, n):
             if type(val) is not int or val < 1:
                 val = integer(val, f"intersection_table[{k}].divisor_powers"
                               f"[{key}]", minimum=1)
-            powers[ident] = val
+            powers.append((ident, val))
+        if len(powers) > 1:
+            powers.sort()
+            if len({i for i, _ in powers}) < len(powers):   # raises
+                divisor_keys(raw, f"intersection_table[{k}].divisor_powers")
         stratum = entry.get("stratum", [])
-        if type(stratum) is not list or not all(type(i) is int
-                                                for i in stratum):
-            stratum = id_list(stratum, f"intersection_table[{k}].stratum")
+        for i in stratum if type(stratum) is list else (None,):
+            if type(i) is not int:      # id_list raises its message
+                id_list(stratum, f"intersection_table[{k}].stratum")
+        if len(stratum) > 1:
+            stratum = sorted(stratum)
+            if len(set(stratum)) < len(stratum):
+                raise ConfigError(f"intersection_table[{k}].stratum repeats "
+                                  f"a divisor id: {entry['stratum']}")
         raw = entry.get("value")
         value = parsed.get(raw) if type(raw) in (str, int) else None
-        if value is None:
+        if value is None:   # rational takes only a str or an int
             ctx = f"intersection_table[{k}]"
-            value = rational(require(entry, "value", ctx), f"{ctx}.value")
-            if type(raw) in (str, int):
-                parsed[raw] = value
-        table.add(lp, tuple(sorted(powers.items())), tuple(sorted(stratum)),
-                  value)
+            value = parsed[raw] = rational(require(entry, "value", ctx),
+                                           f"{ctx}.value")
+        table.insert((lp, tuple(powers), tuple(stratum)), value)
     return table
 
 
@@ -274,11 +297,10 @@ def coefficients_from_config(mapping, model):
         raise ConfigError("coefficients must map divisor ids to rationals")
     known = {d.id for d in model.divisors}
     out = {}
-    for key, val in mapping.items():
-        ident = divisor_id(key, "coefficients")
+    for ident, val in divisor_keys(mapping, "coefficients").items():
         if ident not in known:
             raise ConfigError(f"coefficients key {ident} is not a divisor")
-        out[ident] = rational(val, f"coefficients[{key}]")
+        out[ident] = rational(val, f"coefficients[{ident}]")
     missing = sorted(known - set(out))
     if missing:
         raise ConfigError(f"coefficients missing for divisors {missing}")
@@ -289,12 +311,10 @@ def face_key_from_string(text, context):
     """Parse face keys written ``"0,1"`` or as an id list."""
     if isinstance(text, list):
         return tuple(sorted(id_list(text, context)))
-    if isinstance(text, str):
-        try:
-            return tuple(sorted(int(p) for p in text.split(",") if p != ""))
-        except ValueError:
-            raise ConfigError(f"{context} is not a face key: {text!r}")
-    raise ConfigError(f"{context} is not a face key: {text!r}")
+    try:        # AttributeError: not a string
+        return tuple(sorted(int(p) for p in text.split(",") if p != ""))
+    except (AttributeError, ValueError):
+        raise ConfigError(f"{context} is not a face key: {text!r}")
 
 
 def model_face(model, key, context):
@@ -479,10 +499,9 @@ def face_potential_from_config(doc, model):
     check_keys(block, {"face", "gradients", "hessian"}, "potential")
     key = face_key_from_string(require(block, "face", "potential"),
                                "potential.face")
-    grads = {divisor_id(k, "potential.gradients"):
-             rational(v, "potential.gradients")
-             for k, v in json_object(require(block, "gradients", "potential"),
-                                     "potential.gradients").items()}
+    grads = {i: rational(v, "potential.gradients")
+             for i, v in divisor_keys(require(block, "gradients", "potential"),
+                                      "potential.gradients").items()}
     p = model_face(model, key, "potential.face").dim
     hess = square_matrix(block.get("hessian", []), p, "potential.hessian")
     return key, FacePotential(gradient=lambda x: grads,
@@ -519,10 +538,9 @@ def matching_from_config(doc, model):
                               "matching.face_a")
     fb = face_key_from_string(require(block, "face_b", "matching"),
                               "matching.face_b")
-    degs = {divisor_id(k, "matching.degrees"):
-            integer(v, "matching.degrees")
-            for k, v in json_object(require(block, "degrees", "matching"),
-                                    "matching.degrees").items()}
+    degs = {i: integer(v, "matching.degrees")
+            for i, v in divisor_keys(require(block, "degrees", "matching"),
+                                     "matching.degrees").items()}
     transition = transition_between(model, fa, fb, degs)
     n = transition.dim
     ga = quadratic_gradient(require(block, "a", "matching"), "matching.a", n)

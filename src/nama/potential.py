@@ -78,9 +78,10 @@ class IntersectionTable:
     against the fibre class and obeys ``a + sum k_i = n`` (in particular the
     top self-intersection (L^n) is the entry with empty stratum and a = n).
 
-    The table is symmetric by construction (multi-indices are canonical).
-    Entries off the face lattice of the model are structural zeros: when
-    the divisors of the powers together with the stratum do not span a face,
+    The table is symmetric by construction: keys are canonical, made so
+    by :meth:`add` or built so by the caller of :meth:`insert`.  Entries
+    off the face lattice of the model are structural zeros: when the
+    divisors of the powers together with the stratum do not span a face,
     the intersection is empty and the number vanishes.  They are never
     required and never read, may be supplied as zeros, and a supplied
     *nonzero* off-face entry is an inconsistent table, rejected by
@@ -103,22 +104,16 @@ class IntersectionTable:
         for (a, powers, stratum, value) in entries:
             self.add(a, powers, stratum, value)
 
-    @staticmethod
-    def _key(a, powers, stratum):
-        """The canonical key: the int power ``a``, the ``(id, power)`` int
-        pairs with nonzero powers in ascending id order, the sorted
-        stratum.  A key already in that form (ints, a tuple of pairs and a
-        tuple) is returned as it is; anything else is converted."""
-        if (type(a) is int and type(powers) is tuple
-                and type(stratum) is tuple and _canonical(powers)
-                and (len(stratum) < 2 or list(stratum) == sorted(stratum))):
-            return (a, powers, stratum)
-        powers = tuple(sorted((int(i), int(k)) for i, k in dict(powers).items()
-                              if int(k) != 0))
-        return (int(a), powers, tuple(sorted(stratum)))
-
     def add(self, a, powers, stratum, value):
-        key = self._key(a, powers, stratum)
+        """:meth:`insert` of an entry in any form: powers as a mapping or
+        pairs, the stratum in any order."""
+        self.insert(_table_key(a, powers, stratum), as_fraction(value))
+
+    def insert(self, key, value):
+        """Store the Fraction ``value`` under a canonical ``key`` (int
+        power, int ``(id, power)`` pairs by id with nonzero powers, sorted
+        stratum): check the dimension rule, reject a conflicting duplicate,
+        skip an identical one, and index a nonzero value."""
         a, powers, stratum = key
         total, negative = a, a < 0
         for _, k in powers:
@@ -132,7 +127,6 @@ class IntersectionTable:
             raise ValueError(
                 f"entry {key}: total degree {total} != {expected} "
                 "(dimension rule)")
-        value = as_fraction(value)
         if key in self._entries:
             if self._entries[key] != value:
                 raise ValueError(f"conflicting values for entry {key}")
@@ -165,7 +159,7 @@ class IntersectionTable:
                         "model; off-face intersection numbers vanish")
 
     def has(self, a, powers, stratum):
-        return self._key(a, powers, stratum) in self._entries
+        return _table_key(a, powers, stratum) in self._entries
 
     def __len__(self):
         return len(self._entries)
@@ -174,13 +168,12 @@ class IntersectionTable:
         try:        # a canonical key costs one probe
             return self._entries[a, powers, stratum]
         except (KeyError, TypeError):
-            key = self._key(a, powers, stratum)
-        try:
-            return self._entries[key]
-        except KeyError:
+            key = _table_key(a, powers, stratum)
+        if key not in self._entries:
             raise MissingTableEntry(
                 f"intersection number for L^{key[0]}, powers {key[1]}, "
-                f"stratum {key[2]} not supplied") from None
+                f"stratum {key[2]} not supplied")
+        return self._entries[key]
 
     def top_self_intersection(self):
         """(L^n): the entry with empty stratum and no divisor powers."""
@@ -205,11 +198,9 @@ class IntersectionTable:
         checked, unchecked, violations = 0, 0, []
         bases = set()
         for (a, powers, stratum) in self._entries:
-            for i, _ in powers:
-                reduced = {j: kk for j, kk in powers}
-                reduced[i] -= 1
-                key = tuple(sorted((j, kk) for j, kk in reduced.items()
-                                   if kk > 0))
+            for i, _ in powers:     # lower the power of i by one
+                key = tuple((j, kk - (j == i)) for j, kk in powers
+                            if j != i or kk > 1)
                 bases.add((a, key, stratum))
         multiplicity = {d.id: d.multiplicity for d in model.divisors}
         neighbours = model.neighbours
@@ -238,19 +229,11 @@ class IntersectionTable:
         return checked, violations, unchecked
 
 
-def _canonical(powers):
-    """Whether ``powers`` is a tuple of ``(id, power)`` int pairs, ids
-    strictly ascending and powers nonzero: a table key's canonical form."""
-    last = None
-    for pair in powers:
-        if type(pair) is not tuple or len(pair) != 2:
-            return False
-        i, k = pair
-        if (type(i) is not int or type(k) is not int or not k
-                or (last is not None and i <= last)):
-            return False
-        last = i
-    return True
+def _table_key(a, powers, stratum):
+    """The canonical table key of an entry given in any form."""
+    powers = tuple(sorted((int(i), int(k)) for i, k in dict(powers).items()
+                          if int(k) != 0))
+    return (int(a), powers, tuple(sorted(stratum)))
 
 
 def _face_monomials(model, ids, degree, stratum):

@@ -4,6 +4,7 @@ import argparse
 import contextlib
 import copy
 import csv
+import hashlib
 import io
 import json
 import random
@@ -75,7 +76,8 @@ def test_model_validate_reports_relations(tmp_path):
     assert manifest["passed"] is True
     assert manifest["outputs"] == ["model_validate.csv"]
     assert manifest["summary"]["divisors"] == 2
-    assert manifest["options"]["config_document"]["n"] == 1
+    assert manifest["options"]["config_sha256"] == hashlib.sha256(
+        open(cfg, "rb").read()).hexdigest()
 
 
 def test_model_skeleton_emits_the_flat_measure(tmp_path):
@@ -637,6 +639,40 @@ def test_invalid_input_exits_one_with_one_line(tmp_path, capsys, argv, doc):
     err = capsys.readouterr().err
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+
+
+# (argv before the config path, config document, the error after
+# "config error: "): "1", "01" and " 1" all read as divisor 1
+NAMED_TWICE = [
+    (["model", "validate"], dict(SEGMENT_MODEL, intersection_table=[
+        *SEGMENT_TABLE, {"L_power": 0, "divisor_powers": {"1": 1, "01": 1},
+                         "stratum": [], "value": "1"}]),
+     "intersection_table[8].divisor_powers keys '1' and '01' both name "
+     "divisor 1"),
+    (["namma"], dict(SEGMENT_MODEL,
+                     coefficients={"0": "0", "1": "1/4", "01": "5"}),
+     "coefficients keys '1' and '01' both name divisor 1"),
+    (["model", "validate"], dict(SEGMENT_MODEL, intersection_table=[
+        *SEGMENT_TABLE, {"L_power": 0, "stratum": [1, 1], "value": "1"}]),
+     "intersection_table[8].stratum repeats a divisor id: [1, 1]"),
+    (["compare", "pde"], dict(SEGMENT_MODEL, residues={"0,1": 1},
+                              potential=dict(POTENTIAL, gradients={
+                                  "0": 0, "1": 0, " 1": 5})),
+     "potential.gradients keys '1' and ' 1' both name divisor 1"),
+    (["compare", "matching"], dict(MATCHING, matching=dict(
+        MATCHING["matching"], degrees={"1": 2, "+1": 3})),
+     "matching.degrees keys '1' and '+1' both name divisor 1"),
+]
+
+
+@pytest.mark.parametrize("argv,doc,message", NAMED_TWICE,
+                         ids=[m.split()[0] for _, _, m in NAMED_TWICE])
+def test_a_divisor_named_twice_is_an_input_error(tmp_path, capsys, argv, doc,
+                                                 message):
+    argv = argv_for(tmp_path, argv, doc)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == f"config error: {message}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -1,11 +1,14 @@
 """Tests for strict JSON configuration parsing."""
 
+import hashlib
 import json
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from nama import ConfigError
+from nama import ConfigError, IntersectionTable
 from nama.config import (
     build_model_from_config,
     build_sections_from_config,
@@ -37,8 +40,9 @@ def write_json(tmp_path, payload):
 
 def test_load_document_round_trips_plain_json(tmp_path):
     path = write_json(tmp_path, {"n": 1, "faces": [[0]]})
-    doc = load_document(path)
+    doc, digest = load_document(path)
     assert doc == {"n": 1, "faces": [[0]]}
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
 
 
 def test_load_document_rejects_duplicate_keys(tmp_path):
@@ -149,6 +153,73 @@ def test_table_building_reports_schema_errors():
     with pytest.raises(ConfigError, match="must be exact"):
         build_table_from_config(
             [{"L_power": 1, "stratum": [0], "value": 0.5}], 1)
+
+
+# "1", "01" and " 1" all read as divisor 1; values 0 and "0" are one zero
+SPELLINGS = (str, "0{}".format, " {}".format)
+VALUES = (0, "0", 1, "-2", "1/2", "3/4")
+
+
+@st.composite
+def table_entries(draw):
+    """A dimension and table entries over divisors 0-3 with power keys in
+    any order and spelling, unsorted strata, identical and conflicting
+    duplicates, zeros (off-face or not: no model is read) and entries that
+    break the dimension rule."""
+    n = draw(st.integers(1, 2))
+    distinct = []
+    for _ in range(draw(st.integers(1, 6))):
+        stratum = draw(st.lists(st.integers(0, 3), max_size=n + 1,
+                                unique=True))
+        ids = draw(st.lists(st.integers(0, 3), max_size=n, unique=True))
+        powers = {draw(st.sampled_from(SPELLINGS))(i): draw(st.integers(1, n))
+                  for i in ids}
+        rule = n if not stratum else n + 1 - len(stratum)
+        if sum(powers.values()) > rule:
+            powers = {}
+        # one entry in ten breaks the dimension rule on purpose
+        lp = rule - sum(powers.values()) if draw(st.integers(0, 9)) else \
+            draw(st.integers(0, n + 1))
+        entry = {"L_power": lp, "value": draw(st.sampled_from(VALUES))}
+        if powers or draw(st.booleans()):
+            entry["divisor_powers"] = powers
+        if stratum or draw(st.booleans()):
+            entry["stratum"] = stratum
+        distinct.append(entry)
+    entries = []
+    for entry in draw(st.lists(st.sampled_from(distinct), min_size=1,
+                               max_size=12)):
+        if not draw(st.integers(0, 3)):
+            entry = dict(entry, value=draw(st.sampled_from(VALUES)))
+        entries.append(entry)
+    return n, entries
+
+
+def table_outcome(build):
+    """What a table build gives: its entries, size and nonzero index in
+    order, or the type and text of the error it raises."""
+    try:
+        table = build()
+    except ValueError as exc:
+        return type(exc), str(exc)
+    return table.entries(), len(table), table._nonzero
+
+
+@settings(max_examples=300)
+@given(table_entries())
+def test_the_one_pass_parse_equals_adding_one_entry_at_a_time(drawn):
+    n, entries = drawn
+
+    def one_at_a_time():
+        table = IntersectionTable(n)
+        for e in entries:
+            table.add(e["L_power"], {int(k): v for k, v in
+                                     e.get("divisor_powers", {}).items()},
+                      e.get("stratum", []), Fraction(e["value"]))
+        return table
+
+    assert table_outcome(lambda: build_table_from_config(entries, n)) \
+        == table_outcome(one_at_a_time)
 
 
 def test_sections_project_onto_each_face():

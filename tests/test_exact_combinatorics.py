@@ -9,8 +9,10 @@ first-row Pfaffian expansion, the sorted 1D cells of
 and ``cycle_table``'s on-face entries against the full N^2 + N + 1 table.
 """
 
+import hashlib
 import itertools
 import json
+import shutil
 import math
 from fractions import Fraction
 
@@ -25,7 +27,7 @@ from nama import (AtomicMeasure, ConvexPL, CycleComparison, Divisor,
                   gradient_cells, ma_measure, model_function,
                   na_ma_model_metric, pfaffian, solve, stratum_class,
                   vilsmeier_check_1d)
-from nama import realma
+from nama import potential, realma
 from nama.cli import main
 from nama.config import build_model_from_config, build_table_from_config
 from nama.realma import _cell_ends_1d
@@ -405,6 +407,55 @@ def test_cycle_table_agrees_with_the_full_table(tmp_path, seed):
         assert main(["namma", str(path), "--out", str(out)]) == 0
         written.append((out / "namma.csv").read_bytes())
     assert written[0] == written[1]
+
+
+def sixty_cycle(seed):
+    """Degrees and coefficients of a 60-cycle drawn as perfbench's
+    exact-cycles round draws its ``nama namma`` config."""
+    rng = np.random.default_rng(seed)
+    degrees = [int(d) for d in rng.integers(1, 8, 60)]
+    coeffs = [F(int(p), int(q)) for p, q in zip(rng.integers(-20, 21, 60),
+                                                rng.integers(1, 5, 60))]
+    return degrees, coeffs
+
+
+def test_table_parses_canonicalize_no_key_a_second_time(count_calls):
+    calls = count_calls(potential, "_table_key")
+    degrees, coeffs = sixty_cycle(1)
+    doc = full_cycle_config(degrees, coeffs)
+    full = build_table_from_config(doc["intersection_table"], 1)
+    assert len(full) == 60 * 60 + 60 + 1 and calls == []
+    assert len(cycle_table(degrees)) == 4 * 60 + 1 and calls == []
+    full.add(0, {1: 1}, (0,), 1)    # the counter sees add's canonicalization
+    assert len(calls) == 1
+
+
+def test_the_manifest_names_the_config_by_path_and_digest(tmp_path):
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(full_cycle_config(*sixty_cycle(2))))
+    out = tmp_path / "out"
+    argv = ["namma", str(path), "--out", str(out)]
+
+    def run():
+        assert main(argv) == 0
+        return {p.name: p.read_bytes() for p in out.iterdir()}
+
+    first = run()
+    manifest = json.loads(first["manifest.json"])
+    assert len(first["manifest.json"]) < 2048
+    assert manifest["options"]["config"] == str(path)
+    assert manifest["options"]["config_sha256"] \
+        == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert run() == first       # into the used directory
+    shutil.rmtree(out)
+    assert run() == first
+    # one byte more changes the digest and nothing else
+    path.write_bytes(path.read_bytes() + b"\n")
+    changed = run()
+    digest = json.loads(changed["manifest.json"])["options"]["config_sha256"]
+    assert digest == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert digest != manifest["options"]["config_sha256"]
+    assert changed["namma.csv"] == first["namma.csv"]
 
 
 # ---------------------------------------------------------------------------
