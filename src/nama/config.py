@@ -12,6 +12,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -150,11 +151,18 @@ def integer(value, context, minimum=None):
     return value
 
 
+# a divisor id is ASCII digits after an optional minus sign; int() also
+# reads "+1", " 1", "1_0" and other scripts' digits
+DIVISOR_ID = re.compile(r"-?[0-9]+")
+
+
 def divisor_id(key, context):
     try:
-        return int(key)
-    except ValueError:
-        raise ConfigError(f"{context} key {key!r} is not a divisor id")
+        if DIVISOR_ID.fullmatch(key):
+            return int(key)
+    except ValueError:      # past int()'s digit limit
+        pass
+    raise ConfigError(f"{context} key {key!r} is not a divisor id")
 
 
 def divisor_keys(mapping, context):
@@ -209,10 +217,11 @@ def build_table_from_config(entries, n):
     twice) for ``IntersectionTable.insert``.  Each check tests the plain
     JSON types first and calls its helper only when the test fails, so a
     valid entry builds no context string and an invalid one gets the
-    helper's message."""
+    helper's message; each distinct power key is read once."""
     bounded_list(entries, MAX_TABLE_ENTRIES, "intersection_table")
     table = IntersectionTable(n)
     parsed = {}     # value string or int -> Fraction: tables repeat a few
+    ids = {}        # divisor_powers key -> divisor id, likewise
     for k, entry in enumerate(entries):
         if type(entry) is not dict or not entry.keys() <= TABLE_ENTRY_KEYS:
             check_keys(entry, TABLE_ENTRY_KEYS, f"intersection_table[{k}]")
@@ -226,11 +235,10 @@ def build_table_from_config(entries, n):
             raw = json_object(raw, f"intersection_table[{k}].divisor_powers")
         powers = []
         for key, val in raw.items():
-            try:
-                ident = int(key)
-            except ValueError:
-                ident = divisor_id(key,
-                                   f"intersection_table[{k}].divisor_powers")
+            ident = ids.get(key)
+            if ident is None:
+                ident = ids[key] = divisor_id(
+                    key, f"intersection_table[{k}].divisor_powers")
             if type(val) is not int or val < 1:
                 val = integer(val, f"intersection_table[{k}].divisor_powers"
                               f"[{key}]", minimum=1)

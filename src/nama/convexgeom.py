@@ -6,9 +6,9 @@ subgradient cells can be computed exactly when the inputs are rational.  2D
 dual cells come from :class:`FacetCells`, the gradients of the lifted
 lower-hull facets, which runs exact input on integers and also holds the
 float envelope's planes, so one hull serves every reader of a function.
-A node its hull does not vouch for takes :meth:`FacetCells.full_clip`, the
-one clip of a cell against every other node.  1D cells are not here: one
-sorted pass in :mod:`nama.realma` serves every 1D reader.
+It builds, checks and reads one hull; a node the hull does not vouch for
+takes :meth:`FacetCells.full_clip`, the one clip of a cell against every
+other node.  1D cells come from one sorted pass in :mod:`nama.realma`.
 """
 
 from __future__ import annotations
@@ -263,138 +263,131 @@ def _fan_sums(n, i, fs, ft, num, den, D):
 
 class FacetCells:
     """Every 2D dual cell of the nodes lifted to ``values``, read off the
-    gradients of the lower-hull facets around each node (Aurenhammer 1987).
+    gradients of the lower-hull facets around each node (Aurenhammer 1987):
+    each half-edge with a twin gives one shoelace term and one dual-edge
+    length, summed per node, with no clipping and no ordering of the fans.
 
-    Each half-edge of the lower triangulation with a twin gives one shoelace
-    term and one dual-edge length, the distance between the gradients of the
-    two facets on it, summed per node: no clipping and no ordering of the
-    fans.  The Qhull hull is checked, not trusted: every edge between two
-    proper triangles must be locally convex and every node off the
-    triangulation on or above every facet plane, which makes the
-    interpolant the envelope; else no node is good.  Exact input must pass
-    exactly, with every triangle positively oriented and the triangles
-    tiling the ccw polygon ``corners``; float checks allow a relative
-    1e-11.  A node off the triangulation then has an empty cell: a cell is
-    the envelope's subdifferential at the node (Rockafellar 1970, sections
-    23-24), which has interior only at a vertex of the triangulation.  The
-    triangles ``tri`` are :func:`lower_facets` of the float nodes ``pts``
-    lifted to ``vals``, kept whatever the checks say, and :meth:`planes`
-    reads the envelope off them; float input Qhull finds flat takes its
-    largest facet's gradient for all cells, so no cell has rounding noise.
+    It builds (:meth:`_build`), checks (:meth:`_check`) and reads
+    (:meth:`_read`) once; nothing changes after.  The Qhull hull is not
+    trusted: ``flagged`` holds the half-edges and nodes that fail the
+    checks, and is empty exactly when the hull is vouched for.  ``good``
+    marks the nodes whose cells the hull gives, ``closed`` those of them
+    with bounded (possibly empty) cells, of areas ``area``; the other good
+    nodes lie on the hull boundary, and ``solid`` says whether their cells
+    have interior.  A node off the triangulation has an empty cell: a cell
+    is the envelope's subdifferential at the node (Rockafellar 1970,
+    sections 23-24), with interior only at a vertex of the triangulation.
+    The hull gives no cell of the other nodes (the nodes of a flat float
+    triangle, and every node when anything is flagged): :meth:`cut` and
+    :meth:`full_clip` cut theirs by every other node.
 
-    Exact input (Fraction nodes and values) runs on Python ints: node i is
-    the int pair X_i over l_i, the lcm of its coordinates' denominators, and
-    its value V_i over m_i.  Each triangle is scaled by the lcms L and M of
-    its own three nodes' l and m, so its gradient is ``L num / (M det)``,
-    integer numerators over an integer denominator, every check is the sign
-    of a cross-multiplied integer, and a node's area is its shoelace sum
-    over the lcm of its facets' denominators.  The ints grow with the
-    denominators of a node's neighbours, not with those of the whole input.
-    The passes build no Fraction but the corners'; the last step builds one
-    per closed node, and ``grad`` holds the correctly rounded floats.
-    :meth:`cut` and :meth:`full_clip` clip in integers too, each
-    constraint on its own integer line.  Asked for the cells within the
-    polygon (:meth:`areas_within`), exact input also reads the cells of rim
-    nodes off their fans, on ints, and clips none.
-
-    ``good`` marks the nodes whose cells the hull gives, ``closed`` those of
-    them with bounded (possibly empty) cells, of areas ``area``.  The other
-    good nodes lie on the hull boundary; ``solid`` says whether their cells
-    have interior.  The hull gives no cell of the other nodes (the nodes of
-    a flat float triangle, and every node when a check fails): :meth:`cut`
-    and :meth:`full_clip` cut theirs by every other node.  Nothing changes
-    after construction.
+    ``exact`` input (Fraction nodes and values) runs on Python ints: node i
+    is the int pair X_i over l_i, the lcm of its coordinates' denominators,
+    and its value V_i over m_i.  Each triangle is scaled by the lcms L and
+    M of its own three nodes' l and m, so its gradient is ``L num / (M
+    det)``, every check is the sign of a cross-multiplied integer, and the
+    ints grow with the denominators of a node's neighbours only.
+    :meth:`cut` and :meth:`full_clip` clip in integers too, and
+    :meth:`areas_within` reads the cells of rim nodes off their fans.
     """
 
     def __init__(self, nodes, values, corners=None):
         self.nodes, self.values = nodes, values
-        n = len(nodes)
-        self.good = self.closed = self.solid = np.zeros(n, dtype=bool)
-        self.area, self.grad = np.zeros(n), np.zeros((0, 2))
-        self.src = self.dst = self.apex = self.twin = np.zeros(0, dtype=int)
-        self._ints = None       # exact input: num, den and D once checked
-        exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
+        self.exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
             and all(isinstance(v, Fraction) for v in values)
-        if exact:       # int / int rounds as float(Fraction) does
-            P, l, V, m = self._cleared = _cleared(nodes, values)
+        num, den = self._build()
+        self.flagged = self._check(num, den, corners)
+        self._read(num, den)
+
+    def _build(self):
+        """``_lift`` (P, l, V, m): node i is P_i / l_i lifted to V_i / m_i,
+        ints or floats over 1; :func:`lower_facets` ``tri``, kept whatever
+        the checks say (:meth:`planes` reads the envelope off it), and its
+        half-edges; each facet's gradient num / den, den > 0 iff det > 0."""
+        n = len(self.nodes)
+        if self.exact:      # int / int rounds as float(Fraction) does
+            P, l, V, m = self._lift = _cleared(self.nodes, self.values)
             pts = np.array(P / l[:, None], dtype=float).reshape(-1, 2)
             vals = np.array(V / m, dtype=float)
         else:
-            self._cleared = None
-            P = pts = np.array(nodes, dtype=float).reshape(-1, 2)
-            V = vals = np.array(values, dtype=float)
-            l = m = np.ones(n)
+            P = pts = np.array(self.nodes, dtype=float).reshape(-1, 2)
+            V = vals = np.array(self.values, dtype=float)
+            self._lift = P, np.ones(n), V, np.ones(n)
         tri, flat = lower_facets(pts, vals)
         self.pts, self.vals, self.tri = pts, vals, tri
-        if not len(tri):
-            return
         # half-edge 3t + k runs from tri[t, k] to tri[t, k + 1] opposite the
         # apex tri[t, k + 2]; its twin runs back in the facet across, or is -1
         src, dst, apex = (np.roll(tri, -k, axis=1).ravel() for k in range(3))
         key, back = src * n + dst, dst * n + src
         order = np.argsort(key)
-        if np.any(np.diff(key[order]) == 0):
-            return
         at = order[np.minimum(np.searchsorted(key[order], back), len(key) - 1)]
-        twin = np.where(key[at] == back, at, -1)
-        rim = twin < 0
-        good = np.zeros(n, dtype=bool)
-        good[src] = True
-
-        def along(e):
-            """Half-edges e as vectors, each a positive multiple of its own."""
-            return (P[dst[e]] * l[src[e], None]
-                    - P[src[e]] * l[dst[e], None])
-
-        # a facet's gradient is num / den: in floats den is 1, in integers
-        # it is L num / (M det) over the triangle's own L and M
-        if exact:
-            Lt = np.lcm.reduce(l[tri], axis=1)
-            Mt = np.lcm.reduce(m[tri], axis=1)
+        self.src, self.dst, self.apex, self.twin = (
+            src, dst, apex, np.where(key[at] == back, at, -1))
+        self._order, self._keys = order, key[order]
+        if self.exact:
+            Lt, Mt = (np.lcm.reduce(k[tri], axis=1) for k in (l, m))
             det, num = _plane(P[tri] * (Lt[:, None] // l[tri])[:, :, None],
                               V[tri] * (Mt[:, None] // m[tri]))
-        else:
-            det, num = _plane(P[tri], V[tri])
-        bad = ~(det > 0)
-        if exact:
-            # the triangles tile the polygon: they are positively oriented,
-            # every rim edge lies on a side of it, and their areas add up to
-            # its area; twin half-edges cancel in that sum, which leaves the
-            # shoelace of the rim
+            return num * Lt[:, None], det * Mt
+        det, num = _plane(P[tri], V[tri])
+        with np.errstate(divide="ignore", invalid="ignore"):
+            num = num / det[:, None]
+        if flat and len(tri):   # one plane to rounding: its largest facet's
+            num[:] = num[np.argmax(det)]    # for all, so no rounding noise
+        return num, (det > 0) * 1.0
+
+    def _along(self, e):
+        """Half-edges e as vectors, each a positive multiple of its own."""
+        P, l = self._lift[:2]
+        s, d = self.src[e], self.dst[e]
+        return P[d] * l[s, None] - P[s] * l[d, None]
+
+    def _check(self, num, den, corners):
+        """The sorted half-edges and nodes that fail, each test in full: no
+        half-edge twice; exact input's triangles positively oriented and
+        tiling the ccw polygon ``corners``; each inner edge between proper
+        facets locally convex; each node off the triangulation on or above
+        every facet plane (float tests allow a relative 1e-11)."""
+        n, tri, src, twin = len(self.nodes), self.tri, self.src, self.twin
+        if not len(tri):
+            return np.zeros(0, dtype=int), np.arange(n)
+        P, l, V, m = self._lift
+        bad = ~(den > 0)
+        tol = 0 if self.exact else 1e-11 * (
+            1 + np.abs(V).max() + np.abs(P).max()
+            * np.abs(num[~bad]).max(initial=0))
+        flag = np.zeros(len(twin), dtype=bool)
+        twice = np.flatnonzero(self._keys[1:] == self._keys[:-1])
+        flag[self._order[twice]] = flag[self._order[twice + 1]] = True
+        if self.exact:
+            # tiling: each rim edge on a side, and the triangles' areas (the
+            # rim's shoelace: twin half-edges cancel) adding up to its area
             F = [tuple(map(Fraction, v)) for v in corners or ()]
             C = [_homogeneous(v) for v in F]
-            rs, rd = src[rim], dst[rim]
+            rim = np.flatnonzero(twin < 0)
+            rs, rd = src[rim], self.dst[rim]
             w = l[rs] * l[rd]
             W = math.lcm(*w)
-            if not (C and len(det) and not bad.any()
-                    and (_cross(P[rs], P[rd]) * (W // w)).sum() == W * sum(
-                        _orient(F[0], p, q) for p, q in zip(F[1:], F[2:]))
-                    and np.logical_or.reduce([
-                        (_side(p, q, P[rs], l[rs]) == 0)
-                        & (_side(p, q, P[rd], l[rd]) == 0)
-                        for p, q in zip(C, C[1:] + C[:1])]).all()):
-                return
-            num, den, tol = num * Lt[:, None], det * Mt, 0
-        else:
-            with np.errstate(divide="ignore", invalid="ignore"):
-                num = num / det[:, None]
-            if flat:    # one plane to rounding: its largest facet's for all
-                num[:] = num[np.argmax(det)]
-            den = np.ones(len(det))
-            tol = 1e-11 * (1 + np.abs(V).max() + np.abs(P).max()
-                           * np.abs(num[~bad]).max(initial=0))
+            tiled = np.full(len(rim), bool(C) and (
+                _cross(P[rs], P[rd]) * (W // w)).sum() == W * sum(
+                    _orient(F[0], p, q) for p, q in zip(F[1:], F[2:])))
+            tiled &= np.logical_or.reduce([
+                (_side(p, q, P[rs], l[rs]) == 0)
+                & (_side(p, q, P[rd], l[rd]) == 0)
+                for p, q in zip(C, C[1:] + C[:1])], initial=False)
+            flag[rim[~tiled]] = True
+            flag |= np.repeat(bad, 3)
         # convex across an edge: the gradient jumps towards the facet across
-        inner = np.nonzero(~rim)[0]
+        inner = np.flatnonzero(twin >= 0)
         e = inner[(inner < twin[inner]) & ~bad[inner // 3]
                   & ~bad[twin[inner] // 3]]
         s, t = e // 3, twin[e] // 3
-        if not (_cross(num[t] * den[s, None] - num[s] * den[t, None],
-                       along(e)) >= -tol).all():
-            return
-        # every node off the triangulation on or above every facet plane:
+        flag[e[~(_cross(num[t] * den[s, None] - num[s] * den[t, None],
+                        self._along(e)) >= -tol)]] = True
         # den (v_i - v_a) >= num . (x_i - x_a) at a facet's first node a,
         # times m_i l_i m_a l_a
-        off = np.nonzero(~good)[0]
+        off = np.flatnonzero(np.bincount(src, minlength=n) == 0)
+        below = np.zeros(len(off), dtype=bool)
         if len(off) and not bad.all():
             a = tri[~bad, 0]
             g, d = num[~bad] * (m[a] * l[a])[:, None], den[~bad] * m[a] * l[a]
@@ -402,59 +395,64 @@ class FacetCells:
             step = max(1, _BLOCK // len(b))
             for k in range(0, len(off), step):
                 i = off[k:k + step]
-                if not ((V[i] * l[i])[:, None] * d - m[i, None]
-                        * (P[i] @ g.T + l[i, None] * b) >= -tol).all():
-                    return
-        good[off] = True
-        good[tri[bad].ravel()] = False
-        edge = np.zeros(n, dtype=bool)
-        edge[src[rim]] = True
-        self.good, self.closed = good, good & ~edge
-        self.grad = (np.array(num / den[:, None], dtype=float)
-                     if exact else num)
-        self.src, self.dst, self.apex, self.twin = src, dst, apex, twin
-        self._order, self._keys = order, key[order]
+                below[k:k + step] = ~((V[i] * l[i])[:, None] * d - m[i, None]
+                                      * (P[i] @ g.T + l[i, None] * b)
+                                      >= -tol).all(axis=1)
+        return np.flatnonzero(flag), off[below]
 
+    def _read(self, num, den):
+        """The cells off the facets' planes, ``grad`` nan where den <= 0, and
+        ``_facets`` (num, den, D)."""
+        n, src, dst, twin = len(self.nodes), self.src, self.dst, self.twin
+        rim = twin < 0
+        good = np.full(n, not any(map(len, self.flagged)))
+        good[self.tri[~(den > 0)].ravel()] = False
+        edge = np.bincount(src[rim], minlength=n) > 0
+        closed = good & ~edge
         # the fan's shoelace, over the half-edges of the closed nodes only:
         # a zero-det facet's gradient never enters the sums
-        e = inner[self.closed[src[inner]]]
+        e = np.flatnonzero(~rim & closed[src])
         i, fs, ft = src[e], e // 3, twin[e] // 3
-        if exact:
+        if self.exact:
             # over the lcm D of the node's facets' den, each facet's
             # gradient numerators times D / den: one Fraction per closed node
             D = np.ones(n, dtype=object)
             np.lcm.at(D, src, den[np.arange(len(src)) // 3])
             twice = _fan_sums(n, i, fs, ft, num, den, D)
-            self.area = np.full(n, Fraction(0), dtype=object)
-            k = np.nonzero(self.closed)[0]
-            self.area[k] = [Fraction(abs(a), 2 * d * d)
-                            for a, d in zip(twice[k].tolist(),
-                                            D[k].tolist())]
-            self._ints = num, den, D
+            area = np.full(n, Fraction(0), dtype=object)
+            k = np.flatnonzero(closed)
+            area[k] = [Fraction(abs(a), 2 * d * d)
+                       for a, d in zip(twice[k].tolist(), D[k].tolist())]
+            # int / int rounds as float(Fraction) does; nan where den <= 0
+            grad = np.divide(num, den[:, None], where=den[:, None] > 0,
+                             out=np.full(num.shape, np.nan, dtype=object)
+                             ).astype(float)
         else:
             # terms relative to one facet of the node, so that cells far
             # from the origin keep their digits
+            D, grad = None, np.where(den[:, None] > 0, num, np.nan)
             ref = np.zeros(n, dtype=int)
             ref[src] = np.arange(len(src)) // 3
             p, q = num[ft] - num[ref[i]], num[fs] - num[ref[i]]
             twice = np.zeros(n)
             np.add.at(twice, i, _cross(p, q))
-            self.area = np.where(self.closed, np.abs(twice) / 2, 0.0)
-
+            area = np.where(closed, np.abs(twice) / 2, 0.0)
         # an unbounded cell has interior unless its two boundary edges are
         # parallel and the gradients of its end facets differ across them;
         # only rim half-edges at a good node, whose facets are proper
-        e = np.nonzero(rim & (good[src] | good[dst]))[0]
+        e = np.flatnonzero(rim & (good[src] | good[dst]))
         f = e // 3
-        first, last, g_in, g_out = np.zeros((4, n, 2), dtype=P.dtype)
-        d_in, d_out = np.ones((2, n), dtype=P.dtype)
-        first[src[e]] = last[dst[e]] = along(e)
+        first, last, g_in, g_out = np.zeros((4, n, 2), dtype=num.dtype)
+        d_in, d_out = np.ones((2, n), dtype=num.dtype)
+        first[src[e]] = last[dst[e]] = self._along(e)
         g_out[src[e]], d_out[src[e]] = num[f], den[f]
         g_in[dst[e]], d_in[dst[e]] = num[f], den[f]
         span = g_in * d_out[:, None] - g_out * d_in[:, None]
+        self.good, self.closed, self.area, self.grad = good, closed, area, grad
         self.solid = good & edge & (
             (first[:, 0] * last[:, 1] != first[:, 1] * last[:, 0])
             | ((first * span).sum(axis=1) != 0))
+        self._facets = num, den, D
 
     def _fan(self, i):
         """The half-edges leaving node i, one per facet around it."""
@@ -509,7 +507,7 @@ class FacetCells:
         """:func:`cut_cell` of node i by the nodes ``star``, in that order;
         exact input with a rational polygon is clipped by
         :meth:`_cut_exact`, the same cuts in integers."""
-        if self._cleared is not None and all(
+        if self.exact and all(
                 isinstance(c, (int, Fraction)) for v in polygon for c in v):
             return self._cut_exact(i, polygon, star)
         return cut_cell(i, self.nodes, self.values, polygon, star)
@@ -520,9 +518,9 @@ class FacetCells:
         j's constraint is its own integer line, the Fraction one times
         ``l_i l_j m_i m_j w``: ``(x, y) . (X_i l_j - X_j l_i) m_i m_j >=
         (V_i m_j - V_j m_i) l_i l_j w``.  The same vertices in the same
-        order, labels and edges; the cut vertices and the area are made
-        Fractions once, at the end."""
-        X, l, V, m = self._cleared
+        order, labels and edges; the cut vertices and the area, a shoelace
+        over the lcm of the w, are made Fractions once, at the end."""
+        X, l, V, m = self._lift
         s = np.array(star, dtype=int)
         a = (X[i] * l[s, None] - X[s] * l[i]) * (m[i] * m[s])[:, None]
         c = (V[i] * m[s] - V[s] * m[i]) * (l[i] * l[s])
@@ -541,8 +539,12 @@ class FacetCells:
         edges = edge_lengths_by_label([(x / w, y / w) for x, y, w in hs],
                                       labels)
         edges.pop(None, None)
-        return Cell(2, verts, polygon_area(verts), edges,
-                    any(lab is None for lab in labels), len(verts) < 3)
+        L = math.lcm(*(w for _, _, w in hs))
+        twice = sum((x0 * y1 - x1 * y0) * (L // w0) * (L // w1) for (
+            x0, y0, w0), (x1, y1, w1) in zip(hs, hs[1:] + hs[:1]))
+        area = Fraction(abs(twice), 2 * L * L)  # unless no cut made a vertex
+        return Cell(2, verts, area if None in kept else polygon_area(verts),
+                    edges, any(lab is None for lab in labels), len(verts) < 3)
 
     def inside(self, corners):
         """Good nodes whose fans' gradients all lie in the ccw polygon
@@ -552,21 +554,19 @@ class FacetCells:
         rim counts only when every rim node lies in the polygon too.  Else
         the test is the float one and takes closed nodes only, saying no
         near the boundary."""
-        if self._ints is not None and all(
+        if self.exact and all(
                 isinstance(c, (int, Fraction)) for v in corners for c in v):
-            num, den, _ = self._ints
+            num, den, _ = self._facets
             C = [_homogeneous(v) for v in corners]
             sides = list(zip(C, C[1:] + C[:1]))
             out = np.zeros(len(self.nodes), dtype=bool)
             for p, q in sides:
                 out[self.tri[_side(p, q, num, den) < 0].ravel()] = True
-            X, l = self._cleared[:2]
+            X, l = self._lift[:2]
             r = self.src[self.twin < 0]
             if any((_side(p, q, X[r], l[r]) < 0).any() for p, q in sides):
                 out |= ~self.closed
             return self.good & ~out
-        if not self.closed.any():       # no checked triangles, no grad
-            return self.closed
         g = self.grad
         out = np.zeros(len(self.nodes), dtype=bool)
         C = np.array(corners, dtype=float)
@@ -594,8 +594,8 @@ class FacetCells:
         rim = whole & ~self.closed
         if not rim.any():
             return area
-        X, l = self._cleared[:2]
-        num, den, D = self._ints
+        X, l = self._lift[:2]
+        num, den, D = self._facets
         src, dst, twin = self.src, self.dst, self.twin
         e = np.nonzero((twin >= 0) & rim[src])[0]
         fan = _fan_sums(len(rim), src[e], e // 3, twin[e] // 3, num, den, D)

@@ -66,6 +66,14 @@ def _named(node):
     return f"({', '.join(map(str, node))})"
 
 
+def _finite(kind, nodes, numbers):
+    """A one-line ValueError naming the first node whose ``kind`` is a
+    float nan or infinity, raised before any arithmetic takes it."""
+    for nd, c in zip(nodes, numbers):
+        if isinstance(c, float) and not math.isfinite(c):
+            raise ValueError(f"{kind} {c} at node {_named(nd)} is not finite")
+
+
 class _Pair(tuple):
     """A pair with extras: ``points`` (classify), ``below``, ``above``."""
 
@@ -243,6 +251,7 @@ class ConvexPL:
         values = [_coerce(v) for v in values]
         if len(index) != len(values):
             raise ValueError("one value per node required")
+        _finite("value", index.values(), values)
         self._keep(domain, list(index.values()), values, interior)
 
     def _keep(self, domain, nodes, values, interior):
@@ -1025,12 +1034,8 @@ def _solve_1d(domain, nodes, interior, masses, boundary, tol):
     exact = all(isinstance(c, Fraction) for c in xs + mus + ends)
     if not exact:
         xs, mus, ends = ([float(c) for c in seq] for seq in (xs, mus, ends))
-        for kind, at, seq in (("target mass", xs[1:-1], mus),
-                              ("boundary value", (xs[0], xs[-1]), ends)):
-            for x, c in zip(at, seq):
-                if not math.isfinite(c):
-                    raise ValueError(f"{kind} {c} at node ({x}) is not "
-                                     "finite")
+        _finite("target mass", [(x,) for x in xs[1:-1]], mus)
+        _finite("boundary value", [(xs[0],), (xs[-1],)], ends)
     if (xs[0], xs[-1]) != (domain.lo, domain.hi):
         raise ValueError(f"end nodes ({xs[0]}) and ({xs[-1]}) of the "
                          f"{'exact' if exact else 'float'} solve are not the "
@@ -1126,7 +1131,11 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     boundary_idx = [i for i, inside in enumerate(interior) if not inside]
     if not interior_idx:
         raise ValueError("no interior nodes to solve for")
-    b_values = np.array([float(boundary(nodes[i])) for i in boundary_idx])
+    b_values = [float(boundary(nodes[i])) for i in boundary_idx]
+    mus = [float(targets[i]) for i in interior_idx]
+    _finite("boundary value", [nodes[i] for i in boundary_idx], b_values)
+    _finite("target mass", [nodes[i] for i in interior_idx], mus)
+    b_values, mus = np.array(b_values), np.array(mus)
     dist = [(pts[interior_idx] @ row[:2] - row[2]) / math.hypot(*row[:2])
             for row in domain._floats]
     psi = np.prod(np.maximum(dist, 0.0), axis=0) ** (1 / len(dist))
@@ -1142,7 +1151,6 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
             f"boundary node {nodes[bad]} lies above the envelope of the "
             "other boundary data; no convex extension exists")
 
-    mus = np.array([float(targets[i]) for i in interior_idx])
     mean_mu = mus.mean()
     values = np.zeros(len(nodes))
     values[boundary_idx] = b_values

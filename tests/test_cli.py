@@ -643,7 +643,7 @@ def test_invalid_input_exits_one_with_one_line(tmp_path, capsys, argv, doc):
 
 
 # (argv before the config path, config document, the error after
-# "config error: "): "1", "01" and " 1" all read as divisor 1
+# "config error: "): "1", "01" and "001" all read as divisor 1
 NAMED_TWICE = [
     (["model", "validate"], dict(SEGMENT_MODEL, intersection_table=[
         *SEGMENT_TABLE, {"L_power": 0, "divisor_powers": {"1": 1, "01": 1},
@@ -658,11 +658,11 @@ NAMED_TWICE = [
      "intersection_table[8].stratum repeats a divisor id: [1, 1]"),
     (["compare", "pde"], dict(SEGMENT_MODEL, residues={"0,1": 1},
                               potential=dict(POTENTIAL, gradients={
-                                  "0": 0, "1": 0, " 1": 5})),
-     "potential.gradients keys '1' and ' 1' both name divisor 1"),
+                                  "0": 0, "1": 0, "001": 5})),
+     "potential.gradients keys '1' and '001' both name divisor 1"),
     (["compare", "matching"], dict(MATCHING, matching=dict(
-        MATCHING["matching"], degrees={"1": 2, "+1": 3})),
-     "matching.degrees keys '1' and '+1' both name divisor 1"),
+        MATCHING["matching"], degrees={"01": 2, "1": 3})),
+     "matching.degrees keys '01' and '1' both name divisor 1"),
 ]
 
 
@@ -673,6 +673,24 @@ def test_a_divisor_named_twice_is_an_input_error(tmp_path, capsys, argv, doc,
     argv = argv_for(tmp_path, argv, doc)
     assert main(argv + ["--out", str(tmp_path / "out")]) == 1
     assert capsys.readouterr().err == f"config error: {message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", [" 1", "1 ", "+1", "1_0", "\u0663", "--1",
+                                 "0x1", ""],
+                         ids=["leading space", "trailing space", "plus",
+                              "underscore", "arabic-indic", "minus twice",
+                              "hex", "empty"])
+def test_a_divisor_id_is_ascii_digits(tmp_path, capsys, key):
+    # int() reads all but the last three; a divisor id is -?[0-9]+ only
+    doc = dict(SEGMENT_MODEL, intersection_table=[
+        *SEGMENT_TABLE, {"L_power": 0, "divisor_powers": {key: 1},
+                         "stratum": [], "value": "1"}])
+    argv = argv_for(tmp_path, ["model", "validate"], doc)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: intersection_table[8].divisor_powers key {key!r} "
+        "is not a divisor id\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -155,8 +155,8 @@ def test_table_building_reports_schema_errors():
             [{"L_power": 1, "stratum": [0], "value": 0.5}], 1)
 
 
-# "1", "01" and " 1" all read as divisor 1; values 0 and "0" are one zero
-SPELLINGS = (str, "0{}".format, " {}".format)
+# "1", "01" and "001" all read as divisor 1; values 0 and "0" are one zero
+SPELLINGS = (str, "0{}".format, "00{}".format)
 VALUES = (0, "0", 1, "-2", "1/2", "3/4")
 
 

@@ -525,6 +525,9 @@ def check_integer_cells(cpl):
     cells = convexgeom.FacetCells(nodes, values, cpl.domain.vertices)
     assert not cells.good.any() or all(type(a) is Fraction
                                       for a in cells.area)
+    # the checks flag nothing exactly when the hull vouches for a node
+    edges, off = cells.flagged
+    assert (len(edges) + len(off) == 0) == cells.good.any()
     box = [(-4, -4), (4, -4), (4, 4), (-4, 4)]
     for i in range(len(nodes)):
         bounded = bool(cells.closed[i])
@@ -607,6 +610,15 @@ def test_scrambled_hulls_are_rejected_whole(cpl, rnd):
         assert list(cells.area) == list(want.area)
 
 
+# per bump of the centre node 12, the edges and nodes the checks flag, from
+# Qhull's triangles of the bumped floats: raised, node 12 is off them and
+# below the facets around it; lowered, it is joined to the corners by edges
+# that are not convex, and the ring around it is off and below the facets
+BUMP_FLAGS = {F(1, 4): (set(), [12]),
+              F(-1, 4): ({(0, 12), (4, 12), (12, 20), (12, 24)},
+                         [6, 7, 8, 11, 13, 16, 17, 18])}
+
+
 @pytest.mark.parametrize("bump", [F(1, 4), F(-1, 4)])
 def test_a_hull_that_is_not_convex_is_rejected_whole(monkeypatch, bump):
     # Qhull sees the centre node raised (off the triangulation, though it
@@ -618,8 +630,12 @@ def test_a_hull_that_is_not_convex_is_rejected_whole(monkeypatch, bump):
     bumped = np.where(np.arange(len(nodes)) == 12, float(bump), 0.0)
     monkeypatch.setattr(convexgeom, "lifted_hull",
                         lambda pts, vals: real(pts, vals + bumped))
-    assert not convexgeom.FacetCells(nodes, values,
-                                     cpl.domain.vertices).good.any()
+    cells = convexgeom.FacetCells(nodes, values, cpl.domain.vertices)
+    assert not cells.good.any()
+    edges, off = cells.flagged
+    assert ({tuple(sorted(e)) for e in zip(cells.src[edges].tolist(),
+                                           cells.dst[edges].tolist())},
+            off.tolist()) == BUMP_FLAGS[bump]
     measure = assert_exact_agreement(cpl)
     assert measure.cell_fallbacks == len(nodes)
 

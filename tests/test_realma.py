@@ -363,6 +363,31 @@ def test_float_1d_solve_rejects_what_floats_cannot_hold(mass, ends, message):
               dict(zip(nodes[::2], ends)), nodes=nodes)
 
 
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_a_non_finite_float_is_an_error_naming_its_node(bad):
+    # a one-line ValueError before any numpy arithmetic, which would warn:
+    # values of a 1D or 2D ConvexPL, a 2D solve's target masses and
+    # boundary values (the 1D solve's are the test above)
+    with pytest.raises(ValueError, match=rf"^value {bad} at node \(0.5\) "
+                                         "is not finite$"):
+        ConvexPL(Interval(0.0, 1.0), [(0.0,), (0.5,), (1.0,)], [0, bad, 0])
+    grid = [(i / 4, j / 4) for i in range(5) for j in range(5)]
+    with pytest.raises(ValueError, match=rf"^value {bad} at node "
+                                         r"\(0.5, 0.25\) is not finite$"):
+        ConvexPL(box_polygon(0.0, 1.0, 0.0, 1.0), grid,
+                 [bad if nd == (0.5, 0.25) else 0.0 for nd in grid])
+    ring = {nd: 0.0 for nd in grid if 0 in nd or 1 in nd}
+    target = {nd: 1 / 9 for nd in grid if nd not in ring}
+    with pytest.raises(ValueError, match=rf"^boundary value {bad} at node "
+                                         r"\(1.0, 0.5\) is not finite$"):
+        solve(UNIT, target, {**ring, (1.0, 0.5): bad}, nodes=grid)
+    # -inf is caught as a negative mass first
+    message = (r"^negative target mass -inf at node \(0.5, 0.5\)$" if bad < 0
+               else rf"^target mass {bad} at node \(0.5, 0.5\) is not finite$")
+    with pytest.raises(ValueError, match=message):
+        solve(UNIT, {**target, (0.5, 0.5): bad}, ring, nodes=grid)
+
+
 def test_solve_default_nodes_come_from_target_and_boundary():
     dom = Interval(0, 1)
     nodes = [(F(k, 4),) for k in range(5)]
