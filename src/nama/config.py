@@ -316,13 +316,17 @@ def coefficients_from_config(mapping, model):
 
 
 def face_key_from_string(text, context):
-    """Parse face keys written ``"0,1"`` or as an id list."""
+    """Parse face keys written ``"0,1"``, each part a divisor id (``""``
+    is the empty face), or as an id list."""
     if isinstance(text, list):
         return tuple(sorted(id_list(text, context)))
-    try:        # AttributeError: not a string
-        return tuple(sorted(int(p) for p in text.split(",") if p != ""))
+    try:        # AttributeError: not a string; ValueError: past int()'s limit
+        if text == "" or all(DIVISOR_ID.fullmatch(p)
+                             for p in text.split(",")):
+            return tuple(sorted(int(p) for p in text.split(",") if p))
     except (AttributeError, ValueError):
-        raise ConfigError(f"{context} is not a face key: {text!r}")
+        pass
+    raise ConfigError(f"{context} is not a face key: {text!r}")
 
 
 def model_face(model, key, context):
@@ -521,9 +525,13 @@ def residues_from_config(doc, model, key):
     block = require(doc, "residues", "config")
     if not isinstance(block, dict):
         raise ConfigError("residues must map face keys to weights")
-    weights = {}
+    weights, named = {}, {}
     for k, v in block.items():
         face = face_key_from_string(k, "residues")
+        first = named.setdefault(face, k)
+        if first != k:
+            raise ConfigError(f"residues keys {first!r} and {k!r} both name "
+                              f"face {','.join(map(str, face))}")
         model_face(model, face, "residues face")
         weights[face] = rational(v, f"residues[{k}]")
     if key not in weights:

@@ -171,13 +171,26 @@ def _orient(p, q, r):
     return (q[0] - p[0]) * (r[1] - p[1]) - (q[1] - p[1]) * (r[0] - p[0])
 
 
+# Qhull's options, tried in turn by lifted_hull (scipy always adds Qt)
+_QHULL_OPTIONS = ("Q0", None)
+
+
 def lifted_hull(points, values):
-    """Qhull of the lifted points, or None when they are flat (to rounding)."""
+    """Qhull of the lifted points, or None when they are flat (to rounding).
+
+    The first pass runs with ``Q0``: no pre-merging of facets that are
+    coplanar or not clearly convex to rounding (Barber, Dobkin and
+    Huhdanpaa, ACM TOMS 1996), which :class:`FacetCells` checks anyway.
+    Only when that pass raises does Qhull run its merged default, and only
+    when both raise do the points read as flat."""
     from scipy.spatial import ConvexHull, QhullError
-    try:
-        return ConvexHull(np.column_stack([points, values]))
-    except QhullError:
-        return None
+    lifted = np.column_stack([points, values])
+    for options in _QHULL_OPTIONS:
+        try:
+            return ConvexHull(lifted, qhull_options=options)
+        except QhullError:
+            pass
+    return None
 
 
 def lower_facets(points, values):

@@ -34,6 +34,7 @@ import math
 import operator
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
 
@@ -940,6 +941,19 @@ class TargetMeasure:
         return masses
 
 
+class Evaluation(NamedTuple):
+    """One cell-map evaluation of a solve: its residual, its step length
+    ``tau`` (None at the start), the smallest interior mass (None with no
+    interior node) and its verdict: ``"start"``, ``"accepted"``,
+    ``"mass"`` (a mass fell below eps), ``"residual"`` (the decrease was
+    too small) or, for the one pass of a 1D solve, ``"direct"``."""
+
+    residual: float
+    tau: float | None
+    min_mass: float | None
+    verdict: str
+
+
 @dataclass(frozen=True)
 class SolveResult:
     solution: ConvexPL
@@ -949,6 +963,7 @@ class SolveResult:
     method: str
     cell_fallbacks: int = 0  # 2D cells that took the full clip
     masses: tuple = ()       # per solution node, 0 on the boundary
+    history: tuple = ()      # one Evaluation per cell-map evaluation, in order
 
 
 def solve(domain, target, boundary, nodes=None, tol=1e-8):
@@ -965,9 +980,13 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
     this (Oliker-Prussner) scheme:
 
     * the start is ``env_b - c psi``: env_b is the lower envelope of the
-      boundary data, psi the geometric mean of a node's distances to the
-      domain's edges (zero on the boundary, strictly concave inside), and
-      c = 1, doubled while some starting cell has zero area;
+      boundary data, and psi a concave bump, zero on the boundary: the
+      harmonic mean k / sum 1/d_i of a node's distances d_i to the
+      domain's k edges, whose slope is at most k, so that the cells next
+      to the edges do not start with far too much mass, plus 0.01 times
+      the geometric mean of the d_i, so that a node a rounding error off
+      an edge starts with a cell of some area; c = 1, doubled while some
+      starting cell has zero area;
     * a step solves the sparse Jacobian system (dual-edge length over
       primal-edge length) and halves its length tau from 1 until every
       mass is at least eps = 1/2 min(start masses, targets) and the
@@ -976,9 +995,10 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
 
     Every accepted step lowers the residual, so the last iterate is the
     best one.  A cell-map evaluation is one lower hull and every interior
-    cell.  Before any of it, one pass checks and classifies the nodes and
-    reads each coordinate into a float once; every step, and the
-    solution's :meth:`ConvexPL.interior_mask`, reads its flags.
+    cell; ``history`` records each one, in order, as an
+    :class:`Evaluation`.  Before any of it, one pass checks and classifies
+    the nodes and reads each coordinate into a float once; every step, and
+    the solution's :meth:`ConvexPL.interior_mask`, reads its flags.
 
     Parameters
     ----------
@@ -1052,8 +1072,10 @@ def _solve_1d(domain, nodes, interior, masses, boundary, tol):
                    default=0.0) / mean
     cpl = ConvexPL.__new__(ConvexPL)._keep(domain, [(x,) for x in xs],
                                            values, interior)
+    low = min(map(float, jumps), default=None)
     return SolveResult(cpl, residual, 1, residual <= tol, "direct",
-                       masses=(0, *jumps, 0))
+                       masses=(0, *jumps, 0),
+                       history=(Evaluation(residual, None, low, "direct"),))
 
 
 def _direct_values(xs, mus, v_lo, v_hi):
@@ -1121,6 +1143,8 @@ def _mass_jacobian(pts, interior_idx, edges):
 _START_DOUBLINGS = 30
 _NEWTON_STEPS = 50
 _TAU_FLOOR = 2.0 ** -12
+# the start bump's weight on the geometric mean of the distances (solve)
+_GEOMETRIC_WEIGHT = 0.01
 
 
 def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
@@ -1136,9 +1160,11 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     _finite("boundary value", [nodes[i] for i in boundary_idx], b_values)
     _finite("target mass", [nodes[i] for i in interior_idx], mus)
     b_values, mus = np.array(b_values), np.array(mus)
-    dist = [(pts[interior_idx] @ row[:2] - row[2]) / math.hypot(*row[:2])
-            for row in domain._floats]
-    psi = np.prod(np.maximum(dist, 0.0), axis=0) ** (1 / len(dist))
+    dist = np.maximum([(pts[interior_idx] @ row[:2] - row[2])
+                       / math.hypot(*row[:2]) for row in domain._floats], 0.0)
+    with np.errstate(divide="ignore"):
+        psi = len(dist) / (1 / dist).sum(axis=0)
+    psi += _GEOMETRIC_WEIGHT * np.prod(dist, axis=0) ** (1 / len(dist))
     nodes = list(map(tuple, pts.tolist()))
 
     b_pts = pts[boundary_idx]
@@ -1154,21 +1180,21 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     mean_mu = mus.mean()
     values = np.zeros(len(nodes))
     values[boundary_idx] = b_values
-    evaluations = fallbacks = 0
+    history, fallbacks = [], 0
 
     def cells(interior_values):
-        nonlocal evaluations, fallbacks
+        nonlocal fallbacks
         values[interior_idx] = interior_values
         masses, edges, n_full = _cells_2d(nodes, values.tolist(),
                                           interior_idx)
-        evaluations += 1
         fallbacks += n_full
-        return masses, edges, np.abs(masses - mus).max() / mean_mu
+        return masses, edges, float(np.abs(masses - mus).max() / mean_mu)
 
     c = 1.0
     for _ in range(_START_DOUBLINGS):
         v = env[interior_idx] - c * psi
         masses, edges, res = cells(v)
+        history.append(Evaluation(res, None, float(masses.min()), "start"))
         if masses.min() > 0:
             break
         c *= 2
@@ -1181,7 +1207,11 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
         tau = 1.0
         while tau >= _TAU_FLOOR:
             t_masses, t_edges, t_res = cells(v + tau * delta)
-            if t_masses.min() >= eps and t_res <= (1 - tau / 2) * res:
+            verdict = ("mass" if t_masses.min() < eps else "residual"
+                       if t_res > (1 - tau / 2) * res else "accepted")
+            history.append(Evaluation(t_res, tau, float(t_masses.min()),
+                                      verdict))
+            if verdict == "accepted":
                 break
             tau /= 2
         else:
@@ -1194,5 +1224,5 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     # the float nodes on a float copy of the domain, with the solve's flags
     cpl = ConvexPL.__new__(ConvexPL)._keep(
         Polygon(domain._corners), nodes, values.tolist(), interior)
-    return SolveResult(cpl, float(res), evaluations, bool(res <= tol),
-                       "newton", fallbacks, tuple(final.tolist()))
+    return SolveResult(cpl, res, len(history), res <= tol, "newton",
+                       fallbacks, tuple(final.tolist()), tuple(history))

@@ -663,6 +663,9 @@ NAMED_TWICE = [
     (["compare", "matching"], dict(MATCHING, matching=dict(
         MATCHING["matching"], degrees={"01": 2, "1": 3})),
      "matching.degrees keys '01' and '1' both name divisor 1"),
+    (["compare", "pde"], dict(SEGMENT_MODEL, potential=POTENTIAL,
+                              residues={"0,1": 1, "1,0": 5}),
+     "residues keys '0,1' and '1,0' both name face 0,1"),
 ]
 
 
@@ -691,6 +694,21 @@ def test_a_divisor_id_is_ascii_digits(tmp_path, capsys, key):
     assert capsys.readouterr().err == (
         f"config error: intersection_table[8].divisor_powers key {key!r} "
         "is not a divisor id\n")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("key", ["0, 1", "+1,0", " 0 ,1 ", "1_0", "0,,1",
+                                 "0,1,", ","],
+                         ids=["space after comma", "plus", "spaces around",
+                              "underscore", "empty part", "trailing comma",
+                              "comma only"])
+def test_a_face_key_is_divisor_ids(tmp_path, capsys, key):
+    # int() reads each of the first four's parts; "1_0" read as face (10,)
+    doc = dict(SEGMENT_MODEL, potential=POTENTIAL, residues={key: 1})
+    argv = argv_for(tmp_path, ["compare", "pde"], doc)
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"config error: residues is not a face key: {key!r}\n")
     assert not (tmp_path / "out").exists()
 
 

@@ -260,8 +260,11 @@ def test_face_keys_parse_from_strings_and_lists():
     assert face_key_from_string("2", "face") == (2,)
     assert face_key_from_string([2, 0], "face") == (0, 2)
     assert face_key_from_string("", "face") == ()
+    assert face_key_from_string("-1,01", "face") == (-1, 1)
     with pytest.raises(ConfigError):
         face_key_from_string("a,b", "face")
+    with pytest.raises(ConfigError, match="not a face key"):
+        face_key_from_string("1," + "9" * 5000, "face")
     with pytest.raises(ConfigError):
         face_key_from_string(3, "face")
 

@@ -295,6 +295,89 @@ def test_float_near_flat_data_takes_no_nan_arithmetic():
         "db4893f13ba5ecbc", "ef0b58b655b40f05"]
 
 
+def record_qhull(monkeypatch, fail=()):
+    """Record the options of each Qhull call; calls with options in
+    ``fail`` raise QhullError."""
+    import scipy.spatial
+    real, calls = scipy.spatial.ConvexHull, []
+
+    def hull(points, qhull_options=None):
+        calls.append(qhull_options)
+        if qhull_options in fail:
+            raise scipy.spatial.QhullError(f"{qhull_options} made to fail")
+        return real(points, qhull_options=qhull_options)
+
+    monkeypatch.setattr(scipy.spatial, "ConvexHull", hull)
+    return calls
+
+
+def test_qhull_runs_merged_only_when_the_unmerged_pass_fails(monkeypatch):
+    cpl = lattice(5)
+    want = ma_measure(cpl)
+    calls = record_qhull(monkeypatch)
+    assert ma_measure(ConvexPL(cpl.domain, cpl.nodes, cpl.values)) == want
+    assert calls == ["Q0"]
+    calls = record_qhull(monkeypatch, fail={"Q0"})
+    got = ma_measure(ConvexPL(cpl.domain, cpl.nodes, cpl.values))
+    assert calls == ["Q0", None] and got == want
+    assert got.cell_fallbacks == 0 and not got.degenerate
+    # both fail: the lift reads as flat, and its Delaunay triangles stand in
+    calls = record_qhull(monkeypatch, fail={"Q0", None})
+    pts = np.array(cpl.nodes, dtype=float)
+    vals = np.array(cpl.values, dtype=float)
+    tri, flat = convexgeom.lower_facets(pts, vals)
+    assert calls == ["Q0", None] and flat and len(tri) == 2 * 4 * 4
+
+
+def test_the_merged_pass_holds_a_lift_the_unmerged_one_rejects(monkeypatch):
+    # the near-flat data of test_float_near_flat_data_takes_no_nan_arithmetic:
+    # its pinned masses and fallbacks come from the merged hull
+    base = np.linspace(-1, 1, 65)
+    pts = np.array([(x, y) for x in base for y in base])
+    calls = record_qhull(monkeypatch)
+    hull = convexgeom.lifted_hull(pts, 1e-12 * (pts ** 2).sum(axis=1) + 0.5)
+    assert calls == ["Q0", None] and hull is not None
+
+
+def near_tie_lattice(n, seed):
+    """A near_tie_lattices draw: x^2 + y^2 + k / 10^20 + x / 3 - y / 7,
+    k in 0..9 from ``seed``, on an n x n lattice of [-1, 1]^2."""
+    rnd = np.random.default_rng(seed)
+    nodes = [(F(2 * i, n - 1) - 1, F(2 * j, n - 1) - 1)
+             for i in range(n) for j in range(n)]
+    values = [x * x + y * y + F(int(k), 10 ** 20) + x / 3 - y / 7
+              for (x, y), k in zip(nodes, rnd.integers(0, 10, n * n))]
+    return ConvexPL(box_polygon(-1, 1, -1, 1), nodes, values)
+
+
+def test_unmerged_hulls_give_the_merged_ones_exact_cells(monkeypatch):
+    # the exact density targets of a paraboloid lattice, whose flat quads
+    # Qhull merges by default, near-tie measures, whose hulls the checks
+    # reject, and jittered exact measures, whose hulls they certify: the
+    # same rationals and fallbacks either way
+    nodes = [(F(i, 8), F(j, 8)) for i in range(9) for j in range(9)]
+    jittered = [
+        ConvexPL(box_polygon(-1, 1, -1, 1), [tuple(map(F, nd)) for nd in pts],
+                 [F(v) for v in vals])
+        for pts, vals in (jittered_quadratic(9, seed, 0.01)
+                          for seed in range(2))]
+
+    def outputs():
+        target = TargetMeasure.from_density(box_polygon(0, 1, 0, 1),
+                                            nodes, 1)
+        measures = [ma_measure(near_tie_lattice(9, seed))
+                    for seed in range(4)] + [
+            ma_measure(ConvexPL(c.domain, c.nodes, c.values))
+            for c in jittered]
+        return target.masses, [(m.masses, m.cell_fallbacks)
+                               for m in measures]
+
+    unmerged = outputs()
+    monkeypatch.setattr(convexgeom, "_QHULL_OPTIONS", (None,))
+    assert outputs() == unmerged
+    assert [fallbacks for _, fallbacks in unmerged[1]] == [81] * 4 + [0, 0]
+
+
 @pytest.mark.parametrize("exact", [True, False])
 def test_every_reader_of_a_function_takes_its_one_hull(monkeypatch, exact):
     # the flat quads of (x^2 + y^2) / 2 with a node on a quad's plane and

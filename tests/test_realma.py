@@ -539,9 +539,94 @@ def test_a_33_by_33_solve_takes_at_most_30_cell_evaluations(exp_solves):
     assert exp_solves[33][0].iterations <= 30
 
 
+def check_the_history(result):
+    """One entry per evaluation: the starts, then trials whose accepted
+    residuals strictly decrease, the last of them the result's."""
+    history = result.history
+    assert len(history) == result.iterations
+    verdicts = [h.verdict for h in history]
+    starts = verdicts.count("start")
+    assert starts >= 1 and set(verdicts[:starts]) == {"start"}
+    assert {"accepted", "mass", "residual"} >= set(verdicts[starts:])
+    assert all((h.tau is None) == (h.verdict == "start") for h in history)
+    kept = [history[starts - 1].residual] + [
+        h.residual for h in history if h.verdict == "accepted"]
+    assert all(a > b for a, b in zip(kept, kept[1:]))
+    assert kept[-1] == result.residual
+
+
+def lattice_problem(k, per):
+    """The three lattice problems of the solver's evaluation counts: exact
+    n x n lattice nodes, exact density targets."""
+    box, density, boundary = [
+        ((0, 1, 0, 1), 1, lambda nd: (nd[0] ** 2 + nd[1] ** 2) / 2),
+        ((-1, 1, -1, F(1, 2)), 3,
+         lambda nd: (nd[0] ** 2 + nd[1] ** 2) / 2 + nd[0] - nd[1]),
+        ((0, 1, 0, 1), 1, lambda nd: (4 * nd[0] ** 2 + 2 * nd[0] * nd[1]
+                                      + nd[1] ** 2 / 4) / 2)][k]
+    lo0, hi0, lo1, hi1 = map(F, box)
+    nodes = [(lo0 + (hi0 - lo0) * F(i, per - 1),
+              lo1 + (hi1 - lo1) * F(j, per - 1))
+             for i in range(per) for j in range(per)]
+    dom = box_polygon(*box)
+    target = TargetMeasure.from_density(dom, nodes, density)
+    return solve(dom, target, boundary, nodes=nodes)
+
+
+# a slanted side from (1, 1/4) to (1/2, 1): most lattice nodes near it lie
+# off it at small distances
+PENTAGON = Polygon([(0, 0), (1, 0), (1, F(1, 4)), (F(1, 2), 1), (0, 1)])
+
+
+def pentagon_solve(per):
+    nodes = [(F(i, per - 1), F(j, per - 1)) for i in range(per)
+             for j in range(per)]
+    nodes = [nd for nd in nodes if PENTAGON.contains(nd)]
+    target = TargetMeasure.from_density(PENTAGON, nodes, 1)
+    return solve(PENTAGON, target, lambda nd: (nd[0] ** 2 + nd[1] ** 2) / 2,
+                 nodes=nodes)
+
+
+# measured with the harmonic-mean start; the geometric-mean start took
+# 13, 8, 9, 16, 11, 22, 26, 15 and 21
+@pytest.mark.parametrize("run,bound", [
+    (lambda _: lattice_problem(0, 17), 11),
+    (lambda _: lattice_problem(1, 17), 7),
+    (lambda _: lattice_problem(2, 17), 7),
+    (lambda _: lattice_problem(0, 33), 16),
+    (lambda _: lattice_problem(1, 33), 9),
+    (lambda _: lattice_problem(2, 33), 8),
+    (lambda exp_solves: exp_solves[65][0], 16),
+    (lambda _: pentagon_solve(17), 8),
+    (lambda _: pentagon_solve(33), 12)],
+    ids=["square-17", "box-17", "skew-17", "square-33", "box-33", "skew-33",
+         "exp-65", "pentagon-17", "pentagon-33"])
+def test_the_start_bounds_the_cell_evaluations(exp_solves, run, bound):
+    result = run(exp_solves)
+    assert result.converged and result.cell_fallbacks == 0
+    assert result.iterations <= bound
+    check_the_history(result)
+
+
+def test_every_solve_records_its_evaluations(exp_solves):
+    for result, _, _ in exp_solves.values():
+        check_the_history(result)
+    # the node 1e-13 off an edge starts far from its target mass
+    nodes = HALVES + [(F(1, 2), F(1, 10 ** 13))]
+    result = solve(UNIT, {(F(1, 2), F(1, 2)): F(1, 6), nodes[-1]: F(1, 6)},
+                   lambda nd: 0, nodes=nodes)
+    check_the_history(result)
+    line = solve(Interval(0, 1), {(F(1, 3),): 1, (F(1, 2),): F(1, 2)},
+                 {(0,): 0, (1,): 1})
+    assert line.history == (realma.Evaluation(line.residual, None, 0.5,
+                                              "direct"),)
+
+
 def test_solve_with_zero_tolerance_stops_with_its_last_iterate():
     result, target, sup = exp_solve(5, tol=0.0)
     assert result.iterations <= 40
+    check_the_history(result)
+    assert result.history[-1].verdict in ("mass", "residual")
     check_the_solves_flags(result, UNIT, [
         (F(i, 4), F(j, 4)) for i in range(5) for j in range(5)])
     assert result.converged == (result.residual <= 0.0)
