@@ -444,7 +444,8 @@ class FaceMassTerm:
 
         Cells are uniform in the scaled coordinates b_i x_i; centers outside
         the simplex are skipped.  Accuracy is O(1/resolution) for bounded
-        densities; supply exact integrals via ``explicit`` when available.
+        densities; build ``FaceMassTerm(key, integral)`` from an exact
+        integral when one is known.
         """
         key = tuple(sorted(index_set))
         face = model.face(key)
@@ -465,10 +466,6 @@ class FaceMassTerm:
             full = face.complete(pt)
             total += float(fn(full)) * cellvol
         return cls(key, total)
-
-    @classmethod
-    def explicit(cls, index_set, value):
-        return cls(tuple(sorted(index_set)), value)
 
 
 @dataclass(frozen=True)

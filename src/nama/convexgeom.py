@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 
 import numpy as np
@@ -212,16 +213,22 @@ def lower_facets(points, values):
     return tri, hull is None
 
 
-def _cleared(nodes, values):
-    """Exact input with each node's denominators cleared: (X, l, V, m), where
-    node i is the int pair X[i] over l[i], the lcm of its coordinates'
-    denominators, and its value the int V[i] over m[i]."""
-    l = [math.lcm(*(c.denominator for c in nd)) for nd in nodes]
-    X = np.array([[c.numerator * (k // c.denominator) for c in nd]
-                  for nd, k in zip(nodes, l)], dtype=object).reshape(-1, 2)
-    return (X, np.array(l, dtype=object),
-            np.array([v.numerator for v in values], dtype=object),
-            np.array([v.denominator for v in values], dtype=object))
+class NodeSet:
+    """Nodes read once for every reader: float ``points`` (n x d), whether
+    all are rational (``exact``), a domain's ``interior`` flags (or None)
+    and, built on first read, exact 2D nodes' ints ``cleared`` (X, l):
+    node i is X_i / l_i, l_i the lcm of its coordinates' denominators."""
+
+    def __init__(self, nodes, points, interior=None):
+        self.nodes, self.points, self.interior = nodes, points, interior
+        self.exact = all(isinstance(c, Fraction) for nd in nodes for c in nd)
+
+    @cached_property
+    def cleared(self):
+        l = [math.lcm(*(c.denominator for c in nd)) for nd in self.nodes]
+        X = np.array([[c.numerator * (k // c.denominator) for c in nd]
+                      for nd, k in zip(self.nodes, l)], dtype=object)
+        return X.reshape(-1, 2), np.array(l, dtype=object)
 
 
 def _homogeneous(point):
@@ -294,40 +301,46 @@ class FacetCells:
     triangle, and every node when anything is flagged): :meth:`cut` and
     :meth:`full_clip` cut theirs by every other node.
 
+    ``nodes`` is a :class:`NodeSet`; the hull is built on its ``points``.
     ``exact`` input (Fraction nodes and values) runs on Python ints: node i
-    is the int pair X_i over l_i, the lcm of its coordinates' denominators,
-    and its value V_i over m_i.  Each triangle is scaled by the lcms L and
-    M of its own three nodes' l and m, so its gradient is ``L num / (M
-    det)``, every check is the sign of a cross-multiplied integer, and the
-    ints grow with the denominators of a node's neighbours only.
-    :meth:`cut` and :meth:`full_clip` clip in integers too, and
-    :meth:`areas_within` reads the cells of rim nodes off their fans.
+    is the set's ``cleared`` X_i over l_i, and its value V_i over m_i, or
+    with ``values`` None (cuts by rational polygons only) |x_i|^2 / 2 as
+    |X_i|^2 over 2 l_i^2.  Each triangle is scaled by the lcms L and M of
+    its own three nodes' l and m, so its gradient is ``L num / (M det)``,
+    every check is the sign of a cross-multiplied integer, and the ints
+    grow with the denominators of a node's neighbours only.  :meth:`cut`
+    and :meth:`full_clip` clip in integers too, and :meth:`areas_within`
+    reads the cells of rim nodes off their fans.
     """
 
     def __init__(self, nodes, values, corners=None):
-        self.nodes, self.values = nodes, values
-        self.exact = all(isinstance(c, Fraction) for nd in nodes for c in nd) \
-            and all(isinstance(v, Fraction) for v in values)
-        num, den = self._build()
+        self.nodes, self.pts, self.values = nodes.nodes, nodes.points, values
+        self.exact = nodes.exact and (values is None or all(
+            isinstance(v, Fraction) for v in values))
+        num, den = self._build(nodes, values)
         self.flagged = self._check(num, den, corners)
         self._read(num, den)
 
-    def _build(self):
+    def _build(self, nodes, values):
         """``_lift`` (P, l, V, m): node i is P_i / l_i lifted to V_i / m_i,
         ints or floats over 1; :func:`lower_facets` ``tri``, kept whatever
         the checks say (:meth:`planes` reads the envelope off it), and its
         half-edges; each facet's gradient num / den, den > 0 iff det > 0."""
-        n = len(self.nodes)
+        n, P = len(self.nodes), self.pts
         if self.exact:      # int / int rounds as float(Fraction) does
-            P, l, V, m = self._lift = _cleared(self.nodes, self.values)
-            pts = np.array(P / l[:, None], dtype=float).reshape(-1, 2)
+            P, l = nodes.cleared
+            if values is None:
+                V, m = (P * P).sum(axis=1), 2 * l * l
+            else:
+                V, m = np.array([v.as_integer_ratio() for v in values],
+                                dtype=object).reshape(-1, 2).T
+            self._lift = P, l, V, m
             vals = np.array(V / m, dtype=float)
         else:
-            P = pts = np.array(self.nodes, dtype=float).reshape(-1, 2)
-            V = vals = np.array(self.values, dtype=float)
+            V = vals = np.array(values, dtype=float)
             self._lift = P, np.ones(n), V, np.ones(n)
-        tri, flat = lower_facets(pts, vals)
-        self.pts, self.vals, self.tri = pts, vals, tri
+        tri, flat = lower_facets(self.pts, vals)
+        self.vals, self.tri = vals, tri
         # half-edge 3t + k runs from tri[t, k] to tri[t, k + 1] opposite the
         # apex tri[t, k + 2]; its twin runs back in the facet across, or is -1
         src, dst, apex = (np.roll(tri, -k, axis=1).ravel() for k in range(3))

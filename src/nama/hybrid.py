@@ -469,9 +469,6 @@ class DistanceReport:
     statistic: str
     cells: tuple = ()
 
-    def within(self, multiple=3.0):
-        return self.distance <= multiple * self.standard_error
-
 
 def ks_statistic(sorted_points, weights):
     """Weighted Kolmogorov-Smirnov distance to the uniform law on [0, 1]."""

@@ -24,7 +24,8 @@ without interior.  A node the hull does not vouch for takes the full clip
 against every other node (:meth:`~nama.convexgeom.FacetCells.full_clip`),
 counted as a cell fallback.  A :class:`ConvexPL` builds that hull once, for
 every reader; the envelope's planes come off it, and in 1D off the cell
-ends.
+ends.  Its readers share one node record (:class:`~nama.convexgeom.NodeSet`):
+the floats, the flags and the cleared ints of exact 2D nodes.
 """
 
 from __future__ import annotations
@@ -33,13 +34,14 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
 
-from .convexgeom import (Cell, FacetCells, box_vertices, facet_planes,
-                         lower_facets, polygon_area)
+from .convexgeom import (Cell, FacetCells, NodeSet, box_vertices,
+                         facet_planes, lower_facets, polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure, exact_sum
 
@@ -202,26 +204,32 @@ def box_polygon(lo0, hi0, lo1, hi1):
 # convex PL functions
 
 
-def _node_set(domain, nodes, rounded=False):
-    """Check and classify ``nodes`` on ``domain`` once: a dict from each
-    node's key (the coerced node; with ``rounded`` its float tuple, the node
-    a float solver sees) to the node, the interior flags, and the floats
-    :meth:`_Domain.classify` read.  A wrong dimension, a key given twice, a
-    node outside and a domain vertex (with ``rounded`` its float tuple) that
-    is no key are each a one-line ValueError naming them."""
-    nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
-    nd = next((nd for nd in nodes if len(nd) != domain.dim), None)
-    if nd is not None:
-        raise ValueError(f"node {_named(nd)} is not of dimension {domain.dim}")
-    inside, on_boundary = flags = domain.classify(nodes)
+def _distinct(nodes, keys):
+    """Each node's key to the node; a key given twice is a ValueError."""
     index = {}
-    for nd, key in zip(nodes, map(tuple, flags.points.tolist())
-                       if rounded else nodes):
+    for nd, key in zip(nodes, keys):
         first = index.setdefault(key, nd)
         if first is not nd:
             raise ValueError(f"node {_named(nd)} is given twice" if first == nd
                              else f"nodes {_named(first)} and {_named(nd)} "
                              f"round to one float node {_named(key)}")
+    return index
+
+
+def _node_set(domain, nodes, rounded=False):
+    """Check and classify ``nodes`` on ``domain`` once: their
+    :class:`NodeSet` of the floats :meth:`_Domain.classify` read, and a
+    dict from each node's key (the coerced node; with ``rounded`` its float
+    tuple, the node a float solver sees) to the node.  A wrong dimension, a
+    key given twice, a node outside and a domain vertex (with ``rounded``
+    its float tuple) that is no key are each a one-line ValueError."""
+    nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
+    nd = next((nd for nd in nodes if len(nd) != domain.dim), None)
+    if nd is not None:
+        raise ValueError(f"node {_named(nd)} is not of dimension {domain.dim}")
+    inside, on_boundary = flags = domain.classify(nodes)
+    index = _distinct(nodes, map(tuple, flags.points.tolist())
+                      if rounded else nodes)
     if not inside.all():
         raise ValueError(f"node {_named(nodes[int(np.argmin(inside))])} "
                          "lies outside the domain")
@@ -229,7 +237,7 @@ def _node_set(domain, nodes, rounded=False):
                       domain._corners if rounded else domain.vertices):
         if key not in index:
             raise ValueError(f"domain vertex {_named(v)} must be a node")
-    return index, tuple((~on_boundary).tolist()), flags.points
+    return NodeSet(nodes, flags.points, tuple((~on_boundary).tolist())), index
 
 
 class ConvexPL:
@@ -248,19 +256,19 @@ class ConvexPL:
     """
 
     def __init__(self, domain, nodes, values):
-        index, interior, _ = _node_set(domain, nodes)
+        record, _ = _node_set(domain, nodes)
         values = [_coerce(v) for v in values]
-        if len(index) != len(values):
+        if len(record.nodes) != len(values):
             raise ValueError("one value per node required")
-        _finite("value", index.values(), values)
-        self._keep(domain, list(index.values()), values, interior)
+        _finite("value", record.nodes, values)
+        self._keep(domain, record, values)
 
-    def _keep(self, domain, nodes, values, interior):
-        """Hold nodes checked and flagged here, or by :func:`solve`."""
-        self.domain, self.nodes, self.values = domain, nodes, values
-        self.is_rational = all(isinstance(c, Fraction)
-                               for c in itertools.chain(values, *nodes))
-        self._interior = interior
+    def _keep(self, domain, record, values):
+        """Hold a :class:`NodeSet` checked and flagged here, or by solve."""
+        self.domain, self.nodes, self.values = domain, record.nodes, values
+        self.is_rational = record.exact and all(isinstance(v, Fraction)
+                                                for v in values)
+        self._record = record
         self._hull = self._planes = None
         return self
 
@@ -270,7 +278,12 @@ class ConvexPL:
 
     def interior_mask(self):
         """Per node, off the boundary: the flags of :class:`ConvexPL`."""
-        return self._interior
+        return self._record.interior
+
+    @cached_property
+    def _vals(self):
+        """The values in floats, read once for the float readers."""
+        return np.array([float(v) for v in self.values])
 
     # -- evaluation ---------------------------------------------------------
 
@@ -280,7 +293,7 @@ class ConvexPL:
         if self._hull is None:
             self._hull = (_cell_ends_1d(self.nodes, self.values)
                           if self.dim == 1 else
-                          FacetCells(self.nodes, self.values,
+                          FacetCells(self._record, self.values,
                                      self.domain.vertices))
         return self._hull
 
@@ -511,11 +524,8 @@ def ma_measure_oracle(cpl, resolution=1000):
     if cpl.dim > 2:
         raise NotImplementedError("oracle supports dimensions 1 and 2")
     axes, cellvol = _slope_grid(cpl, resolution)
-    pts = np.array([[float(c) for c in nd] for nd in cpl.nodes])
-    vals = np.array([float(v) for v in cpl.values])
-    interior = np.array(cpl.interior_mask())
-    counts, _ = _scan_counts(axes, pts, vals)
-    return np.where(interior, counts * cellvol, 0.0)
+    counts, _ = _scan_counts(axes, cpl._record.points, cpl._vals)
+    return np.where(cpl.interior_mask(), counts * cellvol, 0.0)
 
 
 def _slope_grid(cpl, resolution):
@@ -750,9 +760,10 @@ def strict_convexity_report(cpl, tol=1e-12):
     contains both (flat pieces of the graph are connected regions).
     """
     measure = ma_measure(cpl)
-    scale = max([abs(float(m)) for m in measure.masses] + [1.0])
+    masses = [float(m) for m in measure.masses]
+    scale = max([abs(m) for m in masses] + [1.0])
     inside = [i for i, it in enumerate(measure.interior) if it]
-    big = [float(m) > tol * scale for m in measure.masses]
+    big = [m > tol * scale for m in masses]
     strict = [i for i in inside if big[i]]
     singular = [i for i in inside if not big[i]]
 
@@ -761,10 +772,9 @@ def strict_convexity_report(cpl, tol=1e-12):
     from scipy.sparse import coo_matrix
     from scipy.sparse.csgraph import connected_components
     g, b = cpl._envelope_planes()
-    vals = np.array([float(v) for v in cpl.values])
-    ftol = 1e-9 * max(1.0, np.abs(vals).max())
+    ftol = 1e-9 * max(1.0, np.abs(cpl._vals).max())
     sing = np.array(singular, dtype=int)
-    pts, vals = np.array(cpl.nodes, dtype=float)[sing], vals[sing]
+    pts, vals = cpl._record.points[sing], cpl._vals[sing]
     m, links = len(sing), [np.zeros((2, 0), dtype=int)]
     step = max(1, _BLOCK // max(1, m))
     for f in range(0, len(g), step):
@@ -823,13 +833,6 @@ def _cell_ends_1d(nodes, values):
     return ends
 
 
-def _half_square(node):
-    """``|node|^2 / 2`` of a rational node, built as one Fraction."""
-    den = math.prod(c.denominator for c in node)
-    return Fraction(sum((c.numerator * (den // c.denominator)) ** 2
-                        for c in node), 2 * den * den)
-
-
 @dataclass(frozen=True)
 class TargetMeasure:
     """Node masses prescribing the discrete Monge-Ampere equation.
@@ -876,15 +879,19 @@ class TargetMeasure:
         cut as :meth:`FacetCells.cut` decides.  In 1D the cells come from
         the one sorted pass of every 1D reader (:func:`_cell_slopes_1d`),
         bounded by the midpoints, and are clipped to the interval as slope
-        pairs: on ints for rational input, with one Fraction per mass.
+        pairs: on ints for rational input, with one Fraction per mass.  A
+        node given twice, or two of one float node, is a ValueError.
         """
         density = _coerce(density)
         nodes = [tuple(_coerce(c) for c in nd) for nd in nodes]
-        exact = isinstance(density, Fraction) and all(
-            type(c) is Fraction for nd in nodes for c in nd)
-        values = [_half_square(nd) if exact else 0.5 * sum(c * c for c in nd)
-                  for nd in nodes]
+        record = NodeSet(nodes, np.array(nodes, dtype=float).reshape(
+            -1, domain.dim))
+        # float keys: the target's table could not tell two apart either
+        _distinct(nodes, map(tuple, record.points.tolist()))
+        exact = isinstance(density, Fraction) and record.exact
         if domain.dim == 1:
+            values = [Fraction(x.numerator ** 2, 2 * x.denominator ** 2)
+                      if exact else 0.5 * (x * x) for x, in nodes]
             slopes = _Slopes1D([nd[0] for nd in nodes], values)
             lo, hi, (p, q) = map(slopes.pair, (domain.lo, domain.hi, density))
             (left, _), (right, _) = _cell_slopes_1d(slopes)
@@ -897,7 +904,9 @@ class TargetMeasure:
                                          q * l[1] * r[1])
         elif domain.dim == 2:
             corners = list(domain.vertices)
-            cells = FacetCells(nodes, values, corners)
+            half = Fraction(1, 2) if exact else 0.5
+            cells = FacetCells(record, None if exact and domain._exact else [
+                sum(c * c for c in nd) * half for nd in nodes], corners)
             masses = {nd: density * (cells.cut(i, corners).volume
                                      if area is None else area)
                       for i, (nd, area) in enumerate(
@@ -1032,18 +1041,18 @@ def solve(domain, target, boundary, nodes=None, tol=1e-8):
         extra = boundary if isinstance(boundary, dict) else domain.vertices
         nodes = {tuple(float(c) for c in pt): pt
                  for pt in [*target.masses, *extra]}.values()
-    index, interior, pts = _node_set(domain, nodes, rounded=True)
+    record, index = _node_set(domain, nodes, rounded=True)
     masses = target.validate_masses(
-        index, interior if domain.dim == 2 else ())
+        index, record.interior if domain.dim == 2 else ())
     boundary = boundary if callable(boundary) else boundary.__getitem__
-    nodes = [*index.values()]
     if domain.dim == 1:
-        return _solve_1d(domain, nodes, interior, masses, boundary, tol)
-    return _solve_2d(domain, nodes, interior, pts, masses, boundary, tol)
+        return _solve_1d(domain, record, masses, boundary, tol)
+    return _solve_2d(domain, record, masses, boundary, tol)
 
 
-def _solve_1d(domain, nodes, interior, masses, boundary, tol):
-    nodes, interior, masses = zip(*sorted(zip(nodes, interior, masses)))
+def _solve_1d(domain, record, masses, boundary, tol):
+    nodes, interior, masses, points = zip(*sorted(zip(
+        record.nodes, record.interior, masses, record.points.tolist())))
     if not all(interior[1:-1]):
         raise ValueError(f"node {_named(nodes[interior.index(False, 1)])} is "
                          "on the domain's boundary between the end nodes; "
@@ -1070,8 +1079,8 @@ def _solve_1d(domain, nodes, interior, masses, boundary, tol):
     mean = sum(float(m) for m in mus) / max(1, len(mus)) or 1.0
     residual = max((abs(float(j) - float(m)) for j, m in zip(jumps, mus)),
                    default=0.0) / mean
-    cpl = ConvexPL.__new__(ConvexPL)._keep(domain, [(x,) for x in xs],
-                                           values, interior)
+    cpl = ConvexPL.__new__(ConvexPL)._keep(domain, NodeSet(
+        [(x,) for x in xs], np.array(points), interior), values)
     low = min(map(float, jumps), default=None)
     return SolveResult(cpl, residual, 1, residual <= tol, "direct",
                        masses=(0, *jumps, 0),
@@ -1101,14 +1110,14 @@ def _direct_values(xs, mus, v_lo, v_hi):
         initial=a * q * sd * l)), b * q * sd * l
 
 
-def _cells_2d(nodes, values, interior_idx):
+def _cells_2d(record, values, interior_idx):
     """Masses, dual edges and full-clip count of the interior cells; the
     edges are arrays (i, j, length) as :meth:`FacetCells.dual_edges`."""
-    cells = FacetCells(nodes, values)
+    cells = FacetCells(record, values)
     whole = cells.closed[interior_idx]
     masses = np.where(whole, cells.area[interior_idx], 0.0)
     i, j, ell = cells.dual_edges()
-    inside = np.zeros(len(nodes), dtype=bool)
+    inside = np.zeros(len(values), dtype=bool)
     inside[interior_idx] = True
     edges = [(i[inside[i]], j[inside[i]], ell[inside[i]])]
     full = np.nonzero(~whole)[0]
@@ -1147,9 +1156,10 @@ _TAU_FLOOR = 2.0 ** -12
 _GEOMETRIC_WEIGHT = 0.01
 
 
-def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
+def _solve_2d(domain, record, targets, boundary, tol):
     from scipy.sparse.linalg import spsolve
 
+    nodes, interior, pts = record.nodes, record.interior, record.points
     # classified before rounding, which may move a node off the boundary
     interior_idx = np.flatnonzero(interior).tolist()
     boundary_idx = [i for i, inside in enumerate(interior) if not inside]
@@ -1165,7 +1175,7 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     with np.errstate(divide="ignore"):
         psi = len(dist) / (1 / dist).sum(axis=0)
     psi += _GEOMETRIC_WEIGHT * np.prod(dist, axis=0) ** (1 / len(dist))
-    nodes = list(map(tuple, pts.tolist()))
+    grid = NodeSet(list(map(tuple, pts.tolist())), pts, interior)
 
     b_pts = pts[boundary_idx]
     g, b = facet_planes(b_pts, b_values, lower_facets(b_pts, b_values)[0])
@@ -1174,7 +1184,7 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     if np.any(env[boundary_idx] < b_values - 1e-9 * scale):
         bad = boundary_idx[int(np.argmin(env[boundary_idx] - b_values))]
         raise InfeasibleBoundary(
-            f"boundary node {nodes[bad]} lies above the envelope of the "
+            f"boundary node {grid.nodes[bad]} lies above the envelope of the "
             "other boundary data; no convex extension exists")
 
     mean_mu = mus.mean()
@@ -1185,8 +1195,7 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     def cells(interior_values):
         nonlocal fallbacks
         values[interior_idx] = interior_values
-        masses, edges, n_full = _cells_2d(nodes, values.tolist(),
-                                          interior_idx)
+        masses, edges, n_full = _cells_2d(grid, values, interior_idx)
         fallbacks += n_full
         return masses, edges, float(np.abs(masses - mus).max() / mean_mu)
 
@@ -1223,6 +1232,6 @@ def _solve_2d(domain, nodes, interior, pts, targets, boundary, tol):
     final[interior_idx] = masses
     # the float nodes on a float copy of the domain, with the solve's flags
     cpl = ConvexPL.__new__(ConvexPL)._keep(
-        Polygon(domain._corners), nodes, values.tolist(), interior)
+        Polygon(domain._corners), grid, values.tolist())
     return SolveResult(cpl, res, len(history), res <= tol, "newton",
                        fallbacks, tuple(final.tolist()), tuple(history))

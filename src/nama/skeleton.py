@@ -196,12 +196,6 @@ class SncModel:
     def has_face(self, index_set):
         return tuple(sorted(index_set)) in self._face_index
 
-    def vertices(self):
-        return [f for f in self.faces if f.dim == 0]
-
-    def top_faces(self):
-        return [f for f in self.faces if f.dim == self.dimension]
-
 
 def build_model(divisors, face_index_sets, dimension, semistable=False):
     """Assemble and validate an :class:`SncModel`.

@@ -585,9 +585,9 @@ def test_1d_from_density_with_float_nodes_and_repeated_nodes():
     assert target.masses == {
         nd: 2.0 * dual_cell_1d(i, nodes, values, box=(0.0, 1.0)).volume
         for i, nd in enumerate(nodes)}
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match=r"^node \(0\.5\) is given twice$"):
         TargetMeasure.from_density(dom, [(0.5,), (0.2,), (0.5,)], 1.0)
-    with pytest.raises(ZeroDivisionError):
+    with pytest.raises(ValueError, match=r"^node \(1/2\) is given twice$"):
         TargetMeasure.from_density(Interval(0, 1),
                                    [(F(1, 2),), (F(1, 2),)], 1)
 

@@ -462,7 +462,8 @@ def test_exact_density_targets_under_a_wrong_hull_are_unchanged(
     want = TargetMeasure.from_density(box, nodes, F(3))
     scramble_hull(monkeypatch, len(nodes))
     values = [(x * x + y * y) / 2 for x, y in nodes]
-    assert not convexgeom.FacetCells(nodes, values, box.vertices).good.any()
+    assert not convexgeom.FacetCells(node_set(nodes), values,
+                                     box.vertices).good.any()
     got = TargetMeasure.from_density(box, nodes, F(3))
     assert got.masses == want.masses and got.total() == 3
 
@@ -482,12 +483,18 @@ def test_exact_density_targets_match_the_full_clip():
     assert target.masses[(F(1, 2), F(1, 2))] == F(3, 100)
 
 
+def node_set(nodes):
+    """The :class:`~nama.convexgeom.NodeSet` of distinct 2D nodes, read
+    into floats as ``from_density`` reads them."""
+    return convexgeom.NodeSet(nodes, np.array(nodes, dtype=float))
+
+
 def cut_loop_targets(domain, nodes, density):
     """Exact density masses as every node's :meth:`FacetCells.cut` of the
     domain polygon: the per-node loop the fan areas replace."""
     values = [(x * x + y * y) / 2 for x, y in nodes]
     corners = list(domain.vertices)
-    cells = convexgeom.FacetCells(nodes, values, corners)
+    cells = convexgeom.FacetCells(node_set(nodes), values, corners)
     return {nd: density * cells.cut(i, corners).volume
             for i, nd in enumerate(nodes)}
 
@@ -556,7 +563,7 @@ def test_fan_density_targets_equal_the_cut_loop(count_calls):
         domain, nodes, density = data
         corners = list(domain.vertices)
         values = [(x * x + y * y) / 2 for x, y in nodes]
-        cells = convexgeom.FacetCells(nodes, values, corners)
+        cells = convexgeom.FacetCells(node_set(nodes), values, corners)
         fan = cells.inside(corners) & ~cells.closed
         calls.clear()
         target = TargetMeasure.from_density(domain, nodes, density)
@@ -605,7 +612,7 @@ def check_integer_cells(cpl):
     areas, the solid flags of boundary cells, and the integer cut of a box,
     which must also be :func:`cut_cell` to the last label."""
     nodes, values = cpl.nodes, cpl.values
-    cells = convexgeom.FacetCells(nodes, values, cpl.domain.vertices)
+    cells = convexgeom.FacetCells(cpl._record, values, cpl.domain.vertices)
     assert not cells.good.any() or all(type(a) is Fraction
                                       for a in cells.area)
     # the checks flag nothing exactly when the hull vouches for a node
@@ -687,7 +694,8 @@ def test_scrambled_hulls_are_rejected_whole(cpl, rnd):
 
     with mock.patch.object(convexgeom, "lifted_hull", scrambled):
         cells = check_integer_cells(cpl)
-    want = convexgeom.FacetCells(cpl.nodes, cpl.values, cpl.domain.vertices)
+    want = convexgeom.FacetCells(cpl._record, cpl.values,
+                                 cpl.domain.vertices)
     if cells.good.any():
         assert (cells.good == want.good).all()
         assert list(cells.area) == list(want.area)
@@ -713,7 +721,7 @@ def test_a_hull_that_is_not_convex_is_rejected_whole(monkeypatch, bump):
     bumped = np.where(np.arange(len(nodes)) == 12, float(bump), 0.0)
     monkeypatch.setattr(convexgeom, "lifted_hull",
                         lambda pts, vals: real(pts, vals + bumped))
-    cells = convexgeom.FacetCells(nodes, values, cpl.domain.vertices)
+    cells = convexgeom.FacetCells(cpl._record, values, cpl.domain.vertices)
     assert not cells.good.any()
     edges, off = cells.flagged
     assert ({tuple(sorted(e)) for e in zip(cells.src[edges].tolist(),
@@ -790,7 +798,7 @@ def check_dual_edges(cpl):
     ends are gradients, so lengths agree to 1e-12 of the largest gradient
     coordinate; a rounding-level clip edge is a zero-length one."""
     inside = [i for i, it in enumerate(cpl.interior_mask()) if it]
-    _, edges, _ = realma._cells_2d(cpl.nodes, cpl.values, inside)
+    _, edges, _ = realma._cells_2d(cpl._record, cpl.values, inside)
     got = {i: {} for i in inside}
     for i, j, ell in zip(*edges):
         got[int(i)][int(j)] = ell
@@ -825,7 +833,8 @@ def test_float_cells_under_a_wrong_hull_take_the_full_clip(monkeypatch):
                    *jittered_quadratic(6, 7, 0.0))
     inside = [i for i, it in enumerate(cpl.interior_mask()) if it]
     scramble_hull(monkeypatch, len(cpl.nodes))
-    masses, _, fallbacks = realma._cells_2d(cpl.nodes, cpl.values, inside)
+    masses, _, fallbacks = realma._cells_2d(cpl._record, np.array(cpl.values),
+                                            inside)
     assert fallbacks == len(inside)
     assert masses.tolist() == [
         dual_cell_2d(i, cpl.nodes, cpl.values, expect_bounded=True).volume
@@ -848,7 +857,7 @@ def test_flat_quad_diagonals_have_no_dual_edge():
     cpl = ConvexPL(box_polygon(-1.0, 1.0, -1.0, 1.0), nodes,
                    [(x * x + y * y) / 2 for x, y in nodes])
     check_dual_edges(cpl)
-    _, (i, j, _), _ = realma._cells_2d(cpl.nodes, cpl.values, [40])
+    _, (i, j, _), _ = realma._cells_2d(cpl._record, cpl.values, [40])
     assert sorted(j[i == 40]) == [31, 39, 41, 49]      # no diagonal
 
 
@@ -869,7 +878,7 @@ def test_lattice_measures_and_float_cells_make_no_clips(count_calls):
     pts[inside] += rng.uniform(-0.02, 0.02, (len(inside), 2))
     values = (pts ** 2 * (1.3, 0.8)).sum(axis=1) + 0.2 * pts.prod(axis=1)
     masses, _, fallbacks = realma._cells_2d(
-        [tuple(p) for p in pts], values.tolist(), inside)
+        node_set(pts.tolist()), values, inside)
     assert fallbacks == 0 and masses.min() > 0
     # float flat regions: nodes off the triangulation, on the envelope
     grid = [(i / 8 - 1, j / 8 - 1) for i in range(17) for j in range(17)]

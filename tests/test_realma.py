@@ -307,6 +307,29 @@ def test_target_measure_from_density_is_exact():
     assert t2.mass_at((0.5, 0.5)) == 1
 
 
+@pytest.mark.parametrize("domain, nodes, message", [
+    (Interval(0, 1), [(0,), (F(1, 2),), (F(1, 2),), (1,)], r"\(1/2\)"),
+    (UNIT, [(F(i, 4), F(j, 4)) for i in range(5) for j in range(5)]
+     + [(F(1, 2), F(3, 4))], r"\(1/2, 3/4\)")])
+def test_from_density_rejects_a_repeated_node(domain, nodes, message):
+    with pytest.raises(ValueError, match=f"^node {message} is given twice$"):
+        TargetMeasure.from_density(domain, nodes, 1)
+
+
+def test_a_function_and_its_readers_convert_each_number_once(count_calls):
+    # 17 x 17 exact nodes: one conversion per coordinate (578), value and
+    # mass (289 each); the parent made 2,890
+    n = 17
+    nodes = [(F(i, n - 1), F(j, n - 1)) for i in range(n) for j in range(n)]
+    floats = count_calls(Fraction, "__float__")
+    cpl = ConvexPL(UNIT, nodes, [(x * x + 2 * y * y) / 2 for x, y in nodes])
+    assert len(floats) <= 2 * n * n
+    ma_measure(cpl)
+    ma_measure_oracle(cpl, resolution=100)
+    strict_convexity_report(cpl)
+    assert len(floats) <= 4 * n * n
+
+
 def test_target_measure_rejects_colliding_nodes():
     third = float(F(1, 3))
     with pytest.raises(ValueError):
