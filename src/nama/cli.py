@@ -62,10 +62,6 @@ MAX_POLY_TERMS = 32
 # oracle take about 1.2 s and 105 MB end to end on a jittered 6 x 6 grid,
 # 2,500 nodes (50 x 50) 17 s
 MAX_ORACLE_GRID = 1 << 16
-# realma solve --grid by dimension: 100,000 nodes take about 30 s and
-# 180 MB end to end in 1D, 65x65 about 3 s and 91 MB in 2D (129x129 takes
-# 11-15 s but 175 MB, past that envelope, and 257x257 86 s and 700 MB)
-MAX_SOLVE_GRID = {1: 100_000, 2: 65}
 # geometry slag-check --n and the --hessian dimension: the pair loop of
 # fiber_lagrangian_residual is quartic in it; 200 takes about 2 s and 35 MB
 # end to end (400 takes 8 s)
@@ -76,10 +72,6 @@ MAX_GCALABI_DIM = 500
 # geometry calabi --n: the exact constant is a big-integer power; 10^5
 # takes about 0.5 s end to end (3 x 10^5 takes 1.8 s)
 MAX_CALABI_N = 100_000
-# compare lowerface/pde resolution: a face of dimension d walks
-# (resolution + 1)^d grid points; 50,000 on the segment take about 2.7 s
-# and 60 MB end to end (100,000 take 6 s and 90 MB)
-MAX_FACE_GRID = 50_000
 
 
 # ---------------------------------------------------------------------------
@@ -270,7 +262,7 @@ def write_node_table(emitter, name, pl, masses):
 def run_realma_solve(args, doc, emitter):
     domain = cfg.parse_domain(doc)
     # in 2D a grid of 2 nodes a side is the box's corners: no interior node
-    lo, hi = (2, 3)[domain.dim - 1], MAX_SOLVE_GRID[domain.dim]
+    lo, hi = (2, 3)[domain.dim - 1], cfg.MAX_SOLVE_GRID[domain.dim]
     if not lo <= args.grid <= hi:
         raise ConfigError(f"--grid must be in [{lo}, {hi}] on a "
                           f"{domain.dim}D domain, got {args.grid}")
@@ -282,6 +274,10 @@ def run_realma_solve(args, doc, emitter):
     except ValueError as exc:
         raise ConfigError(f"invalid target: {exc}")
     write_node_table(emitter, "solution.csv", result.solution, result.masses)
+    emitter.write_table("convergence.csv", ("evaluation", "verdict", "tau",
+                                            "residual", "min_mass"),
+                        [(k, e.verdict, e.tau, e.residual, e.min_mass)
+                         for k, e in enumerate(result.history, 1)])
     emitter.summary["residual"] = float(result.residual)
     emitter.summary["iterations"] = result.iterations
     emitter.summary["converged"] = bool(result.converged)
@@ -336,13 +332,7 @@ def compare_vilsmeier(doc, tol):
 def face_grid_rows(doc, model, key, residual):
     """Rows on face ``key``'s grid, ``residual(pt)`` giving the last three
     entries, and the largest |residual|."""
-    resolution = cfg.integer(doc.get("resolution", 2), "resolution",
-                             minimum=1)
-    walked = (min(resolution, MAX_FACE_GRID) + 1) ** max(len(key) - 1, 1)
-    if walked > MAX_FACE_GRID:
-        raise ConfigError(
-            f"resolution {resolution} walks more than {MAX_FACE_GRID} grid "
-            f"points of face {face_label(key)}")
+    resolution = cfg.face_resolution(doc, key)
     rows = [(face_label(key),) + tuple(pt[i] for i in key) + residual(pt)
             for pt in model.face(key).grid_points(resolution)]
     return rows, max([0] + [abs(r[-1]) for r in rows])
@@ -352,9 +342,7 @@ def compare_lowerface(doc, tol):
     model, table, _ = cfg.model_bundle(doc, need_table=True)
     key, potential = cfg.face_potential_from_config(doc, model)
     density = lower_face_density(model, table, key, potential)
-    expected = doc.get("expected")
-    if expected is not None:
-        expected = cfg.rational(expected, "expected")
+    expected = cfg.expected_value(doc)
 
     def residual(pt):
         val = density(pt)
@@ -410,16 +398,21 @@ def compare_mass(doc, tol):
     return rows, summary, rep.passed
 
 
-COMPARE_MODES = {"vilsmeier": compare_vilsmeier,
-                 "lowerface": compare_lowerface,
-                 "pde": compare_pde,
-                 "matching": compare_matching,
-                 "mass": compare_mass}
+# the config keys that model_bundle reads
+MODEL = cfg.MODEL_KEYS | {"cycle"}
+# each mode and the config keys it reads
+COMPARE_MODES = {
+    "vilsmeier": (compare_vilsmeier, MODEL),
+    "lowerface": (compare_lowerface,
+                  MODEL | {"potential", "expected", "resolution"}),
+    "pde": (compare_pde, MODEL | {"potential", "residues", "resolution"}),
+    "matching": (compare_matching, MODEL | {"matching"}),
+    "mass": (compare_mass, MODEL | {"mass_terms", "atomic", "expected"})}
 
 
 def run_compare(args, doc, emitter):
     try:
-        rows, summary, passed = COMPARE_MODES[args.mode](doc, args.tol)
+        rows, summary, passed = COMPARE_MODES[args.mode][0](doc, args.tol)
     except ValueError as exc:       # data the mode's check cannot take
         raise ConfigError(str(exc))
     emitter.summary.update(summary)
@@ -658,7 +651,8 @@ CONFIG = (("config",), {"help": "config JSON"})
 
 def _command(subs, name, handler, *positionals, help=None, **defaults):
     """A subcommand: its positionals, in order, and ``--out``; a ``seed``
-    or ``tol`` default also declares ``--seed`` or ``--tol``."""
+    or ``tol`` default also declares ``--seed`` or ``--tol``, and ``keys``
+    are the config keys that the handler reads."""
     sp = subs.add_parser(name, help=help)
     for args, kwargs in positionals:
         sp.add_argument(*args, **kwargs)
@@ -678,18 +672,20 @@ def build_parser():
 
     msub = top.add_parser("model", help="model ingestion and skeletons") \
         .add_subparsers(dest="subcommand", required=True)
-    _command(msub, "validate", run_model_validate, CONFIG)
-    _command(msub, "skeleton", run_model_skeleton, CONFIG)
-    _command(top, "namma", run_namma, CONFIG, subcommand=None,
+    _command(msub, "validate", run_model_validate, CONFIG, keys=MODEL)
+    _command(msub, "skeleton", run_model_skeleton, CONFIG, keys=MODEL)
+    _command(top, "namma", run_namma, CONFIG, subcommand=None, keys=MODEL,
              help="atomic measure of a model metric")
 
     rsub = top.add_parser("realma", help="real Monge-Ampere solver") \
         .add_subparsers(dest="subcommand", required=True)
-    _command(rsub, "solve", run_realma_solve, CONFIG, tol=1e-8).add_argument(
+    _command(rsub, "solve", run_realma_solve, CONFIG, tol=1e-8,
+             keys={"domain", "density", "masses", "boundary"}).add_argument(
         "--grid", type=GRID, default=9, help="nodes per side")
-    _command(rsub, "measure", run_realma_measure, CONFIG, tol=None) \
-        .add_argument("--grid", type=ORACLE_GRID, default=None,
-                      help="oracle resolution of the --tol check")
+    _command(rsub, "measure", run_realma_measure, CONFIG, tol=None,
+             keys={"domain", "nodes", "values"}).add_argument(
+        "--grid", type=ORACLE_GRID, default=None,
+        help="oracle resolution of the --tol check")
 
     mode = (("mode",), {"choices": COMPARE_MODES})
     _command(top, "compare", run_compare, mode, CONFIG, subcommand=None,
@@ -740,11 +736,14 @@ def run(args):
     command = args.command + (f" {args.subcommand}" if args.subcommand
                               else "")
     options = {k: v for k, v in sorted(vars(args).items())
-               if k != "handler" and v is not None}
+               if k not in ("handler", "keys") and v is not None}
     doc = None
     if hasattr(args, "config"):
         doc, options["config_sha256"] = cfg.load_document(args.config)
-        cfg.validate_toplevel(doc)
+        # a compare mode declares its keys in COMPARE_MODES
+        keys = COMPARE_MODES[args.mode][1] if args.command == "compare" \
+            else args.keys
+        cfg.check_keys(doc, keys, "config document")
     emitter = Emitter(args.out, command, options)
     try:
         args.handler(args, doc, emitter)

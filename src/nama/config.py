@@ -20,15 +20,13 @@ import numpy as np
 from .comparison import (FaceMassTerm, FacePotential, ResidueData,
                          cycle_model, cycle_table, transition_between)
 from .errors import ConfigError, ToolkitError
-from .potential import IntersectionTable, Section
+from .potential import IntersectionTable
 from .realma import ConvexPL, Interval, TargetMeasure, box_polygon
 from .skeleton import Divisor, build_model
 
-MODEL_KEYS = {"n", "semistable", "divisors", "faces", "intersection_table",
-              "sections", "coefficients"}
-COMMAND_KEYS = {"cycle", "residues", "potential", "matching", "mass_terms",
-                "atomic", "domain", "density", "masses", "boundary",
-                "expected", "resolution", "nodes", "values"}
+# the keys of a model document, which a cycle block builds instead
+MODEL_KEYS = frozenset({"n", "semistable", "divisors", "faces",
+                        "intersection_table", "coefficients"})
 TABLE_ENTRY_KEYS = {"L_power", "divisor_powers", "stratum", "value"}
 # cycle.degrees: a cycle costs about 3.5 KB of memory per component;
 # compare vilsmeier at 20,000 takes about 5 s and 100 MB end to end
@@ -48,9 +46,22 @@ MAX_MODEL_FACES = 50_000
 # 140 MB end to end in 2D (22 s with --tol's oracle at 1,000 slopes a side
 # on a jittered 223 x 223 grid) and 1.3 s and 60 MB in 1D
 MAX_MEASURE_NODES = 50_000
-# realma solve masses: one per node of the largest solve (cli.MAX_SOLVE_GRID);
-# reading and checking 100,000 takes about 1.5 s and 115 MB end to end
-MAX_SOLVE_NODES = 100_000
+# realma solve --grid by dimension: 100,000 nodes take about 30 s and
+# 180 MB end to end in 1D, 65x65 about 3 s and 91 MB in 2D (129x129 takes
+# 11-15 s but 175 MB, past that envelope, and 257x257 86 s and 700 MB)
+MAX_SOLVE_GRID = {1: 100_000, 2: 65}
+# realma solve masses: one per node of the largest solve; reading and
+# checking 100,000 takes about 1.5 s and 115 MB end to end
+MAX_SOLVE_NODES = max(MAX_SOLVE_GRID[1], MAX_SOLVE_GRID[2] ** 2)
+# compare lowerface/pde resolution: a face of dimension d walks
+# (resolution + 1)^d grid points; 50,000 on the segment take about 2.7 s
+# and 60 MB end to end (100,000 take 6 s and 90 MB)
+MAX_FACE_GRID = 50_000
+# numerator and denominator bits of a config rational: realma measure on a
+# 9 x 9 lattice with values i^2/64 + j^2/64 + 1/d, d an odd 1,024-bit int
+# per node, takes 1.9-2.9 s and 70 MB end to end (2,048 bits 5.5-7.3 s;
+# 17 x 17 at 1,024 bits 18-19 s)
+MAX_RATIONAL_BITS = 1024
 
 
 def _no_duplicates(pairs):
@@ -126,21 +137,41 @@ def bounded_list(value, cap, context):
     return value
 
 
+# "p/q" or an int in ASCII digits after an optional sign, the groups without
+# leading zeros; Fraction() also reads "1e9999999", which costs 10^9999999
+RATIONAL = re.compile(r"([-+]?)0*([0-9]+)(?:/0*([1-9][0-9]*))?")
+
+
 def rational(value, context):
-    """Parse an exact rational: an int or a ``"p/q"`` string."""
+    """Parse an exact rational: an int or a ``"p/q"`` string, whose
+    numerator and denominator have at most MAX_RATIONAL_BITS bits."""
     if isinstance(value, bool):
         raise ConfigError(f"{context} must be a rational, got a boolean")
-    if isinstance(value, int):
-        return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            raise ConfigError(f"{context} is not a valid rational: {value!r}")
     if isinstance(value, float):
         raise ConfigError(
             f"{context} must be exact; write floats as \"p/q\" strings")
-    raise ConfigError(f"{context} is not a rational: {value!r}")
+    if isinstance(value, str):
+        match = RATIONAL.fullmatch(value)
+        if not match:
+            raise ConfigError(f"{context} is not a valid rational: {value!r}")
+        sign, num, den = match.groups("1")
+        for part, digits in (("numerator", num), ("denominator", den)):
+            # d digits make at least d bits: a longer part is past the cap
+            # before int() reads it (int() refuses more than 4,300 digits)
+            if len(digits) > MAX_RATIONAL_BITS:
+                raise ConfigError(
+                    f"{context} has a {len(digits)}-digit {part}; at most "
+                    f"{MAX_RATIONAL_BITS} bits are allowed")
+        value = Fraction(int(sign + num), int(den))
+    elif not isinstance(value, int):
+        raise ConfigError(f"{context} is not a rational: {value!r}")
+    for part, n in (("numerator", value.numerator),
+                    ("denominator", value.denominator)):
+        if n.bit_length() > MAX_RATIONAL_BITS:
+            raise ConfigError(
+                f"{context} has a {n.bit_length()}-bit {part}; at most "
+                f"{MAX_RATIONAL_BITS} bits are allowed")
+    return Fraction(value)
 
 
 def integer(value, context, minimum=None):
@@ -266,40 +297,6 @@ def build_table_from_config(entries, n):
     return table
 
 
-def build_sections_from_config(entries, model):
-    """Sections given by global exponent vectors over the sorted divisors.
-
-    Each exponent vector is projected onto every face: coordinates of
-    divisors absent from the face carry no valuation there.
-    """
-    if not isinstance(entries, list) or not entries:
-        raise ConfigError("sections must be a nonempty list")
-    order = [d.id for d in sorted(model.divisors, key=lambda d: d.id)]
-    sections = []
-    for k, entry in enumerate(entries):
-        ctx = f"sections[{k}]"
-        check_keys(entry, {"support", "norm_exp"}, ctx)
-        raw = require(entry, "support", ctx)
-        if not isinstance(raw, list) or not raw:
-            raise ConfigError(f"{ctx}.support must be a nonempty list")
-        vectors = []
-        for j, vec in enumerate(raw):
-            if not isinstance(vec, list) or len(vec) != len(order):
-                raise ConfigError(
-                    f"{ctx}.support[{j}] needs one exponent per divisor "
-                    f"({len(order)})")
-            vectors.append([rational(e, f"{ctx}.support[{j}]") for e in vec])
-        norm = rational(require(entry, "norm_exp", ctx), f"{ctx}.norm_exp")
-        support = {}
-        for face in model.faces:
-            key = face.index_set
-            pos = {i: order.index(i) for i in key}
-            support[key] = tuple(tuple(vec[pos[i]] for i in key)
-                                 for vec in vectors)
-        sections.append(Section(support, norm))
-    return sections
-
-
 def coefficients_from_config(mapping, model):
     if not isinstance(mapping, dict):
         raise ConfigError("coefficients must map divisor ids to rationals")
@@ -337,26 +334,19 @@ def model_face(model, key, context):
     return model.face(key)
 
 
-def validate_toplevel(doc):
-    """Known keys only, and none that another key would override."""
-    check_keys(doc, MODEL_KEYS | COMMAND_KEYS, "config document")
-    overridden = sorted(set(doc) & (MODEL_KEYS - {"sections"}))
-    if "cycle" in doc and overridden:
-        raise ConfigError(f"cycle builds the model and its table; drop the "
-                          f"model keys {overridden}")
-    if "density" in doc and "masses" in doc:
-        raise ConfigError("the target is a density or masses, not both")
-
-
 # ---------------------------------------------------------------------------
 # command blocks
 
 
 def model_bundle(doc, need_table=False):
     """Model, intersection table and coefficients (None when absent),
-    from a ``cycle`` block or the model keys; a model or table the
+    from a ``cycle`` block or the model keys, not both; a model or table the
     toolkit rejects is an input error, raised as :class:`ConfigError`."""
     table = coeffs = None
+    overridden = sorted(doc.keys() & MODEL_KEYS)
+    if "cycle" in doc and overridden:
+        raise ConfigError(f"cycle builds the model and its table; drop the "
+                          f"model keys {overridden}")
     try:
         if "cycle" in doc:
             block = doc["cycle"]
@@ -379,8 +369,6 @@ def model_bundle(doc, need_table=False):
                 coeffs = coefficients_from_config(doc["coefficients"], model)
         if table is not None:
             table.check_faces(model)
-        if "sections" in doc:
-            build_sections_from_config(doc["sections"], model)
     except (ToolkitError, ValueError) as exc:
         raise ConfigError(str(exc))
     if need_table and table is None:
@@ -407,26 +395,26 @@ def parse_domain(doc):
 def target_from_config(doc, domain, nodes):
     """Target measure of a solve on ``nodes``: a constant ``density`` or
     node ``masses``, which :func:`~nama.realma.solve` checks."""
+    if "density" in doc and "masses" in doc:
+        raise ConfigError("the target is a density or masses, not both")
     if "density" in doc:
         density = rational(doc["density"], "density")
-        target = TargetMeasure.from_density(domain, nodes, density)
-    elif "masses" in doc:
-        masses = {}
-        raw = bounded_list(doc["masses"], MAX_SOLVE_NODES, "masses")
-        for k, entry in enumerate(raw):
-            ctx = f"masses[{k}]"
-            check_keys(entry, {"node", "mass"}, ctx)
-            nd = tuple(rational(c, "node")
-                       for c in json_list(require(entry, "node", ctx),
-                                          f"{ctx}.node"))
-            masses[nd] = rational(require(entry, "mass", ctx), "mass")
-        try:
-            target = TargetMeasure(masses)
-        except ValueError as exc:
-            raise ConfigError(f"invalid masses: {exc}")
-    else:
+        return TargetMeasure.from_density(domain, nodes, density)
+    if "masses" not in doc:
         raise ConfigError("config needs a density or masses block")
-    return target
+    masses = {}
+    for k, entry in enumerate(bounded_list(doc["masses"], MAX_SOLVE_NODES,
+                                           "masses")):
+        ctx = f"masses[{k}]"
+        check_keys(entry, {"node", "mass"}, ctx)
+        nd = tuple(rational(c, "node")
+                   for c in json_list(require(entry, "node", ctx),
+                                      f"{ctx}.node"))
+        masses[nd] = rational(require(entry, "mass", ctx), "mass")
+    try:
+        return TargetMeasure(masses)
+    except ValueError as exc:
+        raise ConfigError(f"invalid masses: {exc}")
 
 
 def square_matrix(rows, dim, context):
@@ -520,6 +508,24 @@ def face_potential_from_config(doc, model):
                               hessian=lambda x: hess)
 
 
+def face_resolution(doc, key):
+    """The ``resolution`` of face ``key``'s grid (2 when absent): a face of
+    dimension d walks (resolution + 1)^d points, at most MAX_FACE_GRID."""
+    resolution = integer(doc.get("resolution", 2), "resolution", minimum=1)
+    walked = (min(resolution, MAX_FACE_GRID) + 1) ** max(len(key) - 1, 1)
+    if walked > MAX_FACE_GRID:
+        raise ConfigError(
+            f"resolution {resolution} walks more than {MAX_FACE_GRID} grid "
+            f"points of face {','.join(map(str, key))}")
+    return resolution
+
+
+def expected_value(doc):
+    """The rational that ``expected`` pins, or None when it is absent."""
+    return rational(doc["expected"], "expected") if "expected" in doc \
+        else None
+
+
 def residues_from_config(doc, model, key):
     """Residue weights on faces of ``model``, one of them on face ``key``."""
     block = require(doc, "residues", "config")
@@ -581,12 +587,11 @@ def mass_audit_from_config(doc, model, table):
         terms.append(FaceMassTerm.from_constant(model, key, dens))
     atomic = [rational(v, "atomic")
               for v in json_list(doc.get("atomic", []), "atomic")]
-    if "expected" in doc:
-        expected = rational(doc["expected"], "expected")
-    elif table is not None:
+    expected = expected_value(doc)
+    if expected is None:
+        if table is None:
+            raise ConfigError("mass needs expected or an intersection_table")
         expected = table.top_self_intersection()
-    else:
-        raise ConfigError("mass needs expected or an intersection_table")
     return terms, atomic, expected
 
 

@@ -17,12 +17,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from nama import ConvexPL, box_polygon, cli, config, ma_measure
+from nama import ConvexPL, box_polygon, cli, config, ma_measure, solve
 from nama import skeleton
-from nama.cli import (MAX_CALABI_N, MAX_FACE_GRID, MAX_FORM_DIM,
-                      MAX_GCALABI_DIM, MAX_HYBRID_N, MAX_ORACLE_GRID,
-                      MAX_POLY_TERMS, MAX_SAMPLE_COORDS, MAX_SOLVE_GRID,
-                      MAX_T_EXPONENTS, build_parser, main)
+from nama.cli import (MAX_CALABI_N, MAX_FORM_DIM, MAX_GCALABI_DIM,
+                      MAX_HYBRID_N, MAX_ORACLE_GRID, MAX_POLY_TERMS,
+                      MAX_SAMPLE_COORDS, MAX_T_EXPONENTS, build_parser, main)
+from nama.config import MAX_FACE_GRID, MAX_SOLVE_GRID
 from nama.errors import ConfigError
 
 SEGMENT_TABLE = [
@@ -119,6 +119,31 @@ def test_realma_solve_converges_on_the_unit_square(tmp_path):
     assert (out / "solution.csv").exists()
 
 
+def test_a_failed_solve_writes_its_convergence_history(tmp_path):
+    # no iterate reaches residual 0: the run exits 2, and its --out shows
+    # every evaluation, one row per history entry
+    doc = {"domain": {"box": [[0, 1], [0, 1]]}, "density": 1,
+           "boundary": {"quadratic": [[4, 1], [1, "1/4"]]}}
+    argv = ["realma", "solve", write_config(tmp_path, doc), "--grid", "5",
+            "--tol", "0", "--out", str(tmp_path / "out")]
+    assert main(argv) == 2
+    first = (tmp_path / "out" / "convergence.csv").read_bytes()
+    assert main(argv) == 2
+    assert (tmp_path / "out" / "convergence.csv").read_bytes() == first
+    domain = config.parse_domain(doc)
+    nodes = cli.grid_nodes(domain, 5)
+    result = solve(domain, config.target_from_config(doc, domain, nodes),
+                   config.boundary_values(doc, 2), nodes=nodes, tol=0.0)
+    assert not result.converged
+    assert read_csv(tmp_path / "out" / "convergence.csv") == [
+        ["evaluation", "verdict", "tau", "residual", "min_mass"]] + [
+        [str(k), e.verdict, cli.fmt(e.tau), repr(e.residual),
+         repr(e.min_mass)] for k, e in enumerate(result.history, 1)]
+    manifest = read_manifest(tmp_path / "out")
+    assert manifest["outputs"] == ["convergence.csv", "solution.csv"]
+    assert manifest["summary"]["iterations"] == len(result.history)
+
+
 def test_realma_solve_on_a_non_dyadic_grid(tmp_path):
     # step 1/10: the boundary nodes are not floats, the solve must still
     # find and keep them
@@ -157,12 +182,15 @@ def test_realma_measure_locates_the_kink_mass(tmp_path):
 
 
 def test_realma_measure_writes_rationals_past_the_int_digit_limit(tmp_path):
-    # x^2 + y^2 + 1/d, d an odd 2,000-digit integer per node: the centre's
-    # mass has a denominator of about 32,000 digits, past the 4,300 that
-    # str writes of an int
+    # x^2 + y^2 + 1/d, d an odd 1,021-bit integer per node, at the centre
+    # of [-1, 1]^2 and at 16 nodes on its boundary: the centre's mass has a
+    # numerator and a denominator of about 8,000 digits each, past the
+    # 4,300 that str writes of an int
     rnd = random.Random(0)
-    nodes = [(F(x), F(y)) for x in (-1, 0, 1) for y in (-1, 0, 1)]
-    values = [x * x + y * y + F(1, rnd.randrange(10 ** 1999, 10 ** 2000) | 1)
+    side = [F(k, 2) for k in range(-2, 3)]
+    nodes = [(F(0), F(0))] + [(x, y) for x in side for y in side
+                              if abs(x) == 1 or abs(y) == 1]
+    values = [x * x + y * y + F(1, rnd.getrandbits(1021) | 1 | 1 << 1020)
               for x, y in nodes]
     doc = {"domain": {"box": [[-1, 1], [-1, 1]]},
            "nodes": [[str(x), str(y)] for x, y in nodes],
@@ -170,11 +198,11 @@ def test_realma_measure_writes_rationals_past_the_int_digit_limit(tmp_path):
     out = tmp_path / "out"
     assert main(["realma", "measure", write_config(tmp_path, doc),
                  "--out", str(out)]) == 0
-    row = read_csv(out / "measure.csv")[5]
-    assert row[:2] == ["0", "0"] and len(row[-1]) > 4300
-    num, den = (int(Decimal(part)) for part in row[-1].split("/"))
-    assert F(num, den) == ma_measure(
-        ConvexPL(box_polygon(-1, 1, -1, 1), nodes, values)).masses[4]
+    row, = (r for r in read_csv(out / "measure.csv") if r[:2] == ["0", "0"])
+    num, den = row[-1].split("/")
+    assert len(num) > 4300 and len(den) > 4300
+    assert F(int(Decimal(num)), int(Decimal(den))) == ma_measure(
+        ConvexPL(box_polygon(-1, 1, -1, 1), nodes, values)).masses[0]
     assert read_manifest(out)["passed"] is True
 
 
@@ -420,6 +448,18 @@ def argv_for(tmp_path, argv, doc):
     return argv + ([write_config(tmp_path, doc)] if doc is not None else [])
 
 
+def declared_keys(argv):
+    """The config keys that the command of ``argv`` reads."""
+    args = build_parser().parse_args(argv + ["cfg.json"])
+    return (cli.COMPARE_MODES[args.mode][1] if args.command == "compare"
+            else args.keys)
+
+
+# each config command of SUBCOMMANDS: its argv, config and declared keys
+DECLARED = {" ".join(argv[:2]): (argv, doc, declared_keys(argv))
+            for argv, doc in SUBCOMMANDS if doc}
+
+
 @pytest.mark.parametrize("argv,doc", SUBCOMMANDS,
                          ids=[" ".join(a[:2]) for a, _ in SUBCOMMANDS])
 def test_every_subcommand_reruns_byte_identical(tmp_path, argv, doc):
@@ -429,7 +469,9 @@ def test_every_subcommand_reruns_byte_identical(tmp_path, argv, doc):
     assert main(argv) == 0
     second = {p.name: p.read_bytes() for p in (tmp_path / "out").iterdir()}
     assert first == second
-    assert len(first) == 2 and "manifest.json" in first
+    # realma solve also writes its convergence history
+    assert len(first) == 2 + (argv[:2] == ["realma", "solve"])
+    assert "manifest.json" in first
     # one line of strict JSON
     manifest = first["manifest.json"]
     assert manifest.endswith(b"\n") and manifest.count(b"\n") == 1
@@ -504,6 +546,8 @@ INVALID = [
     (["compare", "lowerface"],
      dict(SEGMENT_MODEL, potential=dict(POTENTIAL, face="5", hessian=[]),
           expected=1)),
+    (["compare", "lowerface"],
+     dict(SEGMENT_MODEL, potential=POTENTIAL, expected=None)),
     (["compare", "pde"],
      dict(SEGMENT_MODEL, potential=dict(POTENTIAL, face="5", hessian=[]),
           residues={"0,1": 1})),
@@ -640,6 +684,60 @@ def test_invalid_input_exits_one_with_one_line(tmp_path, capsys, argv, doc):
     assert "Traceback" not in err
     assert len(err.splitlines()) == 1 and err.startswith("config error: ")
     assert not (tmp_path / "out").exists()
+
+
+# every top-level key that some command reads, and the model block that
+# none reads
+CONFIG_KEYS = set().union(*(k for _, _, k in DECLARED.values())) \
+    | {"sections"}
+
+
+def config_error(tmp_path, capsys, argv, doc):
+    """The one stderr line of a run that exits 1 and writes nothing."""
+    assert main(argv_for(tmp_path, argv, doc)
+                + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("config error: ")
+    assert not (tmp_path / "out").exists()
+    return err
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, (_, doc, keys) in DECLARED.items()
+    for key in sorted(CONFIG_KEYS - keys - set(doc))])
+def test_a_key_the_command_does_not_read_exits_one(tmp_path, capsys,
+                                                   command, key):
+    argv, doc, keys = DECLARED[command]
+    err = config_error(tmp_path, capsys, argv, dict(doc, **{key: "malformed"}))
+    assert err == (f"config error: unknown keys [{key!r}] in config "
+                   f"document; allowed: {sorted(keys)}\n")
+
+
+@pytest.mark.parametrize("command,key", [
+    (command, key) for command, (_, doc, keys) in DECLARED.items()
+    for key in sorted(keys - set(doc))])
+def test_every_declared_key_is_read(tmp_path, capsys, command, key):
+    # a declared key that no parser read would take any value
+    argv, doc, _ = DECLARED[command]
+    err = config_error(tmp_path, capsys, argv, dict(doc, **{key: "malformed"}))
+    assert "unknown keys" not in err
+
+
+@pytest.mark.parametrize("argv,doc,unknown", [
+    (["realma", "measure"], dict(KINK, density=1, masses=[]),
+     ["density", "masses"]),
+    (["realma", "measure"], dict(KINK, density="oops", boundary=3,
+                                 resolution=-9, n="x", faces=0, atomic={}),
+     ["atomic", "boundary", "density", "faces", "n", "resolution"]),
+    (["compare", "vilsmeier"], dict(CYCLE, domain={"box": 5}, potential=7,
+                                    expected="x", sections=[]),
+     ["domain", "expected", "potential", "sections"])])
+def test_keys_of_other_commands_are_unknown(tmp_path, capsys, argv, doc,
+                                            unknown):
+    # measure reads no target, so both target keys are unknown to it
+    err = config_error(tmp_path, capsys, argv, doc)
+    assert err.startswith(f"config error: unknown keys {unknown} in config "
+                          "document; allowed: ")
 
 
 # (argv before the config path, config document, the error after
@@ -950,6 +1048,36 @@ def test_config_list_caps_are_accepted_without_building(
     assert not (tmp_path / "out").exists()
 
 
+CAP = config.MAX_RATIONAL_BITS
+
+
+@pytest.mark.parametrize("value", [
+    2 ** CAP - 1, -(2 ** CAP - 1), f"-{2 ** CAP - 1}/{2 ** CAP - 3}",
+    "0" * 5000 + "1/3"], ids=["int", "negative int", "p/q", "zeros"])
+def test_config_rationals_at_the_bit_cap_are_read(tmp_path, value):
+    doc = dict(SEGMENT_MODEL, divisors=[{"id": 0, "degrees": value},
+                                        {"id": 1}])
+    assert main(["model", "validate", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 0
+
+
+@pytest.mark.parametrize("value, size", [
+    (2 ** CAP, f"{CAP + 1}-bit numerator"),
+    (-2 ** CAP, f"{CAP + 1}-bit numerator"),
+    (f"{2 ** CAP}/3", f"{CAP + 1}-bit numerator"),
+    (f"-1/{2 ** CAP}", f"{CAP + 1}-bit denominator"),
+    ("9" * 5000, "5000-digit numerator"),
+    ("1/" + "9" * 5000, "5000-digit denominator")],
+    ids=["int", "negative int", "p", "q", "digits p", "digits q"])
+def test_config_rationals_past_the_bit_cap_exit_one(tmp_path, capsys, value,
+                                                     size):
+    doc = dict(SEGMENT_MODEL, divisors=[{"id": 0, "degrees": value},
+                                        {"id": 1}])
+    assert config_error(tmp_path, capsys, ["model", "validate"], doc) == (
+        f"config error: divisors[0].degrees has a {size}; at most {CAP} "
+        "bits are allowed\n")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m, n", [(44, 45), (1, 150)])
 def test_gcalabi_checks_blocks_past_the_float_range(tmp_path, capsys, m, n):
@@ -1148,7 +1276,8 @@ def containers(doc):
 
 
 # every key of a config block, and one that none has
-FUZZ_KEYS = sorted(config.MODEL_KEYS | config.COMMAND_KEYS | {"x"} | {
+FUZZ_KEYS = sorted(set().union(*(k for _, _, k in DECLARED.values()))
+                   | {"x"} | {
     path[-1] for _, doc in SUBCOMMANDS if doc for path in entries(doc)
     if isinstance(path[-1], str)})
 

@@ -9,9 +9,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from nama import ConfigError, IntersectionTable
+from nama.cli import COMPARE_MODES
 from nama.config import (
     build_model_from_config,
-    build_sections_from_config,
     build_table_from_config,
     check_keys,
     coefficients_from_config,
@@ -20,7 +20,6 @@ from nama.config import (
     load_document,
     rational,
     require,
-    validate_toplevel,
 )
 
 SEGMENT_DOC = {
@@ -80,6 +79,16 @@ def test_rational_parsing_is_exact():
     for bad in (True, 0.5, None, "abc", "1/0"):
         with pytest.raises(ConfigError):
             rational(bad, "x")
+
+
+def test_a_rational_string_is_p_over_q_in_ascii_digits():
+    # Fraction() also reads these; "1e9999999" would build 10^9999999
+    for bad in ("1e9999999", "0.5", " 1/2", "1 / 2", "1_000", "\u0663",
+                "1/-2", "1/0", "/2", ""):
+        with pytest.raises(ConfigError, match="not a valid rational"):
+            rational(bad, "x")
+    assert rational("+6", "x") == 6
+    assert rational("-006/004", "x") == Fraction(-3, 2)
 
 
 def test_floats_are_rejected_where_exactness_matters():
@@ -222,27 +231,6 @@ def test_the_one_pass_parse_equals_adding_one_entry_at_a_time(drawn):
         == table_outcome(one_at_a_time)
 
 
-def test_sections_project_onto_each_face():
-    model = build_model_from_config(SEGMENT_DOC)
-    entries = [{"support": [[0, 1], [1, 0]], "norm_exp": "1/3"}]
-    sections = build_sections_from_config(entries, model)
-    assert len(sections) == 1
-    sec = sections[0]
-    assert sec.support[(0,)] == ((Fraction(0),), (Fraction(1),))
-    assert sec.support[(0, 1)] == ((Fraction(0), Fraction(1)),
-                                   (Fraction(1), Fraction(0)))
-    assert sec.norm_exponent == Fraction(1, 3)
-
-
-def test_sections_require_one_exponent_per_divisor():
-    model = build_model_from_config(SEGMENT_DOC)
-    with pytest.raises(ConfigError, match="one exponent per divisor"):
-        build_sections_from_config([{"support": [[1]], "norm_exp": 0}],
-                                   model)
-    with pytest.raises(ConfigError, match="nonempty list"):
-        build_sections_from_config([{"support": [], "norm_exp": 0}], model)
-
-
 def test_coefficients_cover_every_divisor():
     model = build_model_from_config(SEGMENT_DOC)
     coeffs = coefficients_from_config({"0": "1/4", "1": 0}, model)
@@ -270,7 +258,9 @@ def test_face_keys_parse_from_strings_and_lists():
 
 
 def test_toplevel_schema_mixes_model_and_command_keys():
-    validate_toplevel({"n": 1, "divisors": [], "residues": {},
-                       "resolution": 5})
+    # compare pde reads the model keys and its own, from one document
+    keys = COMPARE_MODES["pde"][1]
+    check_keys({"n": 1, "divisors": [], "residues": {}, "resolution": 5},
+               keys, "config document")
     with pytest.raises(ConfigError, match="unknown keys"):
-        validate_toplevel({"n": 1, "plot": True})
+        check_keys({"n": 1, "plot": True}, keys, "config document")
