@@ -546,8 +546,6 @@ INVALID = [
     (["compare", "lowerface"],
      dict(SEGMENT_MODEL, potential=dict(POTENTIAL, face="5", hessian=[]),
           expected=1)),
-    (["compare", "lowerface"],
-     dict(SEGMENT_MODEL, potential=POTENTIAL, expected=None)),
     (["compare", "pde"],
      dict(SEGMENT_MODEL, potential=dict(POTENTIAL, face="5", hessian=[]),
           residues={"0,1": 1})),
@@ -671,6 +669,9 @@ INVALID = [
     (["hybrid", "growth", "--n", "1", "--t-exp", "20,40",
       "--samples", "1000", "--uJ",
       "+".join(f"z0^{k}" for k in range(MAX_POLY_TERMS + 1))], None),
+    # a null expected value
+    (["compare", "lowerface"],
+     dict(SEGMENT_MODEL, potential=POTENTIAL, expected=None)),
 ]
 
 
