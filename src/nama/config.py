@@ -32,6 +32,16 @@ TABLE_ENTRY_KEYS = {"L_power", "divisor_powers", "stratum", "value"}
 # compare vilsmeier at 20,000 takes about 5 s and 100 MB end to end
 # (30,000 takes 7 s and 140 MB)
 MAX_CYCLE_LENGTH = 20_000
+# a model's degrees, table values and coefficients: the bits of their
+# denominators in all, which bound the bits of the lcm that the exact sums
+# over the components carry.  On cycles of random odd p/q in degrees and
+# coefficients, at 256,000 to 260,000 such bits, compare vilsmeier takes
+# 1.3-3.4 s end to end on a 2-core host (250 components of 512 bits 2.4 s,
+# 6,500 of 20 bits 3.4 s, 13,000 of 10 bits 1.3 s) and namma 3.0 s;
+# 400,000 bits take 8.4 s (10,000 of 20 bits), 512,000 7.6 s (250 of
+# 1,024), and namma on a model document with 1,000 coefficients of 1,024
+# bits 34 s
+MAX_DENOMINATOR_BITS = 1 << 18
 # intersection_table: about 1.2 KB per entry; model validate on 50,000
 # entries takes about 2-3 s and 100 MB end to end (100,000 take 3 s and
 # 150 MB)
@@ -172,6 +182,17 @@ def rational(value, context):
                 f"{context} has a {n.bit_length()}-bit {part}; at most "
                 f"{MAX_RATIONAL_BITS} bits are allowed")
     return Fraction(value)
+
+
+def bounded_denominators(values, context):
+    """The rationals ``values``, whose denominators have at most
+    MAX_DENOMINATOR_BITS bits in all."""
+    bits = sum(v.denominator.bit_length() for v in values)
+    if bits > MAX_DENOMINATOR_BITS:
+        raise ConfigError(
+            f"{context} have {bits} bits of denominators; at most "
+            f"{MAX_DENOMINATOR_BITS} are allowed")
+    return values
 
 
 def integer(value, context, minimum=None):
@@ -343,6 +364,7 @@ def model_bundle(doc, need_table=False):
     from a ``cycle`` block or the model keys, not both; a model or table the
     toolkit rejects is an input error, raised as :class:`ConfigError`."""
     table = coeffs = None
+    given = ()          # the table's values, when the document gives them
     overridden = sorted(doc.keys() & MODEL_KEYS)
     if "cycle" in doc and overridden:
         raise ConfigError(f"cycle builds the model and its table; drop the "
@@ -353,7 +375,8 @@ def model_bundle(doc, need_table=False):
             check_keys(block, {"degrees", "coefficients"}, "cycle")
             raw = bounded_list(require(block, "degrees", "cycle"),
                                MAX_CYCLE_LENGTH, "cycle.degrees")
-            degrees = [rational(d, "cycle.degrees") for d in raw]
+            degrees = bounded_denominators(
+                [rational(d, "cycle.degrees") for d in raw], "cycle.degrees")
             model = cycle_model(degrees)
             table = cycle_table(degrees)
             raw = require(block, "coefficients", "cycle")
@@ -365,8 +388,13 @@ def model_bundle(doc, need_table=False):
             if "intersection_table" in doc:
                 table = build_table_from_config(doc["intersection_table"],
                                                 model.dimension)
+                given = table.values()
             if "coefficients" in doc:
                 coeffs = coefficients_from_config(doc["coefficients"], model)
+        bounded_denominators([*(d.degree for d in model.divisors
+                                if d.degree is not None), *given,
+                              *(coeffs or {}).values()],
+                             "the degrees, table values and coefficients")
         if table is not None:
             table.check_faces(model)
     except (ToolkitError, ValueError) as exc:

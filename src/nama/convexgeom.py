@@ -4,11 +4,11 @@ The polygon routines are generic over the scalar type: exact rationals
 (`fractions.Fraction`) and floats run through the same code paths, so
 subgradient cells can be computed exactly when the inputs are rational.  2D
 dual cells come from :class:`FacetCells`, the gradients of the lifted
-lower-hull facets, which runs exact input on integers and also holds the
-float envelope's planes, so one hull serves every reader of a function.
-It builds, checks and reads one hull; a node the hull does not vouch for
-takes :meth:`FacetCells.full_clip`, the one clip of a cell against every
-other node.  1D cells come from one sorted pass in :mod:`nama.realma`.
+lower-hull facets, which runs all of exact input on integers and also
+holds the float envelope's planes, so one hull serves every reader of a
+function.  It builds, checks and reads one hull; a node the hull does not
+vouch for takes :meth:`FacetCells.full_clip`, the one clip of a cell by
+all other nodes.  1D cells come from one sorted pass in :mod:`nama.realma`.
 """
 
 from __future__ import annotations
@@ -91,14 +91,14 @@ def polygon_area(vertices):
 
 
 def edge_lengths_by_label(vertices, labels):
-    """Total Euclidean edge length per label (float)."""
+    """Total Euclidean edge length per label but None (float)."""
     out = {}
     m = len(vertices)
     for k in range(m):
         x0, y0 = vertices[k]
         x1, y1 = vertices[(k + 1) % m]
         ell = math.hypot(float(x1) - float(x0), float(y1) - float(y0))
-        if ell > 0:
+        if ell > 0 and labels[k] is not None:
             out[labels[k]] = out.get(labels[k], 0.0) + ell
     return out
 
@@ -135,7 +135,6 @@ def cut_cell(index, points, values, polygon, others):
         if not verts:
             return Cell(2, [], 0, {}, False, True)
     edges = edge_lengths_by_label(verts, labels)
-    edges.pop(None, None)
     return Cell(2, verts, polygon_area(verts), edges,
                 any(lab is None for lab in labels), len(verts) < 3)
 
@@ -231,6 +230,11 @@ class NodeSet:
         return X.reshape(-1, 2), np.array(l, dtype=object)
 
 
+def exact_point(point):
+    """``point`` with its float coordinates read as the rationals they are."""
+    return tuple(Fraction(c) if isinstance(c, float) else c for c in point)
+
+
 def _homogeneous(point):
     """A rational point as ints (x, y, w), w > 0, with ``point`` (x, y) / w."""
     (a, b), (c, d) = (Fraction(point[0]).as_integer_ratio(),
@@ -302,19 +306,19 @@ class FacetCells:
     :meth:`full_clip` cut theirs by every other node.
 
     ``nodes`` is a :class:`NodeSet`; the hull is built on its ``points``.
-    ``exact`` input (Fraction nodes and values) runs on Python ints: node i
-    is the set's ``cleared`` X_i over l_i, and its value V_i over m_i, or
-    with ``values`` None (cuts by rational polygons only) |x_i|^2 / 2 as
-    |X_i|^2 over 2 l_i^2.  Each triangle is scaled by the lcms L and M of
-    its own three nodes' l and m, so its gradient is ``L num / (M det)``,
-    every check is the sign of a cross-multiplied integer, and the ints
-    grow with the denominators of a node's neighbours only.  :meth:`cut`
-    and :meth:`full_clip` clip in integers too, and :meth:`areas_within`
-    reads the cells of rim nodes off their fans.
+    ``exact`` (Fraction nodes and values, or ``values`` None) is the one
+    choice of arithmetic: exact input runs on Python ints, float input on
+    the floats ``pts`` and ``vals``.  Exact node i is the set's ``cleared``
+    X_i over l_i, and its value V_i over m_i, or |x_i|^2 / 2 as |X_i|^2
+    over 2 l_i^2.  Each triangle is scaled by the lcms L and M of its own
+    three nodes' l and m, so its gradient is ``L num / (M det)``, every
+    check is the sign of a cross-multiplied integer, and the ints grow with
+    the denominators of a node's neighbours only.  Every cut, containment
+    test and fallback box of exact input is in integers too.
     """
 
     def __init__(self, nodes, values, corners=None):
-        self.nodes, self.pts, self.values = nodes.nodes, nodes.points, values
+        self.pts = nodes.points
         self.exact = nodes.exact and (values is None or all(
             isinstance(v, Fraction) for v in values))
         num, den = self._build(nodes, values)
@@ -326,7 +330,7 @@ class FacetCells:
         ints or floats over 1; :func:`lower_facets` ``tri``, kept whatever
         the checks say (:meth:`planes` reads the envelope off it), and its
         half-edges; each facet's gradient num / den, den > 0 iff det > 0."""
-        n, P = len(self.nodes), self.pts
+        n, P = len(self.pts), self.pts
         if self.exact:      # int / int rounds as float(Fraction) does
             P, l = nodes.cleared
             if values is None:
@@ -374,7 +378,7 @@ class FacetCells:
         tiling the ccw polygon ``corners``; each inner edge between proper
         facets locally convex; each node off the triangulation on or above
         every facet plane (float tests allow a relative 1e-11)."""
-        n, tri, src, twin = len(self.nodes), self.tri, self.src, self.twin
+        n, tri, src, twin = len(self.pts), self.tri, self.src, self.twin
         if not len(tri):
             return np.zeros(0, dtype=int), np.arange(n)
         P, l, V, m = self._lift
@@ -429,7 +433,7 @@ class FacetCells:
     def _read(self, num, den):
         """The cells off the facets' planes, ``grad`` nan where den <= 0, and
         ``_facets`` (num, den, D)."""
-        n, src, dst, twin = len(self.nodes), self.src, self.dst, self.twin
+        n, src, dst, twin = len(self.pts), self.src, self.dst, self.twin
         rim = twin < 0
         good = np.full(n, not any(map(len, self.flagged)))
         good[self.tri[~(den > 0)].ravel()] = False
@@ -482,7 +486,7 @@ class FacetCells:
 
     def _fan(self, i):
         """The half-edges leaving node i, one per facet around it."""
-        n = len(self.nodes)
+        n = len(self.pts)
         return self._order[np.searchsorted(self._keys, i * n):
                            np.searchsorted(self._keys, i * n + n)]
 
@@ -492,7 +496,7 @@ class FacetCells:
         which suffice because the interpolant is convex, and is empty off
         the triangulation; any other node's is cut by every other node."""
         if not self.good[i]:
-            star = [j for j in range(len(self.nodes)) if j != i]
+            star = [j for j in range(len(self.pts)) if j != i]
         else:
             fan = self._fan(i)
             if not len(fan):
@@ -516,7 +520,7 @@ class FacetCells:
         dx = np.abs(d).max(axis=1)
         half = float(np.max(np.abs(self.vals - self.vals[i]) / np.where(
             dx > 0, dx, 1.0), where=dx > 0, initial=0.0)) + 1.0
-        if isinstance(self.values[i], Fraction):
+        if self.exact:
             half = Fraction(math.ceil(half))
         for _ in range(12):
             cell = self._cut(i, box_vertices(-half, half, -half, half),
@@ -530,27 +534,32 @@ class FacetCells:
                            "is the node interior?")
 
     def _cut(self, i, polygon, star):
-        """:func:`cut_cell` of node i by the nodes ``star``, in that order;
-        exact input with a rational polygon is clipped by
-        :meth:`_cut_exact`, the same cuts in integers."""
-        if self.exact and all(
-                isinstance(c, (int, Fraction)) for v in polygon for c in v):
+        """:func:`cut_cell` of node i by the nodes ``star``, in that order:
+        exact input's by :meth:`_cut_exact`, the same cuts in integers, and
+        float input's on :attr:`_floats` and the polygon read in floats."""
+        if self.exact:
             return self._cut_exact(i, polygon, star)
-        return cut_cell(i, self.nodes, self.values, polygon, star)
+        return cut_cell(i, *self._floats,
+                        [tuple(map(float, v)) for v in polygon], star)
+
+    @cached_property
+    def _floats(self):
+        """``pts`` and ``vals`` as Python floats, read once for every cut."""
+        return self.pts.tolist(), self.vals.tolist()
 
     def _cut_exact(self, i, polygon, star):
         """:func:`cut_cell` of exact input in homogeneous integer
         coordinates (x, y, w), w > 0, of a gradient ``(x, y) / w``.  Node
         j's constraint is its own integer line, the Fraction one times
         ``l_i l_j m_i m_j w``: ``(x, y) . (X_i l_j - X_j l_i) m_i m_j >=
-        (V_i m_j - V_j m_i) l_i l_j w``.  The same vertices in the same
-        order, labels and edges; the cut vertices and the area, a shoelace
-        over the lcm of the w, are made Fractions once, at the end."""
+        (V_i m_j - V_j m_i) l_i l_j w``.  The same vertices (a float corner
+        exact) in the same order, labels and edges; the cut vertices and
+        the area, a shoelace over the lcm of the w, become Fractions."""
         X, l, V, m = self._lift
         s = np.array(star, dtype=int)
         a = (X[i] * l[s, None] - X[s] * l[i]) * (m[i] * m[s])[:, None]
         c = (V[i] * m[s] - V[s] * m[i]) * (l[i] * l[s])
-        verts = list(zip(map(_homogeneous, polygon), polygon))
+        verts = [(_homogeneous(v), exact_point(v)) for v in polygon]
         labels = [None] * len(verts)
         for j, (a0, a1), cj in zip(star, a.tolist(), c.tolist()):
             verts, labels, _ = _clip(
@@ -564,28 +573,24 @@ class FacetCells:
         # int / int rounds as float(Fraction) does
         edges = edge_lengths_by_label([(x / w, y / w) for x, y, w in hs],
                                       labels)
-        edges.pop(None, None)
         L = math.lcm(*(w for _, _, w in hs))
         twice = sum((x0 * y1 - x1 * y0) * (L // w0) * (L // w1) for (
             x0, y0, w0), (x1, y1, w1) in zip(hs, hs[1:] + hs[:1]))
-        area = Fraction(abs(twice), 2 * L * L)  # unless no cut made a vertex
-        return Cell(2, verts, area if None in kept else polygon_area(verts),
-                    edges, any(lab is None for lab in labels), len(verts) < 3)
+        return Cell(2, verts, Fraction(abs(twice), 2 * L * L), edges,
+                    any(lab is None for lab in labels), len(verts) < 3)
 
     def inside(self, corners):
         """Good nodes whose fans' gradients all lie in the ccw polygon
-        ``corners``.  Exact input with a rational polygon tests each
-        gradient exactly, by the sign of :func:`_orient` against every side
-        in integers, so a gradient on the boundary is in; a node on the
-        rim counts only when every rim node lies in the polygon too.  Else
-        the test is the float one and takes closed nodes only, saying no
-        near the boundary."""
-        if self.exact and all(
-                isinstance(c, (int, Fraction)) for v in corners for c in v):
+        ``corners``.  Exact input tests each gradient exactly, by the sign
+        of :func:`_orient` against every side in integers, so a gradient on
+        the boundary is in; a node on the rim counts only when every rim
+        node lies in the polygon too.  Float input's test is in floats,
+        takes closed nodes only and says no near the boundary."""
+        out = np.zeros(len(self.pts), dtype=bool)
+        if self.exact:
             num, den, _ = self._facets
             C = [_homogeneous(v) for v in corners]
             sides = list(zip(C, C[1:] + C[:1]))
-            out = np.zeros(len(self.nodes), dtype=bool)
             for p, q in sides:
                 out[self.tri[_side(p, q, num, den) < 0].ravel()] = True
             X, l = self._lift[:2]
@@ -594,7 +599,6 @@ class FacetCells:
                 out |= ~self.closed
             return self.good & ~out
         g = self.grad
-        out = np.zeros(len(self.nodes), dtype=bool)
         C = np.array(corners, dtype=float)
         for p, q in zip(C, np.roll(C, -1, axis=0)):
             tol = 1e-9 * np.abs(q - p).sum() * (np.abs(g).sum(1)

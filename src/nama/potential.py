@@ -164,6 +164,10 @@ class IntersectionTable:
     def __len__(self):
         return len(self._entries)
 
+    def values(self):
+        """Every stored value, in the order of insertion."""
+        return self._entries.values()
+
     def value(self, a, powers, stratum):
         try:        # a canonical key costs one probe
             return self._entries[a, powers, stratum]

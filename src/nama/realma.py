@@ -40,7 +40,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .convexgeom import (Cell, FacetCells, NodeSet, box_vertices,
+from .convexgeom import (Cell, FacetCells, NodeSet, box_vertices, exact_point,
                          facet_planes, lower_facets, polygon_area)
 from .errors import InfeasibleBoundary
 from .measures import AtomicMeasure, exact_sum
@@ -419,7 +419,8 @@ def gradient_cells(cpl, clip_box):
     if cpl.dim == 2:
         box = box_vertices(*clip_box)
         return [cpl._envelope().cut(i, box) for i in range(len(cpl.nodes))]
-    ends, (box_lo, box_hi), cells = cpl._envelope(), clip_box, []
+    ends, cells = cpl._envelope(), []
+    box_lo, box_hi = exact_point(clip_box) if cpl.is_rational else clip_box
     for lo, hi, below, above in zip(*ends, ends.below, ends.above):
         touches = lo is None or hi is None
         lo = box_lo if lo is None else max(lo, box_lo)
@@ -521,8 +522,6 @@ def ma_measure_oracle(cpl, resolution=1000):
     set the box only; no hull star, cell or clipping code is used, so the
     oracle stays independent of :func:`ma_measure`.
     """
-    if cpl.dim > 2:
-        raise NotImplementedError("oracle supports dimensions 1 and 2")
     axes, cellvol = _slope_grid(cpl, resolution)
     counts, _ = _scan_counts(axes, cpl._record.points, cpl._vals)
     return np.where(cpl.interior_mask(), counts * cellvol, 0.0)
@@ -538,7 +537,7 @@ def _slope_grid(cpl, resolution):
     step = (hi - lo) / resolution
     axes = [lo[k] + (np.arange(resolution) + 0.5) * step[k]
             for k in range(cpl.dim)]
-    return axes, step[0] if cpl.dim == 1 else step[0] * step[1]
+    return axes, step.prod()
 
 
 # A point is certified when the bound on its margin exceeds this many ulps of
@@ -563,6 +562,9 @@ def _scan_counts(axes, pts, vals):
     evaluations (scores, crossings and corner comparisons), a
     machine-independent measure of the work.
     """
+    if len(axes) == 1:      # 1D: the one row p = 0, the nodes (0, x)
+        axes = [np.zeros(1), *axes]
+        pts = np.column_stack([np.zeros(len(pts)), pts])
     t = axes[-1]
     scale = sum(np.abs(ax).max() * np.abs(pts[:, k]).max()
                 for k, ax in enumerate(axes)) + np.abs(vals).max()
@@ -580,9 +582,9 @@ def _scan_counts(axes, pts, vals):
     gap_right = levels[np.minimum(rank + 1, len(levels) - 1)] - a
     # line n pads the candidate rows: the least slope and intercept -inf
     a = np.append(a, a[-1])
-    x = np.append(pts[order, 0] if len(axes) == 2 else np.zeros(n), 0.0)
+    x = np.append(pts[order, 0], 0.0)
     v = np.append(vals[order], np.inf)
-    p = axes[0] if len(axes) == 2 else np.zeros(1)      # 1D: a single row
+    p = axes[0]
 
     counts = np.zeros(n, dtype=np.int64)
     scored = 0
@@ -622,15 +624,12 @@ def _scan_counts(axes, pts, vals):
         step = max(1, _BLOCK // n)
         for s in range(0, len(at), step):
             r, k = at[s:s + step], ks[s:s + step]
-            if len(axes) == 1:
-                win = (np.outer(t[k], pts[:, 0]) - vals).argmax(axis=1)
-            else:
-                P = np.column_stack([p[r], t[k]])
-                if len(P) == 1 and len(p) > 1:
-                    # BLAS rounds a one-row product (matrix times vector)
-                    # unlike the rows of the grid's matrix product
-                    P = np.repeat(P, 2, axis=0)
-                win = (P @ pts.T - vals).argmax(axis=1)[:len(r)]
+            P = np.column_stack([p[r], t[k]])
+            if len(P) == 1 and len(p) > 1:
+                # BLAS rounds a one-row product (matrix times vector)
+                # unlike the rows of the grid's matrix product
+                P = np.repeat(P, 2, axis=0)
+            win = (P @ pts.T - vals).argmax(axis=1)[:len(r)]
             counts += np.bincount(win, minlength=n)
         return rows[seg], line
 
@@ -871,7 +870,7 @@ class TargetMeasure:
         exact cell machinery and the masses add up to density * volume
         exactly in rational mode.  In 2D the cells come off the facet
         gradients (:meth:`FacetCells.areas_within`): a cell inside the
-        domain is its fan's polygon, and, for rational nodes and domain,
+        domain is its fan's polygon, and, for rational nodes on any domain,
         the part in the domain of the cell of a node on the rim of the
         triangulation is its fan closed by the midpoints of its rim edges,
         when its gradients lie in the closed domain.  Only the other nodes,
@@ -902,17 +901,14 @@ class TargetMeasure:
                 a, b = r[0] * l[1], l[0] * r[1]
                 masses[nd] = slopes.read(p * (a - b if a > b else 0),
                                          q * l[1] * r[1])
-        elif domain.dim == 2:
+        else:
             corners = list(domain.vertices)
-            half = Fraction(1, 2) if exact else 0.5
-            cells = FacetCells(record, None if exact and domain._exact else [
-                sum(c * c for c in nd) * half for nd in nodes], corners)
+            cells = FacetCells(record, None if exact else [
+                sum(c * c for c in nd) * 0.5 for nd in nodes], corners)
             masses = {nd: density * (cells.cut(i, corners).volume
                                      if area is None else area)
                       for i, (nd, area) in enumerate(
                           zip(nodes, cells.areas_within(corners)))}
-        else:
-            raise NotImplementedError("density targets support dims 1 and 2")
         return cls(masses, density)
 
     def validate_total(self, domain):

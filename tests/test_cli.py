@@ -1079,6 +1079,64 @@ def test_config_rationals_past_the_bit_cap_exit_one(tmp_path, capsys, value,
         "bits are allowed\n")
 
 
+BITS = config.MAX_DENOMINATOR_BITS
+
+
+def unit_fractions(n, bits):
+    """n rationals 1/2^k whose denominators have ``bits`` bits in all, each
+    at most CAP (n <= bits <= n CAP)."""
+    return [f"1/{2 ** min(CAP - 1, max(0, bits - n - (CAP - 1) * i))}"
+            for i in range(n)]
+
+
+def chain_model(n, coefficients, table=SEGMENT_TABLE):
+    """A model document: a chain of n divisors with no degrees."""
+    return dict(SEGMENT_MODEL, divisors=[{"id": i} for i in range(n)],
+                faces=[[i] for i in range(n)]
+                + [[i, i + 1] for i in range(n - 1)],
+                intersection_table=table,
+                coefficients={str(i): c for i, c in enumerate(coefficients)})
+
+
+def chain_table(values):
+    """The table entries (L . E_i) = values[i] of a chain."""
+    return [{"L_power": 1, "stratum": [i], "value": v}
+            for i, v in enumerate(values)]
+
+
+# a document of 300 components at a total of denominator bits (each value of
+# SEGMENT_TABLE has 1), the stage that it reaches within the cap and the
+# context of the message past it
+@pytest.mark.parametrize("argv, stage, doc, context", [
+    (["compare", "vilsmeier"], (config, "cycle_model"),
+     lambda bits: {"cycle": {"degrees": unit_fractions(300, bits),
+                             "coefficients": []}}, "cycle.degrees"),
+    (["compare", "vilsmeier"], (cli, "vilsmeier_check_1d"),
+     lambda bits: {"cycle": {"degrees": [1] * 300, "coefficients":
+                             unit_fractions(300, bits - 300)}},
+     "the degrees, table values and coefficients"),
+    (["namma"], (cli, "na_ma_model_metric"),
+     lambda bits: chain_model(300, unit_fractions(300, bits - 8)),
+     "the degrees, table values and coefficients"),
+    (["namma"], (cli, "na_ma_model_metric"),
+     lambda bits: chain_model(300, ["0"] * 300, chain_table(
+         unit_fractions(300, bits - 300))),
+     "the degrees, table values and coefficients")],
+    ids=["cycle degrees", "cycle coefficients", "model coefficients",
+         "model table"])
+def test_denominator_bits_are_capped_in_all(tmp_path, monkeypatch, capsys,
+                                            argv, stage, doc, context):
+    monkeypatch.setattr(*stage, stop)
+    out = ["--out", str(tmp_path / "out")]
+    with pytest.raises(Reached):
+        main(argv + [write_config(tmp_path, doc(BITS))] + out)
+    assert main(argv + [write_config(tmp_path, doc(BITS + 1))] + out) == 1
+    assert capsys.readouterr().err == (
+        f"config error: {context} have {BITS + 1} bits of denominators; at "
+        f"most {BITS} are allowed\n")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("m, n", [(44, 45), (1, 150)])
 def test_gcalabi_checks_blocks_past_the_float_range(tmp_path, capsys, m, n):

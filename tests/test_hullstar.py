@@ -578,6 +578,104 @@ def test_fan_density_targets_equal_the_cut_loop(count_calls):
     assert paths == {"fan", "cut"}
 
 
+def square_lattice(n):
+    return [(F(i, n - 1), F(j, n - 1)) for i in range(n) for j in range(n)]
+
+
+def triangle_lattice(n):
+    """n nodes a side of the triangle (0, 0), (3, 0), (0, 7)."""
+    return [(F(3 * i, n - 1), F(7 * j, n - 1))
+            for i in range(n) for j in range(n - i)]
+
+
+TRIANGLE = [(0, 0), (3, 0), (0, 7)]
+FLOAT_DOMAIN_TARGETS = [
+    (box_polygon(0, 1, 0, 1), square_lattice(17), F(1)),
+    (box_polygon(0, 1, 0, 1), square_lattice(10), F(1)),
+    (Polygon(TRIANGLE), triangle_lattice(9), F(3, 7)),
+    (Polygon(TRIANGLE), triangle_lattice(10), F(3, 7)),
+    (Polygon(TRIANGLE), triangle_lattice(17), F(3, 7))]
+
+
+@pytest.mark.parametrize("domain, nodes, density", FLOAT_DOMAIN_TARGETS,
+                         ids=["square 17", "square 10", "triangle 9",
+                              "triangle 10", "triangle 17"])
+def test_exact_targets_read_a_float_domain_as_its_rationals(domain, nodes,
+                                                           density):
+    floats = Polygon([tuple(map(float, v)) for v in domain.vertices])
+    got = TargetMeasure.from_density(floats, nodes, density)
+    want = TargetMeasure.from_density(domain, nodes, density)
+    assert list(got.masses.items()) == list(want.masses.items())
+    assert all(type(m) is F for m in got.masses.values())
+    assert got.total() == density * domain.volume()
+
+
+def test_exact_targets_on_a_float_square_make_no_float_cut(count_calls):
+    # no rim cell is cut (in Fraction x float arithmetic, 64 of them were),
+    # and one float conversion per node coordinate for the record and one
+    # for the target's table make 4 n^2 (4,262 were made)
+    cuts = count_calls(convexgeom, "cut_cell")
+    floats = count_calls(Fraction, "__float__")
+    TargetMeasure.from_density(box_polygon(0.0, 1.0, 0.0, 1.0),
+                               square_lattice(17), F(1))
+    assert cuts == [] and len(floats) <= 4 * 17 * 17
+
+
+def numbers_of(kind, cells):
+    """The vertex coordinates and volumes of ``cells`` of type ``kind``."""
+    return [c for cell in cells for v in cell.vertices for c in v
+            if isinstance(c, kind)] + [
+        cell.volume for cell in cells if isinstance(cell.volume, kind)]
+
+
+@pytest.mark.parametrize("domain, nodes, box", [
+    (Interval(0, 1), [(F(i, 4),) for i in range(5)], (0.1, 1.5)),
+    (box_polygon(0, 1, 0, 1), square_lattice(5), (0.1, 0.9, -0.5, 1.75))],
+    ids=["1D", "2D"])
+def test_exact_cells_read_a_float_box_as_its_rationals(domain, nodes, box):
+    cpl = ConvexPL(domain, nodes, [sum(k * c * c for k, c in enumerate(
+        nd, 1)) / 2 for nd in nodes])
+    got = gradient_cells(cpl, box)
+    assert got == gradient_cells(cpl, tuple(map(F, box)))
+    assert numbers_of(float, got) == []
+    assert any(type(cell.volume) is F for cell in got)
+
+
+def test_an_exact_cell_the_box_holds_whole_has_an_exact_volume():
+    # no cut makes a vertex of the centre's cell in the box
+    nodes = [(0, 0), (1, 0), (1, 1), (0, 1), (F(1, 2), F(1, 2))]
+    cpl = ConvexPL(box_polygon(0, 1, 0, 1), nodes, [1, 1, 1, 1, 0])
+    centre = gradient_cells(cpl, (0, 1, 0, 1))[4]
+    assert centre.vertices == [(0, 0), (1, 0), (1, 1), (0, 1)]
+    assert type(centre.volume) is F and centre.volume == 1
+
+
+@pytest.mark.parametrize("exact_nodes", [True, False],
+                         ids=["exact nodes, float values",
+                              "float nodes, exact values"])
+def test_cuts_of_mixed_input_run_in_floats(monkeypatch, exact_nodes):
+    # no node is vouched for, so every cell is cut by every other node:
+    # on the float nodes and values, as the all-float input's are
+    nodes = square_lattice(5)
+    values = [(x * x + 2 * y * y) / 2 for x, y in nodes]
+    floats = ConvexPL(box_polygon(0, 1, 0, 1), [tuple(map(float, nd))
+                                                for nd in nodes],
+                      list(map(float, values)))
+    cpl = ConvexPL(box_polygon(0, 1, 0, 1),
+                   nodes if exact_nodes else floats.nodes,
+                   list(map(float, values)) if exact_nodes else values)
+    scramble_hull(monkeypatch, len(nodes))
+    assert not cpl._envelope().good.any()
+    box = (F(-1, 3), F(7, 3), F(-1, 2), F(5, 2))
+    got = gradient_cells(cpl, box)
+    assert got == gradient_cells(floats, tuple(map(float, box)))
+    assert numbers_of(Fraction, got) == []
+    measure = ma_measure(cpl)
+    assert measure.cell_fallbacks == len(nodes)
+    assert list(measure.masses) == list(ma_measure(floats).masses)
+    assert not [m for m in measure.masses if isinstance(m, Fraction)]
+
+
 @st.composite
 def skew_functions(draw):
     """Rational nodes k/d (d <= 7) in a quadrilateral that is no box, so
@@ -601,7 +699,7 @@ def skew_functions(draw):
 def hull_star(cells, i):
     """The nodes :meth:`FacetCells.cut` clips node i's cell by."""
     if not cells.good[i]:
-        return [j for j in range(len(cells.nodes)) if j != i]
+        return [j for j in range(len(cells.pts)) if j != i]
     fan = np.nonzero(cells.src == i)[0]
     return sorted(set(cells.dst[fan].tolist() + cells.apex[fan].tolist()))
 
